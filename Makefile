@@ -1,16 +1,17 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all check build test vet test-race race bench bench-short microbench fuzz fuzz-seeds triage-smoke chaos-short chaos cache-warm cmb-scaling study variability figures clean
+.PHONY: all check build test vet test-race race bench bench-short benchmark benchmark-smoke microbench fuzz fuzz-seeds triage-smoke chaos-short chaos cache-warm cmb-scaling study variability figures clean
 
 all: check
 
 # check is the default gate: build, vet, full test suite, the
 # race-detector pass over the concurrency-bearing packages, the fuzz
 # seed corpus, a short benchmark smoke run (proving the harness and
-# every scenario still execute; numbers are not recorded), the tiered
-# triage threshold sweep, and the bounded chaos soak.
-check: build vet test test-race fuzz-seeds bench-short triage-smoke chaos-short
+# every scenario still execute; numbers are not recorded), the study
+# benchmark's smoke pass (every workload's paths and its digest gate),
+# the tiered triage threshold sweep, and the bounded chaos soak.
+check: build vet test test-race fuzz-seeds bench-short benchmark-smoke triage-smoke chaos-short
 
 build:
 	$(GO) build ./...
@@ -48,6 +49,21 @@ endif
 # exercises the zero-copy mmap open path end to end.
 bench-short:
 	$(GO) run ./cmd/bench -short -out ""
+
+# benchmark runs the study benchmark of BENCHMARK.json (benchmark/):
+# four named campaign workloads, end-to-end metrics from real
+# `tradeoff -spec` runs, then per-layer metrics from a traced run, with
+# the report in benchmark/out/report.json (about four minutes). Compare
+# two reports with `go run ./benchmark -compare A.json B.json`.
+benchmark:
+	$(GO) run ./benchmark
+
+# benchmark-smoke is the variant wired into `make check`: two 16-rank
+# traces per workload, checking every path and the clock-free digest
+# gate (repetitions, 1 vs 2 workers, real run vs walk, cold vs warm),
+# not times.
+benchmark-smoke:
+	$(GO) run ./benchmark -smoke
 
 # microbench runs the in-package go test benchmarks (finer-grained
 # than cmd/bench's scenario snapshots).

@@ -98,6 +98,7 @@ func scenarios() []scenario {
 	return []scenario{
 		{"des/chain", benchChain},
 		{"des/fanout", benchFanout},
+		{"des/hold-256", benchHold},
 		{"des/phold-lps4", benchPHOLD},
 		{"simnet/packet-small", mkTraffic(simnet.Packet, 512, 1<<10)},
 		{"simnet/packet-large", mkTraffic(simnet.Packet, 64, 1<<20)},
@@ -158,6 +159,35 @@ func benchFanout(short bool) uint64 {
 	for i := 0; i < k; i++ {
 		r = r*6364136223846793005 + 1442695040888963407 // deterministic LCG
 		e.At(simtime.Time(r%100_000), f)
+	}
+	e.Run()
+	return e.Steps()
+}
+
+// benchHold is the hold model at the depth campaign replays actually
+// run at: 256 events stay pending (replays of the benchmark's p2p
+// manifest average 18–1,581, typically 70–400), and every executed
+// event schedules its successor a pseudo-random delay ahead. It is the
+// micro row that explains the campaign rows: chain has no queue to
+// speak of and fanout's 200 k-deep drain is cache-miss-bound, so
+// neither prices the heap where the simulators use it.
+func benchHold(short bool) uint64 {
+	k := 400_000
+	if short {
+		k = 40_000
+	}
+	var e des.Engine
+	n := 0
+	r := uint64(1)
+	var step func()
+	step = func() {
+		if n++; n <= k {
+			r = r*6364136223846793005 + 1442695040888963407 // deterministic LCG
+			e.After(simtime.Time(r>>40), step)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		e.At(simtime.Time(i), step)
 	}
 	e.Run()
 	return e.Steps()

@@ -362,6 +362,20 @@ func loadSpec(path string, explicit map[string]bool) (*spec.Compiled, error) {
 	return c, nil
 }
 
+// heapBallast is a heap floor: a live but never touched (so never
+// resident) allocation that the collector counts when it sets its next
+// goal, which lets real garbage grow by about its size before a cycle
+// starts. Replays recycle their arenas, matching records and packets,
+// so a worker's live heap is a few MB on small traces and, left alone,
+// the pacer collected 107 times in a 1.6 s campaign of 72 of them (38
+// times with the floor). The size is also what keeps the process
+// measurable: benchmark/ refuses to report peak_rss_mb for a child
+// whose peak is not above the harness's own ≈ 22 MB (ru_maxrss is
+// inherited across exec), and without the floor triage_small's
+// campaign peaks at 17 MB. 7 MB puts it at 26 MB, where it was before
+// replays stopped producing garbage.
+var heapBallast = make([]byte, 7<<20)
+
 func main() {
 	flag.Parse()
 	explicit := map[string]bool{}

@@ -159,12 +159,13 @@ type RunOptions struct {
 }
 
 // Runner executes every selected scheme on each trace it is handed,
-// keeping one scheme.Session per scheme so replay state (clock-vector
-// free lists, op/request arenas) amortizes across traces. A Runner is
-// not safe for concurrent use; RunCampaign creates one per worker.
+// keeping one scheme.Sessions set so replay state (clock-vector free
+// lists, op/request arenas) amortizes across traces and the
+// simulations share one lowering of each trace. A Runner is not safe
+// for concurrent use; RunCampaign creates one per worker.
 type Runner struct {
 	schemes  []scheme.Scheme
-	sessions []scheme.Session
+	sessions *scheme.Sessions
 	// breakers, when non-nil, is the campaign-wide circuit-breaker set
 	// shared by every worker's Runner: a scheme whose breaker is open
 	// is skipped with a typed KindBreakerOpen outcome instead of run.
@@ -189,11 +190,7 @@ func NewRunner(names []string) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{schemes: ss, sessions: make([]scheme.Session, len(ss))}
-	for i, s := range ss {
-		r.sessions[i] = s.NewSession()
-	}
-	return r, nil
+	return &Runner{schemes: ss, sessions: scheme.NewSessions(ss)}, nil
 }
 
 // RunOne materializes the trace for p — columnar, stamped through the
@@ -241,6 +238,7 @@ func (rn *Runner) runSource(src trace.Source, mach *machine.Config, p workload.P
 		Events:       trace.SourceNumEvents(src),
 		Schemes:      make(map[string]scheme.Outcome, len(rn.schemes)),
 	}
+	rn.sessions.NextTrace()
 	for i, s := range rn.schemes {
 		name := s.Name()
 		if rn.breakers != nil && !rn.breakers.allow(name) {
@@ -251,7 +249,7 @@ func (rn *Runner) runSource(src trace.Source, mach *machine.Config, p workload.P
 			}
 			continue
 		}
-		out, err := rn.sessions[i].Run(src, mach, opts)
+		out, err := rn.sessions.Run(i, src, mach, opts)
 		out.Scheme, out.Kind = name, s.Kind()
 		if err != nil {
 			kind := Classify(err)

@@ -31,7 +31,7 @@ var failStep = faultinject.NewSite("des/step")
 // The zero value is ready to use.
 type Engine struct {
 	now   simtime.Time
-	queue quadHeap[schedEvent]
+	queue eventQueue
 	seq   uint64
 	steps uint64
 
@@ -41,19 +41,13 @@ type Engine struct {
 	err     error
 }
 
+// schedEvent is one pending event. The queue orders events by
+// (timestamp, scheduling sequence); seq is unique, so the order is
+// total — the determinism contract.
 type schedEvent struct {
 	at  simtime.Time
 	seq uint64
 	fn  func()
-}
-
-// less orders events by (timestamp, scheduling sequence); seq is
-// unique, so the order is total — the determinism contract.
-func (e schedEvent) less(o schedEvent) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
 }
 
 // Now returns the current simulation time.

@@ -8,12 +8,22 @@ import (
 	"hpctradeoff/internal/simtime"
 )
 
+// less gives schedEvent the (at, seq) order in the form the generic
+// quadHeap wants, so the tests can hold the Engine's concrete
+// eventQueue to the generic heap and to a sort.
+func (e schedEvent) less(o schedEvent) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
 // TestQuadHeapPopsSortedOrder pushes a randomized workload (duplicate
 // timestamps included) and checks pops come out in exact (at, seq)
 // order — the determinism contract the engines document.
 func TestQuadHeapPopsSortedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var h quadHeap[schedEvent]
+	var h eventQueue
 	var ref []schedEvent
 	var seq uint64
 	for round := 0; round < 50; round++ {
@@ -62,11 +72,104 @@ func popRef(ref *[]schedEvent) schedEvent {
 	return out
 }
 
+// TestEventQueueMatchesGenericHeap drives the concrete queue and the
+// generic quadHeap with the same random interleaving of pushes and
+// pops — few distinct timestamps, so most comparisons fall through to
+// seq — and requires every pop to agree element for element, and the
+// whole pop sequence of each push-only/pop-only stretch to equal a sort
+// by (at, seq). Pushes outnumber pops slightly, so depth drifts from
+// empty up to the low thousands — the range campaigns run at.
+func TestEventQueueMatchesGenericHeap(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		rng := rand.New(rand.NewSource(seed))
+		var q eventQueue
+		var ref quadHeap[schedEvent]
+		var seq uint64
+		var pending, popped []schedEvent
+		var floor simtime.Time
+		stamps := 1 + rng.Intn(16) // distinct timestamps in play
+		// checkSorted holds a stretch of consecutive pops to the sorted
+		// prefix of what was pending when the stretch began.
+		checkSorted := func() {
+			sort.Slice(pending, func(i, j int) bool { return pending[i].less(pending[j]) })
+			for i, got := range popped {
+				if want := pending[i]; got.at != want.at || got.seq != want.seq {
+					t.Fatalf("seed %d: pop %d of a stretch is (at=%v seq=%d), sorted order has (at=%v seq=%d)",
+						seed, i, got.at, got.seq, want.at, want.seq)
+				}
+			}
+			pending = append(pending[:0], pending[len(popped):]...)
+			popped = popped[:0]
+		}
+		for step := 0; step < 400; step++ {
+			// A stretch of pushes, none below the last popped time (an
+			// engine never schedules into the past)...
+			for n := rng.Intn(48); n > 0; n-- {
+				seq++
+				ev := schedEvent{at: floor + simtime.Time(rng.Intn(stamps)), seq: seq}
+				q.push(ev)
+				ref.push(ev)
+				pending = append(pending, ev)
+			}
+			// ...then a stretch of pops.
+			for n := rng.Intn(40); n > 0 && q.len() > 0; n-- {
+				if m, r := q.min(), ref.min(); m.at != r.at || m.seq != r.seq {
+					t.Fatalf("seed %d: min (at=%v seq=%d), generic heap has (at=%v seq=%d)", seed, m.at, m.seq, r.at, r.seq)
+				}
+				got, want := q.pop(), ref.pop()
+				if got.at != want.at || got.seq != want.seq {
+					t.Fatalf("seed %d step %d: popped (at=%v seq=%d), generic heap popped (at=%v seq=%d)",
+						seed, step, got.at, got.seq, want.at, want.seq)
+				}
+				popped = append(popped, got)
+				floor = got.at
+			}
+			if q.len() != ref.len() {
+				t.Fatalf("seed %d: len %d, generic heap %d", seed, q.len(), ref.len())
+			}
+			checkSorted()
+		}
+		for q.len() > 0 {
+			got, want := q.pop(), ref.pop()
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("seed %d drain: popped (at=%v seq=%d), generic heap popped (at=%v seq=%d)",
+					seed, got.at, got.seq, want.at, want.seq)
+			}
+			popped = append(popped, got)
+		}
+		checkSorted()
+		if ref.len() != 0 || len(pending) != 0 {
+			t.Fatalf("seed %d: queue drained with %d reference and %d pending events left", seed, ref.len(), len(pending))
+		}
+	}
+}
+
+// TestEventQueueSteadyStateAllocs pins the hold model's cost in
+// allocations: once the backing array has grown to the working depth,
+// a pop followed by a push allocates nothing.
+func TestEventQueueSteadyStateAllocs(t *testing.T) {
+	var q eventQueue
+	fn := func() {}
+	var seq uint64
+	for i := 0; i < 256; i++ {
+		seq++
+		q.push(schedEvent{at: simtime.Time(i % 7), seq: seq, fn: fn})
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		ev := q.pop()
+		seq++
+		q.push(schedEvent{at: ev.at + 3, seq: seq, fn: fn})
+	})
+	if allocs != 0 {
+		t.Errorf("pop+push at steady state allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestQuadHeapMinMatchesPop checks min() previews exactly what pop()
 // returns next.
 func TestQuadHeapMinMatchesPop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var h quadHeap[schedEvent]
+	var h eventQueue
 	for i := 0; i < 500; i++ {
 		h.push(schedEvent{at: simtime.Time(rng.Intn(100)), seq: uint64(i)})
 	}

@@ -14,11 +14,15 @@ const collTagBase int32 = 1 << 20
 //
 // Lowering runs twice over the same logic: a counting pass sizes every
 // per-rank program and wait-set arena, then a fill pass writes rops
-// into exactly-sized flat arenas. Replay is run once per (trace, model,
-// config) tuple across the campaign, so the slice-doubling garbage a
-// single append-driven pass would leave behind is a per-replay cost
-// worth two cheap walks to avoid: after the fill pass the whole
-// program is two allocations (rop arena + wait-set arena) per trace.
+// into exactly-sized flat arenas. The slice-doubling garbage a single
+// append-driven pass would leave behind is worth two cheap walks to
+// avoid: after the fill pass the whole program is two allocations (rop
+// arena + wait-set arena), and none when a Session's arenas already fit.
+//
+// The fill pass also resolves every point-to-point op's matching key
+// (src, dst, tag, comm) to a dense channel id, so the one map lookup a
+// message costs is paid here, once per trace, and a replay indexes a
+// slice.
 type lowerer struct {
 	src      trace.Source
 	comms    *trace.CommTable
@@ -38,13 +42,21 @@ type lowerer struct {
 
 	nextReq []int32 // per-rank fresh request ids
 	reqMap  []map[int32]int32
+
+	chanIDs map[chanKey]int32 // fill pass: matching key → dense channel id
+}
+
+// chanKey is the MPI matching key of a point-to-point message.
+type chanKey struct {
+	src, dst, tag int32
+	comm          int32
 }
 
 // lower translates a validated trace into primitive replay programs:
 // point-to-point and compute events copy through (with requests
 // renumbered into a fresh namespace), and every collective expands into
-// the point-to-point rounds of its algorithm. A non-nil sess supplies
-// the arenas, reused across traces.
+// the point-to-point rounds of its algorithm. sess supplies the arenas,
+// reused across traces.
 func lower(src trace.Source, sess *Session) (*program, error) {
 	n := src.TraceMeta().NumRanks
 	lw := &lowerer{
@@ -87,10 +99,7 @@ func lower(src trace.Source, sess *Session) (*program, error) {
 		reqOff += lw.nReqs[r]
 	}
 	lw.counting = false
-	for r := range lw.reqMap {
-		clear(lw.reqMap[r])
-		lw.nextReq[r] = 0
-	}
+	lw.chanIDs = make(map[chanKey]int32)
 	if err := lw.pass(vIndex); err != nil {
 		return nil, err
 	}
@@ -101,7 +110,7 @@ func lower(src trace.Source, sess *Session) (*program, error) {
 		evCount[r] = src.RankLen(r)
 		reqCount[r] = lw.nextReq[r]
 	}
-	return &program{ops: lw.out, evCount: evCount, reqCount: reqCount}, nil
+	return &program{ops: lw.out, evCount: evCount, reqCount: reqCount, numChans: len(lw.chanIDs)}, nil
 }
 
 // pass walks every rank's event stream once, emitting (or counting)
@@ -178,13 +187,32 @@ func (lw *lowerer) emit(rank int, op rop) {
 		op.reqs = lw.reqsOut[rank][start:end:end]
 		lw.reqsUsed[rank] = end
 	}
+	switch op.kind {
+	case ropSend, ropIsend:
+		op.ch = lw.channel(chanKey{src: int32(rank), dst: op.peer, tag: op.tag, comm: op.comm})
+	case ropRecv, ropIrecv:
+		op.ch = lw.channel(chanKey{src: op.peer, dst: int32(rank), tag: op.tag, comm: op.comm})
+	}
 	lw.out[rank][lw.used[rank]] = op
 	lw.used[rank]++
 }
 
+// channel returns k's dense id, numbering keys in first-use order.
+func (lw *lowerer) channel(k chanKey) int32 {
+	id, ok := lw.chanIDs[k]
+	if !ok {
+		id = int32(len(lw.chanIDs))
+		lw.chanIDs[k] = id
+	}
+	return id
+}
+
 // fresh allocates a new request id for rank and records the mapping
-// from the trace's id.
+// from the trace's id. The counting pass sizes arenas and needs no ids.
 func (lw *lowerer) fresh(rank int, orig int32) int32 {
+	if lw.counting {
+		return 0
+	}
 	id := lw.nextReq[rank]
 	lw.nextReq[rank]++
 	lw.reqMap[rank][orig] = id
@@ -193,6 +221,9 @@ func (lw *lowerer) fresh(rank int, orig int32) int32 {
 
 // synth allocates a request id for a synthetic (lowered) operation.
 func (lw *lowerer) synth(rank int) int32 {
+	if lw.counting {
+		return 0
+	}
 	id := lw.nextReq[rank]
 	lw.nextReq[rank]++
 	return id
@@ -203,6 +234,9 @@ func (lw *lowerer) synth(rank int) int32 {
 // so a miss is reported as a diagnosable malformed-trace error (in the
 // style of the deadlock report) rather than a panic.
 func (lw *lowerer) lookup(rank, event int, orig int32) (int32, error) {
+	if lw.counting {
+		return 0, nil // the fill pass reports a miss
+	}
 	id, ok := lw.reqMap[rank][orig]
 	if !ok {
 		return 0, fmt.Errorf("%w: rank %d event %d waits on request %d, which was never posted or was already completed",

@@ -112,14 +112,15 @@ func Replay(tr *trace.Trace, model simnet.Model, mach *machine.Config, netCfg si
 // ReplaySource is Replay over any trace representation: the replay
 // walks src through the Source access path only, so array-of-structs
 // and columnar traces replay identically (and, by the determinism
-// contract, bit-identically).
+// contract, bit-identically). It is stateless: a throwaway Session.
 func ReplaySource(src trace.Source, model simnet.Model, mach *machine.Config, netCfg simnet.Config, opts Options) (*Result, error) {
-	return replaySource(src, model, mach, netCfg, opts, nil)
+	return NewSession().Replay(src, model, mach, netCfg, opts)
 }
 
-// replaySource is the shared replay body; a non-nil sess supplies the
-// lowering and request-flag arenas.
-func replaySource(src trace.Source, model simnet.Model, mach *machine.Config, netCfg simnet.Config, opts Options, sess *Session) (*Result, error) {
+// Replay is ReplaySource drawing its arenas and matching state — and,
+// after the first call since Reset, its lowered program — from the
+// session.
+func (sess *Session) Replay(src trace.Source, model simnet.Model, mach *machine.Config, netCfg simnet.Config, opts Options) (*Result, error) {
 	meta := src.TraceMeta()
 	if !simnet.Supports(model, meta.UsesCommSplit, meta.UsesThreadMultiple) {
 		return nil, fmt.Errorf("%w: %s on %s", simnet.ErrUnsupportedTrace, model, meta.ID())
@@ -127,7 +128,7 @@ func replaySource(src trace.Source, model simnet.Model, mach *machine.Config, ne
 	if len(mach.NodeOf) < meta.NumRanks {
 		return nil, fmt.Errorf("mpisim: machine hosts %d ranks, trace has %d", len(mach.NodeOf), meta.NumRanks)
 	}
-	prog, err := lower(src, sess)
+	prog, err := sess.program(src, opts.Record)
 	if err != nil {
 		return nil, err
 	}
@@ -144,6 +145,8 @@ func replaySource(src trace.Source, model simnet.Model, mach *machine.Config, ne
 		opts: opts,
 		sess: sess,
 	}
+	sess.d = d
+	defer func() { sess.d = nil }()
 	if d.opts.CompScale == 0 {
 		d.opts.CompScale = 1
 	}
@@ -197,31 +200,45 @@ func replaySource(src trace.Source, model simnet.Model, mach *machine.Config, ne
 	}, nil
 }
 
-type chanKey struct {
-	src, dst, tag int32
-	comm          int32
-}
-
+// sendRec is one send from posting to completion. A session recycles
+// records through a free list, so the three continuations a send hands
+// to the engine and the network are bound once, when the record is
+// first made, instead of minted per message. A record points at its
+// session and at nothing of any one replay (ranks are ids), so the
+// free lists pin no finished replay's state.
+//
+// An eager send passes three milestones in no fixed order — matched
+// with a receive, payload delivered, sender released at injection end
+// — and is recycled after the last. A rendezvous send is linear: it
+// transfers only once matched, and delivery completes both sides.
 type sendRec struct {
-	bytes     int64
-	eager     bool
+	sess     *Session
+	src, dst int32
+	req      int32 // request the send completes; blockingOp for a blocking send
+	bytes    int64
+	eager    bool
+	// delivered and rv track an eager send's payload and its paired
+	// receive (nil until matched); whichever comes second completes the
+	// receive. ahead counts the milestones an eager send has left.
 	delivered bool
-	rv        *recvRec // paired receive, nil until matched
-	// onSendDone resumes the sender for rendezvous sends (eager sender
-	// completion is scheduled independently at injection end).
-	onSendDone func()
-	src, dst   int32
+	ahead     int8
+	rv        *recvRec
+
+	injectFn, deliveredFn, senderDoneFn func()
 }
 
+// recvRec is one posted receive: once matched and delivered it
+// completes req on rank (or resumes rank from a blocking receive).
 type recvRec struct {
+	sess       *Session
 	rank       int32
-	onComplete func()
+	req        int32
+	completeFn func()
 }
 
-type channel struct {
-	sends []*sendRec
-	recvs []*recvRec
-}
+// blockingOp in a record's req marks a blocking send or receive: its
+// completion resumes the rank instead of completing a request.
+const blockingOp int32 = -1
 
 type rankState struct {
 	id  int32
@@ -239,12 +256,12 @@ type rankState struct {
 	blocked bool
 	finish  simtime.Time
 	fin     bool
-	// Pre-bound continuations, reused for every op when the replay is
-	// not recording timestamps (markExit is a no-op then, so the
-	// continuation does not depend on the event index). They keep the
-	// hot path from minting a fresh closure per replayed event.
+	// advanceFn is the pre-bound continuation reused for every compute
+	// and overhead step when the replay is not recording timestamps
+	// (markExit is a no-op then, so the continuation does not depend on
+	// the event index). It keeps the hot path from minting a fresh
+	// closure per replayed event.
 	advanceFn func()
-	resumeFn  func()
 }
 
 type driver struct {
@@ -256,7 +273,7 @@ type driver struct {
 	sess *Session
 
 	ranks         []*rankState
-	chans         map[chanKey]*channel
+	chans         []channel // indexed by rop.ch
 	rankComm      []simtime.Time
 	finish        []simtime.Time
 	finishedRanks int
@@ -269,7 +286,7 @@ type driver struct {
 func (d *driver) run(prog *program) {
 	n := d.src.TraceMeta().NumRanks
 	d.ranks = make([]*rankState, n)
-	d.chans = make(map[chanKey]*channel)
+	d.chans = d.sess.channels(prog.numChans)
 	d.rankComm = make([]simtime.Time, n)
 	d.finish = make([]simtime.Time, n)
 	if d.opts.Record {
@@ -300,7 +317,6 @@ func (d *driver) run(prog *program) {
 		off += 2 * c
 		if !d.opts.Record {
 			rs.advanceFn = func() { d.advance(rs) }
-			rs.resumeFn = func() { d.resume(rs, rs.waitEv) }
 		}
 		d.ranks[r] = rs
 	}
@@ -412,16 +428,11 @@ func (d *driver) advance(rs *rankState) {
 			rs.opStart = now
 			rs.blocked = true
 			rs.waitEv = op.ev
-			if rs.resumeFn != nil {
-				d.postSend(rs, op, rs.resumeFn)
-			} else {
-				d.postSend(rs, op, func() { d.resume(rs, op.ev) })
-			}
+			d.postSend(rs, op, blockingOp)
 			return
 
 		case ropIsend:
-			req := op.req
-			d.postSend(rs, op, func() { d.completeReq(rs, req) })
+			d.postSend(rs, op, op.req)
 			d.stepOverhead(rs, op.ev)
 			return
 
@@ -429,16 +440,11 @@ func (d *driver) advance(rs *rankState) {
 			rs.opStart = now
 			rs.blocked = true
 			rs.waitEv = op.ev
-			if rs.resumeFn != nil {
-				d.postRecv(rs, op, rs.resumeFn)
-			} else {
-				d.postRecv(rs, op, func() { d.resume(rs, op.ev) })
-			}
+			d.postRecv(rs, op, blockingOp)
 			return
 
 		case ropIrecv:
-			req := op.req
-			d.postRecv(rs, op, func() { d.completeReq(rs, req) })
+			d.postRecv(rs, op, op.req)
 			d.stepOverhead(rs, op.ev)
 			return
 
@@ -517,62 +523,82 @@ func (d *driver) completeReq(rs *rankState, req int32) {
 	rs.done[req] = true
 }
 
-func (d *driver) channelFor(k chanKey) *channel {
-	ch := d.chans[k]
-	if ch == nil {
-		ch = &channel{}
-		d.chans[k] = ch
+// opDone completes a send or receive on its rank: a blocking op (the
+// rank has been parked on it since posting, waitEv naming its event)
+// resumes the rank, a nonblocking one completes its request.
+func (d *driver) opDone(rank, req int32) {
+	rs := d.ranks[rank]
+	if req == blockingOp {
+		d.resume(rs, rs.waitEv)
+	} else {
+		d.completeReq(rs, req)
 	}
-	return ch
 }
 
-// postSend starts the send protocol for op on rank rs. onSenderDone is
-// invoked when the send operation (not necessarily the delivery)
-// completes: at injection end for eager, at delivery for rendezvous.
-func (d *driver) postSend(rs *rankState, op *rop, onSenderDone func()) {
-	k := chanKey{src: rs.id, dst: op.peer, tag: op.tag, comm: op.comm}
-	ch := d.channelFor(k)
-	s := &sendRec{bytes: op.bytes, src: rs.id, dst: op.peer}
+// newSend takes a send record from the free list, or makes one and
+// binds its continuations.
+func (sess *Session) newSend() *sendRec {
+	if n := len(sess.freeSends); n > 0 {
+		s := sess.freeSends[n-1]
+		sess.freeSends = sess.freeSends[:n-1]
+		return s
+	}
+	s := &sendRec{sess: sess}
+	s.injectFn, s.deliveredFn, s.senderDoneFn = s.inject, s.onDelivered, s.onSenderDone
+	return s
+}
+
+// newRecv is newSend for receive records.
+func (sess *Session) newRecv() *recvRec {
+	if n := len(sess.freeRecvs); n > 0 {
+		rv := sess.freeRecvs[n-1]
+		sess.freeRecvs = sess.freeRecvs[:n-1]
+		return rv
+	}
+	rv := &recvRec{sess: sess}
+	rv.completeFn = rv.complete
+	return rv
+}
+
+// postSend starts the send protocol for op on rank rs. The send
+// operation (not necessarily the delivery) completes req, or resumes
+// the rank for blockingOp: at injection end for eager, at delivery for
+// rendezvous.
+func (d *driver) postSend(rs *rankState, op *rop, req int32) {
+	s := d.sess.newSend()
+	s.src, s.dst, s.req, s.bytes = rs.id, op.peer, req, op.bytes
 	s.eager = op.bytes <= d.mach.EagerThreshold
+	s.delivered, s.rv = false, nil
+	// Drawn for rendezvous sends too: a Perturber's overhead is a
+	// per-rank sequence, and every posted send takes one draw.
 	o := d.overhead(rs.id)
 	if s.eager {
 		// Sender completes after the local injection cost, independent
 		// of matching; the payload travels immediately.
+		s.ahead = 3
 		inject := simtime.TransferTime(op.bytes, d.mach.InjectionBandwidth)
-		d.eng.After(o+inject, onSenderDone)
-		d.eng.After(o, func() {
-			d.net.Send(s.src, s.dst, s.bytes, func() {
-				s.delivered = true
-				if s.rv != nil {
-					d.completeRecv(s.rv)
-				}
-			})
-		})
-	} else {
-		s.onSendDone = onSenderDone
+		d.eng.After(o+inject, s.senderDoneFn)
+		d.eng.After(o, s.injectFn)
 	}
 	// Match in posting order.
-	if len(ch.recvs) > 0 {
-		rv := ch.recvs[0]
-		ch.recvs = ch.recvs[1:]
-		d.pair(s, rv)
+	ch := &d.chans[op.ch]
+	if !ch.recvs.empty() {
+		d.pair(s, ch.recvs.pop())
 	} else {
-		ch.sends = append(ch.sends, s)
+		ch.sends.push(s)
 	}
 }
 
-// postRecv posts a receive; onComplete fires when the payload has
-// arrived and been matched.
-func (d *driver) postRecv(rs *rankState, op *rop, onComplete func()) {
-	k := chanKey{src: op.peer, dst: rs.id, tag: op.tag, comm: op.comm}
-	ch := d.channelFor(k)
-	rv := &recvRec{rank: rs.id, onComplete: onComplete}
-	if len(ch.sends) > 0 {
-		s := ch.sends[0]
-		ch.sends = ch.sends[1:]
-		d.pair(s, rv)
+// postRecv posts a receive, which completes req (or resumes the rank
+// for blockingOp) when the payload has arrived and been matched.
+func (d *driver) postRecv(rs *rankState, op *rop, req int32) {
+	rv := d.sess.newRecv()
+	rv.rank, rv.req = rs.id, req
+	ch := &d.chans[op.ch]
+	if !ch.sends.empty() {
+		d.pair(ch.sends.pop(), rv)
 	} else {
-		ch.recvs = append(ch.recvs, rv)
+		ch.recvs.push(rv)
 	}
 }
 
@@ -584,22 +610,67 @@ func (d *driver) pair(s *sendRec, rv *recvRec) {
 		if s.delivered {
 			d.completeRecv(rv)
 		}
+		s.passed()
 		return
 	}
 	// Rendezvous: the transfer begins only now that both sides are
 	// ready (the handshake cost is folded into the NIC/MPI overheads).
-	d.net.Send(s.src, s.dst, s.bytes, func() {
-		d.completeRecv(rv)
-		if s.onSendDone != nil {
-			s.onSendDone()
+	d.net.Send(s.src, s.dst, s.bytes, s.deliveredFn)
+}
+
+// inject hands an eager send's payload to the network, one software
+// overhead after posting.
+func (s *sendRec) inject() {
+	s.sess.d.net.Send(s.src, s.dst, s.bytes, s.deliveredFn)
+}
+
+// onDelivered is the network's delivery callback.
+func (s *sendRec) onDelivered() {
+	d := s.sess.d
+	if s.eager {
+		s.delivered = true
+		if s.rv != nil {
+			d.completeRecv(s.rv)
 		}
-	})
+		s.passed()
+		return
+	}
+	d.completeRecv(s.rv)
+	src, req := s.src, s.req
+	s.recycle()
+	d.opDone(src, req)
+}
+
+// onSenderDone releases an eager sender at injection end.
+func (s *sendRec) onSenderDone() {
+	d, src, req := s.sess.d, s.src, s.req
+	s.passed()
+	d.opDone(src, req)
+}
+
+// passed counts off one milestone of an eager send and recycles the
+// record after the last.
+func (s *sendRec) passed() {
+	if s.ahead--; s.ahead == 0 {
+		s.recycle()
+	}
+}
+
+func (s *sendRec) recycle() {
+	s.sess.freeSends = append(s.sess.freeSends, s)
 }
 
 // completeRecv finishes a matched, delivered receive after the
 // receiver-side software overhead.
 func (d *driver) completeRecv(rv *recvRec) {
-	d.eng.After(d.overhead(rv.rank), rv.onComplete)
+	d.eng.After(d.overhead(rv.rank), rv.completeFn)
+}
+
+// complete recycles the record and completes the receive on its rank.
+func (rv *recvRec) complete() {
+	sess, rank, req := rv.sess, rv.rank, rv.req
+	sess.freeRecvs = append(sess.freeRecvs, rv)
+	sess.d.opDone(rank, req)
 }
 
 // writeBack stamps the replayed entry/exit times into the trace.

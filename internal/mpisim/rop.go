@@ -40,12 +40,15 @@ type rop struct {
 	bytes int64
 	dur   simtime.Time // compute duration (unscaled trace time)
 	req   int32        // request id for isend/irecv
+	ch    int32        // matching channel of a p2p op: the dense id of its (src, dst, tag, comm)
 	reqs  []int32      // request set for wait
 	ev    int32        // index of the originating event in the rank's trace stream
 }
 
 // program is the fully lowered per-rank replay program. All per-rank
-// op slices view one shared arena, as do the wait request sets.
+// op slices view one shared arena, as do the wait request sets. A
+// replay only reads it, so one program serves every network model the
+// trace is replayed on.
 type program struct {
 	ops [][]rop
 	// evCount[r] is the number of original events on rank r (for
@@ -55,4 +58,7 @@ type program struct {
 	// Lowering renumbers requests densely from 0, so the driver tracks
 	// request state in flat arrays instead of maps.
 	reqCount []int32
+	// numChans is the number of distinct (src, dst, tag, comm) matching
+	// channels; rop.ch indexes [0, numChans).
+	numChans int
 }

@@ -97,15 +97,23 @@ func (s simScheme) NewSession() Session {
 	return &simSession{model: s.model, sess: mpisim.NewSession()}
 }
 
+// simSession replays on one network model through an mpisim.Session
+// that is either its own (NewSession: every Run lowers its trace
+// afresh, so any trace may follow any other) or shared with the other
+// simulations of a Sessions set, which says when the trace changes.
 type simSession struct {
-	model simnet.Model
-	sess  *mpisim.Session
+	model  simnet.Model
+	sess   *mpisim.Session
+	shared bool
 }
 
 func (s *simSession) Run(src trace.Source, mach *machine.Config, opts Options) (Outcome, error) {
 	start := time.Now()
 	if err := failRun.FailLabel(string(s.model)); err != nil {
 		return Outcome{Scheme: string(s.model), Kind: KindSimulation, Wall: time.Since(start)}, err
+	}
+	if !s.shared {
+		s.sess.Reset()
 	}
 	res, err := s.sess.Replay(src, s.model, mach, simnet.Config{}, simOpts(opts))
 	return simOutcome(string(s.model), res, err, time.Since(start))
@@ -125,4 +133,46 @@ func simOutcome(name string, res *mpisim.Result, err error, wall time.Duration) 
 	out.Comm = res.Comm
 	out.Events = res.Events
 	return out, nil
+}
+
+// Sessions is one worker's sessions over a list of schemes, one per
+// scheme. Unlike sessions made one at a time with NewSession, the
+// built-in simulations in the set share a single mpisim.Session: one
+// set of replay arenas instead of one per network model, and each trace
+// lowered to its replay program once for all of them. Other schemes get
+// their own NewSession. Sharing needs to know when the trace changes:
+// call NextTrace before the first Run on each trace, and hand every Run
+// up to the next NextTrace the same, unmodified trace.
+type Sessions struct {
+	list []Session
+	sim  *mpisim.Session // nil when the set has no built-in simulation
+}
+
+// NewSessions returns a session set over ss, in order.
+func NewSessions(ss []Scheme) *Sessions {
+	w := &Sessions{list: make([]Session, len(ss))}
+	for i, s := range ss {
+		sim, ok := s.(simScheme)
+		if !ok {
+			w.list[i] = s.NewSession()
+			continue
+		}
+		if w.sim == nil {
+			w.sim = mpisim.NewSession()
+		}
+		w.list[i] = &simSession{model: sim.model, sess: w.sim, shared: true}
+	}
+	return w
+}
+
+// NextTrace discards what the set kept of the previous trace.
+func (w *Sessions) NextTrace() {
+	if w.sim != nil {
+		w.sim.Reset()
+	}
+}
+
+// Run runs the i'th scheme's session.
+func (w *Sessions) Run(i int, src trace.Source, mach *machine.Config, opts Options) (Outcome, error) {
+	return w.list[i].Run(src, mach, opts)
 }
