@@ -104,6 +104,7 @@ func scenarios() []scenario {
 		{"simnet/packet-large", mkTraffic(simnet.Packet, 64, 1<<20)},
 		{"simnet/packetflow-large", mkTraffic(simnet.PacketFlow, 64, 1<<20)},
 		{"simnet/flow-small", mkTraffic(simnet.Flow, 512, 1<<10)},
+		{"simnet/flow-alltoall-64", benchFlowAlltoall},
 		{"simnet/parallel-packet-lps4", benchParallelPacket},
 		{"mpisim/replay-packet", mkReplay(simnet.Packet)},
 		{"mpisim/replay-packetflow", mkReplay(simnet.PacketFlow)},
@@ -267,6 +268,43 @@ func mkTraffic(m simnet.Model, msgs int, bytes int64) func(bool) uint64 {
 		}
 		return eng.Steps()
 	}
+}
+
+// benchFlowAlltoall is one 64 KiB all-to-all over 64 ranks on Edison at
+// its native 24 ranks per node. Each rank posts all 63 sends at once,
+// the ranks entering 1 µs apart as they would after uneven compute.
+// Three nodes means the 2,688 cross-node flows ride six routes: the
+// many-flows-per-route, many-recomputes shape of the collective
+// workloads, where the flow solver's work scales with routes rather
+// than flows.
+func benchFlowAlltoall(short bool) uint64 {
+	ranks, bytes := int32(64), int64(64<<10)
+	if short {
+		bytes = 8 << 10
+	}
+	mach, err := machine.Edison(int(ranks), 0)
+	if err != nil {
+		panic(err)
+	}
+	var eng des.Engine
+	net, err := simnet.New(simnet.Flow, &eng, mach, simnet.Config{})
+	if err != nil {
+		panic(err)
+	}
+	delivered, want := 0, int(ranks*(ranks-1))
+	done := func() { delivered++ }
+	for src := int32(0); src < ranks; src++ {
+		eng.At(simtime.Time(src)*simtime.Microsecond, func() {
+			for k := int32(1); k < ranks; k++ {
+				net.Send(src, (src+k)%ranks, bytes, done)
+			}
+		})
+	}
+	eng.Run()
+	if delivered != want {
+		panic(fmt.Sprintf("flow all-to-all delivered %d of %d", delivered, want))
+	}
+	return eng.Steps()
 }
 
 func benchParallelPacket(short bool) uint64 {

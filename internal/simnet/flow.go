@@ -19,6 +19,17 @@ import (
 // Rate recomputations triggered at the same instant (e.g. a halo
 // exchange posting thousands of flows in one event round) are coalesced
 // into a single progressive-filling pass.
+//
+// Progressive filling runs over route classes, not flows. Routes are
+// memoised per node pair, so the many ranks of one node that talk to
+// another node share one path, and max-min fairness treats flows on one
+// path identically: they receive the same increment in every tier,
+// freeze in the same tier, and take the same fair-share finish. A
+// recompute therefore counts the live flows of each class while it
+// advances and compacts them, fills the classes, and copies each class's
+// rate to its flows. Only progress, compaction and that copy stay
+// O(flows); the result is bit-identical to filling flow by flow
+// (DESIGN.md §9, "Route classes"), which flow_ref_test.go holds it to.
 type flowNet struct {
 	eng  *des.Engine
 	mach *machine.Config
@@ -38,6 +49,14 @@ type flowNet struct {
 	// bwOf caches per-link bandwidth.
 	bwOf []float64
 
+	// classes holds per-route-class solver state, indexed by route id
+	// and epoch-stamped like the links. active lists the classes with
+	// live flows in the current recompute, unfrozen the subset still
+	// being filled (both scratch, rebuilt each recompute).
+	classes  []routeClass
+	active   []int32
+	unfrozen []int32
+
 	// recomputeAt coalesces recompute requests within a small quantum;
 	// version stamps invalidate stale completion timers.
 	recomputePending bool
@@ -54,17 +73,25 @@ const recomputeQuantum = 2 * simtime.Microsecond
 
 type flow struct {
 	path      []topology.LinkID
+	route     int32   // route id: the flow's class in progressive filling
 	remaining float64 // bytes
 	rate      float64 // bytes/s
 	updated   simtime.Time
 	tail      simtime.Time // propagation latency appended after drain
 	onDone    func()
-	frozen    bool // scratch flag for progressive filling
+}
+
+// routeClass is the solver state of the live flows sharing one route.
+type routeClass struct {
+	epoch  uint32
+	n      int32   // live flows on the route
+	minRem float64 // smallest remaining byte count among them
+	rate   float64 // the rate every one of them receives
 }
 
 func newFlowNet(eng *des.Engine, mach *machine.Config, cfg Config) *flowNet {
 	n := mach.Topo.NumLinks()
-	f := &flowNet{
+	return &flowNet{
 		eng:       eng,
 		mach:      mach,
 		cfg:       cfg,
@@ -72,20 +99,8 @@ func newFlowNet(eng *des.Engine, mach *machine.Config, cfg Config) *flowNet {
 		linkAvail: make([]float64, n),
 		linkCount: make([]int32, n),
 		linkEpoch: make([]uint32, n),
-		bwOf:      make([]float64, n),
+		bwOf:      linkBandwidths(mach),
 	}
-	for id := 0; id < n; id++ {
-		switch mach.Topo.Link(topology.LinkID(id)).Kind {
-		case topology.Injection, topology.Ejection:
-			f.bwOf[id] = mach.InjectionBandwidth
-		default:
-			f.bwOf[id] = mach.LinkBandwidth
-		}
-		if mach.LinkBWScale != nil {
-			f.bwOf[id] *= mach.LinkBWScale[id]
-		}
-	}
-	return f
 }
 
 // Model implements Network.
@@ -103,14 +118,14 @@ func (f *flowNet) Send(src, dst int32, bytes int64, onDelivered func()) {
 		f.eng.After(loopback(bytes, f.cfg, f.mach), onDelivered)
 		return
 	}
-	path := f.routes.get(int(srcNode), int(dstNode))
+	path, route := f.routes.get(int(srcNode), int(dstNode))
 	latency := 2*f.mach.NICLatency + simtime.Time(len(path))*f.mach.LinkLatency
 	if bytes <= 0 {
 		f.eng.After(latency, onDelivered)
 		return
 	}
 	fl := f.getFlow()
-	fl.path, fl.remaining, fl.rate = path, float64(bytes), 0
+	fl.path, fl.route, fl.remaining, fl.rate = path, route, float64(bytes), 0
 	fl.updated, fl.tail, fl.onDone = f.eng.Now(), latency, onDelivered
 	f.flows = append(f.flows, fl)
 	f.requestRecompute()
@@ -142,14 +157,47 @@ func (f *flowNet) requestRecompute() {
 	})
 }
 
-// recompute advances every flow's progress to now, completes drained
-// flows, recomputes max-min fair rates with progressive filling, and
+// recompute brings every flow up to now, re-solves the rates, and
 // schedules the next completion event.
 func (f *flowNet) recompute() {
 	now := f.eng.Now()
 	f.stats.FlowUpdates++
+	next := f.solve(now)
+	if next == simtime.Forever {
+		return
+	}
+	// Nudge the earliest completion forward by a small grain (1% of the
+	// shortest remaining drain, ≤ 50 µs) so the thousands of
+	// near-symmetric flows a halo exchange or an all-to-all storm
+	// creates complete in batches instead of one recompute each. The
+	// per-flow timing error is bounded by the grain.
+	grain := (next - now) / 100
+	if grain > 50*simtime.Microsecond {
+		grain = 50 * simtime.Microsecond
+	}
+	next += grain
+	f.version++
+	v := f.version
+	f.eng.At(next, func() {
+		if v == f.version && !f.recomputePending {
+			f.recompute()
+		}
+	})
+}
 
-	// Advance progress and complete drained flows, compacting in place.
+// solve advances every flow's progress to now, completes drained flows,
+// recomputes max-min fair rates by progressive filling over route
+// classes, and returns the earliest completion time (Forever if no flow
+// is draining).
+func (f *flowNet) solve(now simtime.Time) simtime.Time {
+	if n := len(f.routes.paths); len(f.classes) < n {
+		f.classes = append(f.classes, make([]routeClass, n-len(f.classes))...)
+	}
+	f.epoch++
+	f.active = f.active[:0]
+
+	// Advance progress and complete drained flows, compacting in place;
+	// count each route class's live flows and their least remaining.
 	live := f.flows[:0]
 	for _, fl := range f.flows {
 		if fl.rate > 0 {
@@ -160,8 +208,18 @@ func (f *flowNet) recompute() {
 			f.eng.After(fl.tail, fl.onDone)
 			fl.path, fl.onDone = nil, nil
 			f.free = append(f.free, fl)
+			continue
+		}
+		live = append(live, fl)
+		c := &f.classes[fl.route]
+		if c.epoch != f.epoch {
+			*c = routeClass{epoch: f.epoch, n: 1, minRem: fl.remaining}
+			f.active = append(f.active, fl.route)
 		} else {
-			live = append(live, fl)
+			c.n++
+			if fl.remaining < c.minRem {
+				c.minRem = fl.remaining
+			}
 		}
 	}
 	for i := len(live); i < len(f.flows); i++ {
@@ -169,38 +227,34 @@ func (f *flowNet) recompute() {
 	}
 	f.flows = live
 	if len(f.flows) == 0 {
-		return
+		return simtime.Forever
 	}
 
-	// Progressive filling (max-min fairness): raise all unfrozen flows'
-	// rates uniformly until a link saturates, freeze the flows crossing
-	// it, repeat. Link state is epoch-stamped scratch.
-	f.epoch++
+	// Progressive filling (max-min fairness): raise all unfrozen classes'
+	// rates uniformly until a link saturates, freeze the classes crossing
+	// it, repeat. Link state is epoch-stamped scratch; a link's count is
+	// the number of unfrozen flows crossing it.
 	f.activeLinks = f.activeLinks[:0]
-	touch := func(id topology.LinkID) {
-		if f.linkEpoch[id] != f.epoch {
-			f.linkEpoch[id] = f.epoch
-			f.linkAvail[id] = f.bwOf[id]
-			f.linkCount[id] = 0
-			f.activeLinks = append(f.activeLinks, id)
+	for _, r := range f.active {
+		n := f.classes[r].n
+		for _, l := range f.routes.paths[r] {
+			if f.linkEpoch[l] != f.epoch {
+				f.linkEpoch[l] = f.epoch
+				f.linkAvail[l] = f.bwOf[l]
+				f.linkCount[l] = 0
+				f.activeLinks = append(f.activeLinks, l)
+			}
+			f.linkCount[l] += n
 		}
 	}
-	for _, fl := range f.flows {
-		fl.frozen = false
-		fl.rate = 0
-		for _, l := range fl.path {
-			touch(l)
-			f.linkCount[l]++
-		}
-	}
+	f.unfrozen = append(f.unfrozen[:0], f.active...)
 	// Progressive filling runs at most maxFillTiers bottleneck tiers
-	// exactly; any flows still unfrozen then receive their current
+	// exactly; any classes still unfrozen then receive their current
 	// fair share (avail/count on their own bottleneck) in one pass.
 	// Heterogeneous all-to-all traffic can otherwise produce thousands
-	// of distinct tiers, each an O(flows·path) pass.
+	// of distinct tiers, each an O(classes·path) pass.
 	const maxFillTiers = 6
-	unfrozen := len(f.flows)
-	for tier := 0; unfrozen > 0 && tier < maxFillTiers; tier++ {
+	for tier := 0; len(f.unfrozen) > 0 && tier < maxFillTiers; tier++ {
 		// Bottleneck share: min over links carrying unfrozen flows.
 		delta := math.Inf(1)
 		for _, l := range f.activeLinks {
@@ -216,95 +270,80 @@ func (f *flowNet) recompute() {
 		if delta < 0 {
 			delta = 0
 		}
-		// Consume the uniform increment on every link with unfrozen
-		// flows, then freeze flows crossing saturated links.
-		for _, fl := range f.flows {
-			if fl.frozen {
-				continue
+		// Consume the uniform increment once per unfrozen flow on every
+		// link. The subtractions are all of the same delta, so doing a
+		// link's in one run rounds exactly as interleaving them flow by
+		// flow does.
+		for _, l := range f.activeLinks {
+			avail := f.linkAvail[l]
+			for k := f.linkCount[l]; k > 0; k-- {
+				avail -= delta
 			}
-			fl.rate += delta
-			for _, l := range fl.path {
-				f.linkAvail[l] -= delta
-			}
+			f.linkAvail[l] = avail
 		}
-		froze := false
-		for _, fl := range f.flows {
-			if fl.frozen {
-				continue
-			}
+		// Raise the unfrozen classes' rates, then freeze the classes
+		// crossing saturated links.
+		kept := f.unfrozen[:0]
+		for _, r := range f.unfrozen {
+			c := &f.classes[r]
+			c.rate += delta
+			path := f.routes.paths[r]
 			saturated := false
-			for _, l := range fl.path {
+			for _, l := range path {
 				if f.linkAvail[l] <= 1e-6*f.bwOf[l] {
 					saturated = true
 					break
 				}
 			}
-			if saturated {
-				fl.frozen = true
-				froze = true
-				unfrozen--
-				for _, l := range fl.path {
-					f.linkCount[l]--
-				}
+			if !saturated {
+				kept = append(kept, r)
+				continue
+			}
+			for _, l := range path {
+				f.linkCount[l] -= c.n
 			}
 		}
+		froze := len(kept) < len(f.unfrozen)
+		f.unfrozen = kept
 		if !froze {
 			break // numeric stall; the fair-share pass finishes below
 		}
 	}
-	if unfrozen > 0 {
-		// Fair-share finish: every remaining flow takes avail/count on
-		// its most constrained link. Flows sharing a link split its
-		// residue evenly, so capacity is never oversubscribed.
-		for _, fl := range f.flows {
-			if fl.frozen {
-				continue
-			}
-			share := math.Inf(1)
-			for _, l := range fl.path {
-				if c := f.linkCount[l]; c > 0 {
-					if s := f.linkAvail[l] / float64(c); s < share {
-						share = s
-					}
+	// Fair-share finish: every remaining class takes avail/count on its
+	// most constrained link. Flows sharing a link split its residue
+	// evenly, so capacity is never oversubscribed.
+	for _, r := range f.unfrozen {
+		share := math.Inf(1)
+		for _, l := range f.routes.paths[r] {
+			if c := f.linkCount[l]; c > 0 {
+				if s := f.linkAvail[l] / float64(c); s < share {
+					share = s
 				}
 			}
-			if !math.IsInf(share, 1) && share > 0 {
-				fl.rate += share
-			}
 		}
-		for _, fl := range f.flows {
-			fl.frozen = true
+		if !math.IsInf(share, 1) && share > 0 {
+			f.classes[r].rate += share
 		}
 	}
 
-	// Schedule the earliest completion, nudged forward by a small grain
-	// (1% of the shortest remaining drain, ≤ 50 µs) so the thousands of
-	// near-symmetric flows a halo exchange or an all-to-all storm
-	// creates complete in batches instead of one recompute each. The
-	// per-flow timing error is bounded by the grain.
-	next := simtime.Forever
 	for _, fl := range f.flows {
-		if fl.rate <= 0 {
+		fl.rate = f.classes[fl.route].rate
+	}
+
+	// The earliest completion is the earliest over classes of the class's
+	// least remaining drained at the class rate: the per-flow time is a
+	// monotone function of remaining, so its minimum is attained there.
+	next := simtime.Forever
+	for _, r := range f.active {
+		c := &f.classes[r]
+		if c.rate <= 0 {
 			continue
 		}
-		t := now + simtime.FromSeconds(fl.remaining/fl.rate)
+		t := now + simtime.FromSeconds(c.minRem/c.rate)
 		if t <= now {
 			t = now + 1
 		}
 		next = simtime.Min(next, t)
 	}
-	if next < simtime.Forever {
-		grain := (next - now) / 100
-		if grain > 50*simtime.Microsecond {
-			grain = 50 * simtime.Microsecond
-		}
-		next += grain
-		f.version++
-		v := f.version
-		f.eng.At(next, func() {
-			if v == f.version && !f.recomputePending {
-				f.recompute()
-			}
-		})
-	}
+	return next
 }

@@ -27,7 +27,8 @@ type packetNet struct {
 	cfg       Config
 	multiplex bool // true for packet-flow
 
-	// Per-link occupancy state, indexed by topology.LinkID.
+	// Per-link state, indexed by topology.LinkID.
+	bwOf      []float64      // bandwidth, bytes/s
 	busyUntil []simtime.Time // packet model: exclusive reservation
 	backlog   []float64      // packet-flow: fluid backlog in bytes
 	lastDrain []simtime.Time // packet-flow: last backlog update
@@ -50,6 +51,7 @@ func newPacketNet(eng *des.Engine, mach *machine.Config, cfg Config, multiplex b
 		mach:      mach,
 		cfg:       cfg,
 		multiplex: multiplex,
+		bwOf:      linkBandwidths(mach),
 		routes:    newRouteCache(mach),
 	}
 	if multiplex {
@@ -81,7 +83,7 @@ func (p *packetNet) Send(src, dst int32, bytes int64, onDelivered func()) {
 		p.eng.After(loopback(bytes, p.cfg, p.mach), onDelivered)
 		return
 	}
-	path := p.routes.get(int(srcNode), int(dstNode))
+	path, _ := p.routes.get(int(srcNode), int(dstNode))
 	nPackets := int((bytes + p.cfg.PacketBytes - 1) / p.cfg.PacketBytes)
 	if nPackets == 0 {
 		nPackets = 1 // zero-byte message still sends a header packet
@@ -155,7 +157,7 @@ func (pk *packet) hop() {
 	link := pk.path[pk.hopIdx]
 	pk.hopIdx++
 	now := n.eng.Now()
-	bw := n.linkBandwidth(link)
+	bw := n.bwOf[link]
 	var departure simtime.Time
 	if n.multiplex {
 		// Drain the fluid backlog, add ourselves, sample the delay.
@@ -177,36 +179,27 @@ func (pk *packet) hop() {
 	n.eng.At(departure+n.mach.LinkLatency, pk.hopFn)
 }
 
-func (p *packetNet) linkBandwidth(id topology.LinkID) float64 {
-	var bw float64
-	switch p.mach.Topo.Link(id).Kind {
-	case topology.Injection, topology.Ejection:
-		bw = p.mach.InjectionBandwidth
-	default:
-		bw = p.mach.LinkBandwidth
-	}
-	if p.mach.LinkBWScale != nil {
-		bw *= p.mach.LinkBWScale[id]
-	}
-	return bw
-}
-
-// routeCache memoizes node-pair routes.
+// routeCache memoizes node-pair routes and numbers them densely in the
+// order they are first asked for.
 type routeCache struct {
 	mach  *machine.Config
-	cache map[int64][]topology.LinkID
+	ids   map[int64]int32
+	paths [][]topology.LinkID // indexed by route id
 }
 
 func newRouteCache(mach *machine.Config) routeCache {
-	return routeCache{mach: mach, cache: make(map[int64][]topology.LinkID)}
+	return routeCache{mach: mach, ids: make(map[int64]int32)}
 }
 
-func (rc *routeCache) get(srcNode, dstNode int) []topology.LinkID {
+// get returns the route from srcNode to dstNode and its id.
+func (rc *routeCache) get(srcNode, dstNode int) ([]topology.LinkID, int32) {
 	key := int64(srcNode)<<32 | int64(uint32(dstNode))
-	if path, ok := rc.cache[key]; ok {
-		return path
+	if id, ok := rc.ids[key]; ok {
+		return rc.paths[id], id
 	}
+	id := int32(len(rc.paths))
 	path := rc.mach.Topo.Route(nil, srcNode, dstNode)
-	rc.cache[key] = path
-	return path
+	rc.ids[key] = id
+	rc.paths = append(rc.paths, path)
+	return path, id
 }

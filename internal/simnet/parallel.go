@@ -23,6 +23,7 @@ type ParallelPacket struct {
 	par  *des.Parallel
 	mach *machine.Config
 	cfg  Config
+	bwOf []float64 // per-link bandwidth, read-only once built
 
 	actorOf   map[int32]des.ActorID // topology element → actor
 	delivered atomic.Int64
@@ -68,6 +69,7 @@ func NewParallelPacket(mach *machine.Config, cfg Config, numLPs int) (*ParallelP
 		par:     par,
 		mach:    mach,
 		cfg:     cfg.withDefaults(Packet),
+		bwOf:    linkBandwidths(mach),
 		actorOf: make(map[int32]des.ActorID),
 	}
 	// One actor per distinct link-owning element, round-robin over LPs.
@@ -187,7 +189,7 @@ func (a *routerActor) Handle(now simtime.Time, msg any, s des.Scheduler) {
 		return
 	}
 	link := hop.path[hop.idx]
-	bw := net.linkBW(link)
+	bw := net.bwOf[link]
 	begin := simtime.Max(now, a.busy[link])
 	departure := begin + simtime.TransferTime(hop.size, bw)
 	a.busy[link] = departure
@@ -209,18 +211,4 @@ func (a *routerActor) Handle(now simtime.Time, msg any, s des.Scheduler) {
 	// object rides the whole path; only idx advances.
 	hop.idx++
 	s.Schedule(target, departure-now+net.mach.LinkLatency, hop)
-}
-
-func (pp *ParallelPacket) linkBW(id topology.LinkID) float64 {
-	var bw float64
-	switch pp.mach.Topo.Link(id).Kind {
-	case topology.Injection, topology.Ejection:
-		bw = pp.mach.InjectionBandwidth
-	default:
-		bw = pp.mach.LinkBandwidth
-	}
-	if pp.mach.LinkBWScale != nil {
-		bw *= pp.mach.LinkBWScale[id]
-	}
-	return bw
 }

@@ -16,6 +16,7 @@ import (
 	"hpctradeoff/internal/des"
 	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/simtime"
+	"hpctradeoff/internal/topology"
 )
 
 // Model names the simulation granularity, mirroring SST/Macro's packet
@@ -126,4 +127,24 @@ func Supports(m Model, usesCommSplit, usesThreadMultiple bool) bool {
 // loopback computes the delivery delay for intra-node messages.
 func loopback(bytes int64, cfg Config, mach *machine.Config) simtime.Time {
 	return mach.NICLatency + simtime.TransferTime(bytes, cfg.LoopbackBandwidth)
+}
+
+// linkBandwidths tabulates every link's bandwidth in bytes/s, indexed
+// by topology.LinkID: the NIC's rate on injection and ejection links,
+// the fabric's elsewhere, times the machine's per-link scale if it has
+// one. Every model reads its link rates from this table.
+func linkBandwidths(mach *machine.Config) []float64 {
+	bw := make([]float64, mach.Topo.NumLinks())
+	for id := range bw {
+		switch mach.Topo.Link(topology.LinkID(id)).Kind {
+		case topology.Injection, topology.Ejection:
+			bw[id] = mach.InjectionBandwidth
+		default:
+			bw[id] = mach.LinkBandwidth
+		}
+		if mach.LinkBWScale != nil {
+			bw[id] *= mach.LinkBWScale[id]
+		}
+	}
+	return bw
 }

@@ -31,9 +31,21 @@ const (
 const Forever Time = math.MaxInt64 / 4
 
 // FromSeconds converts a floating-point duration in seconds to Time,
-// rounding to the nearest picosecond.
+// rounding to the nearest picosecond. It saturates: a result beyond
+// ±Forever is ±Forever, and NaN is Forever. (A bare out-of-range float
+// to int64 conversion is implementation-defined; amd64 gives MinInt64,
+// so a huge positive duration would come out negative.) The conversion
+// is therefore monotone over every input, which the flow model's
+// per-route earliest completion relies on.
 func FromSeconds(s float64) Time {
-	return Time(math.Round(s * float64(Second)))
+	switch ps := math.Round(s * float64(Second)); {
+	case !(ps < float64(Forever)): // also NaN
+		return Forever
+	case ps <= -float64(Forever):
+		return -Forever
+	default:
+		return Time(ps)
+	}
 }
 
 // FromNanoseconds converts a floating-point duration in nanoseconds to

@@ -22,6 +22,47 @@ func TestFromSecondsRoundTrip(t *testing.T) {
 	}
 }
 
+func TestFromSecondsSaturates(t *testing.T) {
+	cases := []struct {
+		in   float64
+		want Time
+	}{
+		{1e300, Forever},
+		{-1e300, -Forever},
+		{math.Inf(1), Forever},
+		{math.Inf(-1), -Forever},
+		{math.NaN(), Forever},
+		{Forever.Seconds() * 2, Forever},
+		{-Forever.Seconds() * 2, -Forever},
+		{1.5, 1500 * Millisecond},
+		{-1.5, -1500 * Millisecond},
+	}
+	for _, c := range cases {
+		if got := FromSeconds(c.in); got != c.want {
+			t.Errorf("FromSeconds(%g) = %d, want %d", c.in, int64(got), int64(c.want))
+		}
+	}
+}
+
+// Property: FromSeconds is monotone over the whole float range,
+// saturated ends included.
+func TestFromSecondsMonotone(t *testing.T) {
+	// quick draws floats spread over ±MaxFloat64; rescale them to
+	// magnitudes 2⁻⁴⁰ … 2⁴⁰ s, which straddle both a picosecond and
+	// Forever (≈ 2²¹ s).
+	at := func(f float64, e int8) float64 { return math.Ldexp(f/math.MaxFloat64, int(e)%41) }
+	prop := func(a, b float64, ea, eb int8) bool {
+		x, y := at(a, ea), at(b, eb)
+		if x > y {
+			x, y = y, x
+		}
+		return FromSeconds(x) <= FromSeconds(y)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFromNanoseconds(t *testing.T) {
 	if got := FromNanoseconds(2500); got != 2500*Nanosecond {
 		t.Errorf("FromNanoseconds(2500) = %v", got)
