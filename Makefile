@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all check build test vet test-race race bench bench-short benchmark benchmark-smoke microbench fuzz fuzz-seeds triage-smoke chaos-short chaos cache-warm cmb-scaling study variability figures clean
+.PHONY: all check build test vet test-race race bench bench-short benchmark benchmark-smoke microbench fuzz fuzz-seeds triage-smoke chaos-short chaos cache-warm study variability figures clean
 
 all: check
 
@@ -23,13 +23,16 @@ test:
 	$(GO) test ./...
 
 # test-race covers the packages with real goroutine concurrency: the
-# parallel DES engines, the network models driven by them, the
-# campaign worker pool, the triage scheduler + classifier the tiered
-# campaign drives from its workers, and the trace cache's singleflight
-# path that those workers contend on.
+# DES engine's cross-goroutine Stop, the campaign worker pool, the
+# triage scheduler + classifier the tiered campaign drives from its
+# workers, and the trace cache's singleflight path that those workers
+# contend on. The network models run single-threaded on one engine and
+# hold no goroutines or atomics, so simnet is not in the list.
 test-race:
-	$(GO) test -race ./internal/des/... ./internal/simnet/... ./internal/core/... ./internal/triage/... ./internal/classifier/... ./internal/tracecache/...
+	$(GO) test -race ./internal/des/... ./internal/core/... ./internal/triage/... ./internal/classifier/... ./internal/tracecache/...
 
+# race adds mfact, whose goroutine-per-rank reference replayer runs
+# under its tests.
 race: test-race
 	$(GO) test -race ./internal/mfact/
 
@@ -113,12 +116,6 @@ STRIDE ?= 1
 MAXRANKS ?= 0
 cache-warm:
 	$(GO) run ./cmd/tracegen -warm $(CACHE_DIR) -stride $(STRIDE) -maxranks $(MAXRANKS)
-
-# cmb-scaling regenerates the committed CMB engine scaling study:
-# events/sec vs LP count, lookahead sensitivity, and null-message
-# overhead for both PHOLD and the parallel packet network.
-cmb-scaling:
-	$(GO) run ./cmd/bench -cmb-scaling results/cmb_scaling.txt
 
 # variability regenerates the committed platform-variability study:
 # per-scheme prediction error vs measured as link jitter, node

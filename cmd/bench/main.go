@@ -1,8 +1,8 @@
 // Command bench runs the repository's fixed performance scenarios —
-// the DES event core, the three network models, the CMB-parallel
-// packet network, and full trace replays — and writes a JSON snapshot
-// (BENCH_<date>.json) so performance regressions become visible
-// PR-to-PR. Every scenario reports per-event costs (ns/event,
+// the DES event core, the three network models, full trace replays,
+// the trace codecs and cache, and reduced campaigns — and writes a
+// JSON snapshot (BENCH_<date>.json) so performance regressions become
+// visible PR-to-PR. Every scenario reports per-event costs (ns/event,
 // allocs/event) because the paper's cost model is "events executed":
 // the event loop is the hottest path of the whole study.
 //
@@ -99,13 +99,11 @@ func scenarios() []scenario {
 		{"des/chain", benchChain},
 		{"des/fanout", benchFanout},
 		{"des/hold-256", benchHold},
-		{"des/phold-lps4", benchPHOLD},
 		{"simnet/packet-small", mkTraffic(simnet.Packet, 512, 1<<10)},
 		{"simnet/packet-large", mkTraffic(simnet.Packet, 64, 1<<20)},
 		{"simnet/packetflow-large", mkTraffic(simnet.PacketFlow, 64, 1<<20)},
 		{"simnet/flow-small", mkTraffic(simnet.Flow, 512, 1<<10)},
 		{"simnet/flow-alltoall-64", benchFlowAlltoall},
-		{"simnet/parallel-packet-lps4", benchParallelPacket},
 		{"mpisim/replay-packet", mkReplay(simnet.Packet)},
 		{"mpisim/replay-packetflow", mkReplay(simnet.PacketFlow)},
 		{"trace/replay-cursor", benchReplayCursor},
@@ -194,49 +192,6 @@ func benchHold(short bool) uint64 {
 	return e.Steps()
 }
 
-// pholdActor bounces a hop counter between peers — the classic PDES
-// stress pattern for the CMB engine.
-type pholdActor struct {
-	id    int
-	peers []des.ActorID
-	la    simtime.Time
-}
-
-func (a *pholdActor) Handle(_ simtime.Time, msg any, s des.Scheduler) {
-	hops := msg.(int)
-	if hops <= 0 {
-		return
-	}
-	s.Schedule(a.peers[(a.id+1)%len(a.peers)], a.la, hops-1)
-}
-
-func benchPHOLD(short bool) uint64 {
-	hops := 2000
-	if short {
-		hops = 200
-	}
-	la := simtime.Microsecond
-	p, err := des.NewParallel(4, la)
-	if err != nil {
-		panic(err)
-	}
-	const actors = 16
-	as := make([]*pholdActor, actors)
-	ids := make([]des.ActorID, actors)
-	for i := range as {
-		as[i] = &pholdActor{id: i, la: la}
-		ids[i] = p.AddActor(as[i], i%4)
-	}
-	for _, a := range as {
-		a.peers = ids
-	}
-	for i := 0; i < actors; i++ {
-		p.ScheduleInitial(ids[i], 0, hops)
-	}
-	p.Run()
-	return p.Steps()
-}
-
 // mkTraffic returns a scenario body running a fixed permutation
 // traffic pattern through one sequential network model.
 func mkTraffic(m simnet.Model, msgs int, bytes int64) func(bool) uint64 {
@@ -305,29 +260,6 @@ func benchFlowAlltoall(short bool) uint64 {
 		panic(fmt.Sprintf("flow all-to-all delivered %d of %d", delivered, want))
 	}
 	return eng.Steps()
-}
-
-func benchParallelPacket(short bool) uint64 {
-	bytes := int64(256 << 10)
-	if short {
-		bytes = 32 << 10
-	}
-	mach, err := machine.Hopper(96, 8)
-	if err != nil {
-		panic(err)
-	}
-	pp, err := simnet.NewParallelPacket(mach, simnet.Config{}, 4)
-	if err != nil {
-		panic(err)
-	}
-	for r := 0; r < 96; r++ {
-		d := (r*11 + 5) % 96
-		if d != r {
-			pp.Inject(0, int32(r), int32(d), bytes)
-		}
-	}
-	pp.Run()
-	return pp.Steps()
 }
 
 // replayTrace caches the materialized trace shared by the replay
@@ -859,7 +791,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	shards := flag.Int("shards", 1, "campaign shard count this environment runs under (recorded in the snapshot; 1 = unsharded)")
-	cmbOut := flag.String("cmb-scaling", "", "run the CMB scaling study (events/sec vs LP count, lookahead sensitivity, null-message overhead) and write it to this file instead of the scenario snapshot")
 	specPath := flag.String("spec", "", "benchmark the campaign scenarios over this YAML/JSON campaign spec's manifest instead of the built-in slice")
 	flag.Parse()
 
@@ -876,14 +807,6 @@ func main() {
 		}
 		specManifest = c.Manifest
 		fmt.Printf("bench: campaign scenarios use %d traces from %s (%s)\n", len(specManifest), *specPath, c.Hash())
-	}
-
-	if *cmbOut != "" {
-		if err := runCMBScaling(*cmbOut, *short); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)

@@ -30,7 +30,6 @@ func main() {
 	ranks := flag.Int("ranks", 64, "rank count for -app")
 	machName := flag.String("machine", "edison", "target machine")
 	seed := flag.Int64("seed", 1, "seed for -app")
-	parallel := flag.Bool("parallel", false, "use the goroutine-per-rank replayer")
 	grid := flag.Bool("grid", false, "print a 2-D bandwidth × latency what-if grid")
 	schemes := flag.String("schemes", "", "run these registered schemes over the trace and compare "+
 		"(comma-separated; available: "+strings.Join(scheme.Names(), ",")+")")
@@ -56,12 +55,7 @@ func main() {
 	}
 
 	start := time.Now()
-	var res *mfact.Result
-	if *parallel {
-		res, err = mfact.ModelParallel(tr, mach, nil)
-	} else {
-		res, err = mfact.Model(tr, mach, nil)
-	}
+	res, err := mfact.Model(tr, mach, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mfact:", err)
 		os.Exit(1)

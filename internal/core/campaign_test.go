@@ -140,32 +140,13 @@ func TestCampaignKeepGoingAndResume(t *testing.T) {
 	}
 }
 
-// causalityBugActor schedules into the past once its countdown
-// expires — the classic PDES causality bug, which the engine reports
-// by panicking inside the owning LP's goroutine.
-type causalityBugActor struct {
-	next des.ActorID
-	la   simtime.Time
-}
-
-func (a *causalityBugActor) Handle(now simtime.Time, msg any, s des.Scheduler) {
-	budget := msg.(int)
-	if budget <= 0 {
-		s.Schedule(a.next, -simtime.Microsecond, nil)
-		return
-	}
-	s.Schedule(a.next, a.la, budget-1)
-}
-
-// TestCampaignSurvivesCMBCausalityBug is the end-to-end proof of the
-// panic-isolation chain: a causality bug inside a CMB logical-process
-// goroutine (not the worker goroutine that called the runner) must
-// surface as a classified KindPanic TraceError carrying the LP's
-// stack, while the rest of the campaign completes normally. Before the
-// parallel engine captured and re-raised LP panics on the caller's
-// goroutine, this bug killed the whole process — no recover could
-// reach it.
-func TestCampaignSurvivesCMBCausalityBug(t *testing.T) {
+// TestCampaignSurvivesCausalityBug is the end-to-end proof of the
+// panic-isolation chain for a model bug deep inside a simulator run: an
+// event that schedules into the past makes the DES engine panic from
+// inside its event loop, and the campaign must surface that as a
+// classified KindPanic TraceError carrying the stack, while the rest of
+// the campaign completes normally.
+func TestCampaignSurvivesCausalityBug(t *testing.T) {
 	good1 := workload.Params{App: "EP", Class: "S", Ranks: 16, Machine: "cielito", Seed: 1}
 	buggy := workload.Params{App: "MG", Class: "S", Ranks: 16, Machine: "edison", Seed: 2}
 	good2 := workload.Params{App: "IS", Class: "S", Ranks: 16, Machine: "edison", Seed: 3}
@@ -175,20 +156,21 @@ func TestCampaignSurvivesCMBCausalityBug(t *testing.T) {
 		if p.App != "MG" {
 			return RunOneOpts(p, ro)
 		}
-		// Drive a real 2-LP parallel engine whose actor commits a
-		// causality bug mid-run; the panic originates in an LP goroutine.
-		la := simtime.Microsecond
-		par, err := des.NewParallel(2, la)
-		if err != nil {
-			return nil, err
+		// Drive a real engine through a chain of events whose eighth link
+		// commits the causality bug mid-run.
+		var eng des.Engine
+		var tick func(left int) func()
+		tick = func(left int) func() {
+			return func() {
+				if left == 0 {
+					eng.At(eng.Now()-simtime.Microsecond, func() {})
+					return
+				}
+				eng.After(simtime.Microsecond, tick(left-1))
+			}
 		}
-		a0 := &causalityBugActor{la: la}
-		a1 := &causalityBugActor{la: la}
-		id0 := par.AddActor(a0, 0)
-		id1 := par.AddActor(a1, 1)
-		a0.next, a1.next = id1, id0
-		par.ScheduleInitial(id0, 0, 7)
-		par.Run() // panics with *des.LPPanic on this goroutine
+		eng.At(0, tick(7))
+		eng.Run() // panics inside the event loop
 		return nil, fmt.Errorf("unreachable: causality bug did not fire")
 	}
 
@@ -213,11 +195,8 @@ func TestCampaignSurvivesCMBCausalityBug(t *testing.T) {
 	if te.Kind != KindPanic {
 		t.Errorf("causality bug classified as %q, want %q", te.Kind, KindPanic)
 	}
-	if !strings.Contains(te.Err.Error(), "negative delay") {
+	if !strings.Contains(te.Err.Error(), "scheduling into the past") {
 		t.Errorf("error %v does not name the causality bug", te.Err)
-	}
-	if !strings.Contains(te.Err.Error(), "LP") {
-		t.Errorf("error %v does not attribute the bug to a logical process", te.Err)
 	}
 	if te.Stack == "" {
 		t.Error("panic TraceError carries no stack")

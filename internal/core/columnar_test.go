@@ -15,8 +15,7 @@ import (
 // columnar trace core: for every application in the suite, replaying
 // the columnar representation (built natively, never materialized)
 // must produce results bit-identical to replaying the classic
-// array-of-structs trace — for MFACT (sequential and parallel) and for
-// every packet simulator that supports the trace. Any divergence means
+// array-of-structs trace — for MFACT and for every packet simulator that supports the trace. Any divergence means
 // the Source access path changed replay semantics, not just layout.
 func TestColumnarReplayBitIdentical(t *testing.T) {
 	for i, app := range workload.Apps() {
@@ -44,12 +43,7 @@ func TestColumnarReplayBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mfact.ModelSource(Columns): %v", err)
 			}
-			requireSameMFACT(t, "sequential", want, got)
-			gotPar, err := mfact.ModelParallelSource(cols, mach, nil)
-			if err != nil {
-				t.Fatalf("mfact.ModelParallelSource(Columns): %v", err)
-			}
-			requireSameMFACT(t, "parallel", want, gotPar)
+			requireSameMFACT(t, "mfact", want, got)
 
 			// Packet simulation: every model that can replay this trace.
 			for _, model := range simnet.Models() {

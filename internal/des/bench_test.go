@@ -1,8 +1,6 @@
 package des
 
 import (
-	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"hpctradeoff/internal/simtime"
@@ -34,38 +32,4 @@ func BenchmarkSequentialEngineFanout(b *testing.B) {
 	}
 	b.ResetTimer()
 	e.Run()
-}
-
-// BenchmarkParallelCMB runs the PHOLD-style workload on the
-// conservative null-message engine with varying LP counts — the
-// ablation for the "conservative PDES engine" design choice. On a
-// single-core host the parallel engine shows its synchronization
-// overhead; with cores it shows speedup.
-func BenchmarkParallelCMB(b *testing.B) {
-	for _, lps := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("lps=%d", lps), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				la := simtime.Microsecond
-				p, err := NewParallel(lps, la)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var s, c atomic.Int64
-				const actors = 16
-				ids := make([]ActorID, actors)
-				as := make([]*pholdActor, actors)
-				for j := range as {
-					as[j] = &pholdActor{id: j, la: la, sum: &s, count: &c}
-					ids[j] = p.AddActor(as[j], j%lps)
-				}
-				for _, a := range as {
-					a.peers = ids
-				}
-				for j := 0; j < actors; j++ {
-					p.ScheduleInitial(ids[j], 0, 500)
-				}
-				p.Run()
-			}
-		})
-	}
 }

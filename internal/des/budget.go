@@ -19,11 +19,10 @@ var ErrCanceled = errors.New("des: run canceled")
 
 // Budget bounds a simulation run. Zero values mean "unlimited"; the
 // zero Budget imposes no limits at all. Limits are cooperative: they
-// are checked on event-scheduling boundaries, so a run may overshoot
-// by the events already in flight (at most one per logical process).
+// are checked between events, so a run stops after the event in flight
+// completes, never inside it.
 type Budget struct {
-	// MaxEvents caps the number of events executed (summed over all
-	// logical processes for a parallel engine).
+	// MaxEvents caps the number of events executed.
 	MaxEvents uint64
 	// MaxTime caps the simulated clock: no event with a timestamp past
 	// it is executed.

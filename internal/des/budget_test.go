@@ -2,7 +2,6 @@ package des
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -87,123 +86,3 @@ func TestEngineNoBudgetDrainsNormally(t *testing.T) {
 		t.Fatalf("err = %v, executed = %d", e.Err(), n)
 	}
 }
-
-// echoActor bounces every message straight back to its peer — an
-// infinite cross-LP ping-pong.
-type echoActor struct {
-	peer *ActorID
-}
-
-func (a *echoActor) Handle(now simtime.Time, msg any, s Scheduler) {
-	s.Schedule(*a.peer, simtime.Microsecond, msg)
-}
-
-func newPingPong(t *testing.T) *Parallel {
-	t.Helper()
-	p, err := NewParallel(2, simtime.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a0, a1 ActorID
-	a0 = p.AddActor(&echoActor{peer: &a1}, 0)
-	a1 = p.AddActor(&echoActor{peer: &a0}, 1)
-	p.ScheduleInitial(a0, 0, "ball")
-	return p
-}
-
-// settleGoroutines polls until the goroutine count returns to the
-// baseline or the deadline expires, and returns the final count.
-func settleGoroutines(baseline int) int {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= baseline || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestParallelMaxEventsNoGoroutineLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	p := newPingPong(t)
-	p.SetBudget(Budget{MaxEvents: 5000})
-	done := make(chan struct{})
-	go func() {
-		p.Run()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("budget-limited Run did not terminate")
-	}
-	if err := p.Err(); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("Err = %v, want ErrBudgetExceeded", err)
-	}
-	if n := settleGoroutines(baseline); n > baseline {
-		t.Errorf("goroutine leak: %d before Run, %d after", baseline, n)
-	}
-}
-
-func TestParallelMaxSimTime(t *testing.T) {
-	p := newPingPong(t)
-	p.SetBudget(Budget{MaxTime: 50 * simtime.Microsecond})
-	maxT := p.Run()
-	if err := p.Err(); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("Err = %v, want ErrBudgetExceeded", err)
-	}
-	if maxT > 50*simtime.Microsecond {
-		t.Errorf("executed up to %v, past the cap", maxT)
-	}
-}
-
-func TestParallelStop(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	p := newPingPong(t)
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		p.Stop()
-	}()
-	done := make(chan struct{})
-	go func() {
-		p.Run()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run did not return after Stop")
-	}
-	if err := p.Err(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Err = %v, want ErrCanceled", err)
-	}
-	if n := settleGoroutines(baseline); n > baseline {
-		t.Errorf("goroutine leak: %d before Run, %d after", baseline, n)
-	}
-}
-
-func TestParallelCompleteRunHasNoError(t *testing.T) {
-	p, err := NewParallel(2, simtime.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	id := p.AddActor(actorFunc(func(now simtime.Time, msg any, s Scheduler) { count++ }), 0)
-	p.SetBudget(Budget{MaxEvents: 100})
-	for i := 0; i < 5; i++ {
-		p.ScheduleInitial(id, simtime.Time(i), i)
-	}
-	p.Run()
-	if p.Err() != nil {
-		t.Fatalf("Err = %v on a run well inside budget", p.Err())
-	}
-	if count != 5 {
-		t.Errorf("executed %d events, want 5", count)
-	}
-}
-
-// actorFunc adapts a function to the Actor interface.
-type actorFunc func(now simtime.Time, msg any, s Scheduler)
-
-func (f actorFunc) Handle(now simtime.Time, msg any, s Scheduler) { f(now, msg, s) }

@@ -1,9 +1,13 @@
-// Package des provides the discrete-event simulation engines the
-// network simulators run on: a sequential event-heap engine (the
-// workhorse every network model in internal/simnet uses) and a
-// conservative parallel engine using the Chandy–Misra–Bryant
-// null-message protocol over goroutines (the engine family SST/Macro's
-// PDES core belongs to), exposed through an actor/message API.
+// Package des provides the discrete-event simulation engine the network
+// simulators run on: a sequential event-heap engine that every network
+// model in internal/simnet, and so every simulator replay, uses.
+//
+// A conservative parallel (Chandy–Misra–Bryant null-message) engine,
+// the family SST/Macro's PDES core belongs to, was built and measured
+// here and then retired: on the hosts the study runs on it cost several
+// times the sequential engine per event and never joined a campaign
+// path. EXPERIMENTS.md ("CMB engine retired") has the numbers and what
+// would reopen the question.
 package des
 
 import (
@@ -15,8 +19,8 @@ import (
 	"hpctradeoff/internal/simtime"
 )
 
-// failStep is the event-loop failpoint, hit once per executed event in
-// both engines. An injected stall sleeps inside the loop — the shape
+// failStep is the event-loop failpoint, hit once per executed event. An
+// injected stall sleeps inside the loop — the shape
 // of a livelocked model that only a wall-clock Deadline can catch, so
 // the budget watchdog is exercisable deterministically — and an
 // injected error halts the run through the cooperative-cancellation

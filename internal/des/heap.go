@@ -2,37 +2,33 @@ package des
 
 import "math/bits"
 
-// Two pending-event sets live here, and only two.
+// One pending-event set lives here: the Engine's eventQueue, which sits
+// on every campaign path.
 //
-// eventQueue is the sequential Engine's queue and sits on every
-// campaign path: a 4-ary min-heap over schedEvent with the (at, seq)
-// comparison inlined into the sift loops. It is concrete on purpose.
-// The generic quadHeap below reaches its element's less method through
-// the generic dictionary — an indirect, non-inlined call that copies
-// two 24-byte events per comparison, about sixteen of them per pop —
-// and swaps whole structs at every level. At the depths campaigns
-// actually run (a mean of 18–1,581 pending events per replay,
-// typically 70–400; EXPERIMENTS.md has the table) that call overhead,
-// not tree depth, was 43 % of a warm campaign's CPU. eventQueue
-// compares inline, sifts through a hole (the moving element is held in
-// a local and each level costs one store, not a three-store swap), and
-// picks the smallest of four children with arithmetic instead of
-// branches, which on effectively random sibling timestamps mispredict
-// half the time. A calendar or ladder queue was not built: it pays off
-// when depth sets the price, and depth does not.
+// It is a 4-ary min-heap over schedEvent with the (at, seq) comparison
+// inlined into the sift loops, and it is concrete on purpose. A generic
+// heap reaches its element's less method through the generic
+// dictionary — an indirect, non-inlined call that copies two 24-byte
+// events per comparison, about sixteen of them per pop — and swaps
+// whole structs at every level. At the depths campaigns actually run (a
+// mean of 18–1,581 pending events per replay, typically 70–400;
+// EXPERIMENTS.md has the table) that call overhead, not tree depth, was
+// 43 % of a warm campaign's CPU. eventQueue compares inline, sifts
+// through a hole (the moving element is held in a local and each level
+// costs one store, not a three-store swap), and picks the smallest of
+// four children with arithmetic instead of branches, which on
+// effectively random sibling timestamps mispredict half the time. A
+// calendar or ladder queue was not built: it pays off when depth sets
+// the price, and depth does not.
 //
-// quadHeap stays as the logical processes' queue in the conservative
-// parallel engine (three-part keys, on no campaign path) and as the
-// reference the eventQueue property test is held to, element for
-// element.
-//
-// Both are 4-ary: half the levels of a binary heap for a slightly wider
-// sibling scan, the usual shape for DES queues, which are popped exactly
-// as often as they are pushed. Both order totally and deterministically
-// — keys end in a unique sequence number — so pop order never depends
-// on heap internals. That is what lets the engines document "ties
-// broken by scheduling order" as a guarantee, and what makes replacing
-// one heap by the other invisible to every digest and event count.
+// Four children per node give half the levels of a binary heap for a
+// slightly wider sibling scan, the usual shape for DES queues, which
+// are popped exactly as often as they are pushed. The order is total
+// and deterministic — keys end in a unique sequence number — so pop
+// order never depends on heap internals. That is what lets the Engine
+// document "ties broken by scheduling order" as a guarantee, and what
+// the property tests in heap_test.go hold the queue to against an O(n)
+// linear-scan oracle.
 
 // eventQueue is the Engine's pending-event set, ordered by (at, seq).
 type eventQueue struct {
@@ -116,68 +112,4 @@ func before(a, b *schedEvent) uint64 {
 	_, borrow := bits.Sub64(a.seq, b.seq, 0)
 	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
 	return borrow
-}
-
-// quadHeap is the generic 4-ary min-heap: any element type with a
-// total less order. Pushes and pops allocate nothing beyond the backing
-// array, but every comparison is an indirect call (see above).
-type quadHeap[T interface{ less(T) bool }] struct {
-	items []T
-}
-
-func (h *quadHeap[T]) len() int { return len(h.items) }
-
-// min returns the smallest element without removing it. It must not be
-// called on an empty heap.
-func (h *quadHeap[T]) min() *T { return &h.items[0] }
-
-func (h *quadHeap[T]) push(x T) {
-	h.items = append(h.items, x)
-	h.up(len(h.items) - 1)
-}
-
-func (h *quadHeap[T]) pop() T {
-	top := h.items[0]
-	n := len(h.items) - 1
-	h.items[0] = h.items[n]
-	var zero T
-	h.items[n] = zero // release pointers for GC
-	h.items = h.items[:n]
-	if n > 1 {
-		h.down(0)
-	}
-	return top
-}
-
-func (h *quadHeap[T]) up(i int) {
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !h.items[i].less(h.items[p]) {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
-}
-
-func (h *quadHeap[T]) down(i int) {
-	n := len(h.items)
-	for {
-		c := i<<2 + 1
-		if c >= n {
-			return
-		}
-		m := c
-		end := min(c+4, n)
-		for j := c + 1; j < end; j++ {
-			if h.items[j].less(h.items[m]) {
-				m = j
-			}
-		}
-		if !h.items[m].less(h.items[i]) {
-			return
-		}
-		h.items[i], h.items[m] = h.items[m], h.items[i]
-		i = m
-	}
 }

@@ -8,9 +8,8 @@ import (
 	"hpctradeoff/internal/simtime"
 )
 
-// less gives schedEvent the (at, seq) order in the form the generic
-// quadHeap wants, so the tests can hold the Engine's concrete
-// eventQueue to the generic heap and to a sort.
+// less is the (at, seq) order as a plain comparison, so the tests can
+// hold the Engine's eventQueue to a linear scan and to a sort.
 func (e schedEvent) less(o schedEvent) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -20,7 +19,7 @@ func (e schedEvent) less(o schedEvent) bool {
 
 // TestQuadHeapPopsSortedOrder pushes a randomized workload (duplicate
 // timestamps included) and checks pops come out in exact (at, seq)
-// order — the determinism contract the engines document.
+// order — the determinism contract the Engine documents.
 func TestQuadHeapPopsSortedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var h eventQueue
@@ -56,34 +55,40 @@ func TestQuadHeapPopsSortedOrder(t *testing.T) {
 	}
 }
 
-// popRef removes and returns the (at, seq)-minimum of the reference
-// slice — an O(n) oracle the heap must agree with.
-func popRef(ref *[]schedEvent) schedEvent {
-	s := *ref
+// minRef returns the index of the (at, seq)-minimum of the reference
+// slice, and popRef removes and returns that element — an O(n) oracle
+// the heap must agree with.
+func minRef(s []schedEvent) int {
 	m := 0
 	for i := 1; i < len(s); i++ {
 		if s[i].less(s[m]) {
 			m = i
 		}
 	}
+	return m
+}
+
+func popRef(ref *[]schedEvent) schedEvent {
+	s := *ref
+	m := minRef(s)
 	out := s[m]
 	s[m] = s[len(s)-1]
 	*ref = s[:len(s)-1]
 	return out
 }
 
-// TestEventQueueMatchesGenericHeap drives the concrete queue and the
-// generic quadHeap with the same random interleaving of pushes and
-// pops — few distinct timestamps, so most comparisons fall through to
-// seq — and requires every pop to agree element for element, and the
-// whole pop sequence of each push-only/pop-only stretch to equal a sort
-// by (at, seq). Pushes outnumber pops slightly, so depth drifts from
-// empty up to the low thousands — the range campaigns run at.
-func TestEventQueueMatchesGenericHeap(t *testing.T) {
+// TestEventQueueMatchesPopRef drives the queue and the popRef oracle
+// with the same random interleaving of pushes and pops — few distinct
+// timestamps, so most comparisons fall through to seq — and requires
+// every min and pop to agree element for element, and the whole pop
+// sequence of each push-only/pop-only stretch to equal a sort by (at,
+// seq). Pushes outnumber pops slightly, so depth drifts from empty up
+// to the low thousands — the range campaigns run at.
+func TestEventQueueMatchesPopRef(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
 		var q eventQueue
-		var ref quadHeap[schedEvent]
+		var ref []schedEvent
 		var seq uint64
 		var pending, popped []schedEvent
 		var floor simtime.Time
@@ -108,38 +113,38 @@ func TestEventQueueMatchesGenericHeap(t *testing.T) {
 				seq++
 				ev := schedEvent{at: floor + simtime.Time(rng.Intn(stamps)), seq: seq}
 				q.push(ev)
-				ref.push(ev)
+				ref = append(ref, ev)
 				pending = append(pending, ev)
 			}
 			// ...then a stretch of pops.
 			for n := rng.Intn(40); n > 0 && q.len() > 0; n-- {
-				if m, r := q.min(), ref.min(); m.at != r.at || m.seq != r.seq {
-					t.Fatalf("seed %d: min (at=%v seq=%d), generic heap has (at=%v seq=%d)", seed, m.at, m.seq, r.at, r.seq)
+				if m, r := q.min(), ref[minRef(ref)]; m.at != r.at || m.seq != r.seq {
+					t.Fatalf("seed %d: min (at=%v seq=%d), oracle has (at=%v seq=%d)", seed, m.at, m.seq, r.at, r.seq)
 				}
-				got, want := q.pop(), ref.pop()
+				got, want := q.pop(), popRef(&ref)
 				if got.at != want.at || got.seq != want.seq {
-					t.Fatalf("seed %d step %d: popped (at=%v seq=%d), generic heap popped (at=%v seq=%d)",
+					t.Fatalf("seed %d step %d: popped (at=%v seq=%d), oracle popped (at=%v seq=%d)",
 						seed, step, got.at, got.seq, want.at, want.seq)
 				}
 				popped = append(popped, got)
 				floor = got.at
 			}
-			if q.len() != ref.len() {
-				t.Fatalf("seed %d: len %d, generic heap %d", seed, q.len(), ref.len())
+			if q.len() != len(ref) {
+				t.Fatalf("seed %d: len %d, oracle %d", seed, q.len(), len(ref))
 			}
 			checkSorted()
 		}
 		for q.len() > 0 {
-			got, want := q.pop(), ref.pop()
+			got, want := q.pop(), popRef(&ref)
 			if got.at != want.at || got.seq != want.seq {
-				t.Fatalf("seed %d drain: popped (at=%v seq=%d), generic heap popped (at=%v seq=%d)",
+				t.Fatalf("seed %d drain: popped (at=%v seq=%d), oracle popped (at=%v seq=%d)",
 					seed, got.at, got.seq, want.at, want.seq)
 			}
 			popped = append(popped, got)
 		}
 		checkSorted()
-		if ref.len() != 0 || len(pending) != 0 {
-			t.Fatalf("seed %d: queue drained with %d reference and %d pending events left", seed, ref.len(), len(pending))
+		if len(ref) != 0 || len(pending) != 0 {
+			t.Fatalf("seed %d: queue drained with %d oracle and %d pending events left", seed, len(ref), len(pending))
 		}
 	}
 }

@@ -47,9 +47,8 @@ func benchMach(b *testing.B, ranks int) *machine.Config {
 	return m
 }
 
-// BenchmarkReplaySequential vs BenchmarkReplayParallel: the ablation
-// between the deterministic dataflow replayer and the goroutine-per-
-// rank replayer (the original MFACT's MPI structure).
+// BenchmarkReplaySequential prices one replay of a mid-sized mixed
+// trace over the standard sweep.
 func BenchmarkReplaySequential(b *testing.B) {
 	tr := benchTraceN(b, 64, 30)
 	mach := benchMach(b, 64)
@@ -60,17 +59,6 @@ func BenchmarkReplaySequential(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(tr.NumEvents()), "events/replay")
-}
-
-func BenchmarkReplayParallel(b *testing.B) {
-	tr := benchTraceN(b, 64, 30)
-	mach := benchMach(b, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ModelParallel(tr, mach, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSweepWidth shows the payoff of MFACT's multi-configuration

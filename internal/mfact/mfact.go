@@ -15,12 +15,12 @@
 // load-imbalance-bound, bandwidth-bound, latency-bound, or
 // communication-bound.
 //
-// Two replayers are provided: a deterministic sequential dataflow
-// replayer (the default) and a goroutine-per-rank parallel replayer
-// exchanging logical-clock vectors over channels, mirroring the MPI
-// implementation of the original tool (one MFACT process per traced
-// rank, timestamps transmitted instead of payloads). Both produce
-// identical results.
+// Replays run on a deterministic sequential dataflow replayer. The
+// package's tests hold it to an independent goroutine-per-rank
+// reference replayer that exchanges logical-clock vectors between
+// ranks, mirroring the MPI implementation of the original tool (one
+// MFACT process per traced rank, timestamps transmitted instead of
+// payloads); the two must agree bit for bit.
 package mfact
 
 import (
@@ -116,23 +116,13 @@ func (r *Result) TotalAt(cfg NetConfig) simtime.Time {
 // configurations (StandardSweep if nil) and classifies the
 // application.
 func Model(tr *trace.Trace, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(tr, mach, configs, false, nil)
-}
-
-// ModelParallel is Model using the goroutine-per-rank replayer.
-func ModelParallel(tr *trace.Trace, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(tr, mach, configs, true, nil)
+	return run(tr, mach, configs, nil)
 }
 
 // ModelSource is Model over any trace representation (array-of-structs
 // or columnar); by the determinism contract both replay bit-identically.
 func ModelSource(src trace.Source, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(src, mach, configs, false, nil)
-}
-
-// ModelParallelSource is ModelParallel over any trace representation.
-func ModelParallelSource(src trace.Source, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(src, mach, configs, true, nil)
+	return run(src, mach, configs, nil)
 }
 
 // Session owns replay state reused across traces — the sequential
@@ -151,10 +141,10 @@ func NewSession() *Session { return &Session{} }
 // Model is ModelSource drawing clock vectors from the session's free
 // list.
 func (s *Session) Model(src trace.Source, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(src, mach, configs, false, &s.pool)
+	return run(src, mach, configs, &s.pool)
 }
 
-func run(src trace.Source, mach *machine.Config, configs []NetConfig, parallel bool, pool *vecPool) (*Result, error) {
+func run(src trace.Source, mach *machine.Config, configs []NetConfig, pool *vecPool) (*Result, error) {
 	if configs == nil {
 		configs = StandardSweep()
 	}
@@ -169,13 +159,7 @@ func run(src trace.Source, mach *machine.Config, configs []NetConfig, parallel b
 	if len(mach.NodeOf) < src.TraceMeta().NumRanks {
 		return nil, fmt.Errorf("mfact: machine hosts %d ranks, trace has %d", len(mach.NodeOf), src.TraceMeta().NumRanks)
 	}
-	var st *state
-	var err error
-	if parallel {
-		st, err = replayParallel(src, mach, configs)
-	} else {
-		st, err = replaySequential(src, mach, configs, pool)
-	}
+	st, err := replaySequential(src, mach, configs, pool)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,7 @@ package mfact
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/simtime"
@@ -220,29 +218,6 @@ func randomMixedTrace(t *testing.T, rng *rand.Rand, n int) *trace.Trace {
 		t.Fatal(err)
 	}
 	return tr
-}
-
-func TestParallelMatchesSequentialProperty(t *testing.T) {
-	mach := testMach(t, 12)
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomMixedTrace(t, rng, 12)
-		seq, err := Model(tr, mach, nil)
-		if err != nil {
-			t.Fatalf("sequential: %v", err)
-		}
-		par, err := ModelParallel(tr, mach, nil)
-		if err != nil {
-			t.Fatalf("parallel: %v", err)
-		}
-		return reflect.DeepEqual(seq.Totals, par.Totals) &&
-			reflect.DeepEqual(seq.Comms, par.Comms) &&
-			reflect.DeepEqual(seq.PerConfig, par.PerConfig) &&
-			seq.Class == par.Class
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestEventsMatchTraceSize(t *testing.T) {

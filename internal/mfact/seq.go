@@ -12,15 +12,15 @@ import (
 // runs until it blocks on an unmatched receive, an incomplete wait, or
 // a collective whose members have not all arrived; matching events wake
 // blocked ranks through a worklist. The result is deterministic and
-// identical to the parallel replayer's.
+// identical to that of the goroutine-per-rank reference replayer the
+// tests hold it to (parallel_test.go).
 //
 // Clock vectors ([]simtime.Time of length K) are the replayer's only
-// per-event allocation, so the sequential path recycles them through a
-// free list: a vector is released once its reader has consumed it and
-// reallocated fully overwritten (snapshot copies, recvArrivalInto
-// writes every element), keeping values bit-identical to the
-// allocate-always parallel replayer. The parallel replayer cannot share
-// the list (its ranks run concurrently) and keeps allocating.
+// per-event allocation, so it recycles them through a free list: a
+// vector is released once its reader has consumed it and reallocated
+// fully overwritten (snapshot copies, recvArrivalInto writes every
+// element), keeping values bit-identical to the allocate-always
+// reference.
 
 type chanKey struct {
 	src, dst, tag int32
@@ -349,14 +349,9 @@ func replaySequential(src trace.Source, mach *machine.Config, configs []NetConfi
 	return st, nil
 }
 
-// recvArrival computes the arrival vector of a message sent at
-// sendPost (without completing a receive op).
-func recvArrival(st *state, sendPost []simtime.Time, bytes int64) []simtime.Time {
-	return recvArrivalInto(make([]simtime.Time, st.K), st, sendPost, bytes)
-}
-
-// recvArrivalInto is recvArrival writing into a caller-provided vector
-// (every element is overwritten).
+// recvArrivalInto writes into out the arrival vector of a message sent
+// at sendPost (without completing a receive op); every element is
+// overwritten.
 func recvArrivalInto(out []simtime.Time, st *state, sendPost []simtime.Time, bytes int64) []simtime.Time {
 	o := st.cm.overhead
 	for k := 0; k < st.K; k++ {

@@ -7,7 +7,8 @@ import (
 
 // state holds the logical clocks and counters of a replay in progress.
 // Rank r's rows are touched only by the code replaying rank r, so the
-// parallel replayer shares one state without locking.
+// goroutine-per-rank reference replayer of the tests shares one state
+// without locking.
 type state struct {
 	cm *costModel
 	K  int
@@ -34,14 +35,6 @@ func newState(n int, cm *costModel) *state {
 		st.comm[r] = make([]simtime.Time, cm.K)
 	}
 	return st
-}
-
-// snapshot copies rank r's clock vector (for transmitting as a
-// logical timestamp).
-func (st *state) snapshot(r int32) []simtime.Time {
-	out := make([]simtime.Time, st.K)
-	copy(out, st.clocks[r])
-	return out
 }
 
 // applyCompute advances rank r by a scaled computation interval.
@@ -77,7 +70,7 @@ func (st *state) applySend(r int32, bytes int64, blocking bool) {
 
 // applyRecvArrival completes a blocking receive on rank r whose
 // matched message arrives at the given vector (arrival = sender post +
-// o + α' + bytes/β', see recvArrival). The receive completes at
+// o + α' + bytes/β', see recvArrivalInto). The receive completes at
 // max(own, arrival) + o; wait is charged for sender lateness.
 func (st *state) applyRecvArrival(r int32, arrival []simtime.Time, bytes int64) {
 	st.events[r]++
@@ -126,23 +119,6 @@ func (st *state) applyWait(r int32, arrivals []simtime.Time) {
 		st.cnt[r][k].Latency += o
 		st.comm[r][k] += end - entry
 	}
-}
-
-// accumulateArrival element-wise maxes an arrival vector into acc,
-// returning acc (allocating it on first use).
-func accumulateArrival(acc, arrival []simtime.Time) []simtime.Time {
-	if arrival == nil {
-		return acc
-	}
-	if acc == nil {
-		acc = make([]simtime.Time, len(arrival))
-		copy(acc, arrival)
-		return acc
-	}
-	for k := range acc {
-		acc[k] = simtime.Max(acc[k], arrival[k])
-	}
-	return acc
 }
 
 // applyCollective completes a collective on rank r.

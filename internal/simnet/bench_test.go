@@ -92,31 +92,3 @@ func BenchmarkFlowChurn(b *testing.B) {
 	}
 	b.StopTimer()
 }
-
-// BenchmarkParallelPacketLPs scales the CMB-parallel packet network
-// over LP counts (uniform random-permutation traffic). On multicore
-// hosts this shows PDES speedup; the null-message overhead is visible
-// either way.
-func BenchmarkParallelPacketLPs(b *testing.B) {
-	mach, err := machine.Hopper(96, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, lps := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("lps=%d", lps), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pp, err := NewParallelPacket(mach, Config{}, lps)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for r := 0; r < 96; r++ {
-					d := (r*11 + 5) % 96
-					if d != r {
-						pp.Inject(0, int32(r), int32(d), 256<<10)
-					}
-				}
-				pp.Run()
-			}
-		})
-	}
-}
