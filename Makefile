@@ -77,7 +77,7 @@ microbench:
 # (plain `go test` already includes them; this target names them so a
 # corpus regression fails loudly on its own).
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/core/ ./internal/trace/ ./internal/tracecache/ ./internal/spec/
+	$(GO) test -run 'Fuzz' ./internal/core/ ./internal/mpisim/ ./internal/trace/ ./internal/tracecache/ ./internal/spec/
 
 # fuzz runs coverage-guided fuzzing on the checkpoint loader.
 FUZZTIME ?= 30s

@@ -105,6 +105,7 @@ func scenarios() []scenario {
 		{"simnet/flow-small", mkTraffic(simnet.Flow, 512, 1<<10)},
 		{"simnet/flow-alltoall-64", benchFlowAlltoall},
 		{"mpisim/replay-packet", mkReplay(simnet.Packet)},
+		{"mpisim/lower-stencil", benchLowerStencil},
 		{"mpisim/replay-packetflow", mkReplay(simnet.PacketFlow)},
 		{"trace/replay-cursor", benchReplayCursor},
 		{"trace/codec-roundtrip", benchCodecRoundtrip},
@@ -117,6 +118,7 @@ func scenarios() []scenario {
 		{"campaign/source-native", benchCampaignSource},
 		{"tracecache/acquire-cold", benchAcquireCold},
 		{"tracecache/acquire-warm", benchAcquireWarm},
+		{"tracecache/open-program", benchOpenProgram},
 		{"campaign/cold-cache", benchCampaignColdCache},
 		{"campaign/warm-cache", benchCampaignWarmCache},
 		{"campaign/triage-two-pass", benchCampaignTriageTwoPass},
@@ -556,8 +558,8 @@ func ensureWarmCache(short bool) {
 	}
 	for _, p := range campaignSuite(short) {
 		p := p
-		_, release, _, err := c.Acquire(p, func() (*trace.Columns, error) {
-			return workload.MaterializeColumns(p)
+		_, _, release, _, err := c.AcquireProgram(p, func() (*trace.Columns, *mpisim.Program, error) {
+			return workload.MaterializeReplay(p, workload.Limits{})
 		})
 		if err != nil {
 			panic(err)
@@ -627,6 +629,79 @@ func benchAcquireWarm(short bool) uint64 {
 	}
 	benchCacheStats = c.Stats()
 	return events
+}
+
+// stencilCache holds one class-B stencil trace (the p2p workloads' kind)
+// with its stored replay program, for the pair of scenarios that price
+// the two ways a campaign gets a program: lowering the trace, or
+// mapping the stored one.
+var stencilCache struct {
+	dir  string
+	p    workload.Params
+	cols *trace.Columns
+}
+
+func ensureStencil(short bool) {
+	if stencilCache.dir != "" {
+		return
+	}
+	p := workload.Params{App: "LULESH", Class: "B", Ranks: 128, Machine: "hopper", Seed: 1}
+	if short {
+		p.Class, p.Ranks = "S", 16
+	}
+	dir, err := os.MkdirTemp("", "bench-stencil-*")
+	if err != nil {
+		panic(err)
+	}
+	c, err := tracecache.Open(dir, tracecache.Options{})
+	if err != nil {
+		panic(err)
+	}
+	cols, _, _, _, err := c.AcquireProgram(p, func() (*trace.Columns, *mpisim.Program, error) {
+		return workload.MaterializeReplay(p, workload.Limits{})
+	})
+	if err != nil {
+		panic(err)
+	}
+	stencilCache.dir, stencilCache.p, stencilCache.cols = dir, p, cols
+}
+
+// benchLowerStencil lowers the stencil trace into a fresh program: what
+// every campaign paid per trace before programs were cached, and what a
+// hit whose program is missing or stale still pays. Events are trace
+// events.
+func benchLowerStencil(short bool) uint64 {
+	ensureStencil(short)
+	if _, err := mpisim.Lower(stencilCache.cols); err != nil {
+		panic(err)
+	}
+	return uint64(stencilCache.cols.NumEvents())
+}
+
+// benchOpenProgram acquires the stencil trace and its program as a
+// cache hit: the trace's verification and mapping plus the program's
+// mapping, checksum and validation. Its ns/op over
+// mpisim/lower-stencil's is what serving the program saves per trace
+// (an upper bound on the program's own open cost, since the trace's
+// share is paid either way).
+func benchOpenProgram(short bool) uint64 {
+	ensureStencil(short)
+	c, err := tracecache.Open(stencilCache.dir, tracecache.Options{})
+	if err != nil {
+		panic(err)
+	}
+	cols, _, release, hit, err := c.AcquireProgram(stencilCache.p, func() (*trace.Columns, *mpisim.Program, error) {
+		panic("stencil acquire missed the cache")
+	})
+	if err != nil {
+		panic(err)
+	}
+	if !hit || c.Stats().Relowered != 0 {
+		panic("stencil acquire did not map a stored program")
+	}
+	release()
+	benchCacheStats = c.Stats()
+	return uint64(cols.NumEvents())
 }
 
 // benchCampaignColdCache is the Source-native campaign run through an

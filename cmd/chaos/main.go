@@ -379,12 +379,13 @@ func soakTriage(seed int64, ps []workload.Params, schemes []string, baseline []*
 
 // soakCache soak-tests the trace cache's never-trust-damage contract:
 // a cold cached campaign must match the uncached baseline bit for bit,
-// then a warm re-run under real damage — one entry's trace file gets a
-// byte flipped on disk, and the tracecache/open failpoint fires once —
-// must detect every damaged open, evict, regenerate, and still match
-// the baseline. A final run proves the repaired cache serves fully
-// warm. A cache fault may cost regeneration; it may never change a
-// result or fail a trace.
+// then a warm re-run under real damage — one entry's trace file and
+// another entry's replay program each get a byte flipped on disk, and
+// the tracecache/open failpoint fires once — must detect every damaged
+// open, evict and regenerate a damaged trace, re-lower a damaged
+// program without touching its trace, and still match the baseline. A
+// final run proves the repaired cache serves fully warm. A cache fault
+// may cost regeneration; it may never change a result or fail a trace.
 func soakCache(seed int64, ps []workload.Params, schemes []string, baseline []*core.TraceResult, dir string) error {
 	rng := rand.New(rand.NewSource(seed ^ 0x7ca))
 	cache, err := tracecache.Open(filepath.Join(dir, fmt.Sprintf("cache-seed%d", seed)), tracecache.Options{
@@ -419,19 +420,33 @@ func soakCache(seed int64, ps []workload.Params, schemes []string, baseline []*c
 		return fmt.Errorf("cold run: %d misses / %d hits, want %d / 0", st.Misses, st.Hits, len(ps))
 	}
 
-	// Real damage: flip one byte of a random entry's trace file.
+	// Real damage: flip one byte of a random entry's trace file, and one
+	// byte of the next entry's program file.
 	entries, err := cache.List()
 	if err != nil || len(entries) == 0 {
 		return fmt.Errorf("cache listing after cold run: %d entries, err %v", len(entries), err)
 	}
-	victim, _ := cache.EntryPaths(entries[rng.Intn(len(entries))].Hash)
-	img, err := os.ReadFile(victim)
-	if err != nil {
-		return fmt.Errorf("reading victim entry: %w", err)
+	v := rng.Intn(len(entries))
+	victim, _ := cache.EntryPaths(entries[v].Hash)
+	flip := func(path string) error {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("reading victim file: %w", err)
+		}
+		img[rng.Intn(len(img))] ^= 1 << uint(rng.Intn(8))
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			return fmt.Errorf("flipping victim file: %w", err)
+		}
+		return nil
 	}
-	img[rng.Intn(len(img))] ^= 1 << uint(rng.Intn(8))
-	if err := os.WriteFile(victim, img, 0o644); err != nil {
-		return fmt.Errorf("flipping victim entry: %w", err)
+	if err := flip(victim); err != nil {
+		return err
+	}
+	progVictim := len(entries) > 1
+	if progVictim {
+		if err := flip(cache.ProgramPath(entries[(v+1)%len(entries)].Hash)); err != nil {
+			return err
+		}
 	}
 
 	// Injected damage: tracecache/open fires on one of the warm opens.
@@ -460,6 +475,12 @@ func soakCache(seed int64, ps []workload.Params, schemes []string, baseline []*c
 		return fmt.Errorf("damaged-warm run: %d misses / %d hits with %d corrupt, want %d / %d",
 			d.Misses, d.Hits, d.Corrupt, d.Corrupt, int64(len(ps))-d.Corrupt)
 	}
+	// The damaged program is re-lowered from its intact trace, unless the
+	// failpoint evicted that whole entry first; either way it is counted.
+	if progVictim && (d.Relowered > 1 || d.Corrupt+d.Relowered < 2) {
+		return fmt.Errorf("damaged-warm run re-lowered %d programs with %d corrupt entries; the flipped program went unnoticed",
+			d.Relowered, d.Corrupt)
+	}
 	vlogf("  cache: damage run: %s", d)
 
 	// The regenerated entries must serve the next campaign fully warm.
@@ -471,8 +492,9 @@ func soakCache(seed int64, ps []workload.Params, schemes []string, baseline []*c
 	if err := match(third, "repaired-warm"); err != nil {
 		return err
 	}
-	if d := cache.Stats().Sub(prev); d.Misses != 0 || d.Hits != int64(len(ps)) {
-		return fmt.Errorf("post-repair run: %d misses / %d hits, want 0 / %d", d.Misses, d.Hits, len(ps))
+	if d := cache.Stats().Sub(prev); d.Misses != 0 || d.Hits != int64(len(ps)) || d.Relowered != 0 {
+		return fmt.Errorf("post-repair run: %d misses / %d hits / %d programs re-lowered, want 0 / %d / 0",
+			d.Misses, d.Hits, d.Relowered, len(ps))
 	}
 	return nil
 }

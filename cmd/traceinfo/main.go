@@ -1,7 +1,9 @@
 // Command traceinfo inspects a trace file: metadata, event and
 // operation counts, measured times, and the Table III feature vector.
 // With -cache it instead lists a trace-cache directory: each entry's
-// key, codec and workload-schema versions, size, and last use.
+// key, codec and workload-schema versions, size, and last use, and its
+// replay program's lowering version and size, marking programs the next
+// hit would lower again.
 //
 // Usage:
 //
@@ -10,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,10 +73,27 @@ func describeCache(dir string) error {
 		fmt.Printf("  %s  codec=v%d schema=%d  %8.2f MB  last use %s  %s%s\n",
 			e.Hash, e.Codec, e.WorkloadSchema, float64(e.Bytes)/1e6,
 			e.LastUse.Format("2006-01-02 15:04:05"), e.Key, stale)
+		fmt.Printf("    program  %s\n", describeProgram(e))
 		total += e.Bytes
 	}
 	fmt.Printf("  total %.2f MB\n", float64(total)/1e6)
 	return nil
+}
+
+// describeProgram says what the next hit on e does with its stored
+// replay program: map it, or lower the trace again and why.
+func describeProgram(e tracecache.Entry) string {
+	switch {
+	case e.ProgramErr == nil:
+		return fmt.Sprintf("lowering=v%d %.2f MB", e.ProgramVersion, float64(e.ProgramBytes)/1e6)
+	case os.IsNotExist(e.ProgramErr):
+		return "none (the next hit lowers and stores one)"
+	case errors.Is(e.ProgramErr, tracecache.ErrCorrupt):
+		return fmt.Sprintf("%.2f MB  DAMAGED (will re-lower): %v", float64(e.ProgramBytes)/1e6, e.ProgramErr)
+	default:
+		return fmt.Sprintf("lowering=v%d %.2f MB  STALE (will re-lower): %v",
+			e.ProgramVersion, float64(e.ProgramBytes)/1e6, e.ProgramErr)
+	}
 }
 
 func describe(path string, verbose bool) error {

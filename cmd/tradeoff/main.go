@@ -372,9 +372,11 @@ func loadSpec(path string, explicit map[string]bool) (*spec.Compiled, error) {
 // measurable: benchmark/ refuses to report peak_rss_mb for a child
 // whose peak is not above the harness's own ≈ 22 MB (ru_maxrss is
 // inherited across exec), and without the floor triage_small's
-// campaign peaks at 17 MB. 7 MB puts it at 26 MB, where it was before
-// replays stopped producing garbage.
-var heapBallast = make([]byte, 7<<20)
+// campaign peaks at 17 MB. 7 MB put it at 26 MB, where it was before
+// replays stopped producing garbage; since MFACT stopped allocating per
+// event and cache hits stopped lowering, it takes 10 MB to keep it at
+// 25–27 MB.
+var heapBallast = make([]byte, 10<<20)
 
 func main() {
 	flag.Parse()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"hpctradeoff/internal/features"
@@ -53,6 +54,34 @@ func synthObs(n int, seed int64) []Observation {
 	return out
 }
 
+// trainedFixture is the one model the fixture tests below talk about:
+// Train(synthObs(235, 7), 40, 5, 11), fitted once per test binary. The
+// fit is the expensive part of those tests, and sharing it also makes
+// every assertion hold of the same model.
+var trainedFixture = sync.OnceValues(func() (*fixture, error) {
+	obs := synthObs(235, 7)
+	m, err := Train(obs, 40, 5, 11)
+	if err != nil {
+		return nil, err
+	}
+	return &fixture{obs: obs, m: m}, nil
+})
+
+type fixture struct {
+	obs []Observation
+	m   *Model
+}
+
+// trained returns the shared fixture; tests must not modify it.
+func trained(t *testing.T) ([]Observation, *Model) {
+	t.Helper()
+	f, err := trainedFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.obs, f.m
+}
+
 func TestLabeling(t *testing.T) {
 	if (Observation{DiffTotal: 0.019}).NeedsSimulation() {
 		t.Error("1.9% should not need simulation")
@@ -78,14 +107,10 @@ func TestBuildDatasetValidation(t *testing.T) {
 }
 
 func TestNaiveVsTrainedModel(t *testing.T) {
-	obs := synthObs(235, 7)
+	obs, m := trained(t)
 	naive := NaiveSuccessRate(obs)
 	if naive < 0.5 || naive > 0.98 {
 		t.Fatalf("naive success rate = %v, expected informative baseline", naive)
-	}
-	m, err := Train(obs, 40, 5, 11)
-	if err != nil {
-		t.Fatal(err)
 	}
 	sr := m.SuccessRate()
 	if sr < naive-0.02 {
@@ -111,11 +136,7 @@ func TestNaiveVsTrainedModel(t *testing.T) {
 // endpoint exactness rests on: Score never returns 0 or 1, even on
 // feature vectors extreme enough to saturate the logistic link.
 func TestScoreStrictlyInterior(t *testing.T) {
-	obs := synthObs(235, 7)
-	m, err := Train(obs, 40, 5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs, m := trained(t)
 	nf := len(features.Names())
 	extremes := [][]float64{make([]float64, nf), make([]float64, nf)}
 	for j := range extremes[0] {
@@ -138,11 +159,7 @@ func TestScoreStrictlyInterior(t *testing.T) {
 // the predicted probability (and against it, only lower it), holding
 // everything else fixed.
 func TestScoreMonotonePerFeature(t *testing.T) {
-	obs := synthObs(235, 7)
-	m, err := Train(obs, 40, 5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs, m := trained(t)
 	names, coefs := m.SelectedFeatures()
 	if len(names) == 0 {
 		t.Fatal("no features selected")
@@ -179,11 +196,7 @@ func TestScoreMonotonePerFeature(t *testing.T) {
 //
 //	go test ./internal/classifier/ -run TestConfusionGolden -update
 func TestConfusionGolden(t *testing.T) {
-	obs := synthObs(235, 7)
-	m, err := Train(obs, 40, 5, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs, m := trained(t)
 	tp, fp, tn, fn := 0, 0, 0, 0
 	for _, o := range obs {
 		switch pred, want := m.NeedsSimulation(o.X), o.NeedsSimulation(); {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hpctradeoff/internal/faultinject"
+	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/tracecache"
 	"hpctradeoff/internal/triage"
 	"hpctradeoff/internal/workload"
@@ -349,5 +353,101 @@ func TestTradeoffCacheFlagSummary(t *testing.T) {
 	rep := &CampaignReport{Total: 1, Cache: &tracecache.Stats{Hits: 2, Misses: 1}}
 	if s := rep.Summary(); !strings.Contains(s, "[trace cache: 2 hits, 1 misses]") {
 		t.Errorf("Summary() = %q", s)
+	}
+}
+
+// TestCachedCampaignProgramDamage damages the replay program stored next
+// to each cached trace — missing, truncated, bit-flipped, or stamped by
+// an older lowering version — between campaigns. Each time the campaign
+// must equal the uncached baseline, serve every trace from the cache
+// (no miss: the program is re-lowered from the verified trace, not the
+// trace regenerated), count the re-lowering, and leave a repaired
+// program that the next campaign maps without lowering.
+func TestCachedCampaignProgramDamage(t *testing.T) {
+	ps := shardSuite()[:3]
+	cache := openTestCache(t, filepath.Join(t.TempDir(), "cache"))
+	want, _, err := RunCampaign(ps, CampaignConfig{Workers: 1})
+	if err != nil {
+		t.Fatalf("uncached campaign: %v", err)
+	}
+	normalizeSlice(want)
+	if _, _, err := RunCampaign(ps, CampaignConfig{Workers: 1, Cache: cache}); err != nil {
+		t.Fatalf("cold cached campaign: %v", err)
+	}
+
+	damage := map[string]func(img []byte) []byte{
+		"missing":   func([]byte) []byte { return nil },
+		"truncated": func(img []byte) []byte { return img[:len(img)*2/3] },
+		"bit-flipped": func(img []byte) []byte {
+			img[len(img)/2] ^= 0x04
+			return img
+		},
+		"older-lowering": func(img []byte) []byte {
+			// A header that is intact but names the previous lowering
+			// version (field at byte 12, header checksum at byte 60).
+			binary.LittleEndian.PutUint32(img[12:], mpisim.LoweringVersion-1)
+			binary.LittleEndian.PutUint32(img[60:], crc32.Checksum(img[:60], crc32.MakeTable(crc32.Castagnoli)))
+			return img
+		},
+	}
+	for _, name := range []string{"missing", "truncated", "bit-flipped", "older-lowering"} {
+		for _, p := range ps {
+			path := cache.ProgramPath(tracecache.Hash(p))
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if img = damage[name](img); img == nil {
+				err = os.Remove(path)
+			} else {
+				err = os.WriteFile(path, img, 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, rep, err := RunCampaign(ps, CampaignConfig{Workers: 1, Cache: cache})
+		if err != nil {
+			t.Fatalf("%s programs: %v", name, err)
+		}
+		requireSameResultSlices(t, name+" programs", ps, want, normalizeSlice(got))
+		if st := rep.Cache; st.Misses != 0 || st.Hits != int64(len(ps)) || st.Corrupt != 0 || st.Relowered != int64(len(ps)) {
+			t.Fatalf("%s programs: cache stats %+v, want %d hits re-lowered and nothing else", name, st, len(ps))
+		}
+		_, rep, err = RunCampaign(ps, CampaignConfig{Workers: 1, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Cache.Relowered != 0 || rep.Cache.Hits != int64(len(ps)) {
+			t.Fatalf("after repairing %s programs: cache stats %+v, want %d plain hits", name, rep.Cache, len(ps))
+		}
+	}
+}
+
+// TestWarmCampaignNeverLowers arms the lowering failpoint over a warm
+// campaign: every scheme must replay the program the cache maps, so not
+// one lowering runs and every outcome equals the uncached baseline's.
+func TestWarmCampaignNeverLowers(t *testing.T) {
+	ps := shardSuite()[:4]
+	cache := openTestCache(t, filepath.Join(t.TempDir(), "cache"))
+	want, _, err := RunCampaign(ps, CampaignConfig{Workers: 1})
+	if err != nil {
+		t.Fatalf("uncached campaign: %v", err)
+	}
+	normalizeSlice(want)
+	if _, _, err := RunCampaign(ps, CampaignConfig{Workers: 1, Cache: cache}); err != nil {
+		t.Fatalf("cold cached campaign: %v", err)
+	}
+	armFaults(t, 1, faultinject.Rule{Site: "mpisim/lower", Action: faultinject.ActError})
+	got, rep, err := RunCampaign(ps, CampaignConfig{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatalf("warm campaign: %v", err)
+	}
+	if fired := faultinject.Fired(); len(fired) != 0 {
+		t.Fatalf("a warm campaign lowered %d times: %v", len(fired), fired[0])
+	}
+	requireSameResultSlices(t, "warm, lowering disabled", ps, want, normalizeSlice(got))
+	if rep.Cache.Misses != 0 || rep.Cache.Relowered != 0 {
+		t.Fatalf("warm cache stats = %+v", rep.Cache)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"hpctradeoff/internal/features"
 	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/mfact"
+	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/scheme"
 	"hpctradeoff/internal/simtime"
 	"hpctradeoff/internal/trace"
@@ -201,34 +202,41 @@ func (rn *Runner) RunOne(p workload.Params, ro RunOptions) (*TraceResult, error)
 	if ro.Timeout > 0 {
 		deadline = time.Now().Add(ro.Timeout)
 	}
-	materialize := func() (*trace.Columns, error) {
-		return workload.MaterializeColumnsLimits(p, workload.Limits{
+	materialize := func() (*trace.Columns, *mpisim.Program, error) {
+		return workload.MaterializeReplay(p, workload.Limits{
 			Deadline: deadline, MaxEvents: ro.MaxEvents, Cancel: ro.Cancel,
 		})
 	}
 	var (
 		cols    *trace.Columns
+		prog    *mpisim.Program
 		release = func() {}
 		err     error
 	)
 	if rn.cache != nil {
-		cols, release, _, err = rn.cache.Acquire(p, materialize)
+		cols, prog, release, _, err = rn.cache.AcquireProgram(p, materialize)
 	} else {
-		cols, err = materialize()
+		cols, prog, err = materialize()
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	// The shared session adopts prog, which may alias the mapping that
+	// release unmaps: drop the adoption first.
+	defer func() {
+		rn.sessions.NextTrace(nil)
+		release()
+	}()
 	mach, err := machine.New(p.Machine, p.Ranks, p.RanksPerNode)
 	if err != nil {
 		return nil, err
 	}
-	return rn.runSource(cols, mach, p, scheme.Options{Deadline: deadline, MaxEvents: ro.MaxEvents, Cancel: ro.Cancel})
+	return rn.runSource(cols, prog, mach, p, scheme.Options{Deadline: deadline, MaxEvents: ro.MaxEvents, Cancel: ro.Cancel})
 }
 
-// runSource runs every scheme session on an already-stamped source.
-func (rn *Runner) runSource(src trace.Source, mach *machine.Config, p workload.Params, opts scheme.Options) (*TraceResult, error) {
+// runSource runs every scheme session on an already-stamped source
+// whose replay program is prog (nil: the sessions lower it).
+func (rn *Runner) runSource(src trace.Source, prog *mpisim.Program, mach *machine.Config, p workload.Params, opts scheme.Options) (*TraceResult, error) {
 	res := &TraceResult{
 		Params:       p,
 		ID:           src.TraceMeta().ID(),
@@ -238,7 +246,7 @@ func (rn *Runner) runSource(src trace.Source, mach *machine.Config, p workload.P
 		Events:       trace.SourceNumEvents(src),
 		Schemes:      make(map[string]scheme.Outcome, len(rn.schemes)),
 	}
-	rn.sessions.NextTrace()
+	rn.sessions.NextTrace(prog)
 	for i, s := range rn.schemes {
 		name := s.Name()
 		if rn.breakers != nil && !rn.breakers.allow(name) {
@@ -303,7 +311,7 @@ func RunOnTrace(t *trace.Trace, mach *machine.Config, p workload.Params) (*Trace
 	if err != nil {
 		return nil, err
 	}
-	return rn.runSource(t, mach, p, scheme.Options{})
+	return rn.runSource(t, nil, mach, p, scheme.Options{})
 }
 
 // RunSuite runs the given manifest with a worker pool (both tools use

@@ -389,33 +389,43 @@ func TestDegradeSkipsCanceled(t *testing.T) {
 	}
 }
 
-// Closing Cancel mid-campaign stops in-flight replays through the DES
-// engines' Stop path: the running trace fails with KindCanceled, no
-// further traces are scheduled, and completed work is preserved.
+// Closing Cancel mid-campaign fails the trace that sees it with
+// KindCanceled, schedules no further traces, and preserves completed
+// work. TestCancelStopsRunningReplay covers a cancel that lands while a
+// replay is running.
 func TestCampaignCancellation(t *testing.T) {
-	// Stalls slow the simulation enough that cancellation lands mid-run.
-	armFaults(t, 1, faultinject.Rule{
-		Site: "des/step", Action: faultinject.ActStall,
-		Every: 200, Stall: 500 * time.Microsecond,
-	})
-
+	schemes := []string{"mfact", "packet"}
+	rn, err := NewRunner(schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The campaign cancels itself as its second trace starts, so that
+	// trace is in flight when Cancel closes however fast the host runs
+	// it, and the first has completed.
 	cancel := make(chan struct{})
-	go func() {
-		time.Sleep(15 * time.Millisecond)
-		close(cancel)
-	}()
+	started := 0
+	runner := func(p workload.Params, ro RunOptions) (*TraceResult, error) {
+		if started++; started == 2 {
+			close(cancel)
+		}
+		return rn.RunOne(p, ro)
+	}
 	ps := smallParams("EP", "IS", "DT")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1,
-		Schemes: []string{"mfact", "packet"},
+		Schemes: schemes,
 		Policy:  FailurePolicy{KeepGoing: true},
 		Cancel:  cancel,
+		Runner:  runner,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Canceled == 0 {
 		t.Fatalf("no trace classified canceled: %+v (results %v)", rep, rs)
+	}
+	if rs[0] == nil || rep.Succeeded != 1 {
+		t.Errorf("the trace completed before cancellation was lost: %d succeeded (results %v)", rep.Succeeded, rs)
 	}
 	for _, te := range rep.Errors {
 		if te.Kind != KindCanceled {
@@ -427,6 +437,46 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 	if !strings.Contains(rep.Summary(), "interrupted") {
 		t.Errorf("summary omits interruption: %s", rep.Summary())
+	}
+}
+
+// A cancel that arrives while a replay runs (Ctrl-C on cmd/tradeoff)
+// must reach the engine through the replay's watcher. Every engine step
+// stalls 1 ms, so the stamper's replay of thousands of events runs for
+// seconds; Cancel closes once a step has fired, so the replay is under
+// way and the already-canceled check at its start cannot be what stops
+// it. The error must report a run halted after some events.
+func TestCancelStopsRunningReplay(t *testing.T) {
+	armFaults(t, 1, faultinject.Rule{
+		Site: "des/step", Action: faultinject.ActStall,
+		Every: 1, Stall: time.Millisecond,
+	})
+	cancel, done := make(chan struct{}), make(chan struct{})
+	defer close(done)
+	go func() {
+		for len(faultinject.Fired()) == 0 {
+			select {
+			case <-done:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+		close(cancel)
+	}()
+	p := workload.Params{App: "CG", Class: "S", Ranks: 16, Machine: "cielito", Seed: 7}
+	_, err := RunOneOpts(p, RunOptions{Cancel: cancel})
+	if !errors.Is(err, des.ErrCanceled) {
+		t.Fatalf("canceled run err = %v, want des.ErrCanceled", err)
+	}
+	if Classify(err) != KindCanceled {
+		t.Errorf("canceled run classified %s, want canceled", Classify(err))
+	}
+	var steps uint64
+	msg := err.Error()
+	if i := strings.Index(msg, "aborted after "); i < 0 {
+		t.Errorf("error does not report where the replay stopped: %v", err)
+	} else if _, serr := fmt.Sscanf(msg[i:], "aborted after %d events", &steps); serr != nil || steps == 0 {
+		t.Errorf("replay stopped after %d events (%v), want a run halted mid-way: %v", steps, serr, err)
 	}
 }
 

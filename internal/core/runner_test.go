@@ -31,7 +31,7 @@ func statelessResult(t *testing.T, p workload.Params) *TraceResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rn.runSource(cols, mach, p, scheme.Options{})
+	res, err := rn.runSource(cols, nil, mach, p, scheme.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"hpctradeoff/internal/machine"
+	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/simtime"
 	"hpctradeoff/internal/trace"
 )
 
 // benchTrace builds a mid-sized mixed trace (stencil + collectives +
 // nonblocking p2p) for replayer benchmarks.
-func benchTraceN(b *testing.B, ranks, steps int) *trace.Trace {
+func benchTraceN(b testing.TB, ranks, steps int) *trace.Trace {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	bld := trace.NewBuilder(trace.Meta{App: "bench", NumRanks: ranks})
@@ -38,7 +39,7 @@ func benchTraceN(b *testing.B, ranks, steps int) *trace.Trace {
 	return tr
 }
 
-func benchMach(b *testing.B, ranks int) *machine.Config {
+func benchMach(b testing.TB, ranks int) *machine.Config {
 	b.Helper()
 	m, err := machine.Hopper(ranks, 0)
 	if err != nil {
@@ -105,4 +106,54 @@ func BenchmarkOnePassVsPerConfig(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestSessionAllocationsIndependentOfLength pins MFACT's steady-state
+// cost at zero allocations per event: once a session has replayed a
+// trace, replaying its program again allocates only per-trace state
+// (the rank clocks and the result), so a trace twice as long costs the
+// same number of allocations.
+func TestSessionAllocationsIndependentOfLength(t *testing.T) {
+	mach := benchMach(t, 64)
+	allocs := func(steps int) (float64, int) {
+		tr := benchTraceN(t, 64, steps)
+		prog, err := mpisim.Lower(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession()
+		run := func() {
+			if _, err := s.ModelProgram(tr, prog, mach, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // size the session's arrays
+		return testing.AllocsPerRun(5, run), tr.NumEvents()
+	}
+	short, nShort := allocs(30)
+	long, nLong := allocs(60)
+	if long != short {
+		t.Fatalf("%v allocations for %d events, %v for %d: a replay allocates per event", short, nShort, long, nLong)
+	}
+	t.Logf("%v allocations per replay (%.4f per event at %d events)", long, long/float64(nLong), nLong)
+}
+
+// BenchmarkModelProgram is one session replay of a lowered program, the
+// per-trace MFACT cost on a warm campaign.
+func BenchmarkModelProgram(b *testing.B) {
+	tr := benchTraceN(b, 64, 30)
+	mach := benchMach(b, 64)
+	prog, err := mpisim.Lower(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewSession()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.ModelProgram(tr, prog, mach, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.NumEvents()), "ns/event")
 }

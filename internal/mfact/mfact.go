@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"hpctradeoff/internal/machine"
+	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/simtime"
 	"hpctradeoff/internal/trace"
 )
@@ -116,35 +117,45 @@ func (r *Result) TotalAt(cfg NetConfig) simtime.Time {
 // configurations (StandardSweep if nil) and classifies the
 // application.
 func Model(tr *trace.Trace, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(tr, mach, configs, nil)
+	return NewSession().Model(tr, mach, configs)
 }
 
 // ModelSource is Model over any trace representation (array-of-structs
 // or columnar); by the determinism contract both replay bit-identically.
 func ModelSource(src trace.Source, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(src, mach, configs, nil)
+	return NewSession().Model(src, mach, configs)
 }
 
-// Session owns replay state reused across traces — the sequential
-// replayer's clock-vector free list — so a campaign worker modeling
-// hundreds of traces amortizes its per-trace allocations. Recycled
-// vectors are fully overwritten before use, so session replays stay
-// bit-identical to stateless ones. A Session is not safe for
-// concurrent use.
+// Session owns replay state reused across traces — clock vectors,
+// message records, request and collective state, and the arenas a
+// trace is lowered into — so a campaign worker modeling hundreds of
+// traces amortizes its allocations. Recycled state is overwritten
+// before use, so session replays stay bit-identical to stateless ones.
+// A Session is not safe for concurrent use.
 type Session struct {
-	pool vecPool
+	rp  replayer
+	low *mpisim.Session // arenas for traces that come without a program
 }
 
 // NewSession returns an empty Session.
-func NewSession() *Session { return &Session{} }
+func NewSession() *Session { return &Session{low: mpisim.NewSession()} }
 
-// Model is ModelSource drawing clock vectors from the session's free
-// list.
+// Model lowers src to its replay program and models it: ModelProgram
+// for a caller that does not hold the program.
 func (s *Session) Model(src trace.Source, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return run(src, mach, configs, &s.pool)
+	s.low.Reset()
+	prog, err := s.low.Lower(src)
+	if err != nil {
+		return nil, fmt.Errorf("mfact: %w", err)
+	}
+	return s.ModelProgram(src, prog, mach, configs)
 }
 
-func run(src trace.Source, mach *machine.Config, configs []NetConfig, pool *vecPool) (*Result, error) {
+// ModelProgram replays src, whose lowered program is prog, once over
+// the given configurations (StandardSweep if nil) and classifies the
+// application. The trace is read only at collectives; prog supplies
+// everything else.
+func (s *Session) ModelProgram(src trace.Source, prog *mpisim.Program, mach *machine.Config, configs []NetConfig) (*Result, error) {
 	if configs == nil {
 		configs = StandardSweep()
 	}
@@ -159,7 +170,7 @@ func run(src trace.Source, mach *machine.Config, configs []NetConfig, pool *vecP
 	if len(mach.NodeOf) < src.TraceMeta().NumRanks {
 		return nil, fmt.Errorf("mfact: machine hosts %d ranks, trace has %d", len(mach.NodeOf), src.TraceMeta().NumRanks)
 	}
-	st, err := replaySequential(src, mach, configs, pool)
+	st, err := s.rp.replay(src, prog, mach, configs)
 	if err != nil {
 		return nil, err
 	}

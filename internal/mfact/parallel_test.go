@@ -70,6 +70,23 @@ func TestParallelMatchesSequentialProperty(t *testing.T) {
 			if !sameResult(seq, ref) {
 				t.Errorf("sequential %+v\nreference  %+v", seq, ref)
 			}
+
+			// The campaign path: the stamped trace modeled from the
+			// program its stamping left behind, as a cache hit serves it.
+			stamped, prog, err := workload.MaterializeReplay(p, workload.Limits{})
+			if err != nil {
+				t.Fatalf("MaterializeReplay: %v", err)
+			}
+			seq, err = NewSession().ModelProgram(stamped, prog, mach, nil)
+			if err != nil {
+				t.Fatalf("sequential on the stamper's program: %v", err)
+			}
+			if ref, err = modelReference(stamped, mach, nil); err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			if len(seq.Configs) != 13 || !sameResult(seq, ref) {
+				t.Errorf("stamped, %d configs: sequential %+v\nreference  %+v", len(seq.Configs), seq, ref)
+			}
 		})
 	}
 }
@@ -96,6 +113,25 @@ func modelReference(src trace.Source, mach *machine.Config, configs []NetConfig)
 	res.Configs = configs
 	res.Class = Classify(res)
 	return res, nil
+}
+
+// chanKey is the MPI matching key of a point-to-point message.
+type chanKey struct {
+	src, dst, tag int32
+	comm          trace.CommID
+}
+
+// seqSend is a sent message's logical timestamp in a mailbox.
+type seqSend struct {
+	post  []simtime.Time
+	bytes int64
+}
+
+// collKey names one collective instance: the communicator and the
+// instance's sequence number in it.
+type collKey struct {
+	comm trace.CommID
+	seq  int
 }
 
 // snapshot copies rank r's clock vector (for transmitting as a

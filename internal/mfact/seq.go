@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hpctradeoff/internal/machine"
+	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/simtime"
 	"hpctradeoff/internal/trace"
 )
@@ -15,245 +16,329 @@ import (
 // identical to that of the goroutine-per-rank reference replayer the
 // tests hold it to (parallel_test.go).
 //
-// Clock vectors ([]simtime.Time of length K) are the replayer's only
-// per-event allocation, so it recycles them through a free list: a
-// vector is released once its reader has consumed it and reallocated
-// fully overwritten (snapshot copies, recvArrivalInto writes every
-// element), keeping values bit-identical to the allocate-always
-// reference.
+// It walks the trace's lowered program (mpisim.Program, the one the
+// simulators replay) in lockstep with the trace. Every point-to-point,
+// compute and wait event is one program op that already carries a
+// dense matching-channel id and dense request ids, so matching indexes
+// flat arrays instead of hashing (src, dst, tag, comm) keys; the trace
+// itself is read only at collectives, whose lowered rounds MFACT skips
+// in favour of its cost formulas. Message records, request states,
+// collective instances and clock vectors all live in session-owned
+// arrays addressed by int32 handles and recycled through free lists, so
+// a replay in steady state allocates nothing per event; recycled
+// vectors are fully overwritten before use (snapshot copies,
+// recvArrivalInto writes every element), keeping values bit-identical
+// to the allocate-always reference.
 
-type chanKey struct {
-	src, dst, tag int32
-	comm          trace.CommID
+// vecArena holds clock vectors of length k in fixed-size slabs, so a
+// handle stays valid while the arena grows. Handle 0 means "no vector".
+type vecArena struct {
+	k     int
+	slabs [][]simtime.Time
+	free  []int32
+	next  int32 // the lowest handle never handed out
 }
 
-// seqPending is a receive awaiting its matching send.
-type seqPending struct {
-	rank     int32
-	sendPost []simtime.Time // filled by the matching send
-	bytes    int64
-	filled   bool
-	req      int32 // NoReq for blocking receives
+const (
+	slabShift = 8 // 256 vectors per slab
+	slabMask  = 1<<slabShift - 1
+)
+
+// reset forgets every handle for a replay with vectors of length k,
+// keeping the slabs when k is unchanged.
+func (a *vecArena) reset(k int) {
+	if a.k != k {
+		a.k, a.slabs = k, a.slabs[:0]
+	}
+	a.free, a.next = a.free[:0], 1
 }
 
-type seqChannel struct {
-	sends   []seqSend
-	waiters []*seqPending
+// get returns a vector handle. The vector is NOT zeroed; every
+// producer fully overwrites it.
+func (a *vecArena) get() int32 {
+	if n := len(a.free); n > 0 {
+		h := a.free[n-1]
+		a.free = a.free[:n-1]
+		return h
+	}
+	h := a.next
+	a.next++
+	if int(h>>slabShift) == len(a.slabs) {
+		a.slabs = append(a.slabs, make([]simtime.Time, a.k<<slabShift))
+	}
+	return h
 }
 
-type seqSend struct {
-	post  []simtime.Time
-	bytes int64
+func (a *vecArena) put(h int32) {
+	if h != 0 {
+		a.free = append(a.free, h)
+	}
 }
 
-// seqReq tracks one nonblocking request's completion.
-type seqReq struct {
-	// arrival is the request's completion clock vector; nil until the
-	// match happens (recv) — send requests are filled at post.
-	arrival []simtime.Time
-	pending *seqPending // for recv requests still awaiting a send
+// vec returns the vector of handle h (nil for 0).
+func (a *vecArena) vec(h int32) []simtime.Time {
+	if h == 0 {
+		return nil
+	}
+	i := int(h&slabMask) * a.k
+	return a.slabs[h>>slabShift][i : i+a.k : i+a.k]
+}
+
+// msg is a send queued on its channel for a receive to come, or a
+// posted receive (a waiter) queued for a send. A channel's queue holds
+// one kind at a time: an arriving op first matches the other kind.
+type msg struct {
+	bytes  int64 // a waiter's receive size
+	post   int32 // the send's post clock; a waiter's is set when matched
+	next   int32 // the message queued after this one on its channel
+	rank   int32 // a waiter's receiving rank
+	send   bool
+	filled bool // a waiter has been matched
+}
+
+// queue is one matching channel's FIFO of msg handles (0 = empty).
+type queue struct{ head, tail int32 }
+
+// reqState is one of a rank's nonblocking requests: its completion
+// clock once known, or the waiter a receive request is still pending on.
+type reqState struct{ arr, pend int32 }
+
+// collInst is one collective instance's rendezvous. Members of a
+// communicator are never more than one instance apart — a member
+// registers at the next instance only after applying this one, and the
+// next cannot complete before every member has — so two slots per
+// communicator, indexed by sequence parity, hold every live instance.
+type collInst struct {
+	arrived, applied    int32
+	maxEntry, rootEntry int32 // vector handles
 }
 
 type seqRank struct {
-	id          int32
-	pc          int
-	reqs        map[int32]*seqReq
-	recvBuf     *seqPending // pending blocking receive
-	waitingColl *seqColl    // collective this rank has arrived at
-	collSeq     []int       // per-comm collective sequence numbers
-	queued      bool
-	done        bool
+	pc      int32 // next trace event
+	op      int32 // next program op
+	reqBase int32 // the rank's first reqState
+	recvBuf int32 // waiter of a pending blocking receive
+	inColl  bool  // registered at the collective at pc
+	queued  bool
+	done    bool
 }
 
-type collKey struct {
-	comm trace.CommID
-	seq  int
+// replayer is the sequential replayer's reusable state; a Session
+// keeps one so a worker's replays amortize every allocation.
+type replayer struct {
+	vecs     vecArena
+	msgs     []msg
+	freeMsgs []int32
+	chans    []queue
+	reqs     []reqState
+	colls    []collInst
+	collSeq  []int32 // rank-major: collSeq[r*comms+c]
+	ranks    []seqRank
+	work     []int32 // ring of queued ranks; each rank is queued at most once
 }
 
-type seqColl struct {
-	arrived   int
-	applied   int
-	n         int
-	maxEntry  []simtime.Time
-	rootEntry []simtime.Time
-	members   []int32 // blocked members to wake
-	complete  bool
-}
-
-// vecPool recycles clock vectors of length K. Vectors handed out are
-// NOT zeroed; every producer fully overwrites them.
-type vecPool struct {
-	free [][]simtime.Time
-	k    int
-}
-
-func (p *vecPool) get() []simtime.Time {
-	if n := len(p.free); n > 0 {
-		v := p.free[n-1]
-		p.free = p.free[:n-1]
-		return v
+// resize returns s with length n, reusing its array when large enough
+// and zeroing it either way.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return make([]simtime.Time, p.k)
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-func (p *vecPool) put(v []simtime.Time) {
-	if v != nil {
-		p.free = append(p.free, v)
+func (rp *replayer) newMsg(m msg) int32 {
+	if n := len(rp.freeMsgs); n > 0 {
+		h := rp.freeMsgs[n-1]
+		rp.freeMsgs = rp.freeMsgs[:n-1]
+		rp.msgs[h] = m
+		return h
 	}
+	rp.msgs = append(rp.msgs, m)
+	return int32(len(rp.msgs) - 1)
 }
 
-func replaySequential(src trace.Source, mach *machine.Config, configs []NetConfig, pool *vecPool) (*state, error) {
-	st := newState(src.TraceMeta().NumRanks, newCostModel(mach, configs))
-	comms := src.TraceComms()
+func (rp *replayer) freeMsg(h int32) { rp.freeMsgs = append(rp.freeMsgs, h) }
+
+// enqueue appends message h to channel ch.
+func (rp *replayer) enqueue(ch int32, h int32) {
+	q := &rp.chans[ch]
+	if q.head == 0 {
+		q.head = h
+	} else {
+		rp.msgs[q.tail].next = h
+	}
+	q.tail = h
+	rp.msgs[h].next = 0
+}
+
+// dequeue removes the oldest message of channel ch if it is a send
+// (wantSend) or a waiter (!wantSend), returning 0 otherwise.
+func (rp *replayer) dequeue(ch int32, wantSend bool) int32 {
+	q := &rp.chans[ch]
+	h := q.head
+	if h == 0 || rp.msgs[h].send != wantSend {
+		return 0
+	}
+	q.head = rp.msgs[h].next
+	return h
+}
+
+func (rp *replayer) replay(src trace.Source, prog *mpisim.Program, mach *machine.Config, configs []NetConfig) (*state, error) {
+	if err := prog.Fits(src); err != nil {
+		return nil, fmt.Errorf("mfact: %w", err)
+	}
 	n := src.TraceMeta().NumRanks
-	if pool == nil {
-		pool = &vecPool{}
-	}
-	if pool.k != st.K {
-		// Recycled vectors have the wrong length for this sweep; drop
-		// them and let get() mint fresh ones.
-		pool.free = pool.free[:0]
-		pool.k = st.K
-	}
-	ranks := make([]*seqRank, n)
-	for r := 0; r < n; r++ {
-		ranks[r] = &seqRank{
-			id:      int32(r),
-			reqs:    make(map[int32]*seqReq),
-			collSeq: make([]int, comms.Len()),
-		}
-	}
-	chans := make(map[chanKey]*seqChannel)
-	colls := make(map[collKey]*seqColl)
+	st := newState(n, newCostModel(mach, configs))
+	comms := src.TraceComms()
+	nc := comms.Len()
 
-	work := make([]int32, 0, n)
+	rp.vecs.reset(st.K)
+	rp.msgs, rp.freeMsgs = append(rp.msgs[:0], msg{}), rp.freeMsgs[:0] // handle 0 is "none"
+	rp.chans = resize(rp.chans, prog.NumChans())
+	rp.colls = resize(rp.colls, 2*nc)
+	rp.collSeq = resize(rp.collSeq, n*nc)
+	rp.ranks = resize(rp.ranks, n)
+	totalReqs := int32(0)
+	for r := range rp.ranks {
+		rp.ranks[r].reqBase = totalReqs
+		totalReqs += prog.AppRequests(r)
+	}
+	rp.reqs = resize(rp.reqs, int(totalReqs))
+	rp.work = resize(rp.work, n)
+	head, queued := 0, 0
 	push := func(r int32) {
-		if !ranks[r].queued && !ranks[r].done {
-			ranks[r].queued = true
-			work = append(work, r)
+		if rs := &rp.ranks[r]; !rs.queued && !rs.done {
+			rs.queued = true
+			rp.work[(head+queued)%n] = r
+			queued++
 		}
 	}
 	for r := 0; r < n; r++ {
 		push(int32(r))
 	}
 
-	channelFor := func(k chanKey) *seqChannel {
-		ch := chans[k]
-		if ch == nil {
-			ch = &seqChannel{}
-			chans[k] = ch
-		}
-		return ch
+	vecs := &rp.vecs
+	// snapshot clones rank r's clock vector.
+	snapshot := func(r int32) int32 {
+		h := vecs.get()
+		copy(vecs.vec(h), st.clocks[r])
+		return h
 	}
-
-	// snapshot clones rank r's clock vector from the pool.
-	snapshot := func(r int32) []simtime.Time {
-		v := pool.get()
-		copy(v, st.clocks[r])
-		return v
+	// arrival returns the arrival vector of a message sent at post and
+	// received as a bytes-sized receive, releasing post.
+	arrival := func(post int32, bytes int64) int32 {
+		h := vecs.get()
+		recvArrivalInto(vecs.vec(h), st, vecs.vec(post), bytes)
+		vecs.put(post)
+		return h
 	}
 
 	var e trace.Event
-	var one [1]int32 // scratch for single-request waits
-	for len(work) > 0 {
-		rid := work[0]
-		work = work[1:]
-		rs := ranks[rid]
+	for queued > 0 {
+		rid := rp.work[head]
+		head = (head + 1) % n
+		queued--
+		rs := &rp.ranks[rid]
 		rs.queued = false
-		m := src.RankLen(int(rid))
+		ops := prog.Rank(int(rid))
+		m := int32(prog.EventCount(int(rid)))
+		reqs := rp.reqs[rs.reqBase:]
 
 	rankLoop:
 		for rs.pc < m {
-			src.EventAt(int(rid), rs.pc, &e)
-			switch e.Op {
-			case trace.OpCompute:
-				st.applyCompute(rid, e.Duration())
-
-			case trace.OpSend, trace.OpIsend:
-				post := snapshot(rid)
-				k := chanKey{src: rid, dst: e.Peer, tag: e.Tag, comm: e.Comm}
-				ch := channelFor(k)
-				// Wake the first waiting receiver, else queue the send.
-				if len(ch.waiters) > 0 {
-					w := ch.waiters[0]
-					ch.waiters = ch.waiters[1:]
-					w.sendPost = post
-					w.filled = true
-					push(w.rank)
-				} else {
-					ch.sends = append(ch.sends, seqSend{post: post, bytes: e.Bytes})
+			var op *mpisim.Rop
+			if int(rs.op) < len(ops) && ops[rs.op].Ev == rs.pc {
+				op = &ops[rs.op]
+			}
+			if op == nil || op.Flags&mpisim.RopColl != 0 {
+				// A collective: lowering left its rounds (none for a
+				// single-member communicator), which MFACT skips, and
+				// the trace event says which collective it is.
+				src.EventAt(int(rid), int(rs.pc), &e)
+				if !e.Op.IsCollective() {
+					return nil, fmt.Errorf("mfact: rank %d event %d: %v has no op in the program", rid, rs.pc, e.Op)
 				}
-				st.applySend(rid, e.Bytes, e.Op == trace.OpSend)
-				if e.Op == trace.OpIsend {
+				if !rp.collective(st, comms, rid, &e, push, snapshot) {
+					break rankLoop
+				}
+				for int(rs.op) < len(ops) && ops[rs.op].Ev == rs.pc {
+					rs.op++
+				}
+				rs.pc++
+				continue
+			}
+			switch op.Kind {
+			case mpisim.RopCompute:
+				st.applyCompute(rid, op.Dur)
+
+			case mpisim.RopSend, mpisim.RopIsend:
+				post := snapshot(rid)
+				// Fill the first waiting receiver, else queue the send.
+				if w := rp.dequeue(op.Ch, false); w != 0 {
+					rp.msgs[w].post, rp.msgs[w].filled = post, true
+					push(rp.msgs[w].rank)
+				} else {
+					rp.enqueue(op.Ch, rp.newMsg(msg{post: post, send: true}))
+				}
+				st.applySend(rid, op.Bytes, op.Kind == mpisim.RopSend)
+				if op.Kind == mpisim.RopIsend {
 					// The send cost was charged inline; the request is
 					// complete as of the current clock.
-					rs.reqs[e.Req] = &seqReq{arrival: snapshot(rid)}
+					reqs[op.Req] = reqState{arr: snapshot(rid)}
 				}
 
-			case trace.OpRecv:
-				if rs.recvBuf == nil {
-					k := chanKey{src: e.Peer, dst: rid, tag: e.Tag, comm: e.Comm}
-					ch := channelFor(k)
-					if len(ch.sends) > 0 {
-						s := ch.sends[0]
-						ch.sends = ch.sends[1:]
-						arr := recvArrivalInto(pool.get(), st, s.post, e.Bytes)
-						st.applyRecvArrival(rid, arr, e.Bytes)
-						pool.put(arr)
-						pool.put(s.post)
-						break // proceed to pc++
+			case mpisim.RopRecv:
+				if rs.recvBuf == 0 {
+					if s := rp.dequeue(op.Ch, true); s != 0 {
+						arr := arrival(rp.msgs[s].post, op.Bytes)
+						rp.freeMsg(s)
+						st.applyRecvArrival(rid, vecs.vec(arr), op.Bytes)
+						vecs.put(arr)
+						break // proceed to the next op
 					}
-					rs.recvBuf = &seqPending{rank: rid, bytes: e.Bytes, req: trace.NoReq}
-					ch.waiters = append(ch.waiters, rs.recvBuf)
+					rs.recvBuf = rp.newMsg(msg{rank: rid, bytes: op.Bytes})
+					rp.enqueue(op.Ch, rs.recvBuf)
 					break rankLoop
 				}
-				if !rs.recvBuf.filled {
+				w := &rp.msgs[rs.recvBuf]
+				if !w.filled {
 					break rankLoop
 				}
-				arr := recvArrivalInto(pool.get(), st, rs.recvBuf.sendPost, e.Bytes)
-				st.applyRecvArrival(rid, arr, e.Bytes)
-				pool.put(arr)
-				pool.put(rs.recvBuf.sendPost)
-				rs.recvBuf = nil
+				arr := arrival(w.post, op.Bytes)
+				rp.freeMsg(rs.recvBuf)
+				rs.recvBuf = 0
+				st.applyRecvArrival(rid, vecs.vec(arr), op.Bytes)
+				vecs.put(arr)
 
-			case trace.OpIrecv:
-				k := chanKey{src: e.Peer, dst: rid, tag: e.Tag, comm: e.Comm}
-				ch := channelFor(k)
-				req := &seqReq{}
-				if len(ch.sends) > 0 {
-					s := ch.sends[0]
-					ch.sends = ch.sends[1:]
-					req.arrival = recvArrivalInto(pool.get(), st, s.post, e.Bytes)
-					pool.put(s.post)
+			case mpisim.RopIrecv:
+				if s := rp.dequeue(op.Ch, true); s != 0 {
+					reqs[op.Req] = reqState{arr: arrival(rp.msgs[s].post, op.Bytes)}
+					rp.freeMsg(s)
 				} else {
-					p := &seqPending{rank: rid, bytes: e.Bytes, req: e.Req}
-					ch.waiters = append(ch.waiters, p)
-					req.pending = p
+					w := rp.newMsg(msg{rank: rid, bytes: op.Bytes})
+					rp.enqueue(op.Ch, w)
+					reqs[op.Req] = reqState{pend: w}
 				}
-				rs.reqs[e.Req] = req
 				st.applyCall(rid)
 
-			case trace.OpWait, trace.OpWaitall:
-				ids := e.Reqs
-				if e.Op == trace.OpWait {
-					one[0] = e.Req
-					ids = one[:]
-				}
+			case mpisim.RopWait:
+				ids := prog.Waits(op)
 				// First resolve any pendings that have been filled.
 				ready := true
 				for _, id := range ids {
-					rq := rs.reqs[id]
-					if rq == nil {
-						return nil, fmt.Errorf("mfact: rank %d wait on unknown request %d", rid, id)
+					rq := &reqs[id]
+					if rq.arr != 0 {
+						continue
 					}
-					if rq.arrival == nil {
-						if rq.pending != nil && rq.pending.filled {
-							rq.arrival = recvArrivalInto(pool.get(), st, rq.pending.sendPost, rq.pending.bytes)
-							pool.put(rq.pending.sendPost)
-							rq.pending = nil
-						} else {
-							ready = false
-						}
+					if rq.pend != 0 && rp.msgs[rq.pend].filled {
+						w := &rp.msgs[rq.pend]
+						rq.arr = arrival(w.post, w.bytes)
+						rp.freeMsg(rq.pend)
+						rq.pend = 0
+					} else {
+						ready = false
 					}
 				}
 				if !ready {
@@ -261,79 +346,24 @@ func replaySequential(src trace.Source, mach *machine.Config, configs []NetConfi
 				}
 				// Fold the arrivals, reusing the first vector as the
 				// accumulator and releasing the rest.
-				var acc []simtime.Time
+				acc := int32(0)
 				for _, id := range ids {
-					rq := rs.reqs[id]
-					if acc == nil {
-						acc = rq.arrival
+					rq := &reqs[id]
+					if acc == 0 {
+						acc = rq.arr
 					} else {
-						for k := range acc {
-							acc[k] = simtime.Max(acc[k], rq.arrival[k])
+						av, rv := vecs.vec(acc), vecs.vec(rq.arr)
+						for k := range av {
+							av[k] = simtime.Max(av[k], rv[k])
 						}
-						pool.put(rq.arrival)
+						vecs.put(rq.arr)
 					}
-					delete(rs.reqs, id)
+					rq.arr = 0
 				}
-				st.applyWait(rid, acc)
-				pool.put(acc)
-
-			default: // collectives
-				if !e.Op.IsCollective() {
-					return nil, fmt.Errorf("mfact: rank %d event %d: unsupported op %v", rid, rs.pc, e.Op)
-				}
-				nMembers := comms.Size(e.Comm)
-				if nMembers <= 1 {
-					st.applyCall(rid)
-					break
-				}
-				seq := rs.collSeq[e.Comm]
-				ck := collKey{e.Comm, seq}
-				inst := colls[ck]
-				if inst == nil {
-					inst = &seqColl{n: nMembers}
-					colls[ck] = inst
-				}
-				if rs.waitingColl != inst {
-					// First visit: register our entry.
-					entry := snapshot(rid)
-					if inst.maxEntry == nil {
-						inst.maxEntry = pool.get()
-						copy(inst.maxEntry, entry)
-					} else {
-						for k := range inst.maxEntry {
-							inst.maxEntry[k] = simtime.Max(inst.maxEntry[k], entry[k])
-						}
-					}
-					if e.Op.IsRooted() && rid == e.Root {
-						inst.rootEntry = entry
-					} else {
-						pool.put(entry)
-					}
-					inst.arrived++
-					inst.members = append(inst.members, rid)
-					rs.waitingColl = inst
-					if inst.arrived == inst.n {
-						inst.complete = true
-						for _, m := range inst.members {
-							if m != rid {
-								push(m)
-							}
-						}
-					}
-				}
-				if !inst.complete {
-					break rankLoop
-				}
-				st.applyCollective(rid, &e, nMembers, e.Op.IsRooted() && rid == e.Root, inst.maxEntry, inst.rootEntry)
-				rs.waitingColl = nil
-				rs.collSeq[e.Comm]++
-				inst.applied++
-				if inst.applied == inst.n {
-					pool.put(inst.maxEntry)
-					pool.put(inst.rootEntry)
-					delete(colls, ck)
-				}
+				st.applyWait(rid, vecs.vec(acc))
+				vecs.put(acc)
 			}
+			rs.op++
 			rs.pc++
 		}
 		if rs.pc >= m {
@@ -341,12 +371,69 @@ func replaySequential(src trace.Source, mach *machine.Config, configs []NetConfi
 		}
 	}
 
-	for _, rs := range ranks {
-		if !rs.done {
-			return nil, fmt.Errorf("mfact: deadlock: rank %d stuck at event %d/%d", rs.id, rs.pc, src.RankLen(int(rs.id)))
+	for r := range rp.ranks {
+		if rs := &rp.ranks[r]; !rs.done {
+			return nil, fmt.Errorf("mfact: deadlock: rank %d stuck at event %d/%d", r, rs.pc, src.RankLen(r))
 		}
 	}
 	return st, nil
+}
+
+// collective registers rank rid at the collective e (once) and applies
+// it when every member has arrived. It reports whether the rank may
+// proceed past the event.
+func (rp *replayer) collective(st *state, comms *trace.CommTable, rid int32, e *trace.Event,
+	push func(int32), snapshot func(int32) int32) bool {
+	nMembers := comms.Size(e.Comm)
+	if nMembers <= 1 {
+		st.applyCall(rid)
+		return true
+	}
+	rs := &rp.ranks[rid]
+	vecs := &rp.vecs
+	seq := &rp.collSeq[int(rid)*comms.Len()+int(e.Comm)]
+	inst := &rp.colls[2*int(e.Comm)+int(*seq&1)]
+	isRoot := e.Op.IsRooted() && rid == e.Root
+	if !rs.inColl {
+		// First visit: register our entry.
+		entry := snapshot(rid)
+		if inst.maxEntry == 0 {
+			inst.maxEntry = vecs.get()
+			copy(vecs.vec(inst.maxEntry), vecs.vec(entry))
+		} else {
+			mv, ev := vecs.vec(inst.maxEntry), vecs.vec(entry)
+			for k := range mv {
+				mv[k] = simtime.Max(mv[k], ev[k])
+			}
+		}
+		if isRoot {
+			inst.rootEntry = entry
+		} else {
+			vecs.put(entry)
+		}
+		inst.arrived++
+		rs.inColl = true
+		if int(inst.arrived) == nMembers {
+			// Every other member arrived earlier and is blocked here.
+			for _, m := range comms.Members(e.Comm) {
+				if m != rid {
+					push(m)
+				}
+			}
+		}
+	}
+	if int(inst.arrived) < nMembers {
+		return false
+	}
+	st.applyCollective(rid, e, nMembers, isRoot, vecs.vec(inst.maxEntry), vecs.vec(inst.rootEntry))
+	rs.inColl = false
+	*seq++
+	if inst.applied++; int(inst.applied) == nMembers {
+		vecs.put(inst.maxEntry)
+		vecs.put(inst.rootEntry)
+		*inst = collInst{}
+	}
+	return true
 }
 
 // recvArrivalInto writes into out the arrival vector of a message sent

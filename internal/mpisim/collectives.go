@@ -42,7 +42,7 @@ func (lw *lowerer) lowerCollective(rank int, e *trace.Event, ev int32, seq int, 
 	if pos < 0 {
 		return fmt.Errorf("mpisim: rank %d not in comm %d", rank, e.Comm)
 	}
-	tag := collTagBase | int32(e.Comm)<<12 | int32(seq&0xfff)
+	tag := collTagBase | int32(e.Comm)<<12
 	c := collCtx{lw: lw, rank: rank, ev: ev, tag: tag, members: members, n: n, pos: pos}
 	if n == 1 {
 		return nil // single-member collective is a no-op
@@ -104,28 +104,41 @@ func (c *collCtx) world(pos int) int32 { return c.members[pos] }
 func (c *collCtx) sendRecv(sendTo int, sendBytes int64, recvFrom int, recvBytes int64) {
 	reqs := c.lw.scratch[:0]
 	if recvFrom >= 0 {
-		req := c.lw.synth(c.rank)
-		c.lw.emit(c.rank, rop{kind: ropIrecv, peer: c.world(recvFrom), tag: c.tag, bytes: recvBytes, req: req, ev: c.ev})
-		reqs = append(reqs, req)
+		reqs = append(reqs, c.post(RopIrecv, recvFrom, recvBytes))
 	}
 	if sendTo >= 0 {
-		req := c.lw.synth(c.rank)
-		c.lw.emit(c.rank, rop{kind: ropIsend, peer: c.world(sendTo), tag: c.tag, bytes: sendBytes, req: req, ev: c.ev})
-		reqs = append(reqs, req)
+		reqs = append(reqs, c.post(RopIsend, sendTo, sendBytes))
 	}
 	c.lw.scratch = reqs
 	if len(reqs) > 0 {
-		c.lw.emit(c.rank, rop{kind: ropWait, reqs: reqs, ev: c.ev})
+		c.emit(Rop{Kind: RopWait}, reqs)
 	}
+}
+
+// emit emits one round op of this collective: tagged with the
+// instance's tag, marked RopColl, and attributed to the collective's
+// event. Lowered rounds match in communicator 0; their tags
+// disambiguate.
+func (c *collCtx) emit(op Rop, reqs []int32) {
+	op.Tag, op.Ev, op.Flags = c.tag, c.ev, RopColl
+	c.lw.emit(c.rank, op, 0, reqs)
+}
+
+// post emits a nonblocking isend or irecv with the member at pos and
+// returns its synthesized request id.
+func (c *collCtx) post(kind RopKind, pos int, bytes int64) int32 {
+	req := c.lw.synth()
+	c.emit(Rop{Kind: kind, Peer: c.world(pos), Bytes: bytes, Req: req}, nil)
+	return req
 }
 
 // send and recv emit one-sided blocking halves for tree algorithms.
 func (c *collCtx) send(to int, bytes int64) {
-	c.lw.emit(c.rank, rop{kind: ropSend, peer: c.world(to), tag: c.tag, bytes: bytes, ev: c.ev})
+	c.emit(Rop{Kind: RopSend, Peer: c.world(to), Bytes: bytes}, nil)
 }
 
 func (c *collCtx) recv(from int, bytes int64) {
-	c.lw.emit(c.rank, rop{kind: ropRecv, peer: c.world(from), tag: c.tag, bytes: bytes, ev: c.ev})
+	c.emit(Rop{Kind: RopRecv, Peer: c.world(from), Bytes: bytes}, nil)
 }
 
 // dissemination implements the dissemination barrier: ceil(log2 n)
@@ -294,18 +307,14 @@ func (c *collCtx) scatteredAlltoall(bytes int64) {
 	reqs := c.lw.scratch[:0]
 	for k := 1; k < c.n; k++ {
 		from := (c.pos - k + c.n) % c.n
-		req := c.lw.synth(c.rank)
-		c.lw.emit(c.rank, rop{kind: ropIrecv, peer: c.world(from), tag: c.tag, bytes: bytes, req: req, ev: c.ev})
-		reqs = append(reqs, req)
+		reqs = append(reqs, c.post(RopIrecv, from, bytes))
 	}
 	for k := 1; k < c.n; k++ {
 		to := (c.pos + k) % c.n
-		req := c.lw.synth(c.rank)
-		c.lw.emit(c.rank, rop{kind: ropIsend, peer: c.world(to), tag: c.tag, bytes: bytes, req: req, ev: c.ev})
-		reqs = append(reqs, req)
+		reqs = append(reqs, c.post(RopIsend, to, bytes))
 	}
 	c.lw.scratch = reqs
-	c.lw.emit(c.rank, rop{kind: ropWait, reqs: reqs, ev: c.ev})
+	c.emit(Rop{Kind: RopWait}, reqs)
 }
 
 // scatteredAlltoallv is scatteredAlltoall with per-peer payloads.
@@ -317,9 +326,7 @@ func (c *collCtx) scatteredAlltoallv(tbl [][]int64) {
 		if from < len(tbl) && tbl[from] != nil {
 			b = tbl[from][c.pos]
 		}
-		req := c.lw.synth(c.rank)
-		c.lw.emit(c.rank, rop{kind: ropIrecv, peer: c.world(from), tag: c.tag, bytes: b, req: req, ev: c.ev})
-		reqs = append(reqs, req)
+		reqs = append(reqs, c.post(RopIrecv, from, b))
 	}
 	for k := 1; k < c.n; k++ {
 		to := (c.pos + k) % c.n
@@ -327,12 +334,10 @@ func (c *collCtx) scatteredAlltoallv(tbl [][]int64) {
 		if c.pos < len(tbl) && tbl[c.pos] != nil {
 			b = tbl[c.pos][to]
 		}
-		req := c.lw.synth(c.rank)
-		c.lw.emit(c.rank, rop{kind: ropIsend, peer: c.world(to), tag: c.tag, bytes: b, req: req, ev: c.ev})
-		reqs = append(reqs, req)
+		reqs = append(reqs, c.post(RopIsend, to, b))
 	}
 	c.lw.scratch = reqs
-	c.lw.emit(c.rank, rop{kind: ropWait, reqs: reqs, ev: c.ev})
+	c.emit(Rop{Kind: RopWait}, reqs)
 }
 
 // pairwiseAlltoall implements the (n-1)-round rotation: in round k,

@@ -2,48 +2,64 @@ package mpisim
 
 import (
 	"fmt"
+	"math"
 
+	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/trace"
 )
 
+// failLower is the lowering failpoint, hit once per lowering. Armed
+// to fail, it shows up any path that lowers where it should replay a
+// program it was given (a warm campaign lowers nothing).
+var failLower = faultinject.NewSite("mpisim/lower")
+
 // Collective traffic uses a reserved tag space far above application
-// tags so lowered rounds never match application messages.
+// tags so lowered rounds never match application messages. Every
+// instance of a communicator's collectives uses the same tag: each
+// algorithm has member A send member B exactly as many messages as B
+// receives from A, posted in the same order on both sides, so FIFO
+// matching per channel pairs every round with its own across instances
+// too, and the channel table grows with the communication graph rather
+// than with the number of collectives.
 const collTagBase int32 = 1 << 20
 
-// lowerer accumulates per-rank replay programs while walking a trace.
+// LoweringVersion identifies what lowering produces from a trace: the
+// collective algorithms, the numbering of requests and channels, and the
+// Rop layout. Anything that changes the program of some trace bumps it,
+// so a program stored by an older build is recognized as stale and
+// lowered again rather than replayed.
+const LoweringVersion = 1
+
+// lowerer builds a Program by walking the trace rank by rank. A rank's
+// ops are appended to the one op arena while it is walked, so they are
+// contiguous. A sizing pass first counts the ops and wait-set entries,
+// so the arenas are allocated once at their exact size: a fresh program
+// is two allocations with no slack, and a Session's arenas, kept from
+// trace to trace, grow only for a trace bigger than any before it.
 //
-// Lowering runs twice over the same logic: a counting pass sizes every
-// per-rank program and wait-set arena, then a fill pass writes rops
-// into exactly-sized flat arenas. The slice-doubling garbage a single
-// append-driven pass would leave behind is worth two cheap walks to
-// avoid: after the fill pass the whole program is two allocations (rop
-// arena + wait-set arena), and none when a Session's arenas already fit.
-//
-// The fill pass also resolves every point-to-point op's matching key
-// (src, dst, tag, comm) to a dense channel id, so the one map lookup a
+// The walk also resolves every point-to-point op's matching key (src,
+// dst, tag, comm) to a dense channel id, so the one hash lookup a
 // message costs is paid here, once per trace, and a replay indexes a
 // slice.
 type lowerer struct {
-	src      trace.Source
-	comms    *trace.CommTable
-	counting bool
+	src   trace.Source
+	comms *trace.CommTable
 
-	// Counting pass outputs.
-	nOps  []int // rops per rank
-	nReqs []int // wait-set ints per rank
+	// counting marks the sizing pass: emit only counts.
+	counting     bool
+	nOps, nWaits int
+	ops          []Rop   // the op arena: every rank walked so far
+	waits        []int32 // the wait arena
+	scratch      []int32 // transient wait-set buffer, owned until the emit
 
-	// Fill pass state: exactly-sized per-rank views into shared arenas.
-	out      [][]rop
-	used     []int
-	reqsOut  [][]int32
-	reqsUsed []int
+	// Request numbering of the rank being walked. The trace's own
+	// requests are numbered first; how many there are is known only at
+	// the end of the rank, so synthesized requests count from 0 in a
+	// space of their own until shiftSynth moves them after.
+	nextApp, nextSynth int32
+	reqMap             map[int32]int32 // trace request id → replay id
 
-	scratch []int32 // transient wait-set buffer, owned until the emit
-
-	nextReq []int32 // per-rank fresh request ids
-	reqMap  []map[int32]int32
-
-	chanIDs map[chanKey]int32 // fill pass: matching key → dense channel id
+	chans chanTable
 }
 
 // chanKey is the MPI matching key of a point-to-point message.
@@ -52,180 +68,266 @@ type chanKey struct {
 	comm          int32
 }
 
+// Lower translates a validated trace into a fresh Program that belongs
+// to the caller and outlives any Session.
+func Lower(src trace.Source) (*Program, error) {
+	return lower(src, &Session{})
+}
+
 // lower translates a validated trace into primitive replay programs:
 // point-to-point and compute events copy through (with requests
 // renumbered into a fresh namespace), and every collective expands into
 // the point-to-point rounds of its algorithm. sess supplies the arenas,
 // reused across traces.
-func lower(src trace.Source, sess *Session) (*program, error) {
+func lower(src trace.Source, sess *Session) (*Program, error) {
+	if err := failLower.Fail(); err != nil {
+		return nil, fmt.Errorf("mpisim: lowering %s: %w", src.TraceMeta().ID(), err)
+	}
 	n := src.TraceMeta().NumRanks
 	lw := &lowerer{
-		src:      src,
-		comms:    src.TraceComms(),
-		counting: true,
-		nOps:     make([]int, n),
-		nReqs:    make([]int, n),
-		nextReq:  make([]int32, n),
-		reqMap:   make([]map[int32]int32, n),
+		src:    src,
+		comms:  src.TraceComms(),
+		reqMap: make(map[int32]int32),
 	}
-	for r := range lw.reqMap {
-		lw.reqMap[r] = make(map[int32]int32)
-	}
-
 	// Index alltoallv events by (comm, instance) so every member can
 	// see every other member's send counts.
 	vIndex := buildAlltoallvIndex(src)
-
-	if err := lw.pass(vIndex); err != nil {
-		return nil, err
+	lw.size(vIndex)
+	if lw.nWaits > math.MaxUint32 {
+		return nil, fmt.Errorf("mpisim: %s lowers to %d wait-set entries, more than a program holds", src.TraceMeta().ID(), lw.nWaits)
 	}
-
-	// Size the arenas from the counting pass and run again, filling.
-	totalOps, totalReqs := 0, 0
-	for r := 0; r < n; r++ {
-		totalOps += lw.nOps[r]
-		totalReqs += lw.nReqs[r]
+	lw.ops, lw.waits = sess.ops(lw.nOps), sess.reqs(lw.nWaits)
+	prog := &Program{
+		opOff:    make([]int64, n+1),
+		evCount:  make([]int32, n),
+		reqCount: make([]int32, n),
+		appReqs:  make([]int32, n),
 	}
-	opArena := sess.ops(totalOps)
-	reqArena := sess.reqs(totalReqs)
-	lw.out = make([][]rop, n)
-	lw.used = make([]int, n)
-	lw.reqsOut = make([][]int32, n)
-	lw.reqsUsed = make([]int, n)
-	for r, opOff, reqOff := 0, 0, 0; r < n; r++ {
-		lw.out[r] = opArena[opOff : opOff+lw.nOps[r] : opOff+lw.nOps[r]]
-		lw.reqsOut[r] = reqArena[reqOff : reqOff+lw.nReqs[r] : reqOff+lw.nReqs[r]]
-		opOff += lw.nOps[r]
-		reqOff += lw.nReqs[r]
+	collSeq := make([]int, lw.comms.Len())
+	for rank := 0; rank < n; rank++ {
+		start := len(lw.ops)
+		clear(collSeq)
+		clear(lw.reqMap)
+		lw.nextApp, lw.nextSynth = 0, 0
+		if err := lw.rank(rank, collSeq, vIndex); err != nil {
+			return nil, err
+		}
+		lw.shiftSynth(start)
+		prog.opOff[rank+1] = int64(len(lw.ops))
+		prog.evCount[rank] = int32(src.RankLen(rank))
+		prog.appReqs[rank] = lw.nextApp
+		prog.reqCount[rank] = lw.nextApp + lw.nextSynth
 	}
-	lw.counting = false
-	lw.chanIDs = make(map[chanKey]int32)
-	if err := lw.pass(vIndex); err != nil {
-		return nil, err
-	}
-
-	evCount := make([]int, n)
-	reqCount := make([]int32, n)
-	for r := 0; r < n; r++ {
-		evCount[r] = src.RankLen(r)
-		reqCount[r] = lw.nextReq[r]
-	}
-	return &program{ops: lw.out, evCount: evCount, reqCount: reqCount, numChans: len(lw.chanIDs)}, nil
+	sess.opArena, sess.reqArena = lw.ops, lw.waits
+	prog.arena, prog.waits, prog.numChans = lw.ops, lw.waits, int(lw.chans.n)
+	prog.views()
+	return prog, nil
 }
 
-// pass walks every rank's event stream once, emitting (or counting)
-// the lowered program.
-func (lw *lowerer) pass(vIndex map[vKey][][]int64) error {
-	n := lw.src.TraceMeta().NumRanks
+// size runs the sizing pass, setting nOps and nWaits to what lowering
+// will emit. Every event but a collective lowers to exactly one op, a
+// wait's set being its own request list, so only collectives need a dry
+// run of their algorithm. Malformed events are left for the filling
+// walk to report.
+func (lw *lowerer) size(vIndex map[vKey][][]int64) {
+	lw.counting = true
+	defer func() { lw.counting = false }()
 	collSeq := make([]int, lw.comms.Len())
 	var e trace.Event
-	for rank := 0; rank < n; rank++ {
+	for rank := 0; rank < lw.src.TraceMeta().NumRanks; rank++ {
 		clear(collSeq)
 		m := lw.src.RankLen(rank)
 		for i := 0; i < m; i++ {
-			lw.src.EventAt(rank, i, &e)
-			ev := int32(i)
-			switch e.Op {
-			case trace.OpCompute:
-				lw.emit(rank, rop{kind: ropCompute, dur: e.Duration(), ev: ev})
-			case trace.OpSend:
-				lw.emit(rank, rop{kind: ropSend, peer: e.Peer, tag: e.Tag, comm: int32(e.Comm), bytes: e.Bytes, ev: ev})
-			case trace.OpRecv:
-				lw.emit(rank, rop{kind: ropRecv, peer: e.Peer, tag: e.Tag, comm: int32(e.Comm), bytes: e.Bytes, ev: ev})
-			case trace.OpIsend:
-				lw.emit(rank, rop{kind: ropIsend, peer: e.Peer, tag: e.Tag, comm: int32(e.Comm), bytes: e.Bytes, req: lw.fresh(rank, e.Req), ev: ev})
-			case trace.OpIrecv:
-				lw.emit(rank, rop{kind: ropIrecv, peer: e.Peer, tag: e.Tag, comm: int32(e.Comm), bytes: e.Bytes, req: lw.fresh(rank, e.Req), ev: ev})
-			case trace.OpWait:
-				id, err := lw.lookup(rank, i, e.Req)
-				if err != nil {
-					return err
-				}
-				lw.scratch = append(lw.scratch[:0], id)
-				lw.emit(rank, rop{kind: ropWait, reqs: lw.scratch, ev: ev})
-			case trace.OpWaitall:
-				lw.scratch = lw.scratch[:0]
-				for _, r := range e.Reqs {
-					id, err := lw.lookup(rank, i, r)
-					if err != nil {
-						return err
-					}
-					lw.scratch = append(lw.scratch, id)
-				}
-				lw.emit(rank, rop{kind: ropWait, reqs: lw.scratch, ev: ev})
-			default:
-				if !e.Op.IsCollective() {
-					return fmt.Errorf("mpisim: rank %d event %d: unsupported op %v", rank, i, e.Op)
-				}
+			switch op := lw.src.OpAt(rank, i); {
+			case op == trace.OpWait:
+				lw.nOps++
+				lw.nWaits++
+			case op == trace.OpWaitall:
+				lw.src.EventAt(rank, i, &e)
+				lw.nOps++
+				lw.nWaits += len(e.Reqs)
+			case op.IsCollective():
+				lw.src.EventAt(rank, i, &e)
 				if int(e.Comm) < 0 || int(e.Comm) >= len(collSeq) {
-					return fmt.Errorf("mpisim: rank %d event %d: comm %d out of range", rank, i, e.Comm)
+					continue
 				}
 				seq := collSeq[e.Comm]
 				collSeq[e.Comm]++
-				if err := lw.lowerCollective(rank, &e, ev, seq, vIndex); err != nil {
+				_ = lw.lowerCollective(rank, &e, int32(i), seq, vIndex)
+			default:
+				lw.nOps++
+			}
+		}
+	}
+}
+
+// rank walks one rank's event stream, emitting its ops.
+func (lw *lowerer) rank(rank int, collSeq []int, vIndex map[vKey][][]int64) error {
+	var e trace.Event
+	m := lw.src.RankLen(rank)
+	for i := 0; i < m; i++ {
+		lw.src.EventAt(rank, i, &e)
+		ev := int32(i)
+		comm := int32(e.Comm)
+		switch e.Op {
+		case trace.OpCompute:
+			lw.emit(rank, Rop{Kind: RopCompute, Dur: e.Duration(), Ev: ev}, 0, nil)
+		case trace.OpSend:
+			lw.emit(rank, Rop{Kind: RopSend, Peer: e.Peer, Tag: e.Tag, Bytes: e.Bytes, Ev: ev}, comm, nil)
+		case trace.OpRecv:
+			lw.emit(rank, Rop{Kind: RopRecv, Peer: e.Peer, Tag: e.Tag, Bytes: e.Bytes, Ev: ev}, comm, nil)
+		case trace.OpIsend:
+			lw.emit(rank, Rop{Kind: RopIsend, Peer: e.Peer, Tag: e.Tag, Bytes: e.Bytes, Req: lw.fresh(e.Req), Ev: ev}, comm, nil)
+		case trace.OpIrecv:
+			lw.emit(rank, Rop{Kind: RopIrecv, Peer: e.Peer, Tag: e.Tag, Bytes: e.Bytes, Req: lw.fresh(e.Req), Ev: ev}, comm, nil)
+		case trace.OpWait:
+			id, err := lw.lookup(rank, i, e.Req)
+			if err != nil {
+				return err
+			}
+			lw.scratch = append(lw.scratch[:0], id)
+			lw.emit(rank, Rop{Kind: RopWait, Ev: ev}, 0, lw.scratch)
+		case trace.OpWaitall:
+			lw.scratch = lw.scratch[:0]
+			for _, r := range e.Reqs {
+				id, err := lw.lookup(rank, i, r)
+				if err != nil {
 					return err
 				}
+				lw.scratch = append(lw.scratch, id)
+			}
+			lw.emit(rank, Rop{Kind: RopWait, Ev: ev}, 0, lw.scratch)
+		default:
+			if !e.Op.IsCollective() {
+				return fmt.Errorf("mpisim: rank %d event %d: unsupported op %v", rank, i, e.Op)
+			}
+			if int(e.Comm) < 0 || int(e.Comm) >= len(collSeq) {
+				return fmt.Errorf("mpisim: rank %d event %d: comm %d out of range", rank, i, e.Comm)
+			}
+			seq := collSeq[e.Comm]
+			collSeq[e.Comm]++
+			if err := lw.lowerCollective(rank, &e, ev, seq, vIndex); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// emit appends op to rank's program (or just counts it). op.reqs is
-// only read during the call: the fill pass copies it into the wait-set
-// arena, so callers may pass a reused scratch buffer.
-func (lw *lowerer) emit(rank int, op rop) {
-	if lw.counting {
-		lw.nOps[rank]++
-		lw.nReqs[rank] += len(op.reqs)
+// shiftSynth moves the synthesized request ids of the rank whose ops
+// start at start after its own requests, in the ops that post them and
+// in the collectives' wait sets.
+func (lw *lowerer) shiftSynth(start int) {
+	if lw.nextSynth == 0 {
 		return
 	}
-	if len(op.reqs) > 0 {
-		start := lw.reqsUsed[rank]
-		end := start + len(op.reqs)
-		copy(lw.reqsOut[rank][start:end], op.reqs)
-		op.reqs = lw.reqsOut[rank][start:end:end]
-		lw.reqsUsed[rank] = end
+	for i := start; i < len(lw.ops); i++ {
+		op := &lw.ops[i]
+		if op.Flags&RopColl == 0 {
+			continue
+		}
+		switch op.Kind {
+		case RopIsend, RopIrecv:
+			op.Req += lw.nextApp
+		case RopWait:
+			for j := op.WaitOff; j < op.WaitOff+op.WaitLen; j++ {
+				lw.waits[j] += lw.nextApp
+			}
+		}
 	}
-	switch op.kind {
-	case ropSend, ropIsend:
-		op.ch = lw.channel(chanKey{src: int32(rank), dst: op.peer, tag: op.tag, comm: op.comm})
-	case ropRecv, ropIrecv:
-		op.ch = lw.channel(chanKey{src: op.peer, dst: int32(rank), tag: op.tag, comm: op.comm})
-	}
-	lw.out[rank][lw.used[rank]] = op
-	lw.used[rank]++
 }
 
-// channel returns k's dense id, numbering keys in first-use order.
-func (lw *lowerer) channel(k chanKey) int32 {
-	id, ok := lw.chanIDs[k]
-	if !ok {
-		id = int32(len(lw.chanIDs))
-		lw.chanIDs[k] = id
+// emit appends op to rank's program. comm completes a p2p op's matching
+// key; reqs is a wait's request set, copied into the wait arena, so
+// callers may pass a reused scratch buffer.
+func (lw *lowerer) emit(rank int, op Rop, comm int32, reqs []int32) {
+	if lw.counting {
+		lw.nOps++
+		lw.nWaits += len(reqs)
+		return
 	}
+	if len(reqs) > 0 {
+		op.WaitOff, op.WaitLen = uint32(len(lw.waits)), uint32(len(reqs))
+		lw.waits = append(lw.waits, reqs...)
+	}
+	switch op.Kind {
+	case RopSend, RopIsend:
+		op.Ch = lw.chans.id(chanKey{src: int32(rank), dst: op.Peer, tag: op.Tag, comm: comm})
+	case RopRecv, RopIrecv:
+		op.Ch = lw.chans.id(chanKey{src: op.Peer, dst: int32(rank), tag: op.Tag, comm: comm})
+	}
+	lw.ops = append(lw.ops, op)
+}
+
+// chanTable numbers matching keys densely in first-use order. It is an
+// open-addressed table probed linearly, sized to a power of two at most
+// half full, because a lookup per point-to-point op is most of what
+// lowering costs and a Go map hashes a 16-byte key several times slower.
+type chanTable struct {
+	keys []chanKey
+	ids  []int32 // id+1 of the key in the same slot; 0 marks a free slot
+	n    int32
+}
+
+// id returns k's channel id, numbering it if it is new.
+func (t *chanTable) id(k chanKey) int32 {
+	if 2*int(t.n+1) > len(t.ids) {
+		t.grow()
+	}
+	mask := uint64(len(t.ids) - 1)
+	for i := k.hash() & mask; ; i = (i + 1) & mask {
+		switch id := t.ids[i]; {
+		case id == 0:
+			t.keys[i], t.ids[i] = k, t.n+1
+			t.n++
+			return t.n - 1
+		case t.keys[i] == k:
+			return id - 1
+		}
+	}
+}
+
+// grow doubles the table (from 1024 slots) and reinserts every key.
+func (t *chanTable) grow() {
+	keys, ids := t.keys, t.ids
+	size := max(1024, 2*len(ids))
+	t.keys, t.ids = make([]chanKey, size), make([]int32, size)
+	mask := uint64(size - 1)
+	for j, id := range ids {
+		if id == 0 {
+			continue
+		}
+		i := keys[j].hash() & mask
+		for t.ids[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.keys[i], t.ids[i] = keys[j], id
+	}
+}
+
+// hash mixes the key's two 64-bit halves (a multiply-xorshift finalizer).
+func (k chanKey) hash() uint64 {
+	x := (uint64(uint32(k.src))<<32 | uint64(uint32(k.dst))) * 0x9e3779b97f4a7c15
+	x ^= (uint64(uint32(k.tag))<<32 | uint64(uint32(k.comm))) * 0xc2b2ae3d27d4eb4f
+	x ^= x >> 29
+	x *= 0xbf58476d1ce4e5b9
+	return x ^ x>>32
+}
+
+// fresh allocates a new request id for one of the trace's own requests
+// and records the mapping from the trace's id.
+func (lw *lowerer) fresh(orig int32) int32 {
+	id := lw.nextApp
+	lw.nextApp++
+	lw.reqMap[orig] = id
 	return id
 }
 
-// fresh allocates a new request id for rank and records the mapping
-// from the trace's id. The counting pass sizes arenas and needs no ids.
-func (lw *lowerer) fresh(rank int, orig int32) int32 {
-	if lw.counting {
-		return 0
-	}
-	id := lw.nextReq[rank]
-	lw.nextReq[rank]++
-	lw.reqMap[rank][orig] = id
-	return id
-}
-
-// synth allocates a request id for a synthetic (lowered) operation.
-func (lw *lowerer) synth(rank int) int32 {
-	if lw.counting {
-		return 0
-	}
-	id := lw.nextReq[rank]
-	lw.nextReq[rank]++
+// synth allocates a request id for a synthetic (lowered) operation, in
+// the space shiftSynth moves after the rank's own requests.
+func (lw *lowerer) synth() int32 {
+	id := lw.nextSynth
+	lw.nextSynth++
 	return id
 }
 
@@ -234,15 +336,12 @@ func (lw *lowerer) synth(rank int) int32 {
 // so a miss is reported as a diagnosable malformed-trace error (in the
 // style of the deadlock report) rather than a panic.
 func (lw *lowerer) lookup(rank, event int, orig int32) (int32, error) {
-	if lw.counting {
-		return 0, nil // the fill pass reports a miss
-	}
-	id, ok := lw.reqMap[rank][orig]
+	id, ok := lw.reqMap[orig]
 	if !ok {
 		return 0, fmt.Errorf("%w: rank %d event %d waits on request %d, which was never posted or was already completed",
 			ErrUnknownRequest, rank, event, orig)
 	}
-	delete(lw.reqMap[rank], orig)
+	delete(lw.reqMap, orig)
 	return id, nil
 }
 
@@ -264,8 +363,11 @@ func buildAlltoallvIndex(src trace.Source) map[vKey][][]int64 {
 		clear(counts)
 		m := src.RankLen(rank)
 		for i := 0; i < m; i++ {
+			if !src.OpAt(rank, i).IsCollective() {
+				continue
+			}
 			src.EventAt(rank, i, &e)
-			if !e.Op.IsCollective() || int(e.Comm) < 0 || int(e.Comm) >= len(counts) {
+			if int(e.Comm) < 0 || int(e.Comm) >= len(counts) {
 				continue
 			}
 			seq := counts[e.Comm]

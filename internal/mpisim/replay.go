@@ -142,6 +142,7 @@ func (sess *Session) Replay(src trace.Source, model simnet.Model, mach *machine.
 		net:  net,
 		mach: mach,
 		src:  src,
+		prog: prog,
 		opts: opts,
 		sess: sess,
 	}
@@ -154,20 +155,27 @@ func (sess *Session) Replay(src trace.Source, model simnet.Model, mach *machine.
 		eng.SetBudget(des.Budget{MaxEvents: opts.MaxEvents, MaxTime: opts.MaxSimTime, Deadline: opts.Deadline})
 	}
 	if opts.Cancel != nil {
-		// The watcher routes external cancellation through the engine's
-		// cooperative Stop path; done unblocks it when the replay ends
-		// on its own.
-		done := make(chan struct{})
-		defer close(done)
-		go func() {
-			select {
-			case <-opts.Cancel:
-				eng.Stop()
-			case <-done:
-			}
-		}()
+		select {
+		case <-opts.Cancel:
+			// Already canceled: stop before the first event rather than
+			// race a watcher against a short replay.
+			eng.Stop()
+		default:
+			// The watcher routes external cancellation through the
+			// engine's cooperative Stop path; done unblocks it when the
+			// replay ends on its own.
+			done := make(chan struct{})
+			defer close(done)
+			go func() {
+				select {
+				case <-opts.Cancel:
+					eng.Stop()
+				case <-done:
+				}
+			}()
+		}
 	}
-	d.run(prog)
+	d.run()
 	// A blown budget must be reported before the finish check: a
 	// truncated run always looks deadlocked.
 	if err := eng.Err(); err != nil {
@@ -242,7 +250,7 @@ const blockingOp int32 = -1
 
 type rankState struct {
 	id  int32
-	ops []rop
+	ops []Rop
 	pc  int
 	// Request state is tracked in flat arrays indexed by the replay
 	// request id (lowering renumbers densely from 0): done marks
@@ -253,15 +261,16 @@ type rankState struct {
 	nwait   int
 	opStart simtime.Time
 	waitEv  int32 // event of the wait currently blocking, for exit recording
+	// stepEv is the event whose compute or overhead step is in flight,
+	// -1 when none: its exit is recorded when the step ends.
+	stepEv  int32
 	blocked bool
 	finish  simtime.Time
 	fin     bool
-	// advanceFn is the pre-bound continuation reused for every compute
-	// and overhead step when the replay is not recording timestamps
-	// (markExit is a no-op then, so the continuation does not depend on
-	// the event index). It keeps the hot path from minting a fresh
-	// closure per replayed event.
-	advanceFn func()
+	// stepFn is the rank's pre-bound continuation, reused for every
+	// compute and overhead step (and the rank's start), so the hot path
+	// never mints a closure per replayed event.
+	stepFn func()
 }
 
 type driver struct {
@@ -269,11 +278,12 @@ type driver struct {
 	net  simnet.Network
 	mach *machine.Config
 	src  trace.Source
+	prog *Program
 	opts Options
 	sess *Session
 
 	ranks         []*rankState
-	chans         []channel // indexed by rop.ch
+	chans         []channel // indexed by Rop.Ch
 	rankComm      []simtime.Time
 	finish        []simtime.Time
 	finishedRanks int
@@ -283,7 +293,8 @@ type driver struct {
 	entry, exit [][]simtime.Time
 }
 
-func (d *driver) run(prog *program) {
+func (d *driver) run() {
+	prog := d.prog
 	n := d.src.TraceMeta().NumRanks
 	d.ranks = make([]*rankState, n)
 	d.chans = d.sess.channels(prog.numChans)
@@ -313,20 +324,14 @@ func (d *driver) run(prog *program) {
 			ops:     prog.ops[r],
 			done:    flags[off : off+c : off+c],
 			waiting: flags[off+c : off+2*c : off+2*c],
+			stepEv:  -1,
 		}
 		off += 2 * c
-		if !d.opts.Record {
-			rs.advanceFn = func() { d.advance(rs) }
-		}
+		rs.stepFn = func() { d.stepDone(rs) }
 		d.ranks[r] = rs
 	}
 	for _, rs := range d.ranks {
-		if rs.advanceFn != nil {
-			d.eng.At(0, rs.advanceFn)
-		} else {
-			rs := rs
-			d.eng.At(0, func() { d.advance(rs) })
-		}
+		d.eng.At(0, rs.stepFn)
 	}
 	if bg := d.opts.Background; bg != nil && bg.Sources > 0 && n >= 2 {
 		for s := 0; s < bg.Sources; s++ {
@@ -370,7 +375,7 @@ func (d *driver) checkFinished() error {
 		if !rs.fin {
 			op := "end"
 			if rs.pc < len(rs.ops) {
-				op = fmt.Sprintf("%s(peer=%d tag=%d)", rs.ops[rs.pc].kind, rs.ops[rs.pc].peer, rs.ops[rs.pc].tag)
+				op = fmt.Sprintf("%s(peer=%d tag=%d)", rs.ops[rs.pc].Kind, rs.ops[rs.pc].Peer, rs.ops[rs.pc].Tag)
 			}
 			return fmt.Errorf("%w: rank %d stuck at op %d/%d (%s)", ErrDeadlock, rs.id, rs.pc, len(rs.ops), op)
 		}
@@ -399,58 +404,62 @@ func (d *driver) markExit(rs *rankState, ev int32) {
 	}
 }
 
+// stepDone ends a rank's compute or overhead step — recording the exit
+// of the event it belonged to — and advances the rank. It is also the
+// rank's start, with no step in flight.
+func (d *driver) stepDone(rs *rankState) {
+	if rs.stepEv >= 0 {
+		d.markExit(rs, rs.stepEv)
+		rs.stepEv = -1
+	}
+	d.advance(rs)
+}
+
 // advance executes ops for rs until it blocks or finishes. Called from
 // engine context only.
 func (d *driver) advance(rs *rankState) {
 	for rs.pc < len(rs.ops) {
 		op := &rs.ops[rs.pc]
 		now := d.eng.Now()
-		d.markEntry(rs, op.ev)
-		switch op.kind {
-		case ropCompute:
-			dur := op.dur.Scale(d.opts.CompScale)
+		d.markEntry(rs, op.Ev)
+		switch op.Kind {
+		case RopCompute:
+			dur := op.Dur.Scale(d.opts.CompScale)
 			if d.opts.Perturb != nil {
-				dur = d.opts.Perturb.Compute(rs.id, op.ev, dur)
+				dur = d.opts.Perturb.Compute(rs.id, op.Ev, dur)
 			}
 			rs.pc++
-			if rs.advanceFn != nil {
-				d.eng.After(dur, rs.advanceFn)
-			} else {
-				ev := op.ev
-				d.eng.After(dur, func() {
-					d.markExit(rs, ev)
-					d.advance(rs)
-				})
-			}
+			rs.stepEv = op.Ev
+			d.eng.After(dur, rs.stepFn)
 			return
 
-		case ropSend:
+		case RopSend:
 			rs.opStart = now
 			rs.blocked = true
-			rs.waitEv = op.ev
+			rs.waitEv = op.Ev
 			d.postSend(rs, op, blockingOp)
 			return
 
-		case ropIsend:
-			d.postSend(rs, op, op.req)
-			d.stepOverhead(rs, op.ev)
+		case RopIsend:
+			d.postSend(rs, op, op.Req)
+			d.stepOverhead(rs, op.Ev)
 			return
 
-		case ropRecv:
+		case RopRecv:
 			rs.opStart = now
 			rs.blocked = true
-			rs.waitEv = op.ev
+			rs.waitEv = op.Ev
 			d.postRecv(rs, op, blockingOp)
 			return
 
-		case ropIrecv:
-			d.postRecv(rs, op, op.req)
-			d.stepOverhead(rs, op.ev)
+		case RopIrecv:
+			d.postRecv(rs, op, op.Req)
+			d.stepOverhead(rs, op.Ev)
 			return
 
-		case ropWait:
+		case RopWait:
 			outstanding := 0
-			for _, q := range op.reqs {
+			for _, q := range d.prog.Waits(op) {
 				if rs.done[q] {
 					rs.done[q] = false
 				} else {
@@ -459,14 +468,14 @@ func (d *driver) advance(rs *rankState) {
 				}
 			}
 			if outstanding == 0 {
-				d.stepOverhead(rs, op.ev)
+				d.stepOverhead(rs, op.Ev)
 				return
 			}
 			rs.nwait = outstanding
 			rs.opStart = now
 			rs.blocked = true
 			// resume happens in completeReq when the set drains
-			d.pendingWaitEv(rs, op.ev)
+			rs.waitEv = op.Ev
 			return
 		}
 	}
@@ -482,20 +491,8 @@ func (d *driver) stepOverhead(rs *rankState, ev int32) {
 	o := d.overhead(rs.id)
 	d.rankComm[rs.id] += o
 	rs.pc++
-	if rs.advanceFn != nil {
-		d.eng.After(o, rs.advanceFn)
-		return
-	}
-	d.eng.After(o, func() {
-		d.markExit(rs, ev)
-		d.advance(rs)
-	})
-}
-
-// waitEv remembers which event a blocked wait belongs to, for exit
-// recording.
-func (d *driver) pendingWaitEv(rs *rankState, ev int32) {
-	rs.waitEv = ev
+	rs.stepEv = ev
+	d.eng.After(o, rs.stepFn)
 }
 
 // resume unblocks rs after a blocking comm op, charging the blocked
@@ -564,10 +561,10 @@ func (sess *Session) newRecv() *recvRec {
 // operation (not necessarily the delivery) completes req, or resumes
 // the rank for blockingOp: at injection end for eager, at delivery for
 // rendezvous.
-func (d *driver) postSend(rs *rankState, op *rop, req int32) {
+func (d *driver) postSend(rs *rankState, op *Rop, req int32) {
 	s := d.sess.newSend()
-	s.src, s.dst, s.req, s.bytes = rs.id, op.peer, req, op.bytes
-	s.eager = op.bytes <= d.mach.EagerThreshold
+	s.src, s.dst, s.req, s.bytes = rs.id, op.Peer, req, op.Bytes
+	s.eager = op.Bytes <= d.mach.EagerThreshold
 	s.delivered, s.rv = false, nil
 	// Drawn for rendezvous sends too: a Perturber's overhead is a
 	// per-rank sequence, and every posted send takes one draw.
@@ -576,12 +573,12 @@ func (d *driver) postSend(rs *rankState, op *rop, req int32) {
 		// Sender completes after the local injection cost, independent
 		// of matching; the payload travels immediately.
 		s.ahead = 3
-		inject := simtime.TransferTime(op.bytes, d.mach.InjectionBandwidth)
+		inject := simtime.TransferTime(op.Bytes, d.mach.InjectionBandwidth)
 		d.eng.After(o+inject, s.senderDoneFn)
 		d.eng.After(o, s.injectFn)
 	}
 	// Match in posting order.
-	ch := &d.chans[op.ch]
+	ch := &d.chans[op.Ch]
 	if !ch.recvs.empty() {
 		d.pair(s, ch.recvs.pop())
 	} else {
@@ -591,10 +588,10 @@ func (d *driver) postSend(rs *rankState, op *rop, req int32) {
 
 // postRecv posts a receive, which completes req (or resumes the rank
 // for blockingOp) when the payload has arrived and been matched.
-func (d *driver) postRecv(rs *rankState, op *rop, req int32) {
+func (d *driver) postRecv(rs *rankState, op *Rop, req int32) {
 	rv := d.sess.newRecv()
 	rv.rank, rv.req = rs.id, req
-	ch := &d.chans[op.ch]
+	ch := &d.chans[op.Ch]
 	if !ch.sends.empty() {
 		d.pair(ch.sends.pop(), rv)
 	} else {

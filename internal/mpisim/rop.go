@@ -11,54 +11,167 @@
 package mpisim
 
 import (
+	"fmt"
+	"unsafe"
+
 	"hpctradeoff/internal/simtime"
+	"hpctradeoff/internal/trace"
 )
 
-// ropKind enumerates the primitive replay operations the driver
+// RopKind enumerates the primitive replay operations the driver
 // executes after collectives are lowered away.
-type ropKind uint8
+type RopKind uint8
 
+// The primitive replay operations.
 const (
-	ropCompute ropKind = iota
-	ropSend
-	ropIsend
-	ropRecv
-	ropIrecv
-	ropWait // completes a set of requests (Wait and Waitall unified)
+	RopCompute RopKind = iota
+	RopSend
+	RopIsend
+	RopRecv
+	RopIrecv
+	RopWait // completes a set of requests (Wait and Waitall unified)
+	numRopKinds
 )
 
 var ropNames = [...]string{"compute", "send", "isend", "recv", "irecv", "wait"}
 
-func (k ropKind) String() string { return ropNames[k] }
-
-// rop is one primitive replay operation on one rank.
-type rop struct {
-	kind  ropKind
-	peer  int32 // world rank of the p2p peer
-	tag   int32
-	comm  int32 // communicator for matching (0 for lowered collective rounds, whose tags disambiguate)
-	bytes int64
-	dur   simtime.Time // compute duration (unscaled trace time)
-	req   int32        // request id for isend/irecv
-	ch    int32        // matching channel of a p2p op: the dense id of its (src, dst, tag, comm)
-	reqs  []int32      // request set for wait
-	ev    int32        // index of the originating event in the rank's trace stream
+func (k RopKind) String() string {
+	if k >= numRopKinds {
+		return fmt.Sprintf("rop(%d)", uint8(k))
+	}
+	return ropNames[k]
 }
 
-// program is the fully lowered per-rank replay program. All per-rank
-// op slices view one shared arena, as do the wait request sets. A
-// replay only reads it, so one program serves every network model the
-// trace is replayed on.
-type program struct {
-	ops [][]rop
+// RopColl in Rop.Flags marks an op lowered from a collective: one of the
+// point-to-point rounds of its algorithm rather than the trace event
+// itself.
+const RopColl uint8 = 1
+
+// Rop is one primitive replay operation on one rank. It holds no
+// pointers — a wait's request set is an extent of the program's wait
+// arena — so a program is one flat block of memory that can be written
+// to disk as it is and mapped back without decoding.
+type Rop struct {
+	Bytes int64        // payload of a point-to-point op
+	Dur   simtime.Time // compute duration (unscaled trace time)
+	Peer  int32        // world rank of the p2p peer
+	Tag   int32
+	// Req is the request id of an isend/irecv. Lowering renumbers
+	// requests densely per rank: the trace's own requests first, in
+	// posting order, then the ones its collectives synthesize.
+	Req int32
+	// Ch is the matching channel of a p2p op: the dense id of its (src,
+	// dst, tag, comm).
+	Ch int32
+	// Ev is the index of the originating event in the rank's trace
+	// stream; a rank's ops are in nondecreasing Ev order.
+	Ev int32
+	// WaitOff and WaitLen locate a wait's request set in the program's
+	// wait arena.
+	WaitOff uint32
+	WaitLen uint32
+	Kind    RopKind
+	Flags   uint8
+	_       [2]byte
+}
+
+// ropSize is the in-memory (and on-disk) size of a Rop; the image
+// header records it so a layout change can never be misread.
+const ropSize = int(unsafe.Sizeof(Rop{}))
+
+// Program is the fully lowered per-rank replay program of one trace:
+// every collective expanded into the point-to-point rounds of its
+// algorithm, every request and matching key renumbered densely. It is a
+// pure function of the trace's events (compute durations are the only
+// times it reads), so one program serves every network model the trace
+// is replayed on, and MFACT's matching as well. A replay only reads it.
+//
+// A Program is either lowered in memory (Lower, Session.Lower) or
+// opened zero-copy from an image (OpenProgram); the two are
+// indistinguishable to a replay.
+type Program struct {
+	// arena holds every rank's ops, rank-major; ops[r] views rank r's.
+	arena []Rop
+	ops   [][]Rop
+	// opOff[r] is where rank r's ops start in arena; opOff[n] is its
+	// length.
+	opOff []int64
+	// waits is the arena every wait's request set points into.
+	waits []int32
 	// evCount[r] is the number of original events on rank r (for
-	// timestamp write-back).
-	evCount []int
-	// reqCount[r] is the number of replay request ids rank r uses.
-	// Lowering renumbers requests densely from 0, so the driver tracks
-	// request state in flat arrays instead of maps.
+	// timestamp write-back and the shape check).
+	evCount []int32
+	// reqCount[r] is the number of replay request ids rank r uses, and
+	// appReqs[r] how many of them (the first ones) belong to the trace's
+	// own isend/irecv events. The driver tracks request state in flat
+	// arrays instead of maps; MFACT needs only the first appReqs[r].
 	reqCount []int32
+	appReqs  []int32
 	// numChans is the number of distinct (src, dst, tag, comm) matching
-	// channels; rop.ch indexes [0, numChans).
+	// channels; Rop.Ch indexes [0, numChans).
 	numChans int
+}
+
+// NumRanks returns the number of ranks the program replays.
+func (p *Program) NumRanks() int { return len(p.ops) }
+
+// Rank returns rank r's ops, in execution order. The slice is read-only.
+func (p *Program) Rank(r int) []Rop { return p.ops[r] }
+
+// Waits returns the request set of a wait op. The slice is read-only.
+func (p *Program) Waits(op *Rop) []int32 {
+	return p.waits[op.WaitOff : op.WaitOff+op.WaitLen : op.WaitOff+op.WaitLen]
+}
+
+// EventCount returns the number of trace events on rank r.
+func (p *Program) EventCount(r int) int { return int(p.evCount[r]) }
+
+// AppRequests returns how many request ids of rank r (numbered from 0)
+// come from the trace's own isend/irecv events.
+func (p *Program) AppRequests(r int) int32 { return p.appReqs[r] }
+
+// NumChans returns the number of matching channels.
+func (p *Program) NumChans() int { return p.numChans }
+
+// Fits reports an error when the program cannot be src's: a different
+// rank count or a different number of events on some rank. It compares
+// shapes only, so it catches a mix-up of traces, not every instance of
+// one.
+func (p *Program) Fits(src trace.Source) error {
+	n := src.TraceMeta().NumRanks
+	if n != len(p.evCount) {
+		return fmt.Errorf("mpisim: program has %d ranks, trace %s has %d", len(p.evCount), src.TraceMeta().ID(), n)
+	}
+	for r := 0; r < n; r++ {
+		if src.RankLen(r) != int(p.evCount[r]) {
+			return fmt.Errorf("mpisim: program has %d events on rank %d, trace %s has %d",
+				p.evCount[r], r, src.TraceMeta().ID(), src.RankLen(r))
+		}
+	}
+	return nil
+}
+
+// Retime rewrites every compute op's duration from src's event times.
+// Compute durations are the only times lowering reads, so retiming a
+// program lowered from a trace before it was stamped yields exactly the
+// program of the stamped trace: Retime(Lower(generated)) equals
+// Lower(stamped). src must be the trace the program was lowered from.
+func (p *Program) Retime(src trace.Source) {
+	var e trace.Event
+	for r, ops := range p.ops {
+		for i := range ops {
+			if op := &ops[i]; op.Kind == RopCompute {
+				src.EventAt(r, int(op.Ev), &e)
+				op.Dur = e.Duration()
+			}
+		}
+	}
+}
+
+// views rebuilds the per-rank op slices from opOff.
+func (p *Program) views() {
+	p.ops = make([][]Rop, len(p.opOff)-1)
+	for r := range p.ops {
+		p.ops[r] = p.arena[p.opOff[r]:p.opOff[r+1]:p.opOff[r+1]]
+	}
 }

@@ -11,26 +11,28 @@ import (
 // and the matching state a replay churns through (channel queues and
 // send/receive records). A campaign worker replaying hundreds of
 // traces on several network models makes its big allocations once and
-// lowers each trace once, instead of once per model.
+// lowers each trace at most once, instead of once per model.
 //
 // The first Replay after a Reset lowers its trace and keeps the
-// program; later Replays reuse it. Lowering does not depend on the
-// network model or the machine, and a replay only reads the program,
-// so reuse is bit-identical to lowering again. Invalidation is
-// explicit: whoever moves on to another trace calls Reset. The kept
-// program is not keyed by the Source's identity — a released mapped
-// trace and its successor can share an address.
+// program; later Replays reuse it. A caller that already holds the
+// trace's program (the trace cache keeps one next to every trace)
+// hands it over with Adopt instead, and the session never lowers.
+// Lowering does not depend on the network model or the machine, and a
+// replay only reads the program, so reuse is bit-identical to lowering
+// again. Invalidation is explicit: whoever moves on to another trace
+// calls Reset. The kept program is not keyed by the Source's identity —
+// a released mapped trace and its successor can share an address.
 //
 // Everything else is overwritten or cleared before use, so no state
 // leaks between replays and a session replay equals a stateless one.
 //
 // A Session is not safe for concurrent use; give each worker its own.
 type Session struct {
-	opArena  []rop
+	opArena  []Rop
 	reqArena []int32
 	flags    []bool
 
-	prog *program // lowered form of the current trace; nil after Reset
+	prog *Program // program of the current trace; nil after Reset
 	d    *driver  // the replay in progress, for the records' continuations
 
 	chans     []channel
@@ -41,25 +43,24 @@ type Session struct {
 // NewSession returns an empty Session.
 func NewSession() *Session { return &Session{} }
 
-// Reset forgets the lowered program, keeping every allocation. Call it
-// between traces; the Replays between two Resets must all be given the
-// same, unmodified trace.
+// Reset forgets the program, keeping every allocation. Call it between
+// traces; the Replays between two Resets must all be given the same,
+// unmodified trace.
 func (s *Session) Reset() { s.prog = nil }
 
-// program returns the lowered form of src: the one kept since the last
-// Reset, or a fresh lowering, which it keeps. A recording replay is
-// outside that economy in both directions. Lowering reads compute
-// durations off the event times and recording rewrites them, so a
-// program from before is stale afterwards and is dropped; and the
-// recording replay's own program goes into arenas of its own rather
-// than being kept.
-func (s *Session) program(src trace.Source, record bool) (*program, error) {
-	if record {
-		s.prog = nil
-		return lower(src, &Session{})
-	}
+// Adopt makes p the program of the current trace, as if the session
+// had lowered it: the Replays up to the next Reset run p instead of
+// lowering. p must be the program of the trace those Replays are
+// given, and must not change while adopted.
+func (s *Session) Adopt(p *Program) { s.prog = p }
+
+// Lower returns the program of src: the one kept since the last Reset,
+// or a fresh lowering into the session's arenas, which it keeps. A
+// program the session lowered is valid until the session lowers
+// another trace.
+func (s *Session) Lower(src trace.Source) (*Program, error) {
 	if s.prog != nil {
-		s.prog.mustFit(src)
+		s.mustFit(src)
 		return s.prog, nil
 	}
 	prog, err := lower(src, s)
@@ -70,39 +71,50 @@ func (s *Session) program(src trace.Source, record bool) (*program, error) {
 	return prog, nil
 }
 
+// program returns the program a replay of src runs. A recording replay
+// is outside the session's economy: it rewrites the event times
+// lowering reads, so no program survives it in the session. It runs
+// the adopted program if there is one (the stamper's, which retimes it
+// afterwards) and otherwise a lowering of its own, in arenas of its
+// own.
+func (s *Session) program(src trace.Source, record bool) (*Program, error) {
+	if !record {
+		return s.Lower(src)
+	}
+	if s.prog == nil {
+		return Lower(src)
+	}
+	s.mustFit(src)
+	prog := s.prog
+	s.prog = nil
+	return prog, nil
+}
+
 // mustFit panics when the kept program cannot be src's: a missing
 // Reset, which would otherwise replay one trace's program under
 // another's name. It compares shapes only, so it catches the bug, not
 // every instance of it.
-func (p *program) mustFit(src trace.Source) {
-	n := src.TraceMeta().NumRanks
-	ok := n == len(p.evCount)
-	for r := 0; ok && r < n; r++ {
-		ok = src.RankLen(r) == p.evCount[r]
-	}
-	if !ok {
-		panic(fmt.Sprintf("mpisim: session holds the program of another trace than %s (missing Reset)", src.TraceMeta().ID()))
+func (s *Session) mustFit(src trace.Source) {
+	if err := s.prog.Fits(src); err != nil {
+		panic(fmt.Sprintf("mpisim: session holds the program of another trace than %s (missing Reset): %v", src.TraceMeta().ID(), err))
 	}
 }
 
-// ops returns a rop arena of length n, reusing the session's backing
-// array when it is large enough. Every element is overwritten by the
-// fill pass.
-func (s *Session) ops(n int) []rop {
+// ops returns an empty rop arena with room for n ops, reusing the
+// session's backing array when it is large enough.
+func (s *Session) ops(n int) []Rop {
 	if cap(s.opArena) < n {
-		s.opArena = make([]rop, n)
+		s.opArena = make([]Rop, 0, n)
 	}
-	s.opArena = s.opArena[:n]
-	return s.opArena
+	return s.opArena[:0]
 }
 
 // reqs is ops for the wait-set arena.
 func (s *Session) reqs(n int) []int32 {
 	if cap(s.reqArena) < n {
-		s.reqArena = make([]int32, n)
+		s.reqArena = make([]int32, 0, n)
 	}
-	s.reqArena = s.reqArena[:n]
-	return s.reqArena
+	return s.reqArena[:0]
 }
 
 // flagArena returns a zeroed bool arena of length n; the driver's

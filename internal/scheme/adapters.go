@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"fmt"
 	"time"
 
 	"hpctradeoff/internal/faultinject"
@@ -54,14 +55,29 @@ func (mfactScheme) Run(src trace.Source, mach *machine.Config, _ Options) (Outco
 
 func (mfactScheme) NewSession() Session { return &mfactSession{sess: mfact.NewSession()} }
 
-type mfactSession struct{ sess *mfact.Session }
+// mfactSession models through an mfact.Session. On its own (NewSession)
+// every Run lowers its trace afresh; in a Sessions set it takes the
+// trace's program from the set's shared mpisim.Session, which adopted
+// it or lowers it once for every scheme of the set.
+type mfactSession struct {
+	sess *mfact.Session
+	low  *mpisim.Session // the set's; nil on its own
+}
 
 func (s *mfactSession) Run(src trace.Source, mach *machine.Config, _ Options) (Outcome, error) {
 	start := time.Now()
 	if err := failRun.FailLabel(MFACT); err != nil {
 		return Outcome{Scheme: MFACT, Kind: KindModel, Wall: time.Since(start)}, err
 	}
-	res, err := s.sess.Model(src, mach, nil)
+	if s.low == nil {
+		res, err := s.sess.Model(src, mach, nil)
+		return mfactOutcome(res, err, time.Since(start))
+	}
+	prog, err := s.low.Lower(src)
+	if err != nil {
+		return mfactOutcome(nil, fmt.Errorf("mfact: %w", err), time.Since(start))
+	}
+	res, err := s.sess.ModelProgram(src, prog, mach, nil)
 	return mfactOutcome(res, err, time.Since(start))
 }
 
@@ -137,38 +153,53 @@ func simOutcome(name string, res *mpisim.Result, err error, wall time.Duration) 
 
 // Sessions is one worker's sessions over a list of schemes, one per
 // scheme. Unlike sessions made one at a time with NewSession, the
-// built-in simulations in the set share a single mpisim.Session: one
-// set of replay arenas instead of one per network model, and each trace
-// lowered to its replay program once for all of them. Other schemes get
-// their own NewSession. Sharing needs to know when the trace changes:
-// call NextTrace before the first Run on each trace, and hand every Run
-// up to the next NextTrace the same, unmodified trace.
+// built-in schemes in the set — MFACT and the simulations — share a
+// single mpisim.Session: one set of replay arenas instead of one per
+// network model, and one replay program per trace for all of them,
+// either handed over by the caller (the trace cache keeps one next to
+// every trace) or lowered once. Other schemes get their own NewSession.
+// Sharing needs to know when the trace changes: call NextTrace before
+// the first Run on each trace, and hand every Run up to the next
+// NextTrace the same, unmodified trace.
 type Sessions struct {
 	list []Session
-	sim  *mpisim.Session // nil when the set has no built-in simulation
+	low  *mpisim.Session // nil when the set has no built-in scheme
 }
 
 // NewSessions returns a session set over ss, in order.
 func NewSessions(ss []Scheme) *Sessions {
 	w := &Sessions{list: make([]Session, len(ss))}
+	shared := func() *mpisim.Session {
+		if w.low == nil {
+			w.low = mpisim.NewSession()
+		}
+		return w.low
+	}
 	for i, s := range ss {
-		sim, ok := s.(simScheme)
-		if !ok {
+		switch s := s.(type) {
+		case simScheme:
+			w.list[i] = &simSession{model: s.model, sess: shared(), shared: true}
+		case mfactScheme:
+			w.list[i] = &mfactSession{sess: mfact.NewSession(), low: shared()}
+		default:
 			w.list[i] = s.NewSession()
-			continue
 		}
-		if w.sim == nil {
-			w.sim = mpisim.NewSession()
-		}
-		w.list[i] = &simSession{model: sim.model, sess: w.sim, shared: true}
 	}
 	return w
 }
 
-// NextTrace discards what the set kept of the previous trace.
-func (w *Sessions) NextTrace() {
-	if w.sim != nil {
-		w.sim.Reset()
+// NextTrace discards what the set kept of the previous trace. prog,
+// when non-nil, is the next trace's replay program (mpisim.Lower of
+// it, or an equal one): the set's built-in schemes replay it and none
+// of them lowers the trace. It must stay valid and unmodified until the
+// next NextTrace.
+func (w *Sessions) NextTrace(prog *mpisim.Program) {
+	if w.low == nil {
+		return
+	}
+	w.low.Reset()
+	if prog != nil {
+		w.low.Adopt(prog)
 	}
 }
 

@@ -94,6 +94,9 @@ func (c *Columns) NumRanks() int { return len(c.ranks) }
 // RankLen implements Source.
 func (c *Columns) RankLen(r int) int { return len(c.ranks[r].op) }
 
+// OpAt implements Source.
+func (c *Columns) OpAt(r, i int) Op { return c.ranks[r].op[i] }
+
 // EventAt implements Source: it gathers row i of rank r's columns into
 // e. Reqs/SendBytes alias the rank arenas (read-only, zero-copy).
 func (c *Columns) EventAt(r, i int, e *Event) {

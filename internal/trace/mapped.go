@@ -165,3 +165,31 @@ func OpenMapped(path string) (*Mapped, error) {
 	}
 	return &Mapped{Columns: c, Version: version, data: data, zero: alias}, nil
 }
+
+// MapFile maps the whole file at path privately and returns its image
+// with the function that releases it, for callers that keep other
+// zero-copy formats next to traces (the trace cache's replay programs).
+// Like OpenMapped it degrades to reading the file into memory where
+// mmap is unavailable or fails; the image must be treated as
+// read-only either way.
+func MapFile(path string) ([]byte, func() error, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	if mmapSupported && st.Size() > 0 {
+		if data, err := mmapFile(f, st.Size()); err == nil {
+			return data, func() error { return munmapFile(data) }, nil
+		}
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, func() error { return nil }, nil
+}

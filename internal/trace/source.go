@@ -22,6 +22,9 @@ type Source interface {
 	RankLen(r int) int
 	// EventAt fills e with rank r's i-th event.
 	EventAt(r, i int, e *Event)
+	// OpAt returns the op of rank r's i-th event, for scans that look
+	// at a few kinds of event and skip the rest.
+	OpAt(r, i int) Op
 	// SetEventTimes overwrites the entry/exit timestamps of rank r's
 	// i-th event (the ground-truth executor's write-back path).
 	SetEventTimes(r, i int, entry, exit simtime.Time)
@@ -85,6 +88,9 @@ func (t *Trace) RankLen(r int) int { return len(t.Ranks[r]) }
 
 // EventAt implements Source.
 func (t *Trace) EventAt(r, i int, e *Event) { *e = t.Ranks[r][i] }
+
+// OpAt implements Source.
+func (t *Trace) OpAt(r, i int) Op { return t.Ranks[r][i].Op }
 
 // SetEventTimes implements Source.
 func (t *Trace) SetEventTimes(r, i int, entry, exit simtime.Time) {

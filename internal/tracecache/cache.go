@@ -30,10 +30,15 @@
 //     is deterministic and the rename atomic, so the worst case is
 //     duplicated encoding work; sharded campaigns never even hit that,
 //     because shards own disjoint manifest ranges.
+//   - Every entry may also carry its trace's lowered replay program
+//     (program.go), so that AcquireProgram hits replay without
+//     lowering. The program is derived from the trace and is repaired
+//     from it, never the other way round.
 //   - A size cap (Options.MaxBytes) is enforced after each publish by
-//     evicting least-recently-used entries (sidecar mtime, touched on
-//     every hit). Evicting an entry another process has mapped is safe:
-//     the mapping outlives the unlink.
+//     dropping least-recently-used program files, then evicting
+//     least-recently-used entries (sidecar mtime, touched on every hit).
+//     Evicting an entry another process has mapped is safe: the mapping
+//     outlives the unlink.
 package tracecache
 
 import (
@@ -50,6 +55,7 @@ import (
 	"time"
 
 	"hpctradeoff/internal/faultinject"
+	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
 )
@@ -99,11 +105,14 @@ func Hash(p workload.Params) string {
 
 // Options configures Open.
 type Options struct {
-	// MaxBytes caps the cache directory's total size (trace files plus
-	// sidecars); 0 means unbounded. The cap is enforced after each
-	// publish by LRU eviction, so it is a high-water mark, not a hard
-	// ceiling — one entry larger than the cap still publishes (and is
-	// evicted by the next one).
+	// MaxBytes caps the cache directory's total size (trace files,
+	// sidecars and program files); 0 means unbounded. The cap is
+	// enforced after each publish, so it is a high-water mark, not a
+	// hard ceiling — one entry larger than the cap still publishes (and
+	// is evicted by the next one). Under pressure, program files go
+	// first, least recently used first, and only then whole entries, so
+	// a capped cache keeps as many traces as it would without programs,
+	// less the room of the program just published.
 	MaxBytes int64
 	// Warnf receives operator warnings: corrupt entries evicted,
 	// publish failures (the cache degrades to pass-through), LRU
@@ -123,8 +132,12 @@ type Stats struct {
 	// (including tracecache/open failpoint firings); Evictions counts
 	// LRU evictions under the size cap.
 	Corrupt, Evictions int64
-	// BytesWritten is the total published trace+sidecar bytes;
-	// BytesMapped the total trace bytes served via hits.
+	// Relowered counts hits whose stored program was missing, damaged
+	// or stale, so the program was lowered again from the trace and
+	// re-published. A re-lowering is not a miss.
+	Relowered int64
+	// BytesWritten is the total published trace, sidecar and program
+	// bytes; BytesMapped the total trace bytes served via hits.
 	BytesWritten, BytesMapped int64
 }
 
@@ -134,6 +147,7 @@ func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		Hits: s.Hits - o.Hits, Misses: s.Misses - o.Misses,
 		Corrupt: s.Corrupt - o.Corrupt, Evictions: s.Evictions - o.Evictions,
+		Relowered:    s.Relowered - o.Relowered,
 		BytesWritten: s.BytesWritten - o.BytesWritten, BytesMapped: s.BytesMapped - o.BytesMapped,
 	}
 }
@@ -146,6 +160,9 @@ func (s Stats) String() string {
 	}
 	if s.Evictions > 0 {
 		out += fmt.Sprintf(", %d LRU evicted", s.Evictions)
+	}
+	if s.Relowered > 0 {
+		out += fmt.Sprintf(", %d programs re-lowered", s.Relowered)
 	}
 	if s.BytesWritten > 0 {
 		out += fmt.Sprintf(", %.1f MB written", float64(s.BytesWritten)/1e6)
@@ -168,8 +185,8 @@ type Cache struct {
 	inflight map[string]chan struct{}
 	evictMu  sync.Mutex
 
-	hits, misses, corrupt, evictions atomic.Int64
-	bytesWritten, bytesMapped        atomic.Int64
+	hits, misses, corrupt, evictions, relowered atomic.Int64
+	bytesWritten, bytesMapped                   atomic.Int64
 }
 
 // Open returns a Cache over dir, creating the directory if needed.
@@ -200,6 +217,7 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits: c.hits.Load(), Misses: c.misses.Load(),
 		Corrupt: c.corrupt.Load(), Evictions: c.evictions.Load(),
+		Relowered:    c.relowered.Load(),
 		BytesWritten: c.bytesWritten.Load(), BytesMapped: c.bytesMapped.Load(),
 	}
 }
@@ -216,31 +234,66 @@ func (c *Cache) Stats() Stats {
 // the materialized columns uncached, both with a warning. The only
 // errors Acquire returns are materialize's own.
 func (c *Cache) Acquire(p workload.Params, materialize func() (*trace.Columns, error)) (*trace.Columns, func(), bool, error) {
+	cols, _, release, hit, err := c.acquire(p, func() (*trace.Columns, *mpisim.Program, error) {
+		cols, err := materialize()
+		return cols, nil, err
+	}, false)
+	return cols, release, hit, err
+}
+
+// AcquireProgram is Acquire for a caller that replays the trace: it
+// also returns the trace's lowered replay program, valid until release.
+// On a miss, materialize returns both (workload.MaterializeReplay) and
+// the program is published next to the trace. On a hit the program is
+// mapped from the entry; when that file is missing, damaged or stale it
+// is lowered again from the verified trace and re-published, which
+// counts in Stats.Relowered and never as a miss.
+func (c *Cache) AcquireProgram(p workload.Params, materialize func() (*trace.Columns, *mpisim.Program, error)) (*trace.Columns, *mpisim.Program, func(), bool, error) {
+	return c.acquire(p, materialize, true)
+}
+
+func (c *Cache) acquire(p workload.Params, materialize func() (*trace.Columns, *mpisim.Program, error), wantProg bool) (*trace.Columns, *mpisim.Program, func(), bool, error) {
 	hash := Hash(p)
 	unlock := c.lockKey(hash)
 	defer unlock()
 
-	if m, size, err := c.openEntry(hash, p); err == nil && m != nil {
+	if m, sc, err := c.openEntry(hash, p); err == nil && m != nil {
 		c.hits.Add(1)
-		c.bytesMapped.Add(size)
-		return m.Columns, func() { m.Close() }, true, nil
+		c.bytesMapped.Add(sc.Size)
+		if !wantProg {
+			return m.Columns, nil, func() { m.Close() }, true, nil
+		}
+		prog, unmap, err := c.openProgram(hash, sc, m.Columns)
+		if err != nil {
+			unmap = func() {}
+			if prog, err = c.relower(hash, sc, m.Columns, err); err != nil {
+				m.Close()
+				return nil, nil, nil, false, err
+			}
+		}
+		return m.Columns, prog, func() { unmap(); m.Close() }, true, nil
 	} else if err != nil {
 		// Verification failed: evict so the next acquisition does not
 		// re-verify known damage, warn, fall through to regeneration.
 		c.evictCorrupt(hash, p, err)
 	}
 
-	cols, err := materialize()
+	cols, prog, err := materialize()
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, nil, false, err
 	}
 	c.misses.Add(1)
-	if err := c.publish(hash, p, cols); err != nil {
+	if err := c.publish(hash, p, cols, prog); err != nil {
 		c.warnf("tracecache: publishing %s (%s): %v; continuing uncached", Key(p), hash, err)
 	} else {
 		c.enforceCap(hash)
 	}
-	return cols, func() {}, false, nil
+	if wantProg && prog == nil {
+		if prog, err = mpisim.Lower(cols); err != nil {
+			return nil, nil, nil, false, err
+		}
+	}
+	return cols, prog, func() {}, false, nil
 }
 
 // lockKey is the per-key singleflight gate: the returned unlock must be
@@ -268,63 +321,70 @@ func (c *Cache) lockKey(hash string) func() {
 	}
 }
 
-// openEntry opens and fully verifies one entry. Returns (nil, 0, nil)
+// openEntry opens and fully verifies one entry. Returns (nil, nil, nil)
 // for a plain miss (no entry, or an entry from another schema version),
-// a non-nil error for damage that must evict, and the mapped trace on
-// success.
-func (c *Cache) openEntry(hash string, p workload.Params) (*trace.Mapped, int64, error) {
+// a non-nil error for damage that must evict, and the mapped trace with
+// its sidecar on success.
+func (c *Cache) openEntry(hash string, p workload.Params) (*trace.Mapped, *sidecar, error) {
 	scPath := filepath.Join(c.dir, hash+sidecarSuffix)
 	scData, err := os.ReadFile(scPath)
 	if os.IsNotExist(err) {
-		return nil, 0, nil // cold: no sidecar means no entry
+		return nil, nil, nil // cold: no sidecar means no entry
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: sidecar unreadable: %v", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: sidecar unreadable: %v", ErrCorrupt, err)
 	}
 	if err := failOpen.FailLabel(p.App); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	sc, err := parseSidecar(scData)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	if sc.Codec != trace.VersionV3 || sc.WorkloadSchema != workload.SchemaVersion {
 		// A different build's entry under a colliding pre-bump hash:
 		// possible only if the key derivation ever drops the versions.
 		// Treat as damage — the sidecar contradicts its own address.
-		return nil, 0, fmt.Errorf("%w: entry is codec v%d / schema %d, this build wants v%d / %d",
+		return nil, nil, fmt.Errorf("%w: entry is codec v%d / schema %d, this build wants v%d / %d",
 			ErrCorrupt, sc.Codec, sc.WorkloadSchema, trace.VersionV3, workload.SchemaVersion)
 	}
 	if want := Key(p); sc.Key != want {
-		return nil, 0, fmt.Errorf("%w: sidecar names key %q, address derives from %q", ErrCorrupt, sc.Key, want)
+		return nil, nil, fmt.Errorf("%w: sidecar names key %q, address derives from %q", ErrCorrupt, sc.Key, want)
 	}
 
 	m, err := trace.OpenMapped(filepath.Join(c.dir, hash+traceSuffix))
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	img := m.Image()
 	if int64(len(img)) != sc.Size {
 		m.Close()
-		return nil, 0, fmt.Errorf("%w: trace file is %d bytes, sidecar says %d", ErrCorrupt, len(img), sc.Size)
+		return nil, nil, fmt.Errorf("%w: trace file is %d bytes, sidecar says %d", ErrCorrupt, len(img), sc.Size)
 	}
 	if got := fmt.Sprintf("%08x", crc32.Checksum(img, castagnoli)); got != sc.CRC32C {
 		m.Close()
-		return nil, 0, fmt.Errorf("%w: trace checksum %s, sidecar says %s", ErrCorrupt, got, sc.CRC32C)
+		return nil, nil, fmt.Errorf("%w: trace checksum %s, sidecar says %s", ErrCorrupt, got, sc.CRC32C)
 	}
 	// Touch the sidecar so LRU eviction sees the hit. Best-effort: a
 	// read-only cache directory still serves hits.
 	now := time.Now()
 	_ = os.Chtimes(scPath, now, now)
-	return m, sc.Size, nil
+	return m, sc, nil
 }
 
 // evictCorrupt removes a failed entry and records the eviction.
 func (c *Cache) evictCorrupt(hash string, p workload.Params, cause error) {
 	c.corrupt.Add(1)
 	c.warnf("tracecache: evicting %s (%s): %v; regenerating", Key(p), hash, cause)
-	os.Remove(filepath.Join(c.dir, hash+sidecarSuffix))
-	os.Remove(filepath.Join(c.dir, hash+traceSuffix))
+	c.remove(hash)
+}
+
+// remove deletes an entry's files, sidecar first so that no visible
+// sidecar ever describes a missing trace.
+func (c *Cache) remove(hash string) {
+	for _, suffix := range []string{sidecarSuffix, traceSuffix, programSuffix} {
+		os.Remove(filepath.Join(c.dir, hash+suffix))
+	}
 }
 
 // countingWriter tracks bytes and CRC-32C of everything written through
@@ -343,10 +403,12 @@ func (w *countingWriter) Write(b []byte) (int, error) {
 }
 
 // publish atomically installs cols as hash's entry: trace file first,
-// sidecar second (each temp + fsync + rename), then a directory fsync.
-// Because the sidecar is renamed last, any visible sidecar describes a
-// fully-durable trace file.
-func (c *Cache) publish(hash string, p workload.Params, cols *trace.Columns) error {
+// sidecar second (each temp + fsync + rename), then the program when
+// there is one (temp + rename only), then a directory fsync. Because
+// the sidecar is renamed last of the durable files, any visible sidecar
+// describes a fully-durable trace file. A program that fails to publish
+// costs the next hit a lowering, not the entry.
+func (c *Cache) publish(hash string, p workload.Params, cols *trace.Columns, prog *mpisim.Program) error {
 	tracePath := filepath.Join(c.dir, hash+traceSuffix)
 	tf, err := os.CreateTemp(c.dir, tmpPrefix+hash+"-*"+traceSuffix)
 	if err != nil {
@@ -369,11 +431,12 @@ func (c *Cache) publish(hash string, p workload.Params, cols *trace.Columns) err
 		return err
 	}
 
-	scBytes, err := encodeSidecar(&sidecar{
+	sc := &sidecar{
 		Version: sidecarVersion, Key: Key(p),
 		Codec: trace.VersionV3, WorkloadSchema: workload.SchemaVersion,
 		Size: cw.n, CRC32C: fmt.Sprintf("%08x", cw.crc),
-	})
+	}
+	scBytes, err := encodeSidecar(sc)
 	if err != nil {
 		return err
 	}
@@ -396,20 +459,29 @@ func (c *Cache) publish(hash string, p workload.Params, cols *trace.Columns) err
 	if err := os.Rename(sf.Name(), filepath.Join(c.dir, hash+sidecarSuffix)); err != nil {
 		return err
 	}
+	written := cw.n + int64(len(scBytes))
+	if prog != nil {
+		if n, err := c.publishProgram(hash, sc, prog); err != nil {
+			c.warnf("tracecache: publishing the program of %s (%s): %v", sc.Key, hash, err)
+		} else {
+			written += n
+		}
+	}
 	if err := syncDir(c.dir); err != nil {
 		return err
 	}
-	c.bytesWritten.Add(cw.n + int64(len(scBytes)))
+	c.bytesWritten.Add(written)
 	return nil
 }
 
 // entryFile is one on-disk entry as the eviction sweep and List see it.
 type entryFile struct {
-	hash    string
-	bytes   int64 // trace + sidecar
-	lastUse time.Time
-	sc      *sidecar
-	scErr   error
+	hash      string
+	bytes     int64 // trace + sidecar + program
+	progBytes int64 // the program file's share of bytes
+	lastUse   time.Time
+	sc        *sidecar
+	scErr     error
 }
 
 // scan lists the cache directory's entries (by sidecar), including
@@ -436,6 +508,10 @@ func (c *Cache) scan() (entries []entryFile, tmps []string, err error) {
 		}
 		if info, err := os.Stat(filepath.Join(c.dir, hash+traceSuffix)); err == nil {
 			e.bytes += info.Size()
+		}
+		if info, err := os.Stat(filepath.Join(c.dir, hash+programSuffix)); err == nil {
+			e.progBytes = info.Size()
+			e.bytes += e.progBytes
 		}
 		data, rerr := os.ReadFile(filepath.Join(c.dir, name))
 		if rerr != nil {
@@ -488,6 +564,20 @@ func (c *Cache) enforceCap(keep string) {
 		}
 		return entries[i].lastUse.Before(entries[j].lastUse)
 	})
+	// Program files go before any trace: an evicted trace costs a
+	// generate and a stamp to get back, a dropped program one lowering.
+	for i := range entries {
+		if total <= c.maxBytes {
+			return
+		}
+		e := &entries[i]
+		if e.hash == keep || e.progBytes == 0 {
+			continue
+		}
+		os.Remove(filepath.Join(c.dir, e.hash+programSuffix))
+		total -= e.progBytes
+		e.bytes -= e.progBytes
+	}
 	for _, e := range entries {
 		if total <= c.maxBytes {
 			break
@@ -495,8 +585,7 @@ func (c *Cache) enforceCap(keep string) {
 		if e.hash == keep {
 			continue
 		}
-		os.Remove(filepath.Join(c.dir, e.hash+sidecarSuffix))
-		os.Remove(filepath.Join(c.dir, e.hash+traceSuffix))
+		c.remove(e.hash)
 		total -= e.bytes
 		c.evictions.Add(1)
 		key := e.hash
@@ -514,14 +603,24 @@ type Entry struct {
 	Hash string
 	Key  string
 	// Codec and WorkloadSchema are the versions the entry was written
-	// under; Bytes its on-disk size (trace + sidecar); LastUse the LRU
-	// timestamp.
+	// under; Bytes its on-disk size (trace + sidecar + program); LastUse
+	// the LRU timestamp.
 	Codec, WorkloadSchema int
 	Bytes                 int64
 	LastUse               time.Time
 	// Err is non-nil when the sidecar failed to parse or verify; such
 	// an entry would be evicted and regenerated on its next acquisition.
 	Err error
+	// ProgramVersion is the lowering version of the entry's program
+	// file (0 when there is none or its header is unreadable) and
+	// ProgramBytes its size. ProgramErr says why the next hit would
+	// lower the program again instead of mapping it — no file, a
+	// damaged header, or a stale one (lowered by another version, or
+	// from other trace bytes) — as far as the header tells; nil if it
+	// would map it.
+	ProgramVersion int
+	ProgramBytes   int64
+	ProgramErr     error
 }
 
 // List returns every entry in the cache directory, sorted by key (then
@@ -537,6 +636,7 @@ func (c *Cache) List() ([]Entry, error) {
 		if e.sc != nil {
 			ent.Key, ent.Codec, ent.WorkloadSchema = e.sc.Key, e.sc.Codec, e.sc.WorkloadSchema
 		}
+		ent.ProgramVersion, ent.ProgramBytes, ent.ProgramErr = c.programInfo(e.hash, e.sc)
 		out = append(out, ent)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -554,6 +654,12 @@ func (c *Cache) List() ([]Entry, error) {
 // in place.
 func (c *Cache) EntryPaths(hash string) (tracePath, sidecarPath string) {
 	return filepath.Join(c.dir, hash+traceSuffix), filepath.Join(c.dir, hash+sidecarSuffix)
+}
+
+// ProgramPath returns the on-disk path of the entry's program file
+// (whether or not it exists), for the same inspection and damage tools.
+func (c *Cache) ProgramPath(hash string) string {
+	return filepath.Join(c.dir, hash+programSuffix)
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a crash.

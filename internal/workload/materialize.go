@@ -69,20 +69,31 @@ func MaterializeColumnsBudget(p Params, deadline time.Time, maxEvents uint64) (*
 // MaterializeColumnsLimits is MaterializeColumns under the full set of
 // run bounds, including cancellation.
 func MaterializeColumnsLimits(p Params, lim Limits) (*trace.Columns, error) {
+	c, _, err := MaterializeReplay(p, lim)
+	return c, err
+}
+
+// MaterializeReplay is MaterializeColumnsLimits that also returns the
+// stamped trace's replay program, for callers that replay the trace
+// next. Stamping lowers the generated trace anyway; retiming that
+// program to the stamped durations makes it the stamped trace's, so
+// the program costs no second lowering.
+func MaterializeReplay(p Params, lim Limits) (*trace.Columns, *mpisim.Program, error) {
 	c, err := GenerateColumns(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := stampSource(c, p, lim); err != nil {
-		return nil, err
+	prog, err := stampSource(c, p, lim)
+	if err != nil {
+		return nil, nil, err
 	}
-	return c, nil
+	return c, prog, nil
 }
 
 // stamp executes the program on its machine's detailed simulator with
 // noise and writes the measured timestamps into the trace.
 func stamp(tr *trace.Trace, p Params, deadline time.Time, maxEvents uint64) (*trace.Trace, error) {
-	if err := stampSource(tr, p, Limits{Deadline: deadline, MaxEvents: maxEvents}); err != nil {
+	if _, err := stampSource(tr, p, Limits{Deadline: deadline, MaxEvents: maxEvents}); err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -99,10 +110,13 @@ func stamp(tr *trace.Trace, p Params, deadline time.Time, maxEvents uint64) (*tr
 // embedded in the "measured" times exactly as it would in a real
 // collection. A zero Noise takes the identical code path and floats as
 // before the field existed (TestZeroNoiseGroundTruthUnchanged).
-func stampSource(src trace.Source, p Params, lim Limits) error {
+//
+// It returns the stamped trace's replay program: the one the recording
+// replay ran, retimed to the stamped compute durations.
+func stampSource(src trace.Source, p Params, lim Limits) (*mpisim.Program, error) {
 	mach, err := machine.New(p.Machine, p.Ranks, p.RanksPerNode)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	perturb := mpisim.DefaultNoise(p.Seed, p.Ranks)
 	if !p.Noise.IsZero() {
@@ -119,7 +133,13 @@ func stampSource(src trace.Source, p Params, lim Limits) error {
 		// features reflect the collection configuration.
 		meta.RanksPerNode = mach.RanksPerNode
 	}
-	_, err = mpisim.ReplaySource(src, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{
+	prog, err := mpisim.Lower(src)
+	if err != nil {
+		return nil, fmt.Errorf("workload: ground-truth execution of %s: %w", meta.ID(), err)
+	}
+	sess := mpisim.NewSession()
+	sess.Adopt(prog)
+	_, err = sess.Replay(src, simnet.PacketFlow, mach, simnet.Config{}, mpisim.Options{
 		Record:    true,
 		Perturb:   perturb,
 		Deadline:  lim.Deadline,
@@ -127,9 +147,10 @@ func stampSource(src trace.Source, p Params, lim Limits) error {
 		Cancel:    lim.Cancel,
 	})
 	if err != nil {
-		return fmt.Errorf("workload: ground-truth execution of %s: %w", meta.ID(), err)
+		return nil, fmt.Errorf("workload: ground-truth execution of %s: %w", meta.ID(), err)
 	}
-	return nil
+	prog.Retime(src)
+	return prog, nil
 }
 
 // noiseSeed isolates the platform-variability draws: the trace seed
