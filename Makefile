@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%F)
 
-.PHONY: all check build test vet test-race race bench bench-short benchmark benchmark-smoke microbench fuzz fuzz-seeds triage-smoke chaos-short chaos cache-warm study variability figures clean
+.PHONY: all check build test vet test-race race bench bench-short benchmark benchmark-smoke microbench fuzz fuzz-seeds tools-smoke triage-smoke chaos-short chaos cache-warm study variability figures clean
 
 all: check
 
@@ -10,8 +10,9 @@ all: check
 # seed corpus, a short benchmark smoke run (proving the harness and
 # every scenario still execute; numbers are not recorded), the study
 # benchmark's smoke pass (every workload's paths and its digest gate),
-# the tiered triage threshold sweep, and the bounded chaos soak.
-check: build vet test test-race fuzz-seeds bench-short benchmark-smoke triage-smoke chaos-short
+# the file-based tools on one trace file, the tiered triage threshold
+# sweep, and the bounded chaos soak.
+check: build vet test test-race fuzz-seeds bench-short benchmark-smoke tools-smoke triage-smoke chaos-short
 
 build:
 	$(GO) build ./...
@@ -83,6 +84,24 @@ fuzz-seeds:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzCheckpointLoader -fuzztime=$(FUZZTIME) ./internal/core/
+
+# tools-smoke drives the file-based tools end to end in a temporary
+# directory: tracegen writes one codec-v3 trace, traceinfo, mfact
+# (sweep and grid) and sstsim read it back, and dumpiconv converts the
+# two-rank DUMPI fixture for traceinfo to read.
+DUMPI_FIXTURE := internal/trace/testdata/dumpi
+tools-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && set -e && \
+	$(GO) build -o "$$dir/bin/" ./cmd/tracegen ./cmd/traceinfo ./cmd/mfact ./cmd/sstsim ./cmd/dumpiconv && \
+	"$$dir/bin/tracegen" -out "$$dir/traces" -app FT -class S -ranks 16 > /dev/null && \
+	trace=$$(ls "$$dir"/traces/*.htrc) && \
+	"$$dir/bin/traceinfo" -v "$$trace" > /dev/null && \
+	"$$dir/bin/mfact" "$$trace" > /dev/null && \
+	"$$dir/bin/mfact" -grid "$$trace" > /dev/null && \
+	"$$dir/bin/sstsim" -model flow "$$trace" > /dev/null && \
+	"$$dir/bin/dumpiconv" -out "$$dir/imported.htrc" $(DUMPI_FIXTURE)/rank0.txt $(DUMPI_FIXTURE)/rank1.txt > /dev/null && \
+	"$$dir/bin/traceinfo" "$$dir/imported.htrc" > /dev/null && \
+	echo "tools-smoke: ok"
 
 # triage-smoke is the threshold-sweep smoke wired into `make check`:
 # the differential/property suites for the tiered scheduler, then one

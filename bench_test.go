@@ -173,10 +173,10 @@ func BenchmarkTableIVAndRates(b *testing.B) {
 
 // ---- Scheme-level costs (the substance behind Table II / Figure 1) ----
 
-func benchTrace(b *testing.B) (*trace.Trace, *machine.Config) {
+func benchTrace(b *testing.B) (*trace.Columns, *machine.Config) {
 	b.Helper()
 	p := workload.Params{App: "MiniFE", Class: "A", Ranks: 64, Machine: "hopper", Seed: 7}
-	tr, err := workload.Materialize(p)
+	tr, err := workload.MaterializeColumns(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func BenchmarkGroundTruth(b *testing.B) {
 	p := workload.Params{App: "LULESH", Class: "A", Ranks: 64, Machine: "edison", Seed: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := workload.Materialize(p); err != nil {
+		if _, err := workload.MaterializeColumns(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,7 +253,7 @@ func BenchmarkGroundTruth(b *testing.B) {
 // per placement.
 func BenchmarkPlacementAblation(b *testing.B) {
 	p := workload.Params{App: "FT", Class: "A", Ranks: 96, Machine: "hopper", Seed: 13}
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateColumns(p)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Command bench runs the repository's fixed performance scenarios —
 // the DES event core, the three network models, full trace replays,
-// the trace codecs and cache, and reduced campaigns — and writes a
+// the trace codec and cache, and reduced campaigns — and writes a
 // JSON snapshot (BENCH_<date>.json) so performance regressions become
 // visible PR-to-PR. Every scenario reports per-event costs (ns/event,
 // allocs/event) because the paper's cost model is "events executed":
@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -55,8 +54,7 @@ type Entry struct {
 	BytesPerEvent  float64 `json:"bytes_per_event"`
 	// PeakHeapBytes is a sampled peak-residency estimate (max HeapInuse
 	// observed while the scenario ran); only the campaign scenarios
-	// report it, because residency — not throughput — is what the
-	// Source-native pipeline buys over materializing each trace.
+	// report it, because they hold whole traces resident.
 	PeakHeapBytes float64 `json:"peak_heap_bytes,omitempty"`
 	// CacheHits/CacheMisses are the trace-cache counters of one op;
 	// only the cache scenarios report them. They are the snapshot's
@@ -107,14 +105,8 @@ func scenarios() []scenario {
 		{"mpisim/replay-packet", mkReplay(simnet.Packet)},
 		{"mpisim/lower-stencil", benchLowerStencil},
 		{"mpisim/replay-packetflow", mkReplay(simnet.PacketFlow)},
-		{"trace/replay-cursor", benchReplayCursor},
-		{"trace/codec-roundtrip", benchCodecRoundtrip},
-		{"trace/codec-roundtrip-v1", benchCodecRoundtripV1},
-		{"trace/codec-decode-v2", benchCodecDecodeV2},
 		{"trace/codec-open-v3", benchCodecOpenV3},
 		{"trace/materialize-full", benchMaterializeFull},
-		{"trace/materialize-vs-stream", benchStream},
-		{"campaign/materialized", benchCampaignMaterialized},
 		{"campaign/source-native", benchCampaignSource},
 		{"tracecache/acquire-cold", benchAcquireCold},
 		{"tracecache/acquire-warm", benchAcquireWarm},
@@ -264,14 +256,11 @@ func benchFlowAlltoall(short bool) uint64 {
 	return eng.Steps()
 }
 
-// replayTrace caches the materialized trace shared by the replay
-// scenarios (materialization itself is benchmarked elsewhere), plus
-// its columnar twin and encoded forms for the trace/* scenarios.
+// replayCols caches the materialized trace shared by the replay
+// scenarios (materialization itself is benchmarked elsewhere).
 var (
-	replayTr   *trace.Trace
 	replayCols *trace.Columns
 	replayMach *machine.Config
-	replayEnc  struct{ v1, v2 []byte }
 	// replayV3Path is the replay trace written in the zero-copy v3
 	// format to a temp file, the input for trace/codec-open-v3.
 	replayV3Path string
@@ -287,11 +276,11 @@ func replayParams(short bool) workload.Params {
 }
 
 func ensureReplay(short bool) {
-	if replayTr != nil {
+	if replayCols != nil {
 		return
 	}
 	p := replayParams(short)
-	tr, err := workload.Materialize(p)
+	cols, err := workload.MaterializeColumns(p)
 	if err != nil {
 		panic(err)
 	}
@@ -299,16 +288,7 @@ func ensureReplay(short bool) {
 	if err != nil {
 		panic(err)
 	}
-	replayTr, replayMach = tr, mach
-	replayCols = trace.FromTrace(tr)
-	var v1, v2 bytes.Buffer
-	if err := trace.Write(&v1, tr); err != nil {
-		panic(err)
-	}
-	if err := trace.WriteColumns(&v2, replayCols); err != nil {
-		panic(err)
-	}
-	replayEnc.v1, replayEnc.v2 = v1.Bytes(), v2.Bytes()
+	replayCols, replayMach = cols, mach
 
 	f, err := os.CreateTemp("", "bench-*.htrc3")
 	if err != nil {
@@ -326,55 +306,12 @@ func ensureReplay(short bool) {
 func mkReplay(m simnet.Model) func(bool) uint64 {
 	return func(short bool) uint64 {
 		ensureReplay(short)
-		res, err := mpisim.Replay(replayTr, m, replayMach, simnet.Config{}, mpisim.Options{})
+		res, err := mpisim.Replay(replayCols, m, replayMach, simnet.Config{}, mpisim.Options{})
 		if err != nil {
 			panic(err)
 		}
 		return res.Events
 	}
-}
-
-// benchReplayCursor is mpisim/replay-packet over the columnar
-// representation: the same trace replayed through the zero-copy
-// Source/cursor path, so its per-event deltas against replay-packet
-// isolate the cost of the access path itself.
-func benchReplayCursor(short bool) uint64 {
-	ensureReplay(short)
-	res, err := mpisim.ReplaySource(replayCols, simnet.Packet, replayMach, simnet.Config{}, mpisim.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return res.Events
-}
-
-// benchCodecRoundtrip encodes and decodes the columnar binary format
-// (version 2); the v1 comparator below does the same through the
-// array-of-structs format. "Events" is trace events moved per op.
-func benchCodecRoundtrip(short bool) uint64 {
-	ensureReplay(short)
-	var buf bytes.Buffer
-	buf.Grow(len(replayEnc.v2))
-	if err := trace.WriteColumns(&buf, replayCols); err != nil {
-		panic(err)
-	}
-	c, err := trace.ReadColumns(&buf)
-	if err != nil {
-		panic(err)
-	}
-	return uint64(c.NumEvents())
-}
-
-// benchCodecDecodeV2 is the decode half alone — the cost a campaign
-// pays to open a stored v2 trace. Its v3 counterpart below opens the
-// same trace through the zero-copy mmap path; the pair is the headline
-// comparison for the v3 format (open cost per event ≈ 0).
-func benchCodecDecodeV2(short bool) uint64 {
-	ensureReplay(short)
-	c, err := trace.ReadColumns(bytes.NewReader(replayEnc.v2))
-	if err != nil {
-		panic(err)
-	}
-	return uint64(c.NumEvents())
 }
 
 // benchCodecOpenV3 opens the replay trace from a version-3 file via
@@ -393,49 +330,14 @@ func benchCodecOpenV3(short bool) uint64 {
 	return n
 }
 
-func benchCodecRoundtripV1(short bool) uint64 {
-	ensureReplay(short)
-	var buf bytes.Buffer
-	buf.Grow(len(replayEnc.v1))
-	if err := trace.Write(&buf, replayTr); err != nil {
-		panic(err)
-	}
-	t, err := trace.Read(&buf)
-	if err != nil {
-		panic(err)
-	}
-	return uint64(t.NumEvents())
-}
-
-// benchMaterializeFull generates the replay workload's full trace in
-// one resident build; benchStream regenerates it in 8-rank windows via
-// the streaming path. Streaming allocates MORE total bytes per event
-// delivered (the generator reruns once per window) — what it buys is
-// peak residency bounded by one window instead of the whole trace.
-// The pair pins that regeneration overhead so it stays deliberate.
+// benchMaterializeFull generates the replay workload's full trace
+// (program only; stamping is in the campaign and cache scenarios).
 func benchMaterializeFull(short bool) uint64 {
-	p := replayParams(short)
-	tr, err := workload.Generate(p)
+	tr, err := workload.GenerateColumns(replayParams(short))
 	if err != nil {
 		panic(err)
 	}
 	return uint64(tr.NumEvents())
-}
-
-func benchStream(short bool) uint64 {
-	p := replayParams(short)
-	var events uint64
-	err := p.Stream(8, func(rank int, cur trace.Cursor) error {
-		var e trace.Event
-		for cur.Next(&e) {
-			events++
-		}
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	return events
 }
 
 // specManifest, when non-nil (-spec), replaces the built-in campaign
@@ -486,35 +388,8 @@ func samplePeakHeap(stop chan struct{}, done chan struct{}) {
 	}
 }
 
-// benchCampaignMaterialized is the pre-registry campaign pipeline: each
-// trace is materialized as an array-of-structs trace, then every scheme
-// replays it (via the deprecated RunOnTrace path).
-func benchCampaignMaterialized(short bool) uint64 {
-	stop, done := make(chan struct{}), make(chan struct{})
-	go samplePeakHeap(stop, done)
-	defer func() { close(stop); <-done }()
-	var events uint64
-	for _, p := range campaignSuite(short) {
-		tr, err := workload.Materialize(p)
-		if err != nil {
-			panic(err)
-		}
-		mach, err := machine.New(p.Machine, p.Ranks, p.RanksPerNode)
-		if err != nil {
-			panic(err)
-		}
-		r, err := core.RunOnTrace(tr, mach, p)
-		if err != nil {
-			panic(err)
-		}
-		events += uint64(r.Events)
-	}
-	return events
-}
-
-// benchCampaignSource is the Source-native pipeline: one Runner with
-// per-scheme sessions, columnar materialization, no array-of-structs
-// trace anywhere on the replay path.
+// benchCampaignSource is the uncached campaign pipeline: one Runner
+// with per-scheme sessions materializing and replaying each trace.
 func benchCampaignSource(short bool) uint64 {
 	stop, done := make(chan struct{}), make(chan struct{})
 	go samplePeakHeap(stop, done)

@@ -1,5 +1,6 @@
 // Command dumpiconv imports dumpi2ascii-style per-rank text dumps and
-// writes them as a binary trace usable by cmd/mfact and cmd/sstsim.
+// writes them as a binary trace (codec v3) usable by cmd/mfact,
+// cmd/sstsim and cmd/traceinfo.
 //
 // Usage:
 //
@@ -55,7 +56,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dumpiconv:", err)
 		os.Exit(1)
 	}
-	if err := trace.Write(o, tr); err != nil {
+	if err := trace.WriteColumnsV3(o, tr); err != nil {
 		fmt.Fprintln(os.Stderr, "dumpiconv:", err)
 		os.Exit(1)
 	}
@@ -64,5 +65,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("%s: %d ranks, %d events, measured %v (%.1f%% communication)\n",
-		*out, tr.Meta.NumRanks, tr.NumEvents(), tr.MeasuredTotal(), 100*tr.CommFraction())
+		*out, tr.Meta.NumRanks, tr.NumEvents(), trace.SourceMeasuredTotal(tr), 100*trace.SourceCommFraction(tr))
 }

@@ -35,11 +35,12 @@ func main() {
 		"(comma-separated; available: "+strings.Join(scheme.Names(), ",")+")")
 	flag.Parse()
 
-	tr, err := loadOrGenerate(*app, *class, *ranks, *machName, *seed, flag.Arg(0))
+	tr, closeTrace, err := loadOrGenerate(*app, *class, *ranks, *machName, *seed, flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mfact:", err)
 		os.Exit(1)
 	}
+	defer closeTrace()
 	mach, err := machine.New(tr.Meta.Machine, tr.Meta.NumRanks, tr.Meta.RanksPerNode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mfact:", err)
@@ -68,7 +69,7 @@ func main() {
 		wall.Round(time.Microsecond), res.Events, len(res.Configs))
 	fmt.Printf("\npredicted total time  %v\n", res.Total())
 	fmt.Printf("predicted comm time   %v\n", res.Comm())
-	if m := tr.MeasuredTotal(); m > 0 {
+	if m := trace.SourceMeasuredTotal(tr); m > 0 {
 		fmt.Printf("measured total time   %v (prediction/measured = %.3f)\n",
 			m, float64(res.Total())/float64(m))
 	}
@@ -102,7 +103,7 @@ func main() {
 
 // runSchemes replays the trace through each selected registry scheme
 // and prints a side-by-side comparison.
-func runSchemes(tr *trace.Trace, mach *machine.Config, list string) error {
+func runSchemes(tr *trace.Columns, mach *machine.Config, list string) error {
 	ss, err := scheme.Resolve(scheme.ParseList(list))
 	if err != nil {
 		return err
@@ -121,26 +122,25 @@ func runSchemes(tr *trace.Trace, mach *machine.Config, list string) error {
 	return nil
 }
 
-func loadOrGenerate(app, class string, ranks int, machName string, seed int64, path string) (*trace.Trace, error) {
+// loadOrGenerate materializes -app's trace, or opens and validates the
+// trace file at path; the returned func releases the file mapping.
+func loadOrGenerate(app, class string, ranks int, machName string, seed int64, path string) (*trace.Columns, func() error, error) {
 	if app != "" {
-		return workload.Materialize(workload.Params{
+		tr, err := workload.MaterializeColumns(workload.Params{
 			App: app, Class: class, Ranks: ranks, Machine: machName, Seed: seed,
 		})
+		return tr, func() error { return nil }, err
 	}
 	if path == "" {
-		return nil, fmt.Errorf("need a trace file argument or -app")
+		return nil, nil, fmt.Errorf("need a trace file argument or -app")
 	}
-	f, err := os.Open(path)
+	m, err := trace.OpenMapped(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		return nil, err
+	if err := m.Validate(); err != nil {
+		m.Close()
+		return nil, nil, err
 	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
+	return m.Columns, m.Close, nil
 }

@@ -37,21 +37,12 @@ func main() {
 		"(comma-separated; available: "+strings.Join(scheme.Names(), ",")+"; overrides -model)")
 	flag.Parse()
 
-	var tr *trace.Trace
-	var err error
-	if *app != "" {
-		tr, err = workload.Materialize(workload.Params{
-			App: *app, Class: *class, Ranks: *ranks, Machine: *machName, Seed: *seed,
-		})
-	} else if flag.Arg(0) != "" {
-		tr, err = readTrace(flag.Arg(0))
-	} else {
-		err = fmt.Errorf("need a trace file argument or -app")
-	}
+	tr, closeTrace, err := loadOrGenerate(*app, *class, *ranks, *machName, *seed, flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sstsim:", err)
 		os.Exit(1)
 	}
+	defer closeTrace()
 	mach, err := machine.New(tr.Meta.Machine, tr.Meta.NumRanks, tr.Meta.RanksPerNode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sstsim:", err)
@@ -80,7 +71,7 @@ func main() {
 	fmt.Printf("simulated in %v (%d DES events)\n", wall.Round(time.Millisecond), res.Events)
 	fmt.Printf("\nestimated total time  %v\n", res.Total)
 	fmt.Printf("estimated comm time   %v\n", res.Comm)
-	if m := tr.MeasuredTotal(); m > 0 {
+	if m := trace.SourceMeasuredTotal(tr); m > 0 {
 		fmt.Printf("measured total time   %v (prediction/measured = %.3f)\n",
 			m, float64(res.Total)/float64(m))
 	}
@@ -92,7 +83,7 @@ func main() {
 // runSchemes replays the trace through each selected registry scheme
 // and prints a side-by-side comparison (the paper's Table II shape for
 // a single trace).
-func runSchemes(tr *trace.Trace, mach *machine.Config, list string) error {
+func runSchemes(tr *trace.Columns, mach *machine.Config, list string) error {
 	ss, err := scheme.Resolve(scheme.ParseList(list))
 	if err != nil {
 		return err
@@ -112,15 +103,25 @@ func runSchemes(tr *trace.Trace, mach *machine.Config, list string) error {
 	return nil
 }
 
-func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// loadOrGenerate materializes -app's trace, or opens and validates the
+// trace file at path; the returned func releases the file mapping.
+func loadOrGenerate(app, class string, ranks int, machName string, seed int64, path string) (*trace.Columns, func() error, error) {
+	if app != "" {
+		tr, err := workload.MaterializeColumns(workload.Params{
+			App: app, Class: class, Ranks: ranks, Machine: machName, Seed: seed,
+		})
+		return tr, func() error { return nil }, err
 	}
-	defer f.Close()
-	tr, err := trace.Read(f)
-	if err != nil {
-		return nil, err
+	if path == "" {
+		return nil, nil, fmt.Errorf("need a trace file argument or -app")
 	}
-	return tr, tr.Validate()
+	m, err := trace.OpenMapped(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.Validate(); err != nil {
+		m.Close()
+		return nil, nil, err
+	}
+	return m.Columns, m.Close, nil
 }

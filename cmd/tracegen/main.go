@@ -1,6 +1,9 @@
 // Command tracegen generates the study's synthetic DUMPI-like traces
 // (program structure plus ground-truth "measured" timestamps) and
-// writes them to disk in the binary trace format. With -warm it
+// writes them to disk in the binary trace format (codec v3), one file
+// per manifest entry named <app>.<class>.x<ranks>.<machine>.<hash>.htrc,
+// where <hash> abbreviates the entry's trace-cache address and so
+// tells apart entries that differ only in seed, iterations or noise. With -warm it
 // instead pre-populates a trace-cache directory — every trace with its
 // lowered replay program — so later campaigns run entirely on verified
 // mmap hits and never lower a trace.
@@ -71,13 +74,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
-		p := workload.Params{Class: *class, Ranks: *ranks, Machine: *mach, Seed: *seed}
+		p := workload.Params{App: spec.Name, Class: *class, Ranks: *ranks, Machine: *mach, Seed: *seed}
 		tr, err := workload.MaterializeSpec(spec, p)
+		if err == nil {
+			err = writeTrace(*out, p, tr, 1, 1)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
-		writeTrace(*out, tr, 1, 1)
 		return
 	}
 
@@ -106,12 +111,14 @@ func main() {
 		return
 	}
 	for i, p := range suite {
-		tr, err := workload.Materialize(p)
+		tr, err := workload.MaterializeColumns(p)
+		if err == nil {
+			err = writeTrace(*out, p, tr, i+1, len(suite))
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 			os.Exit(1)
 		}
-		writeTrace(*out, tr, i+1, len(suite))
 	}
 }
 
@@ -151,22 +158,30 @@ func warmCache(dir string, suite []workload.Params) {
 	fmt.Printf("warm: %s\n", st.String())
 }
 
-func writeTrace(dir string, tr *trace.Trace, i, total int) {
-	path := filepath.Join(dir, tr.Meta.ID()+".htrc")
-	f, err := os.Create(path)
+// traceFileName names p's trace file. Meta.ID alone leaves out seed,
+// iterations, placement and noise, so manifests that sweep those would
+// collide; the short cache hash folds every Params field.
+func traceFileName(p workload.Params) string {
+	return fmt.Sprintf("%s.%s.x%d.%s.%s.htrc", p.App, p.Class, p.Ranks, p.Machine, tracecache.Hash(p)[:8])
+}
+
+// writeTrace writes tr, the stamped trace of p, into dir. It refuses
+// to overwrite an existing file, so a name collision fails loudly.
+func writeTrace(dir string, p workload.Params, tr *trace.Columns, i, total int) error {
+	name := traceFileName(p)
+	f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	if err := trace.Write(f, tr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := trace.WriteColumnsV3(f, tr); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("[%3d/%3d] %-32s ranks=%-5d events=%-8d measured=%v comm=%.0f%%\n",
-		i, total, tr.Meta.ID(), tr.Meta.NumRanks, tr.NumEvents(),
-		tr.MeasuredTotal(), 100*tr.CommFraction())
+	fmt.Printf("[%3d/%3d] %-42s ranks=%-5d events=%-8d measured=%v comm=%.0f%%\n",
+		i, total, name, tr.Meta.NumRanks, tr.NumEvents(),
+		trace.SourceMeasuredTotal(tr), 100*trace.SourceCommFraction(tr))
+	return nil
 }

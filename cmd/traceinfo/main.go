@@ -97,30 +97,18 @@ func describeProgram(e tracecache.Entry) string {
 }
 
 func describe(path string, verbose bool) error {
-	version, err := trace.FileVersion(path)
+	m, err := trace.OpenMapped(path)
 	if err != nil {
 		return err
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	cols, err := trace.ReadColumns(f)
-	if err != nil {
-		return err
-	}
-	if err := cols.Validate(); err != nil {
+	defer m.Close()
+	tr := m.Columns
+	if err := tr.Validate(); err != nil {
 		return fmt.Errorf("invalid trace: %w", err)
 	}
-	tr := cols.Materialize()
 
 	fmt.Printf("%s\n", path)
-	fmt.Printf("  codec         v%d", version)
-	if version == 3 {
-		fmt.Printf(" (zero-copy mappable)")
-	}
-	fmt.Println()
+	fmt.Printf("  codec         v%d (zero-copy mappable)\n", trace.VersionV3)
 	fmt.Printf("  id            %s\n", tr.Meta.ID())
 	fmt.Printf("  ranks         %d (%d per node)\n", tr.Meta.NumRanks, tr.Meta.RanksPerNode)
 	fmt.Printf("  machine       %s\n", tr.Meta.Machine)
@@ -130,26 +118,27 @@ func describe(path string, verbose bool) error {
 	fmt.Printf("  communicators %d\n", tr.Comms.Len())
 	fmt.Printf("  events        %d\n", tr.NumEvents())
 	fmt.Printf("  measured      total %v, comm %v (%.1f%%)\n",
-		tr.MeasuredTotal(), tr.MeasuredComm(), 100*tr.CommFraction())
-	colBytes, aosBytes := cols.FootprintBytes(), trace.AoSFootprintBytes(tr)
-	fmt.Printf("  resident est  columnar %.2f MB, array-of-structs %.2f MB (%.0f%%)\n",
-		float64(colBytes)/1e6, float64(aosBytes)/1e6, 100*float64(colBytes)/float64(max(aosBytes, 1)))
+		trace.SourceMeasuredTotal(tr), trace.SourceMeasuredComm(tr), 100*trace.SourceCommFraction(tr))
 	// A v3 file maps in as-is, so its on-disk size IS the mapped
 	// resident estimate (file-backed, reclaimable, shared across
-	// processes mapping the same trace).
-	fmt.Printf("  v3 mapped est %.2f MB file-backed (%.0f%% of columnar heap)\n",
-		float64(trace.V3Size(cols))/1e6, 100*float64(trace.V3Size(cols))/float64(max(colBytes, 1)))
+	// processes mapping the same trace); a heap copy of the columns
+	// would take the column bytes alone.
+	colBytes := tr.FootprintBytes()
+	fmt.Printf("  resident est  %.2f MB file-backed mapped, %.2f MB as heap columns\n",
+		float64(len(m.Image()))/1e6, float64(colBytes)/1e6)
 
 	counts := map[trace.Op]int{}
 	var bytes int64
-	for _, evs := range tr.Ranks {
-		for i := range evs {
-			counts[evs[i].Op]++
+	var e trace.Event
+	for r := 0; r < tr.NumRanks(); r++ {
+		for i := 0; i < tr.RankLen(r); i++ {
+			tr.EventAt(r, i, &e)
+			counts[e.Op]++
 			nMembers := 0
-			if evs[i].Op.IsCollective() {
-				nMembers = tr.Comms.Size(evs[i].Comm)
+			if e.Op.IsCollective() {
+				nMembers = tr.Comms.Size(e.Comm)
 			}
-			bytes += evs[i].TotalSendBytes(nMembers)
+			bytes += e.TotalSendBytes(nMembers)
 		}
 	}
 	fmt.Printf("  bytes sent    %.2f MB\n", float64(bytes)/1e6)
@@ -163,7 +152,7 @@ func describe(path string, verbose bool) error {
 
 	if verbose {
 		fmt.Println("  features (Table III, MFACT classification omitted):")
-		v := features.Extract(tr, nil)
+		v := features.ExtractSource(tr, nil)
 		names := features.Names()
 		for i, n := range names {
 			fmt.Printf("    %-8s %.6g\n", n, v[i])

@@ -19,7 +19,7 @@ import (
 
 func main() {
 	p := workload.Params{App: "FT", Class: "A", Ranks: 64, Machine: "edison", Seed: 21}
-	tr, err := workload.Materialize(p)
+	tr, err := workload.MaterializeColumns(p)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func main() {
 		{App: "IS", Class: "B", Ranks: 48, Machine: "cielito", Seed: 999},
 		{App: "LULESH", Class: "B", Ranks: 48, Machine: "hopper", Seed: 999},
 	} {
-		tr, err := workload.Materialize(q)
+		tr, err := workload.MaterializeColumns(q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		x := features.Extract(tr, model)
+		x := features.ExtractSource(tr, model)
 		verdict := "modeling suffices"
 		if study.Model.NeedsSimulation(x) {
 			verdict = "run detailed simulation"

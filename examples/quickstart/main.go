@@ -12,6 +12,7 @@ import (
 	"hpctradeoff/internal/mfact"
 	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/simnet"
+	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
 )
 
@@ -26,12 +27,12 @@ func main() {
 		Machine: "edison",
 		Seed:    42,
 	}
-	tr, err := workload.Materialize(params)
+	tr, err := workload.MaterializeColumns(params)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("trace %s: %d events, measured %v (%.0f%% communication)\n\n",
-		tr.Meta.ID(), tr.NumEvents(), tr.MeasuredTotal(), 100*tr.CommFraction())
+		tr.Meta.ID(), tr.NumEvents(), trace.SourceMeasuredTotal(tr), 100*trace.SourceCommFraction(tr))
 
 	mach, err := machine.New(params.Machine, params.Ranks, 0)
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 
 func main() {
 	p := workload.Params{App: "CG", Class: "B", Ranks: 64, Machine: "cielito", Seed: 11}
-	tr, err := workload.Materialize(p)
+	tr, err := workload.MaterializeColumns(p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	for _, name := range append(machine.Names(), "fattree") {
 		q := p
 		q.Machine = name
-		t2, err := workload.Generate(q) // structure only; timestamps irrelevant here
+		t2, err := workload.GenerateColumns(q) // structure only; timestamps irrelevant here
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,11 +6,9 @@
 // classification groups, and the need-for-simulation predictor's
 // training data).
 //
-// The campaign path is Source-native: traces are generated and stamped
-// columnar (workload.MaterializeColumns) and every scheme replays the
-// *trace.Columns through the trace.Source access path, so the
-// 235-trace study never materializes an array-of-structs trace on the
-// replay path. Schemes come from the internal/scheme registry; adding
+// Traces are generated and stamped as *trace.Columns
+// (workload.MaterializeReplay), and every scheme replays them through
+// the trace.Source access path. Schemes come from the internal/scheme registry; adding
 // a backend is a scheme.Register call, with no change here.
 package core
 
@@ -194,9 +192,8 @@ func NewRunner(names []string) (*Runner, error) {
 	return &Runner{schemes: ss, sessions: scheme.NewSessions(ss)}, nil
 }
 
-// RunOne materializes the trace for p — columnar, stamped through the
-// Source path, no array-of-structs build — and runs every selected
-// scheme on it.
+// RunOne materializes the trace for p (or acquires it from the trace
+// cache) and runs every selected scheme on it.
 func (rn *Runner) RunOne(p workload.Params, ro RunOptions) (*TraceResult, error) {
 	var deadline time.Time
 	if ro.Timeout > 0 {
@@ -297,21 +294,6 @@ func RunOneOpts(p workload.Params, ro RunOptions) (*TraceResult, error) {
 		return nil, err
 	}
 	return rn.RunOne(p, ro)
-}
-
-// RunOnTrace runs every registered scheme on an already-materialized
-// array-of-structs trace.
-//
-// Deprecated: RunOnTrace is kept for pre-registry callers holding a
-// *trace.Trace. The campaign path is Source-native (Runner.RunOne):
-// it stamps and replays a columnar trace and never builds the
-// array-of-structs form.
-func RunOnTrace(t *trace.Trace, mach *machine.Config, p workload.Params) (*TraceResult, error) {
-	rn, err := NewRunner(nil)
-	if err != nil {
-		return nil, err
-	}
-	return rn.runSource(t, nil, mach, p, scheme.Options{})
 }
 
 // RunSuite runs the given manifest with a worker pool (both tools use

@@ -1,65 +1,91 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/mfact"
 	"hpctradeoff/internal/mpisim"
+	"hpctradeoff/internal/scheme"
 	"hpctradeoff/internal/simnet"
+	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
 )
 
-// TestColumnarReplayBitIdentical is the determinism contract for the
-// columnar trace core: for every application in the suite, replaying
-// the columnar representation (built natively, never materialized)
-// must produce results bit-identical to replaying the classic
-// array-of-structs trace — for MFACT and for every packet simulator that supports the trace. Any divergence means
-// the Source access path changed replay semantics, not just layout.
+// mapThrough writes c as a codec-v3 file and opens it again with
+// OpenMapped, the way the trace cache and the file-based tools read
+// traces: the returned columns alias the file mapping.
+func mapThrough(t *testing.T, c *trace.Columns) *trace.Mapped {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.htrc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteColumnsV3(f, c); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := trace.OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// TestColumnarReplayBitIdentical is the determinism contract of the
+// zero-copy read path: for every application in the suite, replaying
+// the columns a generator built on the heap and replaying the same
+// trace mapped from its v3 file must give bit-identical results — for
+// MFACT and for every packet simulator that supports the trace. Any
+// divergence means the file layout or the aliasing changed replay
+// semantics, not just where the bytes live.
 func TestColumnarReplayBitIdentical(t *testing.T) {
 	for i, app := range workload.Apps() {
 		t.Run(app, func(t *testing.T) {
 			p := workload.Params{App: app, Class: "S", Ranks: 8, Machine: "edison", Seed: int64(300 + i)}
-			tr, err := workload.Generate(p)
-			if err != nil {
-				t.Fatalf("Generate: %v", err)
-			}
 			cols, err := workload.GenerateColumns(p)
 			if err != nil {
 				t.Fatalf("GenerateColumns: %v", err)
 			}
+			mapped := mapThrough(t, cols)
 			mach, err := machine.New(p.Machine, p.Ranks, 0)
 			if err != nil {
 				t.Fatalf("machine: %v", err)
 			}
 
 			// MFACT: the logical-clock model over the full standard sweep.
-			want, err := mfact.Model(tr, mach, nil)
+			want, err := mfact.Model(cols, mach, nil)
 			if err != nil {
-				t.Fatalf("mfact.Model(Trace): %v", err)
+				t.Fatalf("mfact.Model(heap): %v", err)
 			}
-			got, err := mfact.ModelSource(cols, mach, nil)
+			got, err := mfact.Model(mapped, mach, nil)
 			if err != nil {
-				t.Fatalf("mfact.ModelSource(Columns): %v", err)
+				t.Fatalf("mfact.Model(mapped): %v", err)
 			}
 			requireSameMFACT(t, "mfact", want, got)
 
 			// Packet simulation: every model that can replay this trace.
 			for _, model := range simnet.Models() {
-				if !simnet.Supports(model, tr.Meta.UsesCommSplit, tr.Meta.UsesThreadMultiple) {
+				if !simnet.Supports(model, cols.Meta.UsesCommSplit, cols.Meta.UsesThreadMultiple) {
 					continue
 				}
-				wr, err := mpisim.Replay(tr, model, mach, simnet.Config{}, mpisim.Options{})
+				wr, err := mpisim.Replay(cols, model, mach, simnet.Config{}, mpisim.Options{})
 				if err != nil {
-					t.Fatalf("%s: Replay(Trace): %v", model, err)
+					t.Fatalf("%s: Replay(heap): %v", model, err)
 				}
-				gr, err := mpisim.ReplaySource(cols, model, mach, simnet.Config{}, mpisim.Options{})
+				gr, err := mpisim.Replay(mapped, model, mach, simnet.Config{}, mpisim.Options{})
 				if err != nil {
-					t.Fatalf("%s: ReplaySource(Columns): %v", model, err)
+					t.Fatalf("%s: Replay(mapped): %v", model, err)
 				}
 				if wr.Total != gr.Total || wr.Comm != gr.Comm || wr.Events != gr.Events {
-					t.Fatalf("%s: Trace {total %v comm %v events %d} vs Columns {total %v comm %v events %d}",
+					t.Fatalf("%s: heap {total %v comm %v events %d} vs mapped {total %v comm %v events %d}",
 						model, wr.Total, wr.Comm, wr.Events, gr.Total, gr.Comm, gr.Events)
 				}
 				for r := range wr.RankFinish {
@@ -75,14 +101,13 @@ func TestColumnarReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCampaignSourceNativeBitIdentical is the campaign-level identity
-// contract of the Source-native pipeline: for every application in the
-// suite, the full RunOne path (columnar materialization, session-held
-// scheme replays, Source-walk feature extraction) must produce a
-// TraceResult exactly equal — field for field, except the
-// wall-clock-dependent Outcome.Wall — to running the same schemes over
-// the classic materialized array-of-structs trace via the deprecated
-// RunOnTrace path.
+// TestCampaignSourceNativeBitIdentical holds the campaign path to the
+// path a trace file takes through the tools: for every application in
+// the suite, RunOne (stamping, sessions shared across the suite, the
+// stamper's retimed program adopted) must produce a TraceResult
+// exactly equal — field for field, except the wall-clock-dependent
+// Outcome.Wall — to a fresh Runner whose sessions lower the stamped
+// trace after it was written as a v3 file and mapped back in.
 func TestCampaignSourceNativeBitIdentical(t *testing.T) {
 	rn, err := NewRunner(nil)
 	if err != nil {
@@ -92,27 +117,27 @@ func TestCampaignSourceNativeBitIdentical(t *testing.T) {
 		t.Run(app, func(t *testing.T) {
 			p := workload.Params{App: app, Class: "S", Ranks: 8, Machine: "edison", Seed: int64(300 + i)}
 
-			// Source-native path, with sessions shared across the suite
-			// exactly as a campaign worker would share them.
 			got, err := rn.RunOne(p, RunOptions{})
 			if err != nil {
-				t.Fatalf("RunOne (source-native): %v", err)
+				t.Fatalf("RunOne: %v", err)
 			}
 
-			// Materialized path: stamped array-of-structs trace.
-			tr, err := workload.Materialize(p)
+			cols, err := workload.MaterializeColumns(p)
 			if err != nil {
-				t.Fatalf("Materialize: %v", err)
+				t.Fatalf("MaterializeColumns: %v", err)
 			}
 			mach, err := machine.New(p.Machine, p.Ranks, p.RanksPerNode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := RunOnTrace(tr, mach, p)
+			fresh, err := NewRunner(nil)
 			if err != nil {
-				t.Fatalf("RunOnTrace (materialized): %v", err)
+				t.Fatal(err)
 			}
-
+			want, err := fresh.runSource(mapThrough(t, cols), nil, mach, p, scheme.Options{})
+			if err != nil {
+				t.Fatalf("runSource (mapped file): %v", err)
+			}
 			if got.ID != want.ID || got.Measured != want.Measured ||
 				got.MeasuredComm != want.MeasuredComm ||
 				got.CommFraction != want.CommFraction || got.Events != want.Events {
@@ -129,7 +154,7 @@ func TestCampaignSourceNativeBitIdentical(t *testing.T) {
 			for name, w := range want.Schemes {
 				g, ok := got.Schemes[name]
 				if !ok {
-					t.Fatalf("scheme %s missing from source-native result", name)
+					t.Fatalf("scheme %s missing from the campaign result", name)
 				}
 				// Wall is wall-clock noise; everything else must be
 				// bit-identical, including the mfact sweep internals.

@@ -35,15 +35,15 @@ func TestExtractHandBuilt(t *testing.T) {
 	b.Compute(1, simtime.Second)
 	b.Send(0, 1, 0, 1000, trace.CommWorld)
 	b.Recv(1, 0, 0, 1000, trace.CommWorld)
-	tr, err := b.Build()
+	tr, err := b.BuildColumns()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Stamp plausible measured times: sends/recvs take 1 ms.
-	tr.Ranks[0][1].Entry, tr.Ranks[0][1].Exit = simtime.Second, simtime.Second+simtime.Millisecond
-	tr.Ranks[1][1].Entry, tr.Ranks[1][1].Exit = simtime.Second, simtime.Second+simtime.Millisecond
+	tr.SetEventTimes(0, 1, simtime.Second, simtime.Second+simtime.Millisecond)
+	tr.SetEventTimes(1, 1, simtime.Second, simtime.Second+simtime.Millisecond)
 
-	v := Extract(tr, nil)
+	v := ExtractSource(tr, nil)
 	get := func(name string) float64 { return v[Index(name)] }
 	if get("R") != 2 || get("RN") != 2 || get("N") != 1 {
 		t.Errorf("R/RN/N = %v/%v/%v", get("R"), get("RN"), get("N"))
@@ -91,7 +91,7 @@ func TestExtractHandBuilt(t *testing.T) {
 
 func TestExtractOnRealTrace(t *testing.T) {
 	p := workload.Params{App: "FT", Class: "S", Ranks: 16, Machine: "edison", Seed: 7}
-	tr, err := workload.Materialize(p)
+	tr, err := workload.MaterializeColumns(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestExtractOnRealTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := Extract(tr, res)
+	v := ExtractSource(tr, res)
 	if len(v) != 35 {
 		t.Fatalf("vector has %d entries", len(v))
 	}
@@ -144,20 +144,18 @@ func TestExtractBarrierAndWaitPaths(t *testing.T) {
 		b.Collective(r, trace.OpAlltoall, trace.CommWorld, 0, 64)
 		b.Collective(r, trace.OpBarrier, trace.CommWorld, 0, 0)
 	}
-	tr, err := b.Build()
+	tr, err := b.BuildColumns()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Give the first barrier a visible duration on rank 0 so Tfbr > 0.
-	for i := range tr.Ranks {
-		cursor := simtime.Time(0)
-		for j := range tr.Ranks[i] {
-			tr.Ranks[i][j].Entry = cursor
-			tr.Ranks[i][j].Exit = cursor + simtime.Microsecond
-			cursor = tr.Ranks[i][j].Exit
+	for r := 0; r < tr.NumRanks(); r++ {
+		for j := 0; j < tr.RankLen(r); j++ {
+			at := simtime.Time(j) * simtime.Microsecond
+			tr.SetEventTimes(r, j, at, at+simtime.Microsecond)
 		}
 	}
-	v := Extract(tr, nil)
+	v := ExtractSource(tr, nil)
 	get := func(name string) float64 { return v[Index(name)] }
 	if get("NoB") != 4 {
 		t.Errorf("NoB = %v, want 4", get("NoB"))

@@ -13,7 +13,7 @@ import (
 
 // benchTrace builds a mid-sized mixed trace (stencil + collectives +
 // nonblocking p2p) for replayer benchmarks.
-func benchTraceN(b testing.TB, ranks, steps int) *trace.Trace {
+func benchTraceN(b testing.TB, ranks, steps int) *trace.Columns {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	bld := trace.NewBuilder(trace.Meta{App: "bench", NumRanks: ranks})
@@ -32,7 +32,7 @@ func benchTraceN(b testing.TB, ranks, steps int) *trace.Trace {
 			bld.Collective(r, trace.OpAllreduce, trace.CommWorld, 0, 64)
 		}
 	}
-	tr, err := bld.Build()
+	tr, err := bld.BuildColumns()
 	if err != nil {
 		b.Fatal(err)
 	}

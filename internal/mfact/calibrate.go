@@ -56,7 +56,7 @@ func Calibrate(mach *machine.Config, model simnet.Model, sizes []int64) (*Calibr
 			b.Send(int(peer), 0, int32(1000+i), sz, trace.CommWorld)
 			b.Recv(0, peer, int32(1000+i), sz, trace.CommWorld)
 		}
-		tr, err := b.Build()
+		tr, err := b.BuildColumns()
 		if err != nil {
 			return nil, err
 		}

@@ -17,7 +17,7 @@ func ExampleModel() {
 	b.Compute(1, 10*simtime.Millisecond)
 	b.Send(0, 1, 0, 1<<20, trace.CommWorld)
 	b.Recv(1, 0, 0, 1<<20, trace.CommWorld)
-	tr, err := b.Build()
+	tr, err := b.BuildColumns()
 	if err != nil {
 		panic(err)
 	}

@@ -113,16 +113,10 @@ func (r *Result) TotalAt(cfg NetConfig) simtime.Time {
 	return -1
 }
 
-// Model replays tr once with the sequential replayer over the given
+// Model replays src once with the sequential replayer over the given
 // configurations (StandardSweep if nil) and classifies the
 // application.
-func Model(tr *trace.Trace, mach *machine.Config, configs []NetConfig) (*Result, error) {
-	return NewSession().Model(tr, mach, configs)
-}
-
-// ModelSource is Model over any trace representation (array-of-structs
-// or columnar); by the determinism contract both replay bit-identically.
-func ModelSource(src trace.Source, mach *machine.Config, configs []NetConfig) (*Result, error) {
+func Model(src trace.Source, mach *machine.Config, configs []NetConfig) (*Result, error) {
 	return NewSession().Model(src, mach, configs)
 }
 

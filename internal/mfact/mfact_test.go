@@ -18,9 +18,9 @@ func testMach(t *testing.T, ranks int) *machine.Config {
 	return m
 }
 
-func build(t *testing.T, b *trace.Builder) *trace.Trace {
+func build(t *testing.T, b *trace.Builder) *trace.Columns {
 	t.Helper()
-	tr, err := b.Build()
+	tr, err := b.BuildColumns()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSweepMatchesSingleConfigRuns(t *testing.T) {
 
 // randomMixedTrace builds a random valid trace exercising p2p,
 // nonblocking ops, and collectives.
-func randomMixedTrace(t *testing.T, rng *rand.Rand, n int) *trace.Trace {
+func randomMixedTrace(t *testing.T, rng *rand.Rand, n int) *trace.Columns {
 	t.Helper()
 	b := trace.NewBuilder(trace.Meta{App: "rand", NumRanks: n})
 	colls := []trace.Op{trace.OpBarrier, trace.OpBcast, trace.OpAllreduce, trace.OpAllgather, trace.OpAlltoall, trace.OpReduce}
@@ -213,7 +213,7 @@ func randomMixedTrace(t *testing.T, rng *rand.Rand, n int) *trace.Trace {
 			}
 		}
 	}
-	tr, err := b.Build()
+	tr, err := b.BuildColumns()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestParallelMatchesSequentialProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := ModelSource(cols, mach, nil)
+			seq, err := Model(cols, mach, nil)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}

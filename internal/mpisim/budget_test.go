@@ -15,7 +15,7 @@ import (
 // busyTrace builds a long but perfectly legal trace: every rank
 // alternates compute with a ring exchange, generating plenty of DES
 // events for the budget to cut off.
-func busyTrace(t *testing.T, ranks, rounds int) *trace.Trace {
+func busyTrace(t *testing.T, ranks, rounds int) *trace.Columns {
 	t.Helper()
 	b := newTB(ranks)
 	for i := 0; i < rounds; i++ {
@@ -81,14 +81,12 @@ func TestReplayWithinBudgetSucceeds(t *testing.T) {
 }
 
 func TestReplayDeadlockIsTyped(t *testing.T) {
-	// Rank 0 receives a message nobody sends. trace.Validate would
+	// Rank 0 receives a message nobody sends. Validate would
 	// reject this, so assemble it by hand (Replay does not re-validate
 	// — corrupt converted traces reach it as-is).
-	tr := trace.New(trace.Meta{App: "dl", Class: "T", Machine: "cielito", NumRanks: 2, RanksPerNode: 2})
-	tr.Ranks[0] = append(tr.Ranks[0],
-		trace.Event{Op: trace.OpRecv, Peer: 1, Tag: 7, Bytes: 64, Comm: trace.CommWorld, Req: trace.NoReq})
-	tr.Ranks[1] = append(tr.Ranks[1],
-		trace.Event{Op: trace.OpCompute, Peer: trace.NoPeer, Req: trace.NoReq, Exit: simtime.Microsecond})
+	tr := trace.NewColumns(trace.Meta{App: "dl", Class: "T", Machine: "cielito", NumRanks: 2, RanksPerNode: 2})
+	tr.Append(0, &trace.Event{Op: trace.OpRecv, Peer: 1, Tag: 7, Bytes: 64, Comm: trace.CommWorld, Req: trace.NoReq})
+	tr.Append(1, &trace.Event{Op: trace.OpCompute, Peer: trace.NoPeer, Req: trace.NoReq, Exit: simtime.Microsecond})
 	mach := testMach(t, 2)
 	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if !errors.Is(err, ErrDeadlock) {
@@ -100,9 +98,8 @@ func TestReplayUnknownRequestDiagnosed(t *testing.T) {
 	// A wait on a request that was never posted. The builder can't
 	// express this (it hands out real request IDs), so assemble the
 	// trace by hand; Replay does not re-validate.
-	tr := trace.New(trace.Meta{App: "bad", Class: "T", Machine: "cielito", NumRanks: 1, RanksPerNode: 1})
-	tr.Ranks[0] = append(tr.Ranks[0],
-		trace.Event{Op: trace.OpWait, Peer: trace.NoPeer, Req: 42})
+	tr := trace.NewColumns(trace.Meta{App: "bad", Class: "T", Machine: "cielito", NumRanks: 1, RanksPerNode: 1})
+	tr.Append(0, &trace.Event{Op: trace.OpWait, Peer: trace.NoPeer, Req: 42})
 	mach := testMach(t, 1)
 	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	if !errors.Is(err, ErrUnknownRequest) {

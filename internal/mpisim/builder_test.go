@@ -8,16 +8,16 @@ import (
 )
 
 // tb is a tiny trace builder for tests: it tracks per-rank cursors so
-// generated timestamps satisfy trace.Validate's monotonicity.
+// generated timestamps satisfy Columns.Validate's monotonicity.
 type tb struct {
-	tr     *trace.Trace
+	tr     *trace.Columns
 	cursor []simtime.Time
 	req    []int32
 }
 
 func newTB(ranks int) *tb {
 	return &tb{
-		tr:     trace.New(trace.Meta{App: "test", Class: "T", Machine: "cielito", NumRanks: ranks, RanksPerNode: 4}),
+		tr:     trace.NewColumns(trace.Meta{App: "test", Class: "T", Machine: "cielito", NumRanks: ranks, RanksPerNode: 4}),
 		cursor: make([]simtime.Time, ranks),
 		req:    make([]int32, ranks),
 	}
@@ -31,7 +31,7 @@ func (b *tb) push(r int, e trace.Event) {
 		e.Exit = e.Entry
 	}
 	b.cursor[r] = e.Exit
-	b.tr.Ranks[r] = append(b.tr.Ranks[r], e)
+	b.tr.Append(r, &e)
 }
 
 func (b *tb) compute(r int, d simtime.Time) {
@@ -72,7 +72,7 @@ func (b *tb) alltoallv(r int, comm trace.CommID, sendBytes []int64) {
 	b.push(r, trace.Event{Op: trace.OpAlltoallv, Peer: trace.NoPeer, Req: trace.NoReq, Comm: comm, SendBytes: sendBytes})
 }
 
-func (b *tb) build(t *testing.T) *trace.Trace {
+func (b *tb) build(t *testing.T) *trace.Columns {
 	t.Helper()
 	if err := b.tr.Validate(); err != nil {
 		t.Fatalf("test trace invalid: %v", err)

@@ -103,21 +103,14 @@ type Result struct {
 	Net simnet.Stats
 }
 
-// Replay runs tr through the given network model on machine mach and
-// returns predictions. The trace must be valid (trace.Validate).
-func Replay(tr *trace.Trace, model simnet.Model, mach *machine.Config, netCfg simnet.Config, opts Options) (*Result, error) {
-	return ReplaySource(tr, model, mach, netCfg, opts)
-}
-
-// ReplaySource is Replay over any trace representation: the replay
-// walks src through the Source access path only, so array-of-structs
-// and columnar traces replay identically (and, by the determinism
-// contract, bit-identically). It is stateless: a throwaway Session.
-func ReplaySource(src trace.Source, model simnet.Model, mach *machine.Config, netCfg simnet.Config, opts Options) (*Result, error) {
+// Replay runs src through the given network model on machine mach and
+// returns predictions. The trace must be valid (Columns.Validate). It
+// is stateless: a throwaway Session.
+func Replay(src trace.Source, model simnet.Model, mach *machine.Config, netCfg simnet.Config, opts Options) (*Result, error) {
 	return NewSession().Replay(src, model, mach, netCfg, opts)
 }
 
-// Replay is ReplaySource drawing its arenas and matching state — and,
+// Replay is the package-level Replay drawing its arenas and matching state — and,
 // after the first call since Reset, its lowered program — from the
 // session.
 func (sess *Session) Replay(src trace.Source, model simnet.Model, mach *machine.Config, netCfg simnet.Config, opts Options) (*Result, error) {

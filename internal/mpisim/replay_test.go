@@ -19,7 +19,7 @@ func testMach(t *testing.T, ranks int) *machine.Config {
 	return m
 }
 
-func replayAll(t *testing.T, tr *trace.Trace, opts Options) map[simnet.Model]*Result {
+func replayAll(t *testing.T, tr *trace.Columns, opts Options) map[simnet.Model]*Result {
 	t.Helper()
 	out := map[simnet.Model]*Result{}
 	mach := testMach(t, tr.Meta.NumRanks)
@@ -88,7 +88,7 @@ func TestReplayNonblockingOverlap(t *testing.T) {
 	// Communication overlapped with computation should cost less than
 	// their sum: isend/irecv, compute, waitall.
 	const bytes = 256 << 10
-	mk := func(overlap bool) *trace.Trace {
+	mk := func(overlap bool) *trace.Columns {
 		b := newTB(8)
 		if overlap {
 			r0 := b.irecv(0, 7, 1, bytes)
@@ -281,7 +281,7 @@ func TestReplayRecordWritesValidTimestamps(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("recorded trace invalid: %v", err)
 	}
-	if got := tr.MeasuredTotal(); got != res.Total {
+	if got := trace.SourceMeasuredTotal(tr); got != res.Total {
 		t.Errorf("recorded total %v != replay total %v", got, res.Total)
 	}
 	// The slowest rank computes 800µs; the allreduce must make everyone

@@ -24,7 +24,7 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 // iteration; compute scales the compute phases, so two ringTraces of
 // different scale have identical shape (ranks, events per rank,
 // channels) and different timing.
-func ringTrace(t *testing.T, ranks int, compute simtime.Time) *trace.Trace {
+func ringTrace(t *testing.T, ranks int, compute simtime.Time) *trace.Columns {
 	b := newTB(ranks)
 	for it := 0; it < 3; it++ {
 		for r := 0; r < ranks; r++ {
@@ -50,7 +50,7 @@ func TestSessionLowersOncePerTrace(t *testing.T) {
 	a := ringTrace(t, ranks, 20*simtime.Microsecond)
 	b := ringTrace(t, ranks, 90*simtime.Microsecond)
 	sess := NewSession()
-	for i, tr := range []*trace.Trace{a, b, a} {
+	for i, tr := range []*trace.Columns{a, b, a} {
 		sess.Reset()
 		for _, m := range simnet.Models() {
 			got, err := sess.Replay(tr, m, mach, simnet.Config{}, Options{})
@@ -60,7 +60,7 @@ func TestSessionLowersOncePerTrace(t *testing.T) {
 			if i == 0 && sess.prog == nil {
 				t.Fatal("session kept no program after a replay")
 			}
-			want, err := ReplaySource(tr, m, mach, simnet.Config{}, Options{})
+			want, err := Replay(tr, m, mach, simnet.Config{}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,8 +68,8 @@ func TestSessionLowersOncePerTrace(t *testing.T) {
 		}
 	}
 	// The two traces do differ, so a stale program would have shown.
-	ra, _ := ReplaySource(a, simnet.Packet, mach, simnet.Config{}, Options{})
-	rb, _ := ReplaySource(b, simnet.Packet, mach, simnet.Config{}, Options{})
+	ra, _ := Replay(a, simnet.Packet, mach, simnet.Config{}, Options{})
+	rb, _ := Replay(b, simnet.Packet, mach, simnet.Config{}, Options{})
 	if ra.Total == rb.Total {
 		t.Fatal("test traces are not distinguishable by their totals")
 	}
@@ -118,7 +118,7 @@ func TestSessionRecordingReplayKeepsNoProgram(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ReplaySource(tr, m, mach, simnet.Config{}, Options{})
+		want, err := Replay(tr, m, mach, simnet.Config{}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestSessionSurvivesRefusedAndFailedReplays(t *testing.T) {
 			if err != nil {
 				t.Fatalf("after %s: %v", after, err)
 			}
-			want, _ := ReplaySource(good, m, mach, simnet.Config{}, Options{})
+			want, _ := Replay(good, m, mach, simnet.Config{}, Options{})
 			sameResult(t, string(m)+" after "+after, got, want)
 		}
 	}
@@ -165,7 +165,7 @@ func TestSessionSurvivesRefusedAndFailedReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := ReplaySource(refused, simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	want, _ := Replay(refused, simnet.PacketFlow, mach, simnet.Config{}, Options{})
 	sameResult(t, "packetflow after a refused flow", got, want)
 	check("a refusal")
 
@@ -205,7 +205,7 @@ func TestManyInFlightMessagesMatchInPostingOrder(t *testing.T) {
 		}
 		return int64(64 + 257*k%4096) // eager
 	}
-	build := func(oneTag, sendsFirst bool) *trace.Trace {
+	build := func(oneTag, sendsFirst bool) *trace.Columns {
 		b := newTB(2)
 		tag := func(k int) int {
 			if oneTag {

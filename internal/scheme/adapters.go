@@ -49,7 +49,7 @@ func (mfactScheme) Run(src trace.Source, mach *machine.Config, _ Options) (Outco
 	if err := failRun.FailLabel(MFACT); err != nil {
 		return Outcome{Scheme: MFACT, Kind: KindModel, Wall: time.Since(start)}, err
 	}
-	res, err := mfact.ModelSource(src, mach, nil)
+	res, err := mfact.Model(src, mach, nil)
 	return mfactOutcome(res, err, time.Since(start))
 }
 
@@ -105,7 +105,7 @@ func (s simScheme) Run(src trace.Source, mach *machine.Config, opts Options) (Ou
 	if err := failRun.FailLabel(string(s.model)); err != nil {
 		return Outcome{Scheme: string(s.model), Kind: KindSimulation, Wall: time.Since(start)}, err
 	}
-	res, err := mpisim.ReplaySource(src, s.model, mach, simnet.Config{}, simOpts(opts))
+	res, err := mpisim.Replay(src, s.model, mach, simnet.Config{}, simOpts(opts))
 	return simOutcome(string(s.model), res, err, time.Since(start))
 }
 

@@ -4,10 +4,9 @@
 // registered scheme" without naming any of them. Adding a fifth
 // backend is a Register call; internal/core never changes.
 //
-// Schemes run over trace.Source, the uniform access path of PR 3's
-// columnar core: a campaign can drive a *trace.Columns straight into
-// every scheme and never materialize an array-of-structs trace on the
-// replay path. Per-worker Sessions own reusable replay state (clock-
+// Schemes run over trace.Source, so a campaign drives a *trace.Columns
+// (heap-built or mapped from the trace cache) straight into every
+// scheme. Per-worker Sessions own reusable replay state (clock-
 // vector free lists, op/request arenas) so allocations amortize across
 // traces, not just across events.
 package scheme

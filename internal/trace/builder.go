@@ -13,45 +13,24 @@ import (
 // and communication events carry zero durations; the ground-truth
 // executor later overwrites all timestamps with executed times.
 //
-// Storage is columnar: events append straight into a Columns store, so
-// a build never materializes []Event rows. Build returns the classic
-// array-of-structs *Trace for existing consumers; BuildColumns returns
-// the columnar form directly. A windowed builder (NewBuilderWindow)
-// additionally discards events outside a rank window — the streaming
-// generation path uses it to keep only a chunk of ranks resident.
+// Storage is columnar: events append straight into a Columns store,
+// so a build never materializes []Event rows.
 type Builder struct {
 	cols   *Columns
 	cursor []simtime.Time
 	req    []int32
 	open   []map[int32]bool // requests issued and not yet waited, per rank
-	lo, hi int              // stored rank window [lo, hi)
 }
 
 // NewBuilder starts a trace for the given metadata.
 func NewBuilder(meta Meta) *Builder {
-	return NewBuilderWindow(meta, 0, max(meta.NumRanks, 0))
-}
-
-// NewBuilderWindow starts a trace that stores only ranks in [lo, hi).
-// The generator still drives all ranks (time cursors and request
-// counters cover the whole world, and the RNG consumption of a
-// generator is untouched), but events of out-of-window ranks are
-// dropped at append time, bounding residency to the window. Windowed
-// builds skip cross-rank validation (a window cannot see its match
-// partners); BuildColumns validates fully only when the window covers
-// every rank.
-func NewBuilderWindow(meta Meta, lo, hi int) *Builder {
 	c := NewColumns(meta)
 	n := c.Meta.NumRanks
-	lo = max(lo, 0)
-	hi = min(hi, n)
 	b := &Builder{
 		cols:   c,
 		cursor: make([]simtime.Time, n),
 		req:    make([]int32, n),
 		open:   make([]map[int32]bool, n),
-		lo:     lo,
-		hi:     hi,
 	}
 	for r := range b.open {
 		b.open[r] = make(map[int32]bool)
@@ -73,18 +52,14 @@ func (b *Builder) push(r int, e Event) {
 	e.Entry = b.cursor[r]
 	e.Exit = e.Entry
 	b.cursor[r] = e.Exit
-	if r >= b.lo && r < b.hi {
-		b.cols.append(r, &e)
-	}
+	b.cols.Append(r, &e)
 }
 
 // Compute appends a computation interval of duration d on rank r.
 func (b *Builder) Compute(r int, d simtime.Time) {
 	e := Event{Op: OpCompute, Peer: NoPeer, Req: NoReq, Entry: b.cursor[r], Exit: b.cursor[r] + d}
 	b.cursor[r] = e.Exit
-	if r >= b.lo && r < b.hi {
-		b.cols.append(r, &e)
-	}
+	b.cols.Append(r, &e)
 }
 
 // Send appends a blocking send on rank r.
@@ -164,35 +139,10 @@ func (b *Builder) Alltoallv(r int, comm CommID, sendBytes []int64) {
 	b.push(r, Event{Op: OpAlltoallv, Peer: NoPeer, Req: NoReq, Comm: comm, SendBytes: sendBytes})
 }
 
-// fullWindow reports whether the builder stored every rank.
-func (b *Builder) fullWindow() bool { return b.lo == 0 && b.hi == b.cols.Meta.NumRanks }
-
-// Build validates and returns the trace in array-of-structs form.
-func (b *Builder) Build() (*Trace, error) {
-	if !b.fullWindow() {
-		return nil, fmt.Errorf("trace: Build on a windowed builder (ranks [%d,%d) of %d); use BuildChunk", b.lo, b.hi, b.cols.Meta.NumRanks)
-	}
-	tr := b.cols.Materialize()
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("trace builder produced invalid trace: %w", err)
-	}
-	return tr, nil
-}
-
-// BuildColumns validates and returns the trace in columnar form
-// without ever materializing []Event rows.
+// BuildColumns validates and returns the trace.
 func (b *Builder) BuildColumns() (*Columns, error) {
-	if !b.fullWindow() {
-		return nil, fmt.Errorf("trace: BuildColumns on a windowed builder (ranks [%d,%d) of %d); use BuildChunk", b.lo, b.hi, b.cols.Meta.NumRanks)
-	}
 	if err := b.cols.Validate(); err != nil {
 		return nil, fmt.Errorf("trace builder produced invalid trace: %w", err)
 	}
 	return b.cols, nil
 }
-
-// BuildChunk returns the columnar store of a windowed build without
-// cross-rank validation (a window cannot see its match partners; the
-// streaming tests anchor correctness by comparing chunks against a
-// validated full build). Ranks outside the window have empty streams.
-func (b *Builder) BuildChunk() *Columns { return b.cols }

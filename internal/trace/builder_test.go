@@ -39,7 +39,7 @@ func TestBuilderFullSurface(t *testing.T) {
 	b.Alltoallv(0, sub, []int64{0, 5})
 	b.Alltoallv(1, sub, []int64{7, 0})
 
-	tr, err := b.Build()
+	tr, err := b.BuildColumns()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +48,10 @@ func TestBuilderFullSurface(t *testing.T) {
 	}
 	// WaitOpen emitted one waitall with both requests.
 	var wa *Event
-	for i := range tr.Ranks[0] {
-		if tr.Ranks[0][i].Op == OpWaitall {
-			wa = &tr.Ranks[0][i]
+	evs := rankEvents(tr, 0)
+	for i := range evs {
+		if evs[i].Op == OpWaitall {
+			wa = &evs[i]
 		}
 	}
 	if wa == nil || len(wa.Reqs) != 2 {
@@ -65,8 +66,8 @@ func TestBuilderFullSurface(t *testing.T) {
 func TestBuilderProducesInvalidTraceError(t *testing.T) {
 	b := NewBuilder(Meta{App: "bad", NumRanks: 2})
 	b.Send(0, 1, 0, 64, CommWorld) // never received
-	if _, err := b.Build(); err == nil {
-		t.Fatal("unmatched send accepted by Build")
+	if _, err := b.BuildColumns(); err == nil {
+		t.Fatal("unmatched send accepted by BuildColumns")
 	}
 }
 
@@ -75,11 +76,11 @@ func TestBuilderWaitallEmptyNoop(t *testing.T) {
 	b.Waitall(0) // no requests: must emit nothing
 	b.Compute(0, 1)
 	b.Compute(1, 1)
-	tr, err := b.Build()
+	tr, err := b.BuildColumns()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Ranks[0]) != 1 {
-		t.Errorf("rank 0 has %d events, want 1", len(tr.Ranks[0]))
+	if tr.RankLen(0) != 1 {
+		t.Errorf("rank 0 has %d events, want 1", tr.RankLen(0))
 	}
 }

@@ -1,75 +1,49 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 
 	"hpctradeoff/internal/faultinject"
-	"hpctradeoff/internal/simtime"
 )
 
-// Binary trace formats ("HTRC"): compact varint-based encodings in the
-// spirit of DUMPI's binary record stream.
-//
-// Version 1 (array-of-structs): per rank, an event count followed by a
-// per-event field stream — one op byte, delta-coded times, then the
-// op's fields.
-//
-// Version 2 (columnar): per rank, an event count followed by
-// length-prefixed column blocks — the op column raw, the time column
-// delta-coded, then one block per field family (point-to-point, wait,
-// collective, alltoallv), each holding only the rows whose ops use it.
-// The layout mirrors the in-memory Columns store, so encode and decode
-// move column arrays directly instead of running a per-event
-// switch-and-build loop, and a reader can skip a block it does not
-// need by its length prefix.
-//
-// Version 3 (zero-copy, codec_v3.go): the on-disk layout is the
-// in-memory Columns layout itself — fixed 64-byte header, per-rank
-// column extents, raw little-endian field arrays and arenas — so a v3
-// file maps in with mmap (OpenMapped) and zero decode.
-//
-// All versions share the magic and the meta + communicator table
-// encoding; Read and ReadColumns each accept any version, converting
-// as needed.
-//
-// Times are delta-coded per rank (Entry relative to previous Exit,
-// Exit relative to Entry) so long traces stay small.
+// Binary trace format ("HTRC"). The only codec is version 3
+// (codec_v3.go): a fixed header, the meta + communicator blob encoded
+// here, and the Columns arrays laid out raw so a file maps in with
+// zero decode. Versions 1 and 2 (varint event and column streams) are
+// retired; their files are refused with ErrBadFormat and must be
+// regenerated with tracegen or dumpiconv.
 
 const (
-	binaryMagic           = "HTRC"
-	binaryVersion         = 1
-	binaryVersionColumnar = 2
+	binaryMagic = "HTRC"
 
 	maxRanks      = 1 << 24
 	maxRankEvents = 1 << 30
-	maxBlockBytes = 1 << 31
 )
 
-// ErrBadFormat reports a malformed or truncated binary trace stream.
+// ErrBadFormat reports a malformed, truncated or retired binary trace.
 var ErrBadFormat = errors.New("trace: bad binary format")
 
-// encoder buffers varint encoding over a bufio.Writer.
-type encoder struct {
-	bw  *bufio.Writer
-	buf []byte
-}
+// failRead is the codec's failpoint, hit once per rank body parsed. An
+// armed fault surfaces as an open error — injected failures are always
+// loud, never a silently short trace. Disarmed it is a nil check.
+var failRead = faultinject.NewSite("trace/codec-read")
 
-func (e *encoder) put(v uint64)  { e.buf = binary.AppendUvarint(e.buf[:0], v); e.bw.Write(e.buf) }
-func (e *encoder) putI(v int64)  { e.buf = binary.AppendVarint(e.buf[:0], v); e.bw.Write(e.buf) }
-func (e *encoder) putS(s string) { e.put(uint64(len(s))); e.bw.WriteString(s) }
-
-func writeMetaComms(e *encoder, meta Meta, comms *CommTable) {
-	e.putS(meta.App)
-	e.putS(meta.Class)
-	e.putS(meta.Machine)
-	e.put(uint64(meta.NumRanks))
-	e.put(uint64(meta.RanksPerNode))
-	e.putI(meta.Seed)
+// appendMetaComms appends the varint-framed meta and communicator
+// table: the three identity strings, rank counts, seed, capability
+// flags, then each communicator's delta-coded member list.
+func appendMetaComms(b []byte, meta Meta, comms *CommTable) []byte {
+	putS := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	putS(meta.App)
+	putS(meta.Class)
+	putS(meta.Machine)
+	b = binary.AppendUvarint(b, uint64(meta.NumRanks))
+	b = binary.AppendUvarint(b, uint64(meta.RanksPerNode))
+	b = binary.AppendVarint(b, meta.Seed)
 	var flags byte
 	if meta.UsesCommSplit {
 		flags |= 1
@@ -77,192 +51,27 @@ func writeMetaComms(e *encoder, meta Meta, comms *CommTable) {
 	if meta.UsesThreadMultiple {
 		flags |= 2
 	}
-	e.bw.WriteByte(flags)
+	b = append(b, flags)
 
-	e.put(uint64(comms.Len()))
+	b = binary.AppendUvarint(b, uint64(comms.Len()))
 	for c := 0; c < comms.Len(); c++ {
 		members := comms.Members(CommID(c))
-		e.put(uint64(len(members)))
+		b = binary.AppendUvarint(b, uint64(len(members)))
 		prev := int32(0)
 		for _, m := range members {
-			e.putI(int64(m - prev)) // delta; first is absolute from 0
+			b = binary.AppendVarint(b, int64(m-prev)) // delta; first is absolute from 0
 			prev = m
 		}
 	}
+	return b
 }
 
-// Write encodes t in the version-1 (array-of-structs) binary format.
-func Write(w io.Writer, t *Trace) error {
-	if len(t.Ranks) != t.Meta.NumRanks {
-		return fmt.Errorf("trace: %d rank streams but meta says %d ranks",
-			len(t.Ranks), t.Meta.NumRanks)
-	}
-	e := &encoder{bw: bufio.NewWriterSize(w, 1<<16)}
-	e.bw.WriteString(binaryMagic)
-	e.put(binaryVersion)
-	writeMetaComms(e, t.Meta, &t.Comms)
-
-	for _, evs := range t.Ranks {
-		e.put(uint64(len(evs)))
-		var cursor simtime.Time
-		for i := range evs {
-			ev := &evs[i]
-			e.bw.WriteByte(byte(ev.Op))
-			e.putI(int64(ev.Entry - cursor))
-			e.putI(int64(ev.Exit - ev.Entry))
-			cursor = ev.Exit
-			switch {
-			case ev.Op == OpCompute:
-				// Times only.
-			case ev.Op.IsP2P():
-				e.putI(int64(ev.Peer))
-				e.putI(int64(ev.Tag))
-				e.put(uint64(ev.Bytes))
-				e.putI(int64(ev.Comm))
-				e.putI(int64(ev.Req))
-			case ev.Op == OpWait:
-				e.putI(int64(ev.Req))
-			case ev.Op == OpWaitall:
-				e.put(uint64(len(ev.Reqs)))
-				for _, r := range ev.Reqs {
-					e.putI(int64(r))
-				}
-			case ev.Op == OpAlltoallv:
-				e.putI(int64(ev.Comm))
-				e.put(uint64(len(ev.SendBytes)))
-				for _, b := range ev.SendBytes {
-					e.put(uint64(b))
-				}
-			default: // remaining collectives
-				e.putI(int64(ev.Comm))
-				e.putI(int64(ev.Root))
-				e.put(uint64(ev.Bytes))
-			}
-		}
-	}
-	return e.bw.Flush()
-}
-
-// WriteColumns encodes c in the version-2 columnar binary format.
-func WriteColumns(w io.Writer, c *Columns) error {
-	e := &encoder{bw: bufio.NewWriterSize(w, 1<<16)}
-	e.bw.WriteString(binaryMagic)
-	e.put(binaryVersionColumnar)
-	writeMetaComms(e, c.Meta, &c.Comms)
-
-	var block []byte // reused scratch for one column block at a time
-	flush := func() {
-		e.put(uint64(len(block)))
-		e.bw.Write(block)
-		block = block[:0]
-	}
-	for r := range c.ranks {
-		rc := &c.ranks[r]
-		n := len(rc.op)
-		e.put(uint64(n))
-		if n == 0 {
-			continue
-		}
-		// Op column, raw.
-		for _, op := range rc.op {
-			block = append(block, byte(op))
-		}
-		flush()
-		// Time column, delta-coded (dEntry from previous exit, dExit
-		// from entry).
-		var cursor simtime.Time
-		for i := 0; i < n; i++ {
-			block = binary.AppendVarint(block, int64(rc.entry[i]-cursor))
-			block = binary.AppendVarint(block, int64(rc.exit[i]-rc.entry[i]))
-			cursor = rc.exit[i]
-		}
-		flush()
-		// Point-to-point block: peer, tag, bytes, comm, req.
-		for i := 0; i < n; i++ {
-			if rc.op[i].IsP2P() {
-				block = binary.AppendVarint(block, int64(rc.peer[i]))
-				block = binary.AppendVarint(block, int64(rc.tag[i]))
-				block = binary.AppendUvarint(block, uint64(rc.bytes[i]))
-				block = binary.AppendVarint(block, int64(rc.comm[i]))
-				block = binary.AppendVarint(block, int64(rc.req[i]))
-			}
-		}
-		flush()
-		// Wait block: wait reqs and waitall request sets.
-		for i := 0; i < n; i++ {
-			switch rc.op[i] {
-			case OpWait:
-				block = binary.AppendVarint(block, int64(rc.req[i]))
-			case OpWaitall:
-				set := rc.reqArena[rc.auxOff[i] : rc.auxOff[i]+rc.auxLen[i]]
-				block = binary.AppendUvarint(block, uint64(len(set)))
-				for _, q := range set {
-					block = binary.AppendVarint(block, int64(q))
-				}
-			}
-		}
-		flush()
-		// Collective block (all but alltoallv): comm, root, bytes.
-		for i := 0; i < n; i++ {
-			if rc.op[i].IsCollective() && rc.op[i] != OpAlltoallv {
-				block = binary.AppendVarint(block, int64(rc.comm[i]))
-				block = binary.AppendVarint(block, int64(rc.root[i]))
-				block = binary.AppendUvarint(block, uint64(rc.bytes[i]))
-			}
-		}
-		flush()
-		// Alltoallv block: comm plus the per-member send table.
-		for i := 0; i < n; i++ {
-			if rc.op[i] == OpAlltoallv {
-				block = binary.AppendVarint(block, int64(rc.comm[i]))
-				tbl := rc.sbArena[rc.auxOff[i] : rc.auxOff[i]+rc.auxLen[i]]
-				block = binary.AppendUvarint(block, uint64(len(tbl)))
-				for _, b := range tbl {
-					block = binary.AppendUvarint(block, uint64(b))
-				}
-			}
-		}
-		flush()
-	}
-	return e.bw.Flush()
-}
-
-// readHeader consumes magic, version, and — for the varint-framed
-// versions 1 and 2 — the meta and communicator table; both Read and
-// ReadColumns start here. A version-3 stream returns with zero
-// meta/table: its header is fixed binary, parsed whole by readV3Stream.
-func readHeader(r io.Reader) (*decoder, int, Meta, CommTable, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic := make([]byte, len(binaryMagic))
+// parseMetaComms decodes a blob written by appendMetaComms, which must
+// consume it exactly.
+func parseMetaComms(blob []byte) (Meta, CommTable, error) {
 	var meta Meta
 	var ct CommTable
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, 0, meta, ct, fmt.Errorf("%w: missing magic: %v", ErrBadFormat, err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, 0, meta, ct, fmt.Errorf("%w: magic %q", ErrBadFormat, magic)
-	}
-	d := &decoder{br: br}
-	version := int(d.uvarint())
-	if d.err != nil || (version != binaryVersion && version != binaryVersionColumnar && version != binaryVersionV3) {
-		return nil, 0, meta, ct, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
-	}
-	if version == binaryVersionV3 {
-		return d, version, meta, ct, nil
-	}
-	meta, ct, err := parseMetaComms(d)
-	if err != nil {
-		return nil, version, meta, ct, err
-	}
-	return d, version, meta, ct, nil
-}
-
-// parseMetaComms decodes the varint-framed meta and communicator table
-// written by writeMetaComms (versions 1 and 2 inline it after the
-// version byte; version 3 carries it as a length-delimited blob).
-func parseMetaComms(d *decoder) (Meta, CommTable, error) {
-	var meta Meta
-	var ct CommTable
+	d := &metaDec{b: blob}
 	meta.App = d.str()
 	meta.Class = d.str()
 	meta.Machine = d.str()
@@ -302,414 +111,75 @@ func parseMetaComms(d *decoder) (Meta, CommTable, error) {
 	if d.err != nil {
 		return meta, ct, d.fail("comm table")
 	}
+	if len(d.b) != 0 {
+		return meta, ct, fmt.Errorf("%w: meta blob has %d trailing bytes", ErrBadFormat, len(d.b))
+	}
 	return meta, ct, nil
 }
 
-// Read decodes a binary trace written by Write, WriteColumns, or
-// WriteColumnsV3 into array-of-structs form (columnar input is
-// materialized).
-func Read(r io.Reader) (*Trace, error) {
-	d, version, meta, ct, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if version == binaryVersionV3 {
-		c, err := readV3Stream(d)
-		if err != nil {
-			return nil, err
-		}
-		return c.Materialize(), nil
-	}
-	if version == binaryVersionColumnar {
-		c := &Columns{Meta: meta, Comms: ct, ranks: make([]rankCols, meta.NumRanks)}
-		if err := readColumnarBody(d, c); err != nil {
-			return nil, err
-		}
-		return c.Materialize(), nil
-	}
-	t := &Trace{Meta: meta, Comms: ct, Ranks: make([][]Event, meta.NumRanks)}
-	if err := readV1Body(d, t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ReadColumns decodes a binary trace written by Write, WriteColumns,
-// or WriteColumnsV3 into columnar form (version-1 input is
-// columnarized; version-3 input parses with zero per-event decoding).
-func ReadColumns(r io.Reader) (*Columns, error) {
-	d, version, meta, ct, err := readHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if version == binaryVersionV3 {
-		return readV3Stream(d)
-	}
-	if version == binaryVersion {
-		t := &Trace{Meta: meta, Comms: ct, Ranks: make([][]Event, meta.NumRanks)}
-		if err := readV1Body(d, t); err != nil {
-			return nil, err
-		}
-		return FromTrace(t), nil
-	}
-	c := &Columns{Meta: meta, Comms: ct, ranks: make([]rankCols, meta.NumRanks)}
-	if err := readColumnarBody(d, c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// failRead is the codec's failpoint, hit once per rank body decoded
-// (both format versions). An armed fault surfaces as a read error from
-// Read/ReadColumns — injected failures are always loud, never a
-// silently short trace. Disarmed it is a nil check.
-var failRead = faultinject.NewSite("trace/codec-read")
-
-func readV1Body(d *decoder, t *Trace) error {
-	meta := t.Meta
-	for rank := 0; rank < meta.NumRanks; rank++ {
-		if err := failRead.Fail(); err != nil {
-			return fmt.Errorf("trace: rank %d: %w", rank, err)
-		}
-		n := int(d.uvarint())
-		if d.err != nil || n < 0 || n > maxRankEvents {
-			return d.fail("event count")
-		}
-		evs := make([]Event, n)
-		var cursor simtime.Time
-		for i := range evs {
-			e := &evs[i]
-			e.Op = Op(d.byte())
-			if !e.Op.Valid() {
-				return fmt.Errorf("%w: rank %d event %d: bad op", ErrBadFormat, rank, i)
-			}
-			e.Entry = cursor + simtime.Time(d.varint())
-			e.Exit = e.Entry + simtime.Time(d.varint())
-			cursor = e.Exit
-			e.Peer, e.Req = NoPeer, NoReq
-			switch {
-			case e.Op == OpCompute:
-			case e.Op.IsP2P():
-				e.Peer = int32(d.varint())
-				e.Tag = int32(d.varint())
-				e.Bytes = int64(d.uvarint())
-				e.Comm = CommID(d.varint())
-				e.Req = int32(d.varint())
-			case e.Op == OpWait:
-				e.Req = int32(d.varint())
-			case e.Op == OpWaitall:
-				k := int(d.uvarint())
-				if d.err != nil || k < 0 || k > math.MaxInt32 {
-					return d.fail("waitall reqs")
-				}
-				e.Reqs = make([]int32, k)
-				for j := range e.Reqs {
-					e.Reqs[j] = int32(d.varint())
-				}
-			case e.Op == OpAlltoallv:
-				e.Comm = CommID(d.varint())
-				k := int(d.uvarint())
-				if d.err != nil || k < 0 || k > maxRanks {
-					return d.fail("alltoallv counts")
-				}
-				e.SendBytes = make([]int64, k)
-				for j := range e.SendBytes {
-					e.SendBytes[j] = int64(d.uvarint())
-				}
-			default:
-				e.Comm = CommID(d.varint())
-				e.Root = int32(d.varint())
-				e.Bytes = int64(d.uvarint())
-			}
-			if d.err != nil {
-				return d.fail(fmt.Sprintf("rank %d event %d", rank, i))
-			}
-		}
-		t.Ranks[rank] = evs
-	}
-	return nil
-}
-
-// readColumnarBody decodes the version-2 per-rank column blocks into c.
-func readColumnarBody(d *decoder, c *Columns) error {
-	for rank := range c.ranks {
-		if err := failRead.Fail(); err != nil {
-			return fmt.Errorf("trace: rank %d: %w", rank, err)
-		}
-		n := int(d.uvarint())
-		if d.err != nil || n < 0 || n > maxRankEvents {
-			return d.fail("event count")
-		}
-		if n == 0 {
-			continue
-		}
-		rc := &c.ranks[rank]
-
-		// Op column: the block length must equal the event count, which
-		// bounds every later allocation by actual input size.
-		ops, err := d.block()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d op column: %v", ErrBadFormat, rank, err)
-		}
-		if len(ops) != n {
-			return fmt.Errorf("%w: rank %d: op column holds %d events, count says %d", ErrBadFormat, rank, len(ops), n)
-		}
-		rc.op = make([]Op, n)
-		for i, b := range ops {
-			op := Op(b)
-			if !op.Valid() {
-				return fmt.Errorf("%w: rank %d event %d: bad op %d", ErrBadFormat, rank, i, b)
-			}
-			rc.op[i] = op
-		}
-		rc.entry = make([]simtime.Time, n)
-		rc.exit = make([]simtime.Time, n)
-		rc.peer = make([]int32, n)
-		rc.tag = make([]int32, n)
-		rc.root = make([]int32, n)
-		rc.req = make([]int32, n)
-		rc.comm = make([]CommID, n)
-		rc.bytes = make([]int64, n)
-		rc.auxOff = make([]uint32, n)
-		rc.auxLen = make([]uint32, n)
-		for i := range rc.peer {
-			rc.peer[i], rc.req[i] = NoPeer, NoReq
-		}
-
-		// Time column.
-		tb, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d time column: %v", ErrBadFormat, rank, err)
-		}
-		var cursor simtime.Time
-		for i := 0; i < n; i++ {
-			rc.entry[i] = cursor + simtime.Time(tb.varint())
-			rc.exit[i] = rc.entry[i] + simtime.Time(tb.varint())
-			cursor = rc.exit[i]
-		}
-		if err := tb.done("time column", rank); err != nil {
-			return err
-		}
-
-		// Point-to-point column block.
-		pb, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d p2p block: %v", ErrBadFormat, rank, err)
-		}
-		for i := 0; i < n; i++ {
-			if rc.op[i].IsP2P() {
-				rc.peer[i] = int32(pb.varint())
-				rc.tag[i] = int32(pb.varint())
-				rc.bytes[i] = int64(pb.uvarint())
-				rc.comm[i] = CommID(pb.varint())
-				rc.req[i] = int32(pb.varint())
-			}
-		}
-		if err := pb.done("p2p block", rank); err != nil {
-			return err
-		}
-
-		// Wait column block.
-		wb, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d wait block: %v", ErrBadFormat, rank, err)
-		}
-		for i := 0; i < n; i++ {
-			switch rc.op[i] {
-			case OpWait:
-				rc.req[i] = int32(wb.varint())
-			case OpWaitall:
-				k := int(wb.uvarint())
-				if wb.err != nil || k < 0 || k > len(wb.b)+1 {
-					return fmt.Errorf("%w: rank %d event %d: waitall set of %d", ErrBadFormat, rank, i, k)
-				}
-				rc.auxOff[i], rc.auxLen[i] = uint32(len(rc.reqArena)), uint32(k)
-				for j := 0; j < k; j++ {
-					rc.reqArena = append(rc.reqArena, int32(wb.varint()))
-				}
-			}
-		}
-		if err := wb.done("wait block", rank); err != nil {
-			return err
-		}
-
-		// Collective column block.
-		cb, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d collective block: %v", ErrBadFormat, rank, err)
-		}
-		for i := 0; i < n; i++ {
-			if rc.op[i].IsCollective() && rc.op[i] != OpAlltoallv {
-				rc.comm[i] = CommID(cb.varint())
-				rc.root[i] = int32(cb.varint())
-				rc.bytes[i] = int64(cb.uvarint())
-			}
-		}
-		if err := cb.done("collective block", rank); err != nil {
-			return err
-		}
-
-		// Alltoallv column block.
-		ab, err := d.blockDec()
-		if err != nil {
-			return fmt.Errorf("%w: rank %d alltoallv block: %v", ErrBadFormat, rank, err)
-		}
-		for i := 0; i < n; i++ {
-			if rc.op[i] == OpAlltoallv {
-				rc.comm[i] = CommID(ab.varint())
-				k := int(ab.uvarint())
-				if ab.err != nil || k < 0 || k > maxRanks {
-					return fmt.Errorf("%w: rank %d event %d: alltoallv table of %d", ErrBadFormat, rank, i, k)
-				}
-				rc.auxOff[i], rc.auxLen[i] = uint32(len(rc.sbArena)), uint32(k)
-				for j := 0; j < k; j++ {
-					rc.sbArena = append(rc.sbArena, int64(ab.uvarint()))
-				}
-			}
-		}
-		if err := ab.done("alltoallv block", rank); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type decoder struct {
-	br  *bufio.Reader
-	err error
-}
-
-func (d *decoder) fail(what string) error {
-	if d.err == nil {
-		d.err = io.ErrUnexpectedEOF
-	}
-	return fmt.Errorf("%w: %s: %v", ErrBadFormat, what, d.err)
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		d.err = err
-	}
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.br)
-	if err != nil {
-		d.err = err
-	}
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	b, err := d.br.ReadByte()
-	if err != nil {
-		d.err = err
-	}
-	return b
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > 1<<20 {
-		d.err = fmt.Errorf("string length %d too large", n)
-		return ""
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.br, b); err != nil {
-		d.err = err
-		return ""
-	}
-	return string(b)
-}
-
-// block reads one length-prefixed column block. Allocation grows with
-// the bytes actually present in the stream, so a lying length prefix
-// cannot force a huge up-front allocation.
-func (d *decoder) block() ([]byte, error) {
-	ln := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if ln > maxBlockBytes {
-		return nil, fmt.Errorf("block length %d too large", ln)
-	}
-	var out []byte
-	const chunk = 1 << 16
-	for remaining := int(ln); remaining > 0; {
-		c := min(remaining, chunk)
-		start := len(out)
-		out = append(out, make([]byte, c)...)
-		if _, err := io.ReadFull(d.br, out[start:]); err != nil {
-			d.err = err
-			return nil, err
-		}
-		remaining -= c
-	}
-	return out, nil
-}
-
-// blockDec reads a block and wraps it in a slice decoder.
-func (d *decoder) blockDec() (*sliceDec, error) {
-	b, err := d.block()
-	if err != nil {
-		return nil, err
-	}
-	return &sliceDec{b: b}, nil
-}
-
-// sliceDec decodes varints from an in-memory column block.
-type sliceDec struct {
+// metaDec decodes varints from the in-memory meta blob; the first
+// failure sticks and later reads return zero values.
+type metaDec struct {
 	b   []byte
 	err error
 }
 
-func (s *sliceDec) uvarint() uint64 {
-	if s.err != nil {
+func (d *metaDec) fail(what string) error {
+	if d.err == nil {
+		d.err = errors.New("out of range")
+	}
+	return fmt.Errorf("%w: %s: %v", ErrBadFormat, what, d.err)
+}
+
+func (d *metaDec) uvarint() uint64 {
+	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(s.b)
+	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		s.err = io.ErrUnexpectedEOF
+		d.err = errors.New("truncated varint")
 		return 0
 	}
-	s.b = s.b[n:]
+	d.b = d.b[n:]
 	return v
 }
 
-func (s *sliceDec) varint() int64 {
-	if s.err != nil {
+func (d *metaDec) varint() int64 {
+	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(s.b)
+	v, n := binary.Varint(d.b)
 	if n <= 0 {
-		s.err = io.ErrUnexpectedEOF
+		d.err = errors.New("truncated varint")
 		return 0
 	}
-	s.b = s.b[n:]
+	d.b = d.b[n:]
 	return v
 }
 
-// done verifies the block was consumed exactly.
-func (s *sliceDec) done(what string, rank int) error {
-	if s.err != nil {
-		return fmt.Errorf("%w: rank %d %s: %v", ErrBadFormat, rank, what, s.err)
+func (d *metaDec) byte() byte {
+	if d.err != nil {
+		return 0
 	}
-	if len(s.b) != 0 {
-		return fmt.Errorf("%w: rank %d %s: %d trailing bytes", ErrBadFormat, rank, what, len(s.b))
+	if len(d.b) == 0 {
+		d.err = errors.New("truncated")
+		return 0
 	}
-	return nil
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *metaDec) str() string {
+	n := d.uvarint()
+	if d.err != nil {
+		return ""
+	}
+	if n > uint64(len(d.b)) {
+		d.err = fmt.Errorf("string length %d exceeds blob", n)
+		return ""
+	}
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
 }

@@ -2,35 +2,32 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"unsafe"
 
 	"hpctradeoff/internal/simtime"
 )
 
-// Version 3 ("zero-copy"): the on-disk layout IS the in-memory Columns
-// layout. After a fixed 64-byte header and a varint meta blob, the file
+// Version 3 ("zero-copy"), the only trace codec: the on-disk layout IS
+// the in-memory Columns layout. After a fixed 64-byte header and a varint meta blob, the file
 // holds one fixed-size extent record per rank and then the raw
 // little-endian column arrays themselves — op bytes, int64 entry/exit
 // times (not delta-coded), int32 field columns, and the two payload
 // arenas — each 8-byte aligned within the file. A v3 file therefore
 // maps into memory with mmap and zero decode: OpenMapped builds a
 // *Columns whose column slices alias the mapping directly. The price is
-// size (raw fixed-width fields instead of v2's varints); the payoff is
-// that opening a trace allocates nothing proportional to its length.
+// size (raw fixed-width fields instead of varints); the payoff is that
+// opening a trace allocates nothing proportional to its length.
 //
 // Safety contract: every extent is validated before any slice is
 // formed — in bounds of the file, 8-byte aligned, no offset/length
 // overflow — and every Waitall/Alltoallv row's arena window is checked
 // against its arena's length, so a hostile file can never over-map or
-// index out of the mapping. Read and ReadColumns accept v3 streams
-// through the same parser (copy-decoding when the platform is
-// big-endian or the buffer is unaligned), so acceptance is identical
-// across the zero-copy and fallback paths.
+// index out of the mapping. Big-endian hosts and unaligned buffers go
+// through the same parser in copy mode, so acceptance is identical
+// across the zero-copy and copying paths.
 //
 // Layout (all integers little-endian):
 //
@@ -107,11 +104,7 @@ func v3Layout(c *Columns, metaLen int) ([]v3Extent, uint64) {
 // also its mapped-resident footprint, since a v3 file is its own
 // in-memory representation.
 func V3Size(c *Columns) int64 {
-	var meta bytes.Buffer
-	e := &encoder{bw: bufio.NewWriter(&meta)}
-	writeMetaComms(e, c.Meta, &c.Comms)
-	e.bw.Flush()
-	_, size := v3Layout(c, meta.Len())
+	_, size := v3Layout(c, len(appendMetaComms(nil, c.Meta, &c.Comms)))
 	return int64(size)
 }
 
@@ -123,12 +116,8 @@ func v3ExtTableOff(metaLen int) uint64 {
 
 // WriteColumnsV3 encodes c in the version-3 zero-copy binary format.
 func WriteColumnsV3(w io.Writer, c *Columns) error {
-	var meta bytes.Buffer
-	me := &encoder{bw: bufio.NewWriterSize(&meta, 1<<12)}
-	writeMetaComms(me, c.Meta, &c.Comms)
-	me.bw.Flush()
-
-	exts, fileSize := v3Layout(c, meta.Len())
+	meta := appendMetaComms(nil, c.Meta, &c.Comms)
+	exts, fileSize := v3Layout(c, len(meta))
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var pos uint64
 
@@ -138,13 +127,13 @@ func WriteColumnsV3(w io.Writer, c *Columns) error {
 	binary.LittleEndian.PutUint32(hdr[8:12], v3HeaderSize)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(c.ranks)))
 	binary.LittleEndian.PutUint64(hdr[16:24], v3HeaderSize)
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(meta.Len()))
-	binary.LittleEndian.PutUint64(hdr[32:40], v3ExtTableOff(meta.Len()))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(meta)))
+	binary.LittleEndian.PutUint64(hdr[32:40], v3ExtTableOff(len(meta)))
 	binary.LittleEndian.PutUint64(hdr[40:48], fileSize)
 	bw.Write(hdr[:])
 	pos += v3HeaderSize
-	bw.Write(meta.Bytes())
-	pos += uint64(meta.Len())
+	bw.Write(meta)
+	pos += uint64(len(meta))
 
 	pad := func(to uint64) {
 		for ; pos < to; pos++ {
@@ -152,7 +141,7 @@ func WriteColumnsV3(w io.Writer, c *Columns) error {
 		}
 	}
 
-	pad(v3ExtTableOff(meta.Len()))
+	pad(v3ExtTableOff(len(meta)))
 	var rec [v3ExtentSize]byte
 	for r := range exts {
 		e := &exts[r]
@@ -272,11 +261,15 @@ func v3Aliasable(data []byte) bool {
 // Either way the same validation runs first, so the two modes accept
 // exactly the same inputs.
 func parseV3(data []byte, alias bool) (*Columns, error) {
+	if len(data) <= len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
+		return nil, fmt.Errorf("%w: not an %s trace; regenerate it with tracegen or dumpiconv", ErrBadFormat, binaryMagic)
+	}
+	if v := data[len(binaryMagic)]; v != binaryVersionV3 {
+		return nil, fmt.Errorf("%w: codec v%d, this build reads only v%d; regenerate the file with tracegen or dumpiconv",
+			ErrBadFormat, v, binaryVersionV3)
+	}
 	if len(data) < v3HeaderSize {
 		return nil, fmt.Errorf("%w: v3 header truncated at %d bytes", ErrBadFormat, len(data))
-	}
-	if string(data[0:4]) != binaryMagic || data[4] != binaryVersionV3 {
-		return nil, fmt.Errorf("%w: not a v3 stream", ErrBadFormat)
 	}
 	size := uint64(len(data))
 	hdrSize := binary.LittleEndian.Uint32(data[8:12])
@@ -305,13 +298,9 @@ func parseV3(data []byte, alias bool) (*Columns, error) {
 		return nil, fmt.Errorf("%w: v3 extent table [%d,+%d×%d) out of bounds", ErrBadFormat, extOff, numRanks, v3ExtentSize)
 	}
 
-	md := &decoder{br: bufio.NewReader(bytes.NewReader(data[metaOff : metaOff+metaLen]))}
-	meta, ct, err := parseMetaComms(md)
+	meta, ct, err := parseMetaComms(data[metaOff : metaOff+metaLen])
 	if err != nil {
 		return nil, err
-	}
-	if _, err := md.br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: v3 meta blob has trailing bytes", ErrBadFormat)
 	}
 	if meta.NumRanks != int(numRanks) {
 		return nil, fmt.Errorf("%w: meta says %d ranks, v3 header says %d", ErrBadFormat, meta.NumRanks, numRanks)
@@ -407,8 +396,8 @@ func aliasV3Rank(rc *rankCols, data []byte, e *v3Extent) {
 }
 
 // copyV3Rank decodes one rank's columns into fresh slices with explicit
-// little-endian reads — the portable path for big-endian hosts,
-// unaligned buffers, and streamed Read/ReadColumns fallback.
+// little-endian reads — the portable path for big-endian hosts and
+// unaligned buffers.
 func copyV3Rank(rc *rankCols, data []byte, e *v3Extent) {
 	n := int(e.n)
 	if n > 0 {
@@ -451,33 +440,4 @@ func copyV3Rank(rc *rankCols, data []byte, e *v3Extent) {
 			rc.sbArena[i] = int64(binary.LittleEndian.Uint64(data[e.off[12]+uint64(i)*8:]))
 		}
 	}
-}
-
-// readV3Stream is the Read/ReadColumns fallback for a v3 stream: the
-// remaining bytes are slurped (chunked, so a lying header cannot force
-// a huge up-front allocation), the consumed magic+version prefix is
-// reconstructed, and the image goes through the same parser as the
-// mmap path — aliasing the heap buffer when the host allows it, so
-// even the streamed path decodes nothing per event.
-func readV3Stream(d *decoder) (*Columns, error) {
-	data := make([]byte, 0, 1<<16)
-	data = append(data, binaryMagic...)
-	data = append(data, binaryVersionV3)
-	const chunk = 1 << 16
-	for {
-		start := len(data)
-		data = append(data, make([]byte, chunk)...)
-		n, err := io.ReadFull(d.br, data[start:])
-		data = data[:start+n]
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: v3 body: %v", ErrBadFormat, err)
-		}
-		if len(data) > math.MaxInt64/2 {
-			return nil, fmt.Errorf("%w: v3 stream too large", ErrBadFormat)
-		}
-	}
-	return parseV3(data, v3Aliasable(data))
 }

@@ -3,9 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hpctradeoff/internal/simtime"
@@ -28,43 +31,34 @@ func TestV3RoundTrip(t *testing.T) {
 		t.Fatalf("V3Size = %d, encoded %d bytes", got, len(v3))
 	}
 
-	want := cols.Materialize()
-
-	// ReadColumns dispatches on the version byte.
-	back, err := ReadColumns(bytes.NewReader(v3))
+	back, err := parseV3(v3, false)
 	if err != nil {
-		t.Fatalf("ReadColumns(v3): %v", err)
+		t.Fatalf("parseV3: %v", err)
 	}
-	requireSameEvents(t, want, back)
-	if !commTablesEqual(&want.Comms, &back.Comms) {
+	requireSameEvents(t, cols, back)
+	if !commTablesEqual(&cols.Comms, &back.Comms) {
 		t.Fatal("comm tables differ after v3 round trip")
 	}
-	if back.Meta != want.Meta {
-		t.Fatalf("meta = %+v, want %+v", back.Meta, want.Meta)
+	if back.Meta != cols.Meta {
+		t.Fatalf("meta = %+v, want %+v", back.Meta, cols.Meta)
 	}
-
-	// Read materializes v3 the same way.
-	tr, err := Read(bytes.NewReader(v3))
-	if err != nil {
-		t.Fatalf("Read(v3): %v", err)
-	}
-	requireSameEvents(t, want, tr)
 }
 
+// TestV3RoundTripProperty round-trips random traces through v3 files
+// opened with OpenMapped (the campaign's read path).
 func TestV3RoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 40; i++ {
 		tr := randomTrace(rng)
-		cols := FromTrace(tr)
-		v3 := encodeV3(t, cols)
-		back, err := ReadColumns(bytes.NewReader(v3))
+		m, err := OpenMapped(writeV3File(t, tr))
 		if err != nil {
-			t.Fatalf("iter %d: ReadColumns(v3): %v", i, err)
+			t.Fatalf("iter %d: OpenMapped: %v", i, err)
 		}
-		requireSameEvents(t, tr, back)
-		if !commTablesEqual(&tr.Comms, &back.Comms) {
-			t.Fatalf("iter %d: comm tables differ", i)
+		requireSameEvents(t, tr, m)
+		if !commTablesEqual(&tr.Comms, &m.Comms) || tr.Meta != m.Meta {
+			t.Fatalf("iter %d: header differs", i)
 		}
+		m.Close()
 	}
 }
 
@@ -73,7 +67,7 @@ func TestV3RoundTripProperty(t *testing.T) {
 func TestV3AliasCopyAgree(t *testing.T) {
 	cols := richColumns(t)
 	v3 := encodeV3(t, cols)
-	want := cols.Materialize()
+	want := cols
 
 	aligned := make([]byte, len(v3))
 	copy(aligned, v3)
@@ -169,12 +163,20 @@ func v3Corruptions(t *testing.T, cols *Columns) map[string][]byte {
 
 func TestV3Rejections(t *testing.T) {
 	cols := richColumns(t)
+	dir := t.TempDir()
 	for name, bad := range v3Corruptions(t, cols) {
-		if _, err := ReadColumns(bytes.NewReader(bad)); err == nil {
-			t.Errorf("%s: ReadColumns accepted corrupt v3 stream", name)
+		if _, err := parseV3(bad, false); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: parseV3 err = %v, want ErrBadFormat", name, err)
 		}
-		if _, err := Read(bytes.NewReader(bad)); err == nil {
-			t.Errorf("%s: Read accepted corrupt v3 stream", name)
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := OpenMapped(path); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: OpenMapped err = %v, want ErrBadFormat", name, err)
+			if m != nil {
+				m.Close()
+			}
 		}
 	}
 }
@@ -197,7 +199,6 @@ func writeV3File(t *testing.T, cols *Columns) string {
 
 func TestOpenMappedV3(t *testing.T) {
 	cols := richColumns(t)
-	want := cols.Materialize()
 	path := writeV3File(t, cols)
 
 	m, err := OpenMapped(path)
@@ -206,18 +207,13 @@ func TestOpenMappedV3(t *testing.T) {
 	}
 	defer m.Close()
 
-	if m.Version != 3 {
-		t.Fatalf("Version = %d, want 3", m.Version)
+	if int64(len(m.Image())) != V3Size(cols) {
+		t.Fatalf("image holds %d bytes, want %d", len(m.Image()), V3Size(cols))
 	}
-	if mmapSupported && v3LittleEndian {
-		if !m.ZeroCopy() {
-			t.Fatal("ZeroCopy() = false on a platform that supports it")
-		}
-		if m.MappedBytes() != V3Size(cols) {
-			t.Fatalf("MappedBytes = %d, want %d", m.MappedBytes(), V3Size(cols))
-		}
+	if mmapSupported && v3LittleEndian && !m.ZeroCopy() {
+		t.Fatal("ZeroCopy() = false on a platform that supports it")
 	}
-	requireSameEvents(t, want, m.Columns)
+	requireSameEvents(t, cols, m.Columns)
 	if err := m.Validate(); err != nil {
 		t.Fatalf("Validate on mapped trace: %v", err)
 	}
@@ -262,74 +258,85 @@ func TestOpenMappedSetEventTimes(t *testing.T) {
 	}
 	defer m2.Close()
 	m2.EventAt(0, 0, &e)
-	want := cols.Materialize().Ranks[0][0]
+	want := rankEvents(cols, 0)[0]
 	if e.Entry != want.Entry || e.Exit != want.Exit {
 		t.Fatalf("file times changed: entry=%v exit=%v, want %v/%v", e.Entry, e.Exit, want.Entry, want.Exit)
 	}
 }
 
-// TestOpenMappedFallback checks that v1 and v2 files open through the
-// same API, just without the zero-copy property.
-func TestOpenMappedFallback(t *testing.T) {
-	tr := richTrace(t)
-	cols := FromTrace(tr)
+// TestFileVersion checks that OpenMapped reads the codec version from
+// the header: a v3 file records VersionV3 and opens, a file claiming
+// another version is refused with an error naming it, and a file that
+// is not a trace is refused as such.
+func TestFileVersion(t *testing.T) {
+	cols := richColumns(t)
+	path := writeV3File(t, cols)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := good[len(binaryMagic)]; v != VersionV3 {
+		t.Fatalf("header version = %d, want %d", v, VersionV3)
+	}
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatalf("OpenMapped(v3): %v", err)
+	}
+	m.Close()
+
 	dir := t.TempDir()
-
-	v1 := filepath.Join(dir, "trace.v1")
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatalf("Write v1: %v", err)
-	}
-	if err := os.WriteFile(v1, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	v2 := filepath.Join(dir, "trace.v2")
-	buf.Reset()
-	if err := WriteColumns(&buf, cols); err != nil {
-		t.Fatalf("WriteColumns: %v", err)
-	}
-	if err := os.WriteFile(v2, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	future := append([]byte(nil), good...)
+	future[len(binaryMagic)] = VersionV3 + 1
+	bad := filepath.Join(dir, "bad")
 	for _, tc := range []struct {
-		path    string
-		version int
-	}{{v1, 1}, {v2, 2}} {
-		m, err := OpenMapped(tc.path)
-		if err != nil {
-			t.Fatalf("OpenMapped(%s): %v", tc.path, err)
+		name, want string
+		data       []byte
+	}{
+		{"future", fmt.Sprintf("codec v%d", VersionV3+1), future},
+		{"garbage", "not an " + binaryMagic + " trace", []byte("nope")},
+	} {
+		if err := os.WriteFile(bad, tc.data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if m.Version != tc.version {
-			t.Errorf("%s: Version = %d, want %d", tc.path, m.Version, tc.version)
+		m, err := OpenMapped(bad)
+		if err == nil {
+			m.Close()
+			t.Fatalf("%s: OpenMapped accepted it", tc.name)
 		}
-		if m.ZeroCopy() {
-			t.Errorf("%s: ZeroCopy() = true for a decode fallback", tc.path)
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("%s: err = %v, want ErrBadFormat", tc.name, err)
 		}
-		requireSameEvents(t, tr, m.Columns)
-		if err := m.Close(); err != nil {
-			t.Errorf("Close: %v", err)
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
 }
 
-func TestFileVersion(t *testing.T) {
-	cols := richColumns(t)
-	path := writeV3File(t, cols)
-	v, err := FileVersion(path)
-	if err != nil {
-		t.Fatalf("FileVersion: %v", err)
-	}
-	if v != 3 {
-		t.Fatalf("FileVersion = %d, want 3", v)
-	}
-	bad := filepath.Join(t.TempDir(), "bad")
-	if err := os.WriteFile(bad, []byte("nope"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FileVersion(bad); err == nil {
-		t.Fatal("FileVersion accepted garbage")
+// TestOpenMappedFallback writes a v1 and a v2 file (retiredSeeds) and
+// checks that OpenMapped has no decode fallback for them: it refuses
+// each with ErrBadFormat, naming the version found and how to get a
+// readable file.
+func TestOpenMappedFallback(t *testing.T) {
+	dir := t.TempDir()
+	for _, b := range retiredSeeds() {
+		version := b[len(binaryMagic)]
+		path := filepath.Join(dir, fmt.Sprintf("old.v%d.htrc", version))
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := OpenMapped(path)
+		if err == nil {
+			m.Close()
+			t.Fatalf("v%d: OpenMapped accepted a retired codec", version)
+		}
+		if !errors.Is(err, ErrBadFormat) {
+			t.Errorf("v%d: err = %v, want ErrBadFormat", version, err)
+		}
+		for _, want := range []string{fmt.Sprintf("codec v%d", version), "tracegen", "dumpiconv"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("v%d: err %q does not mention %q", version, err, want)
+			}
+		}
 	}
 }
 
@@ -349,8 +356,7 @@ func TestMappedCloseTwice(t *testing.T) {
 }
 
 // BenchmarkOpenV3 measures the cost of opening (not iterating) a v3
-// file versus decoding the same trace from v2 — the headline number for
-// the zero-copy format.
+// file — the headline number for the zero-copy format.
 func BenchmarkOpenV3(b *testing.B) {
 	cols := benchColumns(b)
 	path := filepath.Join(b.TempDir(), "bench.v3")
@@ -370,22 +376,6 @@ func BenchmarkOpenV3(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.Close()
-	}
-}
-
-func BenchmarkDecodeV2(b *testing.B) {
-	cols := benchColumns(b)
-	var buf bytes.Buffer
-	if err := WriteColumns(&buf, cols); err != nil {
-		b.Fatal(err)
-	}
-	enc := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadColumns(bytes.NewReader(enc)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

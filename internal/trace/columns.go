@@ -5,13 +5,13 @@ import (
 	"unsafe"
 )
 
-// Columns is the columnar (structure-of-arrays) trace representation:
-// per rank, one parallel typed array per event field plus two shared
-// arenas for the variable-length payloads (Waitall request sets and
-// Alltoallv send tables). It holds exactly the information of a *Trace
-// in roughly half the memory — no per-event struct padding, no slice
-// headers on events that carry none — and reads back out through
-// zero-copy cursors (Cursor, EventAt) without materializing []Event.
+// Columns is the trace representation: per rank, one parallel typed
+// array per event field plus two arenas for the variable-length
+// payloads (Waitall request sets and Alltoallv send tables). It has no
+// per-event struct padding and no slice headers on events that carry
+// none, and it reads back out through EventAt without materializing
+// []Event rows. Codec v3 (WriteColumnsV3, OpenMapped) stores exactly
+// this layout, so a file maps in as a *Columns with zero decode.
 //
 // Campaign-scale replays are trace-access bound: every one of the four
 // schemes walks the same 235 traces, so the resident form of a trace
@@ -23,9 +23,8 @@ type Columns struct {
 }
 
 // rankCols holds one rank's event stream as parallel columns. Rows not
-// applicable to an op hold the same defaults the Builder writes into
-// Event fields (NoPeer / NoReq / zero), so a gathered Event is
-// field-for-field identical to its array-of-structs twin.
+// applicable to an op hold the defaults the Builder writes into Event
+// fields (NoPeer / NoReq / zero).
 type rankCols struct {
 	op    []Op
 	entry []simtime.Time
@@ -45,8 +44,8 @@ type rankCols struct {
 	sbArena  []int64
 }
 
-// NewColumns returns an empty columnar trace for meta (world-only
-// communicator table), the columnar analog of New.
+// NewColumns returns an empty trace for meta whose communicator table
+// contains only MPI_COMM_WORLD.
 func NewColumns(meta Meta) *Columns {
 	meta.NumRanks = max(meta.NumRanks, 0)
 	return &Columns{
@@ -56,9 +55,11 @@ func NewColumns(meta Meta) *Columns {
 	}
 }
 
-// append adds one event to rank r's columns. The event's Reqs and
-// SendBytes (if any) are copied into the rank's arenas.
-func (c *Columns) append(r int, e *Event) {
+// Append adds one event to the end of rank r's stream, copying its
+// Reqs and SendBytes (if any) into the rank's arenas. It checks
+// nothing: the Builder and the DUMPI importer call Validate when the
+// trace is complete, and tests use it to assemble broken traces.
+func (c *Columns) Append(r int, e *Event) {
 	rc := &c.ranks[r]
 	rc.op = append(rc.op, e.Op)
 	rc.entry = append(rc.entry, e.Entry)
@@ -124,9 +125,6 @@ func (c *Columns) SetEventTimes(r, i int, entry, exit simtime.Time) {
 	c.ranks[r].entry[i], c.ranks[r].exit[i] = entry, exit
 }
 
-// Cursor returns a zero-allocation cursor over rank r.
-func (c *Columns) Cursor(r int) Cursor { return RankCursor(c, r) }
-
 // NumEvents returns the total number of events across all ranks.
 func (c *Columns) NumEvents() int {
 	n := 0
@@ -136,110 +134,8 @@ func (c *Columns) NumEvents() int {
 	return n
 }
 
-// MeasuredTotal returns the latest Exit across all ranks.
-func (c *Columns) MeasuredTotal() simtime.Time {
-	var total simtime.Time
-	for r := range c.ranks {
-		if n := len(c.ranks[r].exit); n > 0 {
-			total = simtime.Max(total, c.ranks[r].exit[n-1])
-		}
-	}
-	return total
-}
-
-// MeasuredComm returns the measured communication time (everything
-// except compute), summed per rank and averaged over ranks.
-func (c *Columns) MeasuredComm() simtime.Time {
-	if len(c.ranks) == 0 {
-		return 0
-	}
-	var sum simtime.Time
-	for r := range c.ranks {
-		rc := &c.ranks[r]
-		for i, op := range rc.op {
-			if op != OpCompute {
-				sum += rc.exit[i] - rc.entry[i]
-			}
-		}
-	}
-	return sum / simtime.Time(len(c.ranks))
-}
-
-// CommFraction returns MeasuredComm divided by MeasuredTotal, in [0,1].
-func (c *Columns) CommFraction() float64 {
-	total := c.MeasuredTotal()
-	if total <= 0 {
-		return 0
-	}
-	return float64(c.MeasuredComm()) / float64(total)
-}
-
-// Validate checks the same structural invariants Trace.Validate does,
-// directly on the columns.
-func (c *Columns) Validate() error { return validateSource(c) }
-
-// FromTrace converts an array-of-structs trace to columnar form. The
-// communicator table is copied shallowly (member slices are shared;
-// they are immutable by contract).
-func FromTrace(t *Trace) *Columns {
-	c := &Columns{Meta: t.Meta, Comms: t.Comms, ranks: make([]rankCols, len(t.Ranks))}
-	for r, evs := range t.Ranks {
-		rc := &c.ranks[r]
-		n := len(evs)
-		rc.op = make([]Op, n)
-		rc.entry = make([]simtime.Time, n)
-		rc.exit = make([]simtime.Time, n)
-		rc.peer = make([]int32, n)
-		rc.tag = make([]int32, n)
-		rc.root = make([]int32, n)
-		rc.req = make([]int32, n)
-		rc.comm = make([]CommID, n)
-		rc.bytes = make([]int64, n)
-		rc.auxOff = make([]uint32, n)
-		rc.auxLen = make([]uint32, n)
-		nReq, nSB := 0, 0
-		for i := range evs {
-			nReq += len(evs[i].Reqs)
-			nSB += len(evs[i].SendBytes)
-		}
-		rc.reqArena = make([]int32, 0, nReq)
-		rc.sbArena = make([]int64, 0, nSB)
-		for i := range evs {
-			e := &evs[i]
-			rc.op[i] = e.Op
-			rc.entry[i], rc.exit[i] = e.Entry, e.Exit
-			rc.peer[i], rc.tag[i], rc.root[i], rc.req[i] = e.Peer, e.Tag, e.Root, e.Req
-			rc.comm[i], rc.bytes[i] = e.Comm, e.Bytes
-			switch e.Op {
-			case OpWaitall:
-				rc.auxOff[i], rc.auxLen[i] = uint32(len(rc.reqArena)), uint32(len(e.Reqs))
-				rc.reqArena = append(rc.reqArena, e.Reqs...)
-			case OpAlltoallv:
-				rc.auxOff[i], rc.auxLen[i] = uint32(len(rc.sbArena)), uint32(len(e.SendBytes))
-				rc.sbArena = append(rc.sbArena, e.SendBytes...)
-			}
-		}
-	}
-	return c
-}
-
-// Materialize converts the columns back to an array-of-structs trace.
-// Event Reqs/SendBytes fields alias the column arenas (zero-copy).
-func (c *Columns) Materialize() *Trace {
-	t := &Trace{Meta: c.Meta, Comms: c.Comms, Ranks: make([][]Event, len(c.ranks))}
-	for r := range c.ranks {
-		n := len(c.ranks[r].op)
-		evs := make([]Event, n)
-		for i := range evs {
-			c.EventAt(r, i, &evs[i])
-		}
-		t.Ranks[r] = evs
-	}
-	return t
-}
-
-// FootprintBytes estimates the resident heap bytes of the columnar
-// representation (column arrays plus arenas; metadata excluded).
+// FootprintBytes estimates the resident heap bytes of the column
+// arrays plus arenas (metadata excluded).
 func (c *Columns) FootprintBytes() int64 {
 	var b int64
 	for r := range c.ranks {
@@ -253,21 +149,6 @@ func (c *Columns) FootprintBytes() int64 {
 		b += int64(cap(rc.auxOff)+cap(rc.auxLen)) * 4
 		b += int64(cap(rc.reqArena)) * 4
 		b += int64(cap(rc.sbArena)) * 8
-	}
-	return b
-}
-
-// AoSFootprintBytes estimates the resident heap bytes of the
-// array-of-structs representation of t: the Event rows plus the
-// per-event side slices.
-func AoSFootprintBytes(t *Trace) int64 {
-	var b int64
-	for _, evs := range t.Ranks {
-		b += int64(cap(evs)) * int64(unsafe.Sizeof(Event{}))
-		for i := range evs {
-			b += int64(cap(evs[i].Reqs)) * 4
-			b += int64(cap(evs[i].SendBytes)) * 8
-		}
 	}
 	return b
 }

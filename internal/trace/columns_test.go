@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"math/rand"
-	"reflect"
+	"errors"
 	"testing"
-	"testing/quick"
 
 	"hpctradeoff/internal/simtime"
 )
@@ -46,17 +43,6 @@ func richProgram(b *Builder) {
 	}
 }
 
-func richTrace(t *testing.T) *Trace {
-	t.Helper()
-	b := NewBuilder(Meta{App: "rich", Class: "A", Machine: "hopper", NumRanks: 4, RanksPerNode: 2})
-	richProgram(b)
-	tr, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	return tr
-}
-
 func richColumns(t *testing.T) *Columns {
 	t.Helper()
 	b := NewBuilder(Meta{App: "rich", Class: "A", Machine: "hopper", NumRanks: 4, RanksPerNode: 2})
@@ -93,110 +79,35 @@ func eventsEqual(a, b *Event) bool {
 	return true
 }
 
-func requireSameEvents(t *testing.T, want *Trace, got Source) {
+// requireSameEvents fails unless got holds want's events, rank by rank.
+func requireSameEvents(t *testing.T, want, got Source) {
 	t.Helper()
-	var e Event
-	for r := range want.Ranks {
-		if got.RankLen(r) != len(want.Ranks[r]) {
-			t.Fatalf("rank %d: RankLen = %d, want %d", r, got.RankLen(r), len(want.Ranks[r]))
+	n := want.TraceMeta().NumRanks
+	if got.TraceMeta().NumRanks != n {
+		t.Fatalf("NumRanks = %d, want %d", got.TraceMeta().NumRanks, n)
+	}
+	var w, g Event
+	for r := 0; r < n; r++ {
+		if got.RankLen(r) != want.RankLen(r) {
+			t.Fatalf("rank %d: RankLen = %d, want %d", r, got.RankLen(r), want.RankLen(r))
 		}
-		for i := range want.Ranks[r] {
-			got.EventAt(r, i, &e)
-			if !eventsEqual(&e, &want.Ranks[r][i]) {
-				t.Fatalf("rank %d event %d: got %+v, want %+v", r, i, e, want.Ranks[r][i])
-			}
-		}
-	}
-}
-
-func TestColumnsMatchBuilderTrace(t *testing.T) {
-	tr := richTrace(t)
-	cols := richColumns(t)
-	if cols.NumEvents() != tr.NumEvents() {
-		t.Fatalf("NumEvents = %d, want %d", cols.NumEvents(), tr.NumEvents())
-	}
-	requireSameEvents(t, tr, cols)
-	if !commTablesEqual(&tr.Comms, &cols.Comms) {
-		t.Fatal("comm tables differ")
-	}
-	if cols.MeasuredTotal() != tr.MeasuredTotal() {
-		t.Errorf("MeasuredTotal = %v, want %v", cols.MeasuredTotal(), tr.MeasuredTotal())
-	}
-	if cols.MeasuredComm() != tr.MeasuredComm() {
-		t.Errorf("MeasuredComm = %v, want %v", cols.MeasuredComm(), tr.MeasuredComm())
-	}
-	if cols.CommFraction() != tr.CommFraction() {
-		t.Errorf("CommFraction = %v, want %v", cols.CommFraction(), tr.CommFraction())
-	}
-}
-
-func TestFromTraceMaterializeRoundTrip(t *testing.T) {
-	// randomTrace hand-builds AoS events without the Builder, so this
-	// checks conversion independent of the build path.
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomTrace(rng)
-		cols := FromTrace(tr)
-		requireSameEvents(t, tr, cols)
-		back := cols.Materialize()
-		if !reflect.DeepEqual(tr.Meta, back.Meta) || !commTablesEqual(&tr.Comms, &back.Comms) {
-			return false
-		}
-		for r := range tr.Ranks {
-			for i := range tr.Ranks[r] {
-				if !eventsEqual(&tr.Ranks[r][i], &back.Ranks[r][i]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCursorWalksRank(t *testing.T) {
-	tr := richTrace(t)
-	for _, src := range []Source{tr, FromTrace(tr)} {
-		for r := range tr.Ranks {
-			cur := RankCursor(src, r)
-			if cur.Len() != len(tr.Ranks[r]) {
-				t.Fatalf("rank %d: Len = %d, want %d", r, cur.Len(), len(tr.Ranks[r]))
-			}
-			if cur.Index() != -1 {
-				t.Fatalf("fresh cursor Index = %d, want -1", cur.Index())
-			}
-			var e Event
-			i := 0
-			for cur.Next(&e) {
-				if !eventsEqual(&e, &tr.Ranks[r][i]) {
-					t.Fatalf("rank %d event %d mismatch: %+v vs %+v", r, i, e, tr.Ranks[r][i])
-				}
-				if cur.Index() != i || cur.Rank() != r {
-					t.Fatalf("cursor position (%d,%d), want (%d,%d)", cur.Rank(), cur.Index(), r, i)
-				}
-				i++
-			}
-			if i != len(tr.Ranks[r]) {
-				t.Fatalf("rank %d: cursor yielded %d events, want %d", r, i, len(tr.Ranks[r]))
-			}
-			cur.Reset()
-			if cur.Next(&e); !eventsEqual(&e, &tr.Ranks[r][0]) {
-				t.Fatalf("rank %d: Reset did not rewind", r)
+		for i := 0; i < want.RankLen(r); i++ {
+			want.EventAt(r, i, &w)
+			got.EventAt(r, i, &g)
+			if !eventsEqual(&g, &w) {
+				t.Fatalf("rank %d event %d: got %+v, want %+v", r, i, g, w)
 			}
 		}
 	}
 }
 
 func TestSetEventTimes(t *testing.T) {
-	for _, src := range []Source{richTrace(t), richColumns(t)} {
-		src.SetEventTimes(1, 0, 777, 888)
-		var e Event
-		src.EventAt(1, 0, &e)
-		if e.Entry != 777 || e.Exit != 888 {
-			t.Errorf("%T: SetEventTimes gave [%v,%v], want [777,888]", src, e.Entry, e.Exit)
-		}
+	src := richColumns(t)
+	src.SetEventTimes(1, 0, 777, 888)
+	var e Event
+	src.EventAt(1, 0, &e)
+	if e.Entry != 777 || e.Exit != 888 {
+		t.Errorf("SetEventTimes gave [%v,%v], want [777,888]", e.Entry, e.Exit)
 	}
 }
 
@@ -217,144 +128,42 @@ func TestColumnsValidate(t *testing.T) {
 	}
 }
 
-func TestFootprintColumnsSmaller(t *testing.T) {
-	tr := richTrace(t)
-	cols := FromTrace(tr)
-	aos, soa := AoSFootprintBytes(tr), cols.FootprintBytes()
-	if aos <= 0 || soa <= 0 {
-		t.Fatalf("footprints must be positive: aos=%d soa=%d", aos, soa)
-	}
-	if soa >= aos {
-		t.Errorf("columnar footprint %d not smaller than AoS %d", soa, aos)
-	}
-}
-
-func TestWindowedBuilderChunks(t *testing.T) {
-	full := richTrace(t)
-	for lo := 0; lo < 4; lo += 2 {
-		b := NewBuilderWindow(full.Meta, lo, lo+2)
-		richProgram(b)
-		chunk := b.BuildChunk()
-		var e Event
-		for r := 0; r < 4; r++ {
-			if r < lo || r >= lo+2 {
-				if chunk.RankLen(r) != 0 {
-					t.Fatalf("window [%d,%d): rank %d has %d events, want 0", lo, lo+2, r, chunk.RankLen(r))
-				}
-				continue
-			}
-			if chunk.RankLen(r) != len(full.Ranks[r]) {
-				t.Fatalf("window [%d,%d): rank %d has %d events, want %d", lo, lo+2, r, chunk.RankLen(r), len(full.Ranks[r]))
-			}
-			for i := range full.Ranks[r] {
-				chunk.EventAt(r, i, &e)
-				if !eventsEqual(&e, &full.Ranks[r][i]) {
-					t.Fatalf("window [%d,%d): rank %d event %d differs from full build", lo, lo+2, r, i)
-				}
-			}
-		}
-	}
-}
-
-func TestWindowedBuilderRejectsFullBuild(t *testing.T) {
-	b := NewBuilderWindow(Meta{App: "w", NumRanks: 4}, 0, 2)
-	richProgram(b)
-	if _, err := b.Build(); err == nil {
-		t.Error("Build on windowed builder must fail")
-	}
-	if _, err := b.BuildColumns(); err == nil {
-		t.Error("BuildColumns on windowed builder must fail")
-	}
-}
-
-func TestColumnarCodecRoundTrip(t *testing.T) {
-	cols := richColumns(t)
-	var buf bytes.Buffer
-	if err := WriteColumns(&buf, cols); err != nil {
-		t.Fatalf("WriteColumns: %v", err)
-	}
-	v2 := buf.Bytes()
-
-	got, err := ReadColumns(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("ReadColumns: %v", err)
-	}
-	want := cols.Materialize()
-	requireSameEvents(t, want, got)
-	if !reflect.DeepEqual(got.Meta, cols.Meta) || !commTablesEqual(&got.Comms, &cols.Comms) {
-		t.Fatal("header round trip differs")
-	}
-
-	// Read materializes v2 directly.
-	tr, err := Read(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("Read(v2): %v", err)
-	}
-	requireSameEvents(t, want, tr)
-
-	// ReadColumns accepts v1 by columnarizing.
-	buf.Reset()
-	if err := Write(&buf, want); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	fromV1, err := ReadColumns(&buf)
-	if err != nil {
-		t.Fatalf("ReadColumns(v1): %v", err)
-	}
-	requireSameEvents(t, want, fromV1)
-}
-
-func TestColumnarCodecRoundTripProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := randomTrace(rng)
-		var buf bytes.Buffer
-		if err := WriteColumns(&buf, FromTrace(tr)); err != nil {
-			t.Fatalf("WriteColumns: %v", err)
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("Read: %v", err)
-		}
-		if !reflect.DeepEqual(tr.Meta, got.Meta) || !commTablesEqual(&tr.Comms, &got.Comms) {
-			return false
-		}
-		for r := range tr.Ranks {
-			if len(got.Ranks[r]) != len(tr.Ranks[r]) {
-				return false
-			}
-			for i := range tr.Ranks[r] {
-				if !eventsEqual(&tr.Ranks[r][i], &got.Ranks[r][i]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestReadColumnsRejectsGarbage cuts and flips bytes of a valid v3
+// image: every truncation must fail with ErrBadFormat, and no
+// single-byte corruption may panic either parse mode.
 func TestReadColumnsRejectsGarbage(t *testing.T) {
-	cols := richColumns(t)
-	var buf bytes.Buffer
-	if err := WriteColumns(&buf, cols); err != nil {
-		t.Fatalf("WriteColumns: %v", err)
-	}
-	good := buf.Bytes()
-
-	// Every truncation of a valid stream must fail cleanly.
-	for cut := 0; cut < len(good)-1; cut += 7 {
-		if _, err := ReadColumns(bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("ReadColumns accepted truncation at %d", cut)
+	good := encodeV3(t, richColumns(t))
+	for cut := 0; cut < len(good); cut += 7 {
+		if _, err := parseV3(good[:cut], false); !errors.Is(err, ErrBadFormat) {
+			t.Fatalf("truncation at %d: err = %v, want ErrBadFormat", cut, err)
 		}
 	}
-	// Single-byte corruptions must never panic (may or may not error).
 	for i := len(binaryMagic); i < len(good); i += 3 {
 		bad := append([]byte(nil), good...)
 		bad[i] ^= 0xff
-		_, _ = ReadColumns(bytes.NewReader(bad))
-		_, _ = Read(bytes.NewReader(bad))
+		_, _ = parseV3(bad, false)
+		_, _ = parseV3(bad, v3Aliasable(bad))
+	}
+}
+
+// TestFootprintColumnsSmaller checks FootprintBytes against the column
+// widths: copy-decoded columns have cap == len, so the footprint is
+// exactly 53 bytes per event plus the arenas, and smaller than the v3
+// image, which also carries the header, extents and padding.
+func TestFootprintColumnsSmaller(t *testing.T) {
+	img := encodeV3(t, richColumns(t))
+	cols, err := parseV3(img, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(53 * cols.NumEvents())
+	for r := range cols.ranks {
+		want += int64(4*len(cols.ranks[r].reqArena) + 8*len(cols.ranks[r].sbArena))
+	}
+	if got := cols.FootprintBytes(); got != want {
+		t.Fatalf("FootprintBytes = %d, want %d", got, want)
+	}
+	if want >= int64(len(img)) {
+		t.Errorf("columnar footprint %d not smaller than the %d-byte v3 image", want, len(img))
 	}
 }

@@ -59,22 +59,20 @@ var dumpiOps = map[string]Op{
 // ReadDUMPIASCII parses one dumpi2ascii-style stream per rank and
 // assembles a trace. meta supplies identity; its NumRanks must equal
 // len(rankStreams).
-func ReadDUMPIASCII(meta Meta, rankStreams []io.Reader) (*Trace, error) {
+func ReadDUMPIASCII(meta Meta, rankStreams []io.Reader) (*Columns, error) {
 	if meta.NumRanks != len(rankStreams) {
 		return nil, fmt.Errorf("trace: meta says %d ranks, got %d streams", meta.NumRanks, len(rankStreams))
 	}
-	t := New(meta)
+	c := NewColumns(meta)
 	for r, in := range rankStreams {
-		evs, err := parseDumpiRank(in, r)
-		if err != nil {
+		if err := parseDumpiRank(in, c, r); err != nil {
 			return nil, fmt.Errorf("trace: rank %d: %w", r, err)
 		}
-		t.Ranks[r] = evs
 	}
-	if err := t.Validate(); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return c, nil
 }
 
 // dumpiCall accumulates one call's fields.
@@ -95,10 +93,10 @@ type dumpiCall struct {
 	sawComm  bool
 }
 
-func parseDumpiRank(in io.Reader, rank int) ([]Event, error) {
+// parseDumpiRank appends one rank's stream to c's rank r.
+func parseDumpiRank(in io.Reader, c *Columns, r int) error {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	var evs []Event
 	var cur *dumpiCall
 	cursor := simtime.Time(0)
 	line := 0
@@ -111,52 +109,52 @@ func parseDumpiRank(in io.Reader, rank int) ([]Event, error) {
 		switch {
 		case strings.HasPrefix(raw, "MPI_") && strings.Contains(raw, " entering at walltime "):
 			if cur != nil {
-				return nil, fmt.Errorf("line %d: %s entered while %s is open", line, firstWord(raw), cur.name)
+				return fmt.Errorf("line %d: %s entered while %s is open", line, firstWord(raw), cur.name)
 			}
 			name := firstWord(raw)
 			at, err := walltime(raw)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+				return fmt.Errorf("line %d: %v", line, err)
 			}
 			cur = &dumpiCall{name: name, enter: at, dtBytes: 1, peer: NoPeer, worldOK: true}
 
 		case strings.HasPrefix(raw, "MPI_") && strings.Contains(raw, " returning at walltime "):
 			if cur == nil || firstWord(raw) != cur.name {
-				return nil, fmt.Errorf("line %d: unmatched return %q", line, firstWord(raw))
+				return fmt.Errorf("line %d: unmatched return %q", line, firstWord(raw))
 			}
 			exit, err := walltime(raw)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+				return fmt.Errorf("line %d: %v", line, err)
 			}
 			ev, keep, err := cur.event(exit)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %s: %v", line, cur.name, err)
+				return fmt.Errorf("line %d: %s: %v", line, cur.name, err)
 			}
 			if keep {
 				if ev.Entry < cursor {
-					return nil, fmt.Errorf("line %d: %s walltime goes backwards", line, cur.name)
+					return fmt.Errorf("line %d: %s walltime goes backwards", line, cur.name)
 				}
 				if ev.Entry > cursor {
-					evs = append(evs, Event{Op: OpCompute, Entry: cursor, Exit: ev.Entry, Peer: NoPeer, Req: NoReq})
+					c.Append(r, &Event{Op: OpCompute, Entry: cursor, Exit: ev.Entry, Peer: NoPeer, Req: NoReq})
 				}
-				evs = append(evs, ev)
+				c.Append(r, &ev)
 				cursor = ev.Exit
 			}
 			cur = nil
 
 		case cur != nil && strings.Contains(raw, "="):
 			if err := cur.field(raw); err != nil {
-				return nil, fmt.Errorf("line %d: %v", line, err)
+				return fmt.Errorf("line %d: %v", line, err)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if cur != nil {
-		return nil, fmt.Errorf("stream ends inside %s", cur.name)
+		return fmt.Errorf("stream ends inside %s", cur.name)
 	}
-	return evs, nil
+	return nil
 }
 
 func firstWord(s string) string {

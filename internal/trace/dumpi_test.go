@@ -1,65 +1,41 @@
 package trace
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"hpctradeoff/internal/simtime"
 )
 
-const dumpiRank0 = `
-# rank 0 of 2
-MPI_Init entering at walltime 0.000000, cputime 0.0 seconds in thread 0.
-MPI_Init returning at walltime 0.000100.
-
-MPI_Isend entering at walltime 0.001000.
-  int count=1024
-  MPI_Datatype datatype=11 (MPI_DOUBLE)
-  int dest=1
-  int tag=7
-  MPI_Comm comm=2 (MPI_COMM_WORLD)
-  MPI_Request request=3
-MPI_Isend returning at walltime 0.001005.
-
-MPI_Wait entering at walltime 0.002000.
-  MPI_Request request=3
-MPI_Wait returning at walltime 0.002010.
-
-MPI_Allreduce entering at walltime 0.003000.
-  int count=2
-  MPI_Datatype datatype=11 (MPI_DOUBLE)
-  MPI_Comm comm=2 (MPI_COMM_WORLD)
-MPI_Allreduce returning at walltime 0.003050.
-`
-
-const dumpiRank1 = `
-MPI_Recv entering at walltime 0.000500.
-  int count=1024
-  MPI_Datatype datatype=11 (MPI_DOUBLE)
-  int source=0
-  int tag=7
-  MPI_Comm comm=2 (MPI_COMM_WORLD)
-MPI_Recv returning at walltime 0.001900.
-
-MPI_Allreduce entering at walltime 0.002900.
-  int count=2
-  MPI_Datatype datatype=11 (MPI_DOUBLE)
-  MPI_Comm comm=2 (MPI_COMM_WORLD)
-MPI_Allreduce returning at walltime 0.003100.
-`
+// dumpiRanks opens the two-rank fixture under testdata/dumpi (the same
+// files the tools smoke test converts with dumpiconv).
+func dumpiRanks(t testing.TB) []io.Reader {
+	t.Helper()
+	var rs []io.Reader
+	for _, name := range []string{"rank0.txt", "rank1.txt"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "dumpi", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, bytes.NewReader(b))
+	}
+	return rs
+}
 
 func TestReadDUMPIASCII(t *testing.T) {
 	tr, err := ReadDUMPIASCII(
-		Meta{App: "imported", Class: "X", Machine: "edison", NumRanks: 2},
-		[]io.Reader{strings.NewReader(dumpiRank0), strings.NewReader(dumpiRank1)},
-	)
+		Meta{App: "imported", Class: "X", Machine: "edison", NumRanks: 2}, dumpiRanks(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Rank 0: compute(gap to isend), isend, compute, wait, compute, allreduce.
+	rank0 := rankEvents(tr, 0)
 	ops := []Op{}
-	for _, e := range tr.Ranks[0] {
+	for _, e := range rank0 {
 		ops = append(ops, e.Op)
 	}
 	want := []Op{OpCompute, OpIsend, OpCompute, OpWait, OpCompute, OpAllreduce}
@@ -71,7 +47,7 @@ func TestReadDUMPIASCII(t *testing.T) {
 			t.Fatalf("rank 0 ops = %v, want %v", ops, want)
 		}
 	}
-	isend := tr.Ranks[0][1]
+	isend := rank0[1]
 	if isend.Bytes != 1024*8 {
 		t.Errorf("isend bytes = %d, want 8192 (1024 doubles)", isend.Bytes)
 	}
@@ -81,13 +57,13 @@ func TestReadDUMPIASCII(t *testing.T) {
 	if isend.Entry != simtime.FromSeconds(0.001) {
 		t.Errorf("isend entry = %v", isend.Entry)
 	}
-	ar := tr.Ranks[0][5]
+	ar := rank0[5]
 	if ar.Op != OpAllreduce || ar.Bytes != 16 {
 		t.Errorf("allreduce: %+v", ar)
 	}
 	// MPI_Init was skipped; its time became compute.
-	if tr.Ranks[0][0].Op != OpCompute || tr.Ranks[0][0].Exit != simtime.FromSeconds(0.001) {
-		t.Errorf("leading compute: %+v", tr.Ranks[0][0])
+	if rank0[0].Op != OpCompute || rank0[0].Exit != simtime.FromSeconds(0.001) {
+		t.Errorf("leading compute: %+v", rank0[0])
 	}
 }
 
@@ -120,16 +96,17 @@ MPI_Send returning at walltime 0.0006.
 		t.Fatal(err)
 	}
 	var wa *Event
-	for i := range tr.Ranks[0] {
-		if tr.Ranks[0][i].Op == OpWaitall {
-			wa = &tr.Ranks[0][i]
+	rank0 := rankEvents(tr, 0)
+	for i := range rank0 {
+		if rank0[i].Op == OpWaitall {
+			wa = &rank0[i]
 		}
 	}
 	if wa == nil || len(wa.Reqs) != 1 || wa.Reqs[0] != 0 {
 		t.Fatalf("waitall not parsed: %+v", wa)
 	}
-	if tr.Ranks[1][1].Bytes != 16 {
-		t.Errorf("send bytes = %d, want 16", tr.Ranks[1][1].Bytes)
+	if send := rankEvents(tr, 1)[1]; send.Bytes != 16 {
+		t.Errorf("send bytes = %d, want 16", send.Bytes)
 	}
 }
 
@@ -172,22 +149,16 @@ MPI_Barrier returning at walltime 0.2.
 func TestDumpiImportReplayable(t *testing.T) {
 	// The imported trace must validate (it did, inside ReadDUMPIASCII)
 	// and round-trip through the binary codec.
-	tr, err := ReadDUMPIASCII(
-		Meta{App: "imported", NumRanks: 2},
-		[]io.Reader{strings.NewReader(dumpiRank0), strings.NewReader(dumpiRank1)},
-	)
+	tr, err := ReadDUMPIASCII(Meta{App: "imported", NumRanks: 2}, dumpiRanks(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := WriteJSON(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(strings.NewReader(buf.String()))
+	back, err := parseV3(encodeV3(t, tr), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumEvents() != tr.NumEvents() {
-		t.Errorf("round trip lost events: %d vs %d", back.NumEvents(), tr.NumEvents())
+	requireSameEvents(t, tr, back)
+	if err := back.Validate(); err != nil {
+		t.Fatalf("round-tripped import invalid: %v", err)
 	}
 }

@@ -1,26 +1,19 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"testing"
 
 	"hpctradeoff/internal/faultinject"
 )
 
-// The codec-read failpoint turns a decode into an I/O-style failure at
+// The codec-read failpoint turns a v3 open into an I/O-style failure at
 // a chosen rank, so tests can exercise read-error paths on structurally
 // valid inputs; disarmed, the codec is untouched.
 func TestCodecReadFailpoint(t *testing.T) {
-	tr := randomTrace(rand.New(rand.NewSource(1)))
-	var aos, col bytes.Buffer
-	if err := Write(&aos, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteColumns(&col, FromTrace(tr)); err != nil {
-		t.Fatal(err)
-	}
+	path := writeV3File(t, randomTrace(rand.New(rand.NewSource(1))))
 
 	if err := faultinject.Arm(1, []faultinject.Rule{
 		{Site: "trace/codec-read", Hits: []uint64{1}},
@@ -29,25 +22,28 @@ func TestCodecReadFailpoint(t *testing.T) {
 	}
 	t.Cleanup(faultinject.Disarm)
 
-	if _, err := Read(bytes.NewReader(aos.Bytes())); !errors.Is(err, faultinject.ErrInjected) {
-		t.Errorf("Read err = %v, want injected", err)
+	if _, err := OpenMapped(path); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("OpenMapped err = %v, want injected", err)
 	}
 	// The rule is exhausted after one firing per arm; re-arm for the
-	// columnar path.
+	// copy-mode parse.
 	if err := faultinject.Arm(2, []faultinject.Rule{
 		{Site: "trace/codec-read", Hits: []uint64{1}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadColumns(bytes.NewReader(col.Bytes())); !errors.Is(err, faultinject.ErrInjected) {
-		t.Errorf("ReadColumns err = %v, want injected", err)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseV3(data, false); !errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("copy-mode parseV3 err = %v, want injected", err)
 	}
 
 	faultinject.Disarm()
-	if _, err := Read(bytes.NewReader(aos.Bytes())); err != nil {
-		t.Errorf("disarmed Read failed: %v", err)
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatalf("disarmed OpenMapped failed: %v", err)
 	}
-	if _, err := ReadColumns(bytes.NewReader(col.Bytes())); err != nil {
-		t.Errorf("disarmed ReadColumns failed: %v", err)
-	}
+	m.Close()
 }

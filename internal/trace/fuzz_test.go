@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"os"
@@ -13,18 +13,19 @@ import (
 	"testing"
 )
 
-// Fuzz targets: the decoders must never panic or hang on arbitrary
-// input, and anything they accept must either validate or fail
-// validation gracefully. The seed corpus (valid encodings plus
-// mutations) runs as regression tests under plain `go test`; use
-// `go test -fuzz=FuzzRead ./internal/trace` to explore further.
+// Fuzz targets: the v3 parser must never panic or hang on arbitrary
+// input, must refuse anything it does not accept with ErrBadFormat, and
+// anything it accepts must either validate or fail validation
+// gracefully. The seed corpus (valid encodings plus mutations) runs as
+// regression tests under plain `go test`; use
+// `go test -fuzz=FuzzTraceCodec ./internal/trace` to explore further.
 
 func fuzzSeeds() [][]byte {
 	var seeds [][]byte
 	for s := int64(1); s <= 3; s++ {
 		tr := randomTrace(rand.New(rand.NewSource(s)))
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err == nil {
+		if err := WriteColumnsV3(&buf, tr); err == nil {
 			seeds = append(seeds, buf.Bytes())
 		}
 	}
@@ -32,31 +33,51 @@ func fuzzSeeds() [][]byte {
 	return seeds
 }
 
+// FuzzRead drives the parse OpenMapped runs over arbitrary bytes and
+// walks whatever it accepts the way a campaign would.
 func FuzzRead(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Read(bytes.NewReader(data))
+		c, err := parseV3(data, false)
 		if err != nil {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("rejection %v does not wrap ErrBadFormat", err)
+			}
 			return
 		}
-		// Whatever decodes must be structurally walkable.
-		_ = tr.NumEvents()
-		_ = tr.MeasuredTotal()
-		_ = tr.Validate() // may fail; must not panic
+		_ = SourceNumEvents(c)
+		_ = SourceMeasuredTotal(c)
+		_ = SourceCommFraction(c)
+		_ = c.Validate() // may fail; must not panic
 	})
 }
 
-// codecSeeds builds the FuzzTraceCodec seed set deterministically:
-// valid version-1, -2, and -3 encodings of a program exercising every
-// op family, an empty trace, and precise corruptions per format — a
-// truncated column block, a lying block length prefix, a header that
-// promises more ranks than the stream holds, and for v3 a truncated
-// fixed header, a misaligned extent, an extent escaping the file, and
-// an extent whose byte length wraps uint64. The same bytes are
-// committed under testdata/fuzz/FuzzTraceCodec (TestWriteFuzzCorpus
-// regenerates them) so they run under plain `go test`.
+// retiredSeeds are the headers of a v1 and a v2 file: magic, uvarint
+// version, the inline meta + communicator blob, and two empty rank
+// bodies. The parser must refuse both.
+func retiredSeeds() [][]byte {
+	meta := Meta{App: "old", Class: "S", Machine: "m", NumRanks: 2, RanksPerNode: 1}
+	comms := NewCommTable(meta.NumRanks)
+	var seeds [][]byte
+	for _, version := range []byte{1, 2} {
+		b := appendMetaComms(append([]byte(binaryMagic), version), meta, &comms)
+		seeds = append(seeds, append(b, 0, 0))
+	}
+	return seeds
+}
+
+// codecSeeds builds the FuzzTraceCodec seed set deterministically: a
+// valid v3 encoding of a program exercising every op family, an empty
+// trace, and precise corruptions — a truncated body, a meta blob
+// length that lies, a meta rank count that disagrees with the header,
+// a truncated fixed header, a misaligned extent, an extent escaping the
+// file, and an extent whose byte length wraps uint64. The same bytes
+// are committed under testdata/fuzz/FuzzTraceCodec (TestWriteFuzzCorpus
+// regenerates them) so they run under plain `go test`. The corpus also
+// keeps seed-valid-v1 and seed-valid-v2, real files of the retired
+// codecs, which must now be refused.
 func codecSeeds() map[string][]byte {
 	build := func(meta Meta) *Columns {
 		b := NewBuilder(meta)
@@ -67,79 +88,49 @@ func codecSeeds() map[string][]byte {
 		}
 		return c
 	}
+	encode := func(c *Columns) []byte {
+		var buf bytes.Buffer
+		if err := WriteColumnsV3(&buf, c); err != nil {
+			panic(err)
+		}
+		return buf.Bytes()
+	}
 	meta := Meta{App: "fuzzseed", Class: "S", Machine: "m", NumRanks: 4, RanksPerNode: 2, Seed: 7}
-	c := build(meta)
-	var v1, v2 bytes.Buffer
-	if err := Write(&v1, c.Materialize()); err != nil {
-		panic(err)
-	}
-	if err := WriteColumns(&v2, c); err != nil {
-		panic(err)
-	}
-	seeds := map[string][]byte{
-		"valid-v1": v1.Bytes(),
-		"valid-v2": v2.Bytes(),
-	}
+	good := encode(build(meta))
+	seeds := map[string][]byte{"valid-v3": good}
 
 	empty, err := NewBuilder(Meta{App: "empty", NumRanks: 2}).BuildColumns()
 	if err != nil {
 		panic(err)
 	}
-	var ve bytes.Buffer
-	if err := WriteColumns(&ve, empty); err != nil {
-		panic(err)
-	}
-	seeds["empty-trace"] = ve.Bytes()
+	seeds["empty-trace"] = encode(empty)
+	seeds["truncated-block"] = append([]byte{}, good[:len(good)*2/3]...)
 
-	seeds["truncated-block"] = v2.Bytes()[:v2.Len()*2/3]
-
-	// Splice an over-limit uvarint in place of rank 0's op-column
-	// length prefix (it sits right after the header and the rank-0
-	// event count).
-	var hdr bytes.Buffer
-	bw := bufio.NewWriter(&hdr)
-	e := &encoder{bw: bw}
-	bw.WriteString(binaryMagic)
-	e.put(binaryVersionColumnar)
-	writeMetaComms(e, c.Meta, &c.Comms)
-	bw.Flush()
-	full := v2.Bytes()
-	_, cw := binary.Uvarint(full[hdr.Len():]) // rank-0 event count width
-	off := hdr.Len() + cw
-	_, lw := binary.Uvarint(full[off:]) // old length-prefix width
-	bad := append([]byte{}, full[:off]...)
-	bad = binary.AppendUvarint(bad, uint64(maxBlockBytes)*4)
-	seeds["bad-length-prefix"] = append(bad, full[off+lw:]...)
-
-	// WriteColumns emits len(c.ranks) bodies but the header advertises
-	// Meta.NumRanks; bumping the meta after the build yields a stream
-	// that runs out of rank bodies.
-	cm := build(meta)
-	cm.Meta.NumRanks = 6
-	var vm bytes.Buffer
-	if err := WriteColumns(&vm, cm); err != nil {
-		panic(err)
-	}
-	seeds["rank-count-mismatch"] = vm.Bytes()
-
-	// Version-3 seeds: a valid zero-copy image plus the three corruption
-	// families its parser must reject before forming any slice — a
-	// header cut short, an extent knocked off 8-byte alignment, and an
-	// extent whose count × element size escapes the file (both the
-	// straightforward past-EOF case and a uint64 wraparound).
-	var v3 bytes.Buffer
-	if err := WriteColumnsV3(&v3, c); err != nil {
-		panic(err)
-	}
-	good := v3.Bytes()
-	seeds["valid-v3"] = good
-	seeds["v3-truncated-header"] = append([]byte{}, good[:v3HeaderSize-17]...)
-	extOff := binary.LittleEndian.Uint64(good[32:40])
+	// The header records the meta blob's length, and the layout places
+	// the extent table right after it; a lying length moves both.
 	mut := func(edit func(b []byte)) []byte {
 		b := append([]byte{}, good...)
 		edit(b)
 		return b
 	}
+	seeds["bad-length-prefix"] = mut(func(b []byte) {
+		n := binary.LittleEndian.Uint64(b[24:32])
+		binary.LittleEndian.PutUint64(b[24:32], n+v3Align)
+	})
+
+	// WriteColumnsV3 records len(c.ranks) in the header but the meta
+	// carries Meta.NumRanks; bumping the meta after the build makes the
+	// two disagree.
+	cm := build(meta)
+	cm.Meta.NumRanks = 6
+	seeds["rank-count-mismatch"] = encode(cm)
+
+	// The corruption families the parser must reject before forming any
+	// slice: a header cut short, an extent knocked off 8-byte alignment,
+	// and an extent whose count × element size escapes the file (both
+	// the straightforward past-EOF case and a uint64 wraparound).
+	seeds["v3-truncated-header"] = append([]byte{}, good[:v3HeaderSize-17]...)
+	extOff := binary.LittleEndian.Uint64(good[32:40])
 	seeds["v3-misaligned-extent"] = mut(func(b []byte) {
 		off := binary.LittleEndian.Uint64(b[extOff+24:])
 		binary.LittleEndian.PutUint64(b[extOff+24:], off+4)
@@ -155,10 +146,11 @@ func codecSeeds() map[string][]byte {
 	return seeds
 }
 
-// FuzzTraceCodec holds the two binary decoders together: on any input,
-// Read and ReadColumns must agree on acceptance, anything accepted
-// must decode to the same events through both, and a decode → encode →
-// decode cycle must be lossless in both formats.
+// FuzzTraceCodec holds the v3 parser's two modes together: on any
+// input, alias mode and copy mode must agree on acceptance, refuse with
+// ErrBadFormat (a retired codec version always among the refused),
+// decode the same events when they accept, and an encode → decode cycle
+// of what they accepted must be lossless.
 func FuzzTraceCodec(f *testing.F) {
 	for _, s := range codecSeeds() {
 		f.Add(s)
@@ -166,73 +158,49 @@ func FuzzTraceCodec(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
+	for _, s := range retiredSeeds() {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, trErr := Read(bytes.NewReader(data))
-		c, cErr := ReadColumns(bytes.NewReader(data))
-		if (trErr == nil) != (cErr == nil) {
-			t.Fatalf("decoders disagree: Read err %v, ReadColumns err %v", trErr, cErr)
+		aligned := append(make([]byte, 0, len(data)), data...)
+		ca, aErr := parseV3(aligned, v3Aliasable(aligned))
+		cc, cErr := parseV3(data, false)
+		if (aErr == nil) != (cErr == nil) {
+			t.Fatalf("modes disagree: alias err %v, copy err %v", aErr, cErr)
 		}
-		if trErr != nil {
+		if cErr != nil {
+			if !errors.Is(aErr, ErrBadFormat) || !errors.Is(cErr, ErrBadFormat) {
+				t.Fatalf("rejections do not wrap ErrBadFormat: alias %v, copy %v", aErr, cErr)
+			}
 			return
 		}
-		if c.Meta != tr.Meta {
-			t.Fatalf("meta differs: %+v vs %+v", c.Meta, tr.Meta)
+		if len(data) > len(binaryMagic) && data[len(binaryMagic)] != binaryVersionV3 {
+			t.Fatalf("accepted codec version %d", data[len(binaryMagic)])
 		}
-		if !commTablesEqual(&c.Comms, &tr.Comms) {
-			t.Fatal("comm tables differ between decoders")
+		if ca.Meta != cc.Meta || !commTablesEqual(&ca.Comms, &cc.Comms) {
+			t.Fatal("meta or comms differ between modes")
 		}
-		requireSameEvents(t, tr, c)
+		requireSameEvents(t, cc, ca)
 
-		var b1, b2 bytes.Buffer
-		if err := Write(&b1, tr); err != nil {
-			t.Fatalf("re-encode v1: %v", err)
+		var buf bytes.Buffer
+		if err := WriteColumnsV3(&buf, cc); err != nil {
+			t.Fatalf("re-encode: %v", err)
 		}
-		tr2, err := Read(&b1)
+		c2, err := parseV3(buf.Bytes(), false)
 		if err != nil {
-			t.Fatalf("re-decode v1: %v", err)
+			t.Fatalf("re-decode: %v", err)
 		}
-		if tr2.Meta != tr.Meta || !commTablesEqual(&tr2.Comms, &tr.Comms) {
-			t.Fatal("v1 roundtrip changed meta or comms")
+		if c2.Meta != cc.Meta || !commTablesEqual(&c2.Comms, &cc.Comms) {
+			t.Fatal("roundtrip changed meta or comms")
 		}
-		requireSameEvents(t, tr, tr2)
-
-		if err := WriteColumns(&b2, c); err != nil {
-			t.Fatalf("re-encode v2: %v", err)
-		}
-		c2, err := ReadColumns(&b2)
-		if err != nil {
-			t.Fatalf("re-decode v2: %v", err)
-		}
-		if c2.Meta != c.Meta || !commTablesEqual(&c2.Comms, &c.Comms) {
-			t.Fatal("v2 roundtrip changed meta or comms")
-		}
-		requireSameEvents(t, tr, c2)
-
-		// The zero-copy format must be just as lossless, and its two
-		// decode modes (aliasing and copying) must accept and produce
-		// the same thing.
-		var b3 bytes.Buffer
-		if err := WriteColumnsV3(&b3, c); err != nil {
-			t.Fatalf("re-encode v3: %v", err)
-		}
-		c3, err := ReadColumns(bytes.NewReader(b3.Bytes()))
-		if err != nil {
-			t.Fatalf("re-decode v3: %v", err)
-		}
-		if c3.Meta != c.Meta || !commTablesEqual(&c3.Comms, &c.Comms) {
-			t.Fatal("v3 roundtrip changed meta or comms")
-		}
-		requireSameEvents(t, tr, c3)
-		cCopy, err := parseV3(b3.Bytes(), false)
-		if err != nil {
-			t.Fatalf("v3 copy-mode decode rejected what alias mode accepted: %v", err)
-		}
-		requireSameEvents(t, tr, cCopy)
+		requireSameEvents(t, cc, c2)
 	})
 }
 
 // TestWriteFuzzCorpus regenerates the committed FuzzTraceCodec seed
 // corpus (run with WRITE_CORPUS=1 after changing the codec or seeds).
+// It leaves seed-valid-v1 and seed-valid-v2 alone: no encoder for
+// those formats exists any more.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("WRITE_CORPUS") == "" {
 		t.Skip("set WRITE_CORPUS=1 to rewrite testdata/fuzz/FuzzTraceCodec")
@@ -249,27 +217,14 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	}
 }
 
-func FuzzReadJSON(f *testing.F) {
-	tr := randomTrace(rand.New(rand.NewSource(9)))
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, tr); err == nil {
-		f.Add(buf.String())
-	}
-	f.Add(`{"meta":{"NumRanks":1},"comms":[[0]],"ranks":[[]]}`)
-	f.Add(`{}`)
-	f.Fuzz(func(t *testing.T, data string) {
-		tr, err := ReadJSON(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		_ = tr.NumEvents()
-		_ = tr.Validate()
-	})
-}
-
 func FuzzReadDUMPIASCII(f *testing.F) {
-	f.Add(dumpiRank0)
-	f.Add(dumpiRank1)
+	for _, name := range []string{"rank0.txt", "rank1.txt"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "dumpi", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(b))
+	}
 	f.Add("MPI_Send entering at walltime 0.1.\n  int dest=0\nMPI_Send returning at walltime 0.2.\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, data string) {

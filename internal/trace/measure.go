@@ -2,32 +2,11 @@ package trace
 
 import "hpctradeoff/internal/simtime"
 
-// Source-generic measured aggregates, so the campaign layer can
-// characterize a trace (Table I, the accuracy baselines) without
-// caring which representation it holds. Both built-in representations
-// precompute these natively; the interface assertion takes that fast
-// path, and any other Source falls back to an EventAt walk with the
-// same semantics.
-
-// measured is the fast path for sources that implement their own
-// aggregates.
-type measured interface {
-	NumEvents() int
-	MeasuredTotal() simtime.Time
-	MeasuredComm() simtime.Time
-	CommFraction() float64
-}
-
-var (
-	_ measured = (*Trace)(nil)
-	_ measured = (*Columns)(nil)
-)
+// Measured aggregates of a trace, so the campaign layer can
+// characterize it (Table I, the accuracy baselines) through Source.
 
 // SourceNumEvents returns the total number of events across all ranks.
 func SourceNumEvents(src Source) int {
-	if m, ok := src.(measured); ok {
-		return m.NumEvents()
-	}
 	n := 0
 	for r := 0; r < src.TraceMeta().NumRanks; r++ {
 		n += src.RankLen(r)
@@ -38,9 +17,6 @@ func SourceNumEvents(src Source) int {
 // SourceMeasuredTotal returns the measured application time: the
 // latest Exit across all ranks (ranks start at time zero).
 func SourceMeasuredTotal(src Source) simtime.Time {
-	if m, ok := src.(measured); ok {
-		return m.MeasuredTotal()
-	}
 	var total simtime.Time
 	var e Event
 	for r := 0; r < src.TraceMeta().NumRanks; r++ {
@@ -53,11 +29,10 @@ func SourceMeasuredTotal(src Source) simtime.Time {
 }
 
 // SourceMeasuredComm returns the measured time spent inside
-// communication calls, summed per rank and averaged over ranks.
+// communication calls (everything except compute), summed per rank and
+// averaged over ranks — the "communication time" the paper's Table Ib
+// buckets.
 func SourceMeasuredComm(src Source) simtime.Time {
-	if m, ok := src.(measured); ok {
-		return m.MeasuredComm()
-	}
 	n := src.TraceMeta().NumRanks
 	if n == 0 {
 		return 0
@@ -66,10 +41,11 @@ func SourceMeasuredComm(src Source) simtime.Time {
 	var e Event
 	for r := 0; r < n; r++ {
 		for i := 0; i < src.RankLen(r); i++ {
-			src.EventAt(r, i, &e)
-			if e.Op != OpCompute {
-				sum += e.Duration()
+			if src.OpAt(r, i) == OpCompute {
+				continue
 			}
+			src.EventAt(r, i, &e)
+			sum += e.Duration()
 		}
 	}
 	return sum / simtime.Time(n)
@@ -78,9 +54,6 @@ func SourceMeasuredComm(src Source) simtime.Time {
 // SourceCommFraction returns SourceMeasuredComm over
 // SourceMeasuredTotal, in [0,1].
 func SourceCommFraction(src Source) float64 {
-	if m, ok := src.(measured); ok {
-		return m.CommFraction()
-	}
 	total := SourceMeasuredTotal(src)
 	if total <= 0 {
 		return 0

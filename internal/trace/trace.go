@@ -3,8 +3,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-
-	"hpctradeoff/internal/simtime"
 )
 
 // Meta carries per-trace identity and capability metadata, the analog
@@ -38,75 +36,6 @@ type Meta struct {
 // ID returns a stable identifier, e.g. "CG.B.x256.edison".
 func (m Meta) ID() string {
 	return fmt.Sprintf("%s.%s.x%d.%s", m.App, m.Class, m.NumRanks, m.Machine)
-}
-
-// Trace is a complete recorded application run: one event stream per
-// rank plus the communicator table.
-type Trace struct {
-	Meta  Meta
-	Comms CommTable
-	// Ranks[r] is the ordered event stream of world rank r.
-	Ranks [][]Event
-}
-
-// New returns an empty trace for n ranks whose communicator table
-// contains only MPI_COMM_WORLD.
-func New(meta Meta) *Trace {
-	meta.NumRanks = max(meta.NumRanks, 0)
-	t := &Trace{
-		Meta:  meta,
-		Comms: NewCommTable(meta.NumRanks),
-		Ranks: make([][]Event, meta.NumRanks),
-	}
-	return t
-}
-
-// NumEvents returns the total number of events across all ranks.
-func (t *Trace) NumEvents() int {
-	n := 0
-	for _, evs := range t.Ranks {
-		n += len(evs)
-	}
-	return n
-}
-
-// MeasuredTotal returns the measured application time recorded in the
-// trace: the latest Exit across all ranks (ranks start at time zero).
-func (t *Trace) MeasuredTotal() simtime.Time {
-	var total simtime.Time
-	for _, evs := range t.Ranks {
-		if n := len(evs); n > 0 {
-			total = simtime.Max(total, evs[n-1].Exit)
-		}
-	}
-	return total
-}
-
-// MeasuredComm returns the measured time spent inside communication
-// calls (everything except compute), summed per rank and then averaged
-// over ranks — the "communication time" the paper's Table Ib buckets.
-func (t *Trace) MeasuredComm() simtime.Time {
-	if len(t.Ranks) == 0 {
-		return 0
-	}
-	var sum simtime.Time
-	for _, evs := range t.Ranks {
-		for i := range evs {
-			if evs[i].Op != OpCompute {
-				sum += evs[i].Duration()
-			}
-		}
-	}
-	return sum / simtime.Time(len(t.Ranks))
-}
-
-// CommFraction returns MeasuredComm divided by MeasuredTotal, in [0,1].
-func (t *Trace) CommFraction() float64 {
-	total := t.MeasuredTotal()
-	if total <= 0 {
-		return 0
-	}
-	return float64(t.MeasuredComm()) / float64(total)
 }
 
 // CommTable maps communicator IDs to their sorted member world ranks.

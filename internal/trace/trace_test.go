@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,61 +11,86 @@ import (
 	"hpctradeoff/internal/simtime"
 )
 
-func mkP2PTrace(t *testing.T) *Trace {
-	t.Helper()
-	tr := New(Meta{App: "unit", Class: "A", Machine: "edison", NumRanks: 2, RanksPerNode: 1})
-	tr.Ranks[0] = []Event{
+// columnsOf builds an unvalidated trace from hand-written per-rank
+// event rows, so tests can construct well-formed and deliberately
+// broken traces alike.
+func columnsOf(meta Meta, ranks ...[]Event) *Columns {
+	meta.NumRanks = len(ranks)
+	c := NewColumns(meta)
+	for r, evs := range ranks {
+		for i := range evs {
+			c.Append(r, &evs[i])
+		}
+	}
+	return c
+}
+
+// rankEvents gathers rank r's events; payload slices alias the trace.
+func rankEvents(src Source, r int) []Event {
+	evs := make([]Event, src.RankLen(r))
+	for i := range evs {
+		src.EventAt(r, i, &evs[i])
+	}
+	return evs
+}
+
+func mkP2PRows() [][]Event {
+	return [][]Event{{
 		{Op: OpCompute, Entry: 0, Exit: 100, Peer: NoPeer, Req: NoReq},
 		{Op: OpSend, Entry: 100, Exit: 150, Peer: 1, Tag: 7, Bytes: 4096, Comm: CommWorld, Req: NoReq},
-	}
-	tr.Ranks[1] = []Event{
+	}, {
 		{Op: OpRecv, Entry: 0, Exit: 160, Peer: 0, Tag: 7, Bytes: 4096, Comm: CommWorld, Req: NoReq},
-	}
-	return tr
+	}}
+}
+
+func mkP2PTrace(rows [][]Event) *Columns {
+	return columnsOf(Meta{App: "unit", Class: "A", Machine: "edison", RanksPerNode: 1}, rows...)
 }
 
 func TestValidateAcceptsWellFormed(t *testing.T) {
-	tr := mkP2PTrace(t)
+	tr := mkP2PTrace(mkP2PRows())
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate() = %v, want nil", err)
 	}
 }
 
 func TestMeasuredTotalsAndCommFraction(t *testing.T) {
-	tr := mkP2PTrace(t)
-	if got := tr.MeasuredTotal(); got != 160 {
+	tr := mkP2PTrace(mkP2PRows())
+	if got := SourceMeasuredTotal(tr); got != 160 {
 		t.Errorf("MeasuredTotal = %v, want 160", got)
 	}
 	// Comm time: rank0 send 50 + rank1 recv 160, averaged over 2 ranks.
-	if got := tr.MeasuredComm(); got != 105 {
+	if got := SourceMeasuredComm(tr); got != 105 {
 		t.Errorf("MeasuredComm = %v, want 105", got)
 	}
 	want := 105.0 / 160.0
-	if got := tr.CommFraction(); got != want {
+	if got := SourceCommFraction(tr); got != want {
 		t.Errorf("CommFraction = %v, want %v", got, want)
+	}
+	if got := SourceNumEvents(tr); got != 3 || tr.NumEvents() != 3 {
+		t.Errorf("NumEvents = %d/%d, want 3", got, tr.NumEvents())
 	}
 }
 
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*Trace)
+		mutate func([][]Event) [][]Event
 	}{
-		{"exit before entry", func(tr *Trace) { tr.Ranks[0][0].Exit = -1 }},
-		{"overlapping events", func(tr *Trace) { tr.Ranks[0][1].Entry = 50 }},
-		{"peer out of range", func(tr *Trace) { tr.Ranks[0][1].Peer = 9 }},
-		{"self message", func(tr *Trace) { tr.Ranks[0][1].Peer = 0 }},
-		{"negative bytes", func(tr *Trace) { tr.Ranks[0][1].Bytes = -1 }},
-		{"unmatched send", func(tr *Trace) { tr.Ranks[1] = tr.Ranks[1][:0] }},
-		{"bytes mismatch", func(tr *Trace) { tr.Ranks[1][0].Bytes = 1 }},
-		{"tag mismatch", func(tr *Trace) { tr.Ranks[1][0].Tag = 8 }},
-		{"bad comm", func(tr *Trace) { tr.Ranks[0][1].Comm = 4 }},
-		{"bad op", func(tr *Trace) { tr.Ranks[0][0].Op = numOps }},
+		{"exit before entry", func(rs [][]Event) [][]Event { rs[0][0].Exit = -1; return rs }},
+		{"overlapping events", func(rs [][]Event) [][]Event { rs[0][1].Entry = 50; return rs }},
+		{"peer out of range", func(rs [][]Event) [][]Event { rs[0][1].Peer = 9; return rs }},
+		{"self message", func(rs [][]Event) [][]Event { rs[0][1].Peer = 0; return rs }},
+		{"negative bytes", func(rs [][]Event) [][]Event { rs[0][1].Bytes = -1; return rs }},
+		{"unmatched send", func(rs [][]Event) [][]Event { rs[1] = rs[1][:0]; return rs }},
+		{"bytes mismatch", func(rs [][]Event) [][]Event { rs[1][0].Bytes = 1; return rs }},
+		{"tag mismatch", func(rs [][]Event) [][]Event { rs[1][0].Tag = 8; return rs }},
+		{"bad comm", func(rs [][]Event) [][]Event { rs[0][1].Comm = 4; return rs }},
+		{"bad op", func(rs [][]Event) [][]Event { rs[0][0].Op = numOps; return rs }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := mkP2PTrace(t)
-			tc.mutate(tr)
+			tr := mkP2PTrace(tc.mutate(mkP2PRows()))
 			if err := tr.Validate(); err == nil {
 				t.Fatal("Validate() = nil, want error")
 			}
@@ -73,49 +99,44 @@ func TestValidateRejections(t *testing.T) {
 }
 
 func TestValidateWaitSemantics(t *testing.T) {
-	tr := New(Meta{App: "unit", NumRanks: 2})
-	tr.Ranks[0] = []Event{
+	meta := Meta{App: "unit"}
+	tr := columnsOf(meta, []Event{
 		{Op: OpIsend, Entry: 0, Exit: 1, Peer: 1, Tag: 0, Bytes: 8, Comm: CommWorld, Req: 0},
 		{Op: OpWait, Entry: 1, Exit: 2, Peer: NoPeer, Req: 0},
-	}
-	tr.Ranks[1] = []Event{
+	}, []Event{
 		{Op: OpIrecv, Entry: 0, Exit: 1, Peer: 0, Tag: 0, Bytes: 8, Comm: CommWorld, Req: 5},
 		{Op: OpWaitall, Entry: 1, Exit: 2, Peer: NoPeer, Req: NoReq, Reqs: []int32{5}},
-	}
+	})
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("Validate() = %v, want nil", err)
 	}
 
 	t.Run("wait on unknown request", func(t *testing.T) {
-		bad := mkP2PTrace(t)
-		bad.Ranks[0] = append(bad.Ranks[0], Event{Op: OpWait, Entry: 150, Exit: 151, Peer: NoPeer, Req: 3})
-		if err := bad.Validate(); err == nil {
+		rows := mkP2PRows()
+		rows[0] = append(rows[0], Event{Op: OpWait, Entry: 150, Exit: 151, Peer: NoPeer, Req: 3})
+		if err := mkP2PTrace(rows).Validate(); err == nil {
 			t.Fatal("want error for wait on unknown request")
 		}
 	})
 	t.Run("dangling request", func(t *testing.T) {
-		bad := New(Meta{App: "unit", NumRanks: 2})
-		bad.Ranks[0] = []Event{
+		bad := columnsOf(meta, []Event{
 			{Op: OpIsend, Entry: 0, Exit: 1, Peer: 1, Tag: 0, Bytes: 8, Comm: CommWorld, Req: 0},
-		}
-		bad.Ranks[1] = []Event{
+		}, []Event{
 			{Op: OpRecv, Entry: 0, Exit: 1, Peer: 0, Tag: 0, Bytes: 8, Comm: CommWorld, Req: NoReq},
-		}
+		})
 		if err := bad.Validate(); err == nil {
 			t.Fatal("want error for request never completed")
 		}
 	})
 	t.Run("request reuse while pending", func(t *testing.T) {
-		bad := New(Meta{App: "unit", NumRanks: 2})
-		bad.Ranks[0] = []Event{
+		bad := columnsOf(meta, []Event{
 			{Op: OpIsend, Entry: 0, Exit: 1, Peer: 1, Tag: 0, Bytes: 8, Comm: CommWorld, Req: 0},
 			{Op: OpIsend, Entry: 1, Exit: 2, Peer: 1, Tag: 1, Bytes: 8, Comm: CommWorld, Req: 0},
 			{Op: OpWaitall, Entry: 2, Exit: 3, Peer: NoPeer, Req: NoReq, Reqs: []int32{0}},
-		}
-		bad.Ranks[1] = []Event{
+		}, []Event{
 			{Op: OpRecv, Entry: 0, Exit: 1, Peer: 0, Tag: 0, Bytes: 8, Comm: CommWorld, Req: NoReq},
 			{Op: OpRecv, Entry: 1, Exit: 2, Peer: 0, Tag: 1, Bytes: 8, Comm: CommWorld, Req: NoReq},
-		}
+		})
 		if err := bad.Validate(); err == nil {
 			t.Fatal("want error for request reuse")
 		}
@@ -123,39 +144,40 @@ func TestValidateWaitSemantics(t *testing.T) {
 }
 
 func TestValidateCollectiveConsistency(t *testing.T) {
-	mk := func() *Trace {
-		tr := New(Meta{App: "unit", NumRanks: 3})
-		for r := 0; r < 3; r++ {
-			tr.Ranks[r] = []Event{
+	rows := func() [][]Event {
+		rs := make([][]Event, 3)
+		for r := range rs {
+			rs[r] = []Event{
 				{Op: OpAllreduce, Entry: 0, Exit: 10, Peer: NoPeer, Req: NoReq, Comm: CommWorld, Bytes: 64},
 				{Op: OpBcast, Entry: 10, Exit: 20, Peer: NoPeer, Req: NoReq, Comm: CommWorld, Root: 1, Bytes: 32},
 			}
 		}
-		return tr
+		return rs
 	}
-	if err := mk().Validate(); err != nil {
+	mk := func(rs [][]Event) *Columns { return columnsOf(Meta{App: "unit"}, rs...) }
+	if err := mk(rows()).Validate(); err != nil {
 		t.Fatalf("Validate() = %v, want nil", err)
 	}
 	t.Run("missing member call", func(t *testing.T) {
-		bad := mk()
-		bad.Ranks[2] = bad.Ranks[2][:1]
-		if err := bad.Validate(); err == nil {
+		rs := rows()
+		rs[2] = rs[2][:1]
+		if err := mk(rs).Validate(); err == nil {
 			t.Fatal("want error")
 		}
 	})
 	t.Run("parameter mismatch", func(t *testing.T) {
-		bad := mk()
-		bad.Ranks[2][1].Root = 0
-		if err := bad.Validate(); err == nil {
+		rs := rows()
+		rs[2][1].Root = 0
+		if err := mk(rs).Validate(); err == nil {
 			t.Fatal("want error")
 		}
 	})
 	t.Run("root outside comm", func(t *testing.T) {
-		bad := mk()
-		for r := range bad.Ranks {
-			bad.Ranks[r][1].Root = 7
+		rs := rows()
+		for r := range rs {
+			rs[r][1].Root = 7
 		}
-		if err := bad.Validate(); err == nil {
+		if err := mk(rs).Validate(); err == nil {
 			t.Fatal("want error")
 		}
 	})
@@ -187,10 +209,10 @@ func TestCommTable(t *testing.T) {
 }
 
 // randomTrace builds a structurally valid pseudo-random trace for
-// round-trip testing.
-func randomTrace(rng *rand.Rand) *Trace {
+// round-trip testing, row by row rather than through the Builder.
+func randomTrace(rng *rand.Rand) *Columns {
 	n := 2 + rng.Intn(6)
-	tr := New(Meta{
+	tr := NewColumns(Meta{
 		App: "rand", Class: "Q", Machine: "hopper",
 		NumRanks: n, RanksPerNode: 1 + rng.Intn(4),
 		Seed:          rng.Int63(),
@@ -210,7 +232,7 @@ func randomTrace(rng *rand.Rand) *Trace {
 		e.Entry = clock[r] + simtime.Time(rng.Intn(100))
 		e.Exit = e.Entry + simtime.Time(rng.Intn(1000))
 		clock[r] = e.Exit
-		tr.Ranks[r] = append(tr.Ranks[r], e)
+		tr.Append(r, &e)
 	}
 	for i := 0; i < 30; i++ {
 		src := rng.Intn(n)
@@ -230,6 +252,9 @@ func randomTrace(rng *rand.Rand) *Trace {
 	return tr
 }
 
+// TestBinaryRoundTripProperty encodes random traces in codec v3 and
+// parses them back in copy mode (the portable decode), which must be
+// lossless.
 func TestBinaryRoundTripProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	prop := func(seed int64) bool {
@@ -239,16 +264,19 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			t.Fatalf("generator produced invalid trace: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			t.Fatalf("Write: %v", err)
+		if err := WriteColumnsV3(&buf, tr); err != nil {
+			t.Fatalf("WriteColumnsV3: %v", err)
 		}
-		got, err := Read(&buf)
+		got, err := parseV3(buf.Bytes(), false)
 		if err != nil {
-			t.Fatalf("Read: %v", err)
+			t.Fatalf("parseV3: %v", err)
 		}
-		return reflect.DeepEqual(tr.Meta, got.Meta) &&
-			reflect.DeepEqual(tr.Ranks, got.Ranks) &&
-			commTablesEqual(&tr.Comms, &got.Comms)
+		for r := 0; r < tr.NumRanks(); r++ {
+			if !reflect.DeepEqual(rankEvents(tr, r), rankEvents(got, r)) {
+				return false
+			}
+		}
+		return tr.Meta == got.Meta && commTablesEqual(&tr.Comms, &got.Comms)
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
@@ -267,18 +295,24 @@ func commTablesEqual(a, b *CommTable) bool {
 	return true
 }
 
+// TestReadRejectsGarbage feeds the v3 parser inputs that are not v3
+// traces at all; each must fail with ErrBadFormat, never panic.
 func TestReadRejectsGarbage(t *testing.T) {
 	for _, in := range [][]byte{
 		nil,
 		[]byte("nope"),
 		[]byte("HTRC"),             // truncated after magic
-		[]byte("HTRC\x63"),         // wrong version
-		[]byte("HTRC\x01\x03ab"),   // truncated string
-		[]byte("HTRC\x01\x00\x00"), // truncated meta
-		append([]byte("HTRC\x01\x00\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), // absurd rank count
+		[]byte("HTRC\x63"),         // unknown version
+		[]byte("HTRC\x03"),         // v3, header truncated
+		[]byte("HTRC\x01\x03ab"),   // retired v1
+		[]byte("HTRC\x02\x00\x00"), // retired v2
+		append([]byte("HTRC\x03\x00\x00\x00"), make([]byte, 60)...), // zero header fields
 	} {
-		if _, err := Read(bytes.NewReader(in)); err == nil {
-			t.Errorf("Read(%q) = nil error, want failure", in)
+		for _, alias := range []bool{false, true} {
+			buf := append([]byte(nil), in...)
+			if _, err := parseV3(buf, alias && v3Aliasable(buf)); !errors.Is(err, ErrBadFormat) {
+				t.Errorf("parseV3(%q) = %v, want ErrBadFormat", in, err)
+			}
 		}
 	}
 }

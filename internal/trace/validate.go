@@ -8,8 +8,7 @@ import (
 // Validation checks the structural invariants a replayable trace must
 // satisfy. Replay engines depend on these and may deadlock or panic on
 // traces that violate them, so generators and decoders validate first.
-// The checks run over the Source interface, so both representations
-// (array-of-structs and columnar) validate without conversion.
+// The checks run over the Source interface.
 
 // ErrInvalid is wrapped by all validation failures.
 var ErrInvalid = errors.New("trace: invalid")
@@ -26,11 +25,11 @@ var ErrInvalid = errors.New("trace: invalid")
 //     parameters on every member of their communicator;
 //   - communicator references are in range, and every rank that issues
 //     an event on a communicator is a member of it.
-func (t *Trace) Validate() error {
-	if len(t.Ranks) != t.Meta.NumRanks {
-		return fmt.Errorf("%w: %d rank streams, meta says %d", ErrInvalid, len(t.Ranks), t.Meta.NumRanks)
+func (c *Columns) Validate() error {
+	if len(c.ranks) != c.Meta.NumRanks {
+		return fmt.Errorf("%w: %d rank streams, meta says %d", ErrInvalid, len(c.ranks), c.Meta.NumRanks)
 	}
-	return validateSource(t)
+	return validateSource(c)
 }
 
 func validateSource(src Source) error {

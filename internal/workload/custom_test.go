@@ -36,7 +36,8 @@ func TestReadSpecAndGenerate(t *testing.T) {
 		t.Errorf("app = %q", tr.Meta.App)
 	}
 	c := map[trace.Op]int{}
-	for _, evs := range tr.Ranks {
+	for r := 0; r < tr.NumRanks(); r++ {
+		evs := rankEvents(tr, r)
 		for i := range evs {
 			c[evs[i].Op]++
 		}
@@ -49,12 +50,12 @@ func TestReadSpecAndGenerate(t *testing.T) {
 	}
 	// Imbalance is a persistent profile.
 	var t0, t26 float64
-	for _, e := range tr.Ranks[0] {
+	for _, e := range rankEvents(tr, 0) {
 		if e.Op == trace.OpCompute {
 			t0 += e.Duration().Seconds()
 		}
 	}
-	for _, e := range tr.Ranks[26] {
+	for _, e := range rankEvents(tr, 26) {
 		if e.Op == trace.OpCompute {
 			t26 += e.Duration().Seconds()
 		}
@@ -99,7 +100,7 @@ func TestSpecHypercubeStencil(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers := map[int32]bool{}
-	for _, e := range tr.Ranks[0] {
+	for _, e := range rankEvents(tr, 0) {
 		if e.Op == trace.OpIsend {
 			peers[e.Peer] = true
 		}

@@ -11,36 +11,16 @@ import (
 )
 
 // MaterializeSpec generates a custom-spec trace and stamps measured
-// timestamps, like Materialize does for built-in applications.
-func MaterializeSpec(s *Spec, p Params) (*trace.Trace, error) {
-	tr, err := FromSpec(s, p)
+// timestamps, like MaterializeColumns does for built-in applications.
+func MaterializeSpec(s *Spec, p Params) (*trace.Columns, error) {
+	c, err := FromSpec(s, p)
 	if err != nil {
 		return nil, err
 	}
-	return stamp(tr, p, time.Time{}, 0)
-}
-
-// Materialize generates the program for p and stamps "measured"
-// timestamps into it by executing it on p.Machine's detailed
-// packet-flow contention simulator with the default system-noise
-// model. The result plays the role of a DUMPI trace collected on the
-// real machine: its times embed contention and noise that prediction
-// replays do not reproduce.
-func Materialize(p Params) (*trace.Trace, error) {
-	return MaterializeBudget(p, time.Time{}, 0)
-}
-
-// MaterializeBudget is Materialize with a bound on the ground-truth
-// execution: deadline is a wall-clock cutoff and maxEvents caps the
-// DES events of the stamping replay (zero values mean unlimited). A
-// blown budget fails with an error wrapping des.ErrBudgetExceeded, so
-// a campaign can classify the trace as a runaway instead of hanging.
-func MaterializeBudget(p Params, deadline time.Time, maxEvents uint64) (*trace.Trace, error) {
-	tr, err := Generate(p)
-	if err != nil {
+	if _, err := stampSource(c, p, Limits{}); err != nil {
 		return nil, err
 	}
-	return stamp(tr, p, deadline, maxEvents)
+	return c, nil
 }
 
 // Limits bound a ground-truth materialization: a wall-clock deadline,
@@ -52,22 +32,19 @@ type Limits struct {
 	Cancel    <-chan struct{}
 }
 
-// MaterializeColumns is Materialize building and stamping the columnar
-// representation directly: generation, ground-truth execution, and
-// write-back all go through the Source access path, so no
-// array-of-structs trace is ever built.
+// MaterializeColumns generates the program for p and stamps
+// "measured" timestamps into it by executing it on p.Machine's detailed
+// packet-flow contention simulator with the default system-noise
+// model. The result plays the role of a DUMPI trace collected on the
+// real machine: its times embed contention and noise that prediction
+// replays do not reproduce.
 func MaterializeColumns(p Params) (*trace.Columns, error) {
 	return MaterializeColumnsLimits(p, Limits{})
 }
 
-// MaterializeColumnsBudget is MaterializeColumns with the
-// MaterializeBudget bounds.
-func MaterializeColumnsBudget(p Params, deadline time.Time, maxEvents uint64) (*trace.Columns, error) {
-	return MaterializeColumnsLimits(p, Limits{Deadline: deadline, MaxEvents: maxEvents})
-}
-
-// MaterializeColumnsLimits is MaterializeColumns under the full set of
-// run bounds, including cancellation.
+// MaterializeColumnsLimits is MaterializeColumns under run bounds. A
+// blown budget fails with an error wrapping des.ErrBudgetExceeded, so
+// a campaign can classify the trace as a runaway instead of hanging.
 func MaterializeColumnsLimits(p Params, lim Limits) (*trace.Columns, error) {
 	c, _, err := MaterializeReplay(p, lim)
 	return c, err
@@ -90,18 +67,9 @@ func MaterializeReplay(p Params, lim Limits) (*trace.Columns, *mpisim.Program, e
 	return c, prog, nil
 }
 
-// stamp executes the program on its machine's detailed simulator with
-// noise and writes the measured timestamps into the trace.
-func stamp(tr *trace.Trace, p Params, deadline time.Time, maxEvents uint64) (*trace.Trace, error) {
-	if _, err := stampSource(tr, p, Limits{Deadline: deadline, MaxEvents: maxEvents}); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// stampSource is stamp over any trace representation; the ground-truth
-// replay and its timestamp write-back run through the Source path, so
-// array-of-structs and columnar builds stamp bit-identically.
+// stampSource executes the program on its machine's detailed
+// simulator with noise and writes the measured timestamps into src
+// through the Source path.
 //
 // Params.Noise perturbs only this execution: a non-zero configuration
 // jitters the machine's per-link bandwidths, slows heterogeneous

@@ -37,9 +37,9 @@ func stampedFingerprint(t *testing.T, p Params) zeroNoiseGolden {
 	}
 	h := fnv.New64a()
 	var ev trace.Event
-	for r := 0; r < c.TraceMeta().NumRanks; r++ {
-		cur := c.Cursor(r)
-		for cur.Next(&ev) {
+	for r := 0; r < c.NumRanks(); r++ {
+		for i := 0; i < c.RankLen(r); i++ {
+			c.EventAt(r, i, &ev)
 			fmt.Fprintf(h, "%d,%d;", int64(ev.Entry), int64(ev.Exit))
 		}
 	}

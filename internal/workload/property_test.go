@@ -11,7 +11,7 @@ import (
 // This file is a property-based check on the trace generators: for
 // every app in the 235-trace manifest, across several seeds, the
 // generated trace must be causally well-formed. The checks are
-// implemented here from scratch — independently of trace.Validate —
+// implemented here from scratch — independently of Columns.Validate —
 // so a bug shared by the generator and the validator cannot hide.
 
 // propKey identifies a point-to-point channel; messages on one channel
@@ -44,15 +44,16 @@ type propMsg struct {
 // The temporal check only applies to materialized traces. A freshly
 // generated program trace carries intended compute durations with
 // zero-duration communication placeholders, so its per-rank clocks
-// drift independently; only the ground-truth execution (Materialize)
+// drift independently; only the ground-truth execution (MaterializeColumns)
 // stamps times in which cross-rank causality is meaningful.
-func checkCausalOrder(t *testing.T, tr *trace.Trace, temporal bool) {
+func checkCausalOrder(t *testing.T, tr *trace.Columns, temporal bool) {
 	t.Helper()
 	n := int32(tr.Meta.NumRanks)
 	sends := map[propKey][]propMsg{}
 	recvs := map[propKey][]propMsg{}
 
-	for rank, evs := range tr.Ranks {
+	for rank := 0; rank < tr.NumRanks(); rank++ {
+		evs := rankEvents(tr, rank)
 		var prevExit simtime.Time = -1
 		// reqDone[i] is the index in the rank's recv list whose
 		// completion time is fixed by the wait retiring request r.
@@ -159,12 +160,12 @@ func TestGeneratorsProduceWellFormedPrograms(t *testing.T) {
 			p := p
 			p.Seed += ds
 			t.Run(fmt.Sprintf("%s.%s+%d", p.App, p.Class, ds), func(t *testing.T) {
-				tr, err := Generate(p)
+				tr, err := GenerateColumns(p)
 				if err != nil {
 					t.Fatalf("generate: %v", err)
 				}
-				if len(tr.Ranks) != p.Ranks {
-					t.Fatalf("trace has %d rank streams, params say %d", len(tr.Ranks), p.Ranks)
+				if tr.NumRanks() != p.Ranks {
+					t.Fatalf("trace has %d rank streams, params say %d", tr.NumRanks(), p.Ranks)
 				}
 				if tr.NumEvents() == 0 {
 					t.Fatal("generator produced an empty trace")
@@ -194,7 +195,7 @@ func TestMaterializedTracesAreCausal(t *testing.T) {
 			if testing.Short() && p.Ranks > 64 {
 				t.Skip("short mode")
 			}
-			tr, err := Materialize(p)
+			tr, err := MaterializeColumns(p)
 			if err != nil {
 				t.Fatalf("materialize: %v", err)
 			}

@@ -9,9 +9,9 @@ import (
 // Structural tests: each generator must reproduce its code's published
 // communication pattern, not merely produce a valid trace.
 
-func genTrace(t *testing.T, app string, ranks int) *trace.Trace {
+func genTrace(t *testing.T, app string, ranks int) *trace.Columns {
 	t.Helper()
-	tr, err := Generate(Params{App: app, Class: "A", Ranks: ranks, Machine: "edison", Seed: 5})
+	tr, err := GenerateColumns(Params{App: app, Class: "A", Ranks: ranks, Machine: "edison", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,9 +19,10 @@ func genTrace(t *testing.T, app string, ranks int) *trace.Trace {
 }
 
 // opCount tallies per-op event counts over the whole trace.
-func opCount(tr *trace.Trace) map[trace.Op]int {
+func opCount(tr *trace.Columns) map[trace.Op]int {
 	out := map[trace.Op]int{}
-	for _, evs := range tr.Ranks {
+	for r := 0; r < tr.NumRanks(); r++ {
+		evs := rankEvents(tr, r)
 		for i := range evs {
 			out[evs[i].Op]++
 		}
@@ -30,9 +31,9 @@ func opCount(tr *trace.Trace) map[trace.Op]int {
 }
 
 // p2pPeers returns the distinct send destinations of a rank.
-func p2pPeers(tr *trace.Trace, r int) map[int32]bool {
+func p2pPeers(tr *trace.Columns, r int) map[int32]bool {
 	out := map[int32]bool{}
-	for _, e := range tr.Ranks[r] {
+	for _, e := range rankEvents(tr, r) {
 		if e.Op == trace.OpSend || e.Op == trace.OpIsend {
 			out[e.Peer] = true
 		}
@@ -69,7 +70,7 @@ func TestLULESHNeighborhood(t *testing.T) {
 	}
 	// Face payloads must exceed corner payloads.
 	var face, corner int64
-	for _, e := range tr.Ranks[21] {
+	for _, e := range rankEvents(tr, 21) {
 		if e.Op != trace.OpIsend {
 			continue
 		}
@@ -99,7 +100,7 @@ func TestFTAlltoallStructure(t *testing.T) {
 func TestISAlltoallvUneven(t *testing.T) {
 	tr := genTrace(t, "IS", 16)
 	var sizes []int64
-	for _, e := range tr.Ranks[0] {
+	for _, e := range rankEvents(tr, 0) {
 		if e.Op == trace.OpAlltoallv {
 			sizes = append(sizes, e.SendBytes...)
 			break
@@ -147,8 +148,8 @@ func TestBigFFTUsesSubCommunicators(t *testing.T) {
 		t.Fatalf("BigFFT has %d communicators, want world + rows + cols", tr.Comms.Len())
 	}
 	// All alltoalls must run on sub-communicators, never on world.
-	for r := range tr.Ranks {
-		for _, e := range tr.Ranks[r] {
+	for r := 0; r < tr.NumRanks(); r++ {
+		for _, e := range rankEvents(tr, r) {
 			if e.Op == trace.OpAlltoall && e.Comm == trace.CommWorld {
 				t.Fatal("BigFFT alltoall on MPI_COMM_WORLD; want row/col comms")
 			}
@@ -159,7 +160,7 @@ func TestBigFFTUsesSubCommunicators(t *testing.T) {
 func TestCRIrregularSizes(t *testing.T) {
 	tr := genTrace(t, "CrystalRouter", 32)
 	sizes := map[int64]bool{}
-	for _, e := range tr.Ranks[3] {
+	for _, e := range rankEvents(tr, 3) {
 		if e.Op == trace.OpIsend {
 			sizes[e.Bytes] = true
 		}
@@ -206,7 +207,7 @@ func TestCMCImbalancePersistsAcrossIterations(t *testing.T) {
 	// not per-iteration noise): compare per-rank total compute.
 	var tot [16]float64
 	for r := 0; r < 16; r++ {
-		for _, e := range tr.Ranks[r] {
+		for _, e := range rankEvents(tr, r) {
 			if e.Op == trace.OpCompute {
 				tot[r] += e.Duration().Seconds()
 			}
@@ -230,14 +231,14 @@ func TestDTPipelineRoles(t *testing.T) {
 	tr := genTrace(t, "DT", 24)
 	// Sources (0-7) only send; sinks (16-23) only receive.
 	for r := 0; r < 8; r++ {
-		for _, e := range tr.Ranks[r] {
+		for _, e := range rankEvents(tr, r) {
 			if e.Op == trace.OpRecv || e.Op == trace.OpIrecv {
 				t.Fatalf("source rank %d receives", r)
 			}
 		}
 	}
 	for r := 16; r < 24; r++ {
-		for _, e := range tr.Ranks[r] {
+		for _, e := range rankEvents(tr, r) {
 			if e.Op == trace.OpSend || e.Op == trace.OpIsend {
 				t.Fatalf("sink rank %d sends", r)
 			}

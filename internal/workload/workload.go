@@ -11,7 +11,7 @@
 // compute/communication balance. A generated trace is a *program*
 // (compute durations plus communication structure); the ground-truth
 // executor stamps "measured" timestamps by running it through the
-// detailed contention simulator with system noise (see Materialize).
+// detailed contention simulator with system noise (see MaterializeColumns).
 package workload
 
 import (
@@ -160,85 +160,20 @@ type gen struct {
 	scale float64
 }
 
-// Generate builds the structural trace (program) for p. Timestamps
-// carry only the intended compute durations; see Materialize for
-// stamping measured times.
-func Generate(p Params) (*trace.Trace, error) {
-	b, g, err := generateWindow(p, 0, -1)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s: %w", p.App, err)
-	}
-	if g.usesCommSplit && !tr.Meta.UsesCommSplit {
-		// The generator is expected to have split communicators; keep
-		// the capability flag truthful either way.
-		tr.Meta.UsesCommSplit = true
-	}
-	return tr, nil
-}
-
-// GenerateColumns is Generate building the columnar representation
-// directly: no []Event rows are ever materialized.
+// GenerateColumns builds the structural trace (program) for p.
+// Timestamps carry only the intended compute durations; see
+// MaterializeColumns for stamping measured times.
 func GenerateColumns(p Params) (*trace.Columns, error) {
-	b, g, err := generateWindow(p, 0, -1)
-	if err != nil {
-		return nil, err
-	}
-	c, err := b.BuildColumns()
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s: %w", p.App, err)
-	}
-	if g.usesCommSplit && !c.Meta.UsesCommSplit {
-		c.Meta.UsesCommSplit = true
-	}
-	return c, nil
-}
-
-// Stream regenerates p's trace in windows of chunkRanks ranks and
-// hands fn one zero-copy cursor per rank, in rank order. Only one
-// window's events are resident at a time, so a wide trace streams in
-// a fraction of its full footprint; the trade is regeneration (the
-// generator reruns once per window with identical RNG consumption, so
-// the streamed events are bit-identical to a Generate build —
-// TestStreamMatchesGenerate holds the two paths together). Windowed
-// builds cannot run cross-rank validation; stream consumers that need
-// a validated trace should validate a full build once elsewhere.
-func (p Params) Stream(chunkRanks int, fn func(rank int, cur trace.Cursor) error) error {
-	if chunkRanks <= 0 {
-		chunkRanks = p.Ranks
-	}
-	for lo := 0; lo < p.Ranks; lo += chunkRanks {
-		hi := min(lo+chunkRanks, p.Ranks)
-		b, _, err := generateWindow(p, lo, hi)
-		if err != nil {
-			return err
-		}
-		chunk := b.BuildChunk()
-		for r := lo; r < hi; r++ {
-			if err := fn(r, chunk.Cursor(r)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// generateWindow runs p's generator storing only ranks in [lo, hi)
-// (hi < 0 means all ranks).
-func generateWindow(p Params, lo, hi int) (*trace.Builder, generator, error) {
 	g, ok := registry[p.App]
 	if !ok {
-		return nil, g, fmt.Errorf("workload: unknown app %q (have %v)", p.App, Apps())
+		return nil, fmt.Errorf("workload: unknown app %q (have %v)", p.App, Apps())
 	}
 	if p.Ranks < 2 {
-		return nil, g, fmt.Errorf("workload: need ≥ 2 ranks, got %d", p.Ranks)
+		return nil, fmt.Errorf("workload: need ≥ 2 ranks, got %d", p.Ranks)
 	}
 	scale, err := classScale(p.Class)
 	if err != nil {
-		return nil, g, err
+		return nil, err
 	}
 	iters := p.Iters
 	if iters <= 0 {
@@ -253,21 +188,27 @@ func generateWindow(p Params, lo, hi int) (*trace.Builder, generator, error) {
 		Seed:               p.Seed,
 		UsesThreadMultiple: g.usesThreadMultiple,
 	}
-	if hi < 0 {
-		hi = p.Ranks
-	}
 	ctx := &gen{
 		p:     p,
-		b:     trace.NewBuilderWindow(meta, lo, hi),
+		b:     trace.NewBuilder(meta),
 		rng:   rand.New(rand.NewSource(p.Seed ^ int64(p.Ranks)*0x9e37 ^ hashName(p.App))),
 		n:     p.Ranks,
 		iters: iters,
 		scale: scale,
 	}
 	if err := g.fn(ctx); err != nil {
-		return nil, g, fmt.Errorf("workload: %s: %w", p.App, err)
+		return nil, fmt.Errorf("workload: %s: %w", p.App, err)
 	}
-	return ctx.b, g, nil
+	c, err := ctx.b.BuildColumns()
+	if err != nil {
+		return nil, fmt.Errorf("workload: %s: %w", p.App, err)
+	}
+	if g.usesCommSplit && !c.Meta.UsesCommSplit {
+		// The generator is expected to have split communicators; keep
+		// the capability flag truthful either way.
+		c.Meta.UsesCommSplit = true
+	}
+	return c, nil
 }
 
 func hashName(s string) int64 {

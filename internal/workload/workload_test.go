@@ -7,13 +7,14 @@ import (
 	"hpctradeoff/internal/mfact"
 	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/simnet"
+	"hpctradeoff/internal/trace"
 )
 
 func TestGenerateAllAppsValidate(t *testing.T) {
 	for _, app := range Apps() {
 		for _, ranks := range []int{8, 27, 64} {
 			p := Params{App: app, Class: "S", Ranks: ranks, Machine: "edison", Seed: 1}
-			tr, err := Generate(p)
+			tr, err := GenerateColumns(p)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", app, ranks, err)
 			}
@@ -29,20 +30,21 @@ func TestGenerateAllAppsValidate(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	p := Params{App: "CrystalRouter", Class: "A", Ranks: 16, Machine: "hopper", Seed: 99}
-	a, err := Generate(p)
+	a, err := GenerateColumns(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(p)
+	b, err := GenerateColumns(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.NumEvents() != b.NumEvents() {
 		t.Fatalf("event counts differ: %d vs %d", a.NumEvents(), b.NumEvents())
 	}
-	for r := range a.Ranks {
-		for i := range a.Ranks[r] {
-			ea, eb := a.Ranks[r][i], b.Ranks[r][i]
+	for r := 0; r < a.NumRanks(); r++ {
+		ra, rb := rankEvents(a, r), rankEvents(b, r)
+		for i := range ra {
+			ea, eb := ra[i], rb[i]
 			if ea.Op != eb.Op || ea.Bytes != eb.Bytes || ea.Peer != eb.Peer {
 				t.Fatalf("rank %d event %d differs: %v vs %v", r, i, ea.String(), eb.String())
 			}
@@ -51,33 +53,33 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	if _, err := Generate(Params{App: "HPL", Class: "B", Ranks: 8}); err == nil {
+	if _, err := GenerateColumns(Params{App: "HPL", Class: "B", Ranks: 8}); err == nil {
 		t.Error("unknown app accepted")
 	}
-	if _, err := Generate(Params{App: "CG", Class: "Z", Ranks: 8}); err == nil {
+	if _, err := GenerateColumns(Params{App: "CG", Class: "Z", Ranks: 8}); err == nil {
 		t.Error("unknown class accepted")
 	}
-	if _, err := Generate(Params{App: "CG", Class: "B", Ranks: 1}); err == nil {
+	if _, err := GenerateColumns(Params{App: "CG", Class: "B", Ranks: 1}); err == nil {
 		t.Error("1 rank accepted")
 	}
 }
 
 func TestCapabilityFlags(t *testing.T) {
-	bf, err := Generate(Params{App: "BigFFT", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
+	bf, err := GenerateColumns(Params{App: "BigFFT", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bf.Meta.UsesCommSplit {
 		t.Error("BigFFT should use comm split")
 	}
-	fb, err := Generate(Params{App: "FillBoundary", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
+	fb, err := GenerateColumns(Params{App: "FillBoundary", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fb.Meta.UsesThreadMultiple {
 		t.Error("FillBoundary should use thread multiple")
 	}
-	ep, err := Generate(Params{App: "EP", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
+	ep, err := GenerateColumns(Params{App: "EP", Class: "S", Ranks: 16, Machine: "edison", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,17 +90,17 @@ func TestCapabilityFlags(t *testing.T) {
 
 func TestMaterializeStampsMeasuredTimes(t *testing.T) {
 	p := Params{App: "MiniFE", Class: "S", Ranks: 16, Machine: "cielito", Seed: 5}
-	tr, err := Materialize(p)
+	tr, err := MaterializeColumns(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("materialized trace invalid: %v", err)
 	}
-	if tr.MeasuredTotal() <= 0 {
+	if trace.SourceMeasuredTotal(tr) <= 0 {
 		t.Error("no measured total time")
 	}
-	if f := tr.CommFraction(); f <= 0 || f >= 1 {
+	if f := trace.SourceCommFraction(tr); f <= 0 || f >= 1 {
 		t.Errorf("comm fraction = %v, want in (0,1)", f)
 	}
 }
@@ -194,7 +196,7 @@ func TestEndToEndClassBehaviours(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := Params{App: c.app, Class: "A", Ranks: 64, Machine: "edison", Seed: 3}
-		tr, err := Materialize(p)
+		tr, err := MaterializeColumns(p)
 		if err != nil {
 			t.Fatalf("%s: %v", c.app, err)
 		}
@@ -219,7 +221,7 @@ func TestEndToEndClassBehaviours(t *testing.T) {
 // (the paper's central DIFF ≤ 2% population).
 func TestModelVsSimulationAgreement(t *testing.T) {
 	p := Params{App: "EP", Class: "S", Ranks: 32, Machine: "hopper", Seed: 9}
-	tr, err := Materialize(p)
+	tr, err := MaterializeColumns(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +247,7 @@ func TestModelVsSimulationAgreement(t *testing.T) {
 // fat-tree cluster, exercising the third topology class.
 func TestFatTreeMachineEndToEnd(t *testing.T) {
 	p := Params{App: "CG", Class: "A", Ranks: 64, Machine: "fattree", Seed: 12}
-	tr, err := Materialize(p)
+	tr, err := MaterializeColumns(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,4 +267,13 @@ func TestFatTreeMachineEndToEnd(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.3 {
 		t.Errorf("fat-tree sim/model = %.3f, want near 1", ratio)
 	}
+}
+
+// rankEvents gathers rank r's events of tr.
+func rankEvents(tr trace.Source, r int) []trace.Event {
+	evs := make([]trace.Event, tr.RankLen(r))
+	for i := range evs {
+		tr.EventAt(r, i, &evs[i])
+	}
+	return evs
 }
