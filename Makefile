@@ -24,13 +24,15 @@ test:
 	$(GO) test ./...
 
 # test-race covers the packages with real goroutine concurrency: the
-# DES engine's cross-goroutine Stop, the campaign worker pool, the
-# triage scheduler + classifier the tiered campaign drives from its
-# workers, and the trace cache's singleflight path that those workers
-# contend on. The network models run single-threaded on one engine and
-# hold no goroutines or atomics, so simnet is not in the list.
+# DES engine's cross-goroutine Stop, the replay's cancel watcher that
+# calls it while keyed request state is live (mpisim), the campaign
+# worker pool, the triage scheduler + classifier the tiered campaign
+# drives from its workers, and the trace cache's singleflight path that
+# those workers contend on. The network models run single-threaded on
+# one engine and hold no goroutines or atomics, so simnet is not in the
+# list.
 test-race:
-	$(GO) test -race ./internal/des/... ./internal/core/... ./internal/triage/... ./internal/classifier/... ./internal/tracecache/...
+	$(GO) test -race ./internal/des/... ./internal/mpisim/... ./internal/core/... ./internal/triage/... ./internal/classifier/... ./internal/tracecache/...
 
 # race adds mfact, whose goroutine-per-rank reference replayer runs
 # under its tests.

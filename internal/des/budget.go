@@ -22,14 +22,20 @@ var ErrCanceled = errors.New("des: run canceled")
 // are checked between events, so a run stops after the event in flight
 // completes, never inside it.
 type Budget struct {
-	// MaxEvents caps the number of events executed.
+	// MaxEvents caps the number of logical events, Engine.Steps: a
+	// reserved key counts from the moment it is reserved, and each
+	// member of a batch counts, so a model's keying and batching never
+	// stretch the cap. The run halts before the next pop once the count
+	// reaches the cap, which it may already have passed when one event
+	// reserves several keys.
 	MaxEvents uint64
 	// MaxTime caps the simulated clock: no event with a timestamp past
-	// it is executed.
+	// it is executed. A reserved key past the cap fails the run too,
+	// when the queue drains without reaching it.
 	MaxTime simtime.Time
 	// Deadline is a wall-clock cutoff. It is polled every
-	// deadlineCheckInterval events to keep time.Now off the hot path,
-	// so enforcement granularity is that many events.
+	// deadlineCheckInterval pops to keep time.Now off the hot path,
+	// so enforcement granularity is that many popped events.
 	Deadline time.Time
 }
 

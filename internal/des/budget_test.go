@@ -86,3 +86,38 @@ func TestEngineNoBudgetDrainsNormally(t *testing.T) {
 		t.Fatalf("err = %v, executed = %d", e.Err(), n)
 	}
 }
+
+// TestEngineMaxEventsCountsKeys runs a loop that reserves one key per
+// popped event: the cap counts the keys from their reservation, so it
+// halts after half as many pops.
+func TestEngineMaxEventsCountsKeys(t *testing.T) {
+	e := &Engine{}
+	var tick func()
+	tick = func() {
+		e.Reserve(e.Now() + 3)
+		e.After(simtime.Microsecond, tick)
+	}
+	e.At(0, tick)
+	e.SetBudget(Budget{MaxEvents: 1000})
+	e.Run()
+	if err := e.Err(); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("Err = %v, want ErrBudgetExceeded", err)
+	}
+	if e.Steps() != 1000 || e.Popped() != 500 {
+		t.Errorf("Steps %d, Popped %d; want 1000 and 500", e.Steps(), e.Popped())
+	}
+}
+
+// TestEngineMaxTimeCoversKeys: a reserved key past the simulated-time
+// cap fails the run even though nothing is queued for it.
+func TestEngineMaxTimeCoversKeys(t *testing.T) {
+	for _, limit := range []simtime.Time{50, 100} {
+		e := &Engine{}
+		e.At(0, func() { e.Reserve(100) })
+		e.SetBudget(Budget{MaxTime: limit})
+		e.Run()
+		if fail := errors.Is(e.Err(), ErrBudgetExceeded); fail != (limit < 100) {
+			t.Errorf("cap %v: Err = %v", limit, e.Err())
+		}
+	}
+}

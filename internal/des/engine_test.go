@@ -84,3 +84,62 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 		t.Errorf("Now = %v, want 1000", e.Now())
 	}
 }
+
+// TestEngineKeysAndBatches checks the two ways an event escapes its
+// pop. A reserved key takes the sequence number At would have given
+// it, compares against Current as that event would have ordered, and,
+// queued later with AtKey, pops exactly there. A batch runs its members
+// in one pop. Steps counts every logical event, Popped only the pops.
+func TestEngineKeysAndBatches(t *testing.T) {
+	var e Engine
+	var got []string
+	var k, late Key
+	e.At(10, func() {
+		got = append(got, "a")
+		if !e.Current().Before(k) || e.Current().Before(Key{}) {
+			t.Errorf("Current %v must lie between the zero key and the reserved %v", e.Current(), k)
+		}
+		e.AtKey(late, func() { got = append(got, "late") })
+	}) // seq 1
+	k = e.Reserve(20)                                                // seq 2: never queued
+	late = e.Reserve(30)                                             // seq 3: queued by the event at 10
+	e.AtBatch(15, 3, func() { got = append(got, "b1", "b2", "b3") }) // seqs 4–6
+	e.At(20, func() {
+		got = append(got, "c")
+		if e.Current().Before(k) {
+			t.Errorf("key %v is still ahead of %v, which was scheduled after it", k, e.Current())
+		}
+	}) // seq 7
+	e.At(30, func() { got = append(got, "d") }) // seq 8: after late, which reserved seq 3
+	e.Run()
+	want := []string{"a", "b1", "b2", "b3", "c", "late", "d"}
+	if len(got) != len(want) {
+		t.Fatalf("ran %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ran %v, want %v", got, want)
+		}
+	}
+	// Logical: a, k, late, b1–b3, c, d = 8. Popped: a, batch, c, late, d.
+	if e.Steps() != 8 || e.Popped() != 5 {
+		t.Errorf("Steps %d, Popped %d; want 8 and 5", e.Steps(), e.Popped())
+	}
+	if keyed := e.Steps() - e.Popped(); keyed != 3 {
+		t.Errorf("keyed = %d, want 3 (one key never queued, two batch members)", keyed)
+	}
+}
+
+func TestEngineAtKeyRejectsPassedKeys(t *testing.T) {
+	var e Engine
+	k := e.Reserve(5)
+	e.At(5, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("queueing a key that is already behind the running event did not panic")
+			}
+		}()
+		e.AtKey(k, func() {})
+	})
+	e.Run()
+}

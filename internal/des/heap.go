@@ -29,6 +29,15 @@ import "math/bits"
 // document "ties broken by scheduling order" as a guarantee, and what
 // the property tests in heap_test.go hold the queue to against an O(n)
 // linear-scan oracle.
+//
+// The queue holds only the events that order something. An event whose
+// handler would merely flip state that a later observer can read off its
+// key is never pushed (Engine.Reserve), and events due at one time under
+// consecutive sequence numbers share one push (Engine.AtBatch), which
+// takes about a third of all pops off a campaign (DESIGN.md §9, "Keys,
+// not pops"). A key queued late (Engine.AtKey) keeps the sequence number
+// it was reserved under, so the heap never sees an event out of its
+// original order, and schedEvent stays 24 bytes.
 
 // eventQueue is the Engine's pending-event set, ordered by (at, seq).
 type eventQueue struct {

@@ -111,3 +111,47 @@ func TestReplayUnknownRequestDiagnosed(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayMaxEventsIsLogical pins MaxEvents to the logical event
+// count on replays that key most of their request completions: a cap
+// of exactly Result.Events lets the replay finish with the same
+// result, and one event less — or a cap at the popped count — fails
+// it with the typed budget error. A compute-only replay keys nothing.
+func TestReplayMaxEventsIsLogical(t *testing.T) {
+	tr := busyTrace(t, 8, 20)
+	mach := testMach(t, 8)
+	for _, m := range simnet.Models() {
+		full, err := Replay(tr, m, mach, simnet.Config{}, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if full.Popped >= full.Events {
+			t.Fatalf("%s: %d popped of %d events; the ring exchange should key completions", m, full.Popped, full.Events)
+		}
+		capped, err := Replay(tr, m, mach, simnet.Config{}, Options{MaxEvents: full.Events})
+		if err != nil {
+			t.Fatalf("%s: capped at its own %d events: %v", m, full.Events, err)
+		}
+		if capped.Total != full.Total || capped.Events != full.Events || capped.Popped != full.Popped {
+			t.Errorf("%s: capped run %+v differs from the free one %+v", m, capped, full)
+		}
+		for _, limit := range []uint64{full.Events - 1, full.Popped} {
+			_, err := Replay(tr, m, mach, simnet.Config{}, Options{MaxEvents: limit})
+			if !errors.Is(err, des.ErrBudgetExceeded) {
+				t.Errorf("%s: cap %d of %d logical events: err = %v, want ErrBudgetExceeded", m, limit, full.Events, err)
+			}
+		}
+	}
+
+	b := newTB(4)
+	for r := 0; r < 4; r++ {
+		b.compute(r, simtime.Millisecond)
+	}
+	res, err := Replay(b.build(t), simnet.Packet, testMach(t, 4), simnet.Config{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events != res.Popped || res.Events != 8 {
+		t.Errorf("compute-only replay: %d events, %d popped; want 8 and 8", res.Events, res.Popped)
+	}
+}

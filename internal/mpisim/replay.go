@@ -70,7 +70,10 @@ type Options struct {
 	// MaxEvents caps the number of DES events the replay may execute;
 	// past the cap Replay fails with an error wrapping
 	// des.ErrBudgetExceeded. Zero means unlimited. This is the campaign
-	// layer's defense against runaway or livelocked replays.
+	// layer's defense against runaway or livelocked replays. The cap
+	// counts logical events, Result.Events, not pops: a request
+	// completion the replay keys instead of queueing counts from the
+	// moment its key is reserved (des.Budget).
 	MaxEvents uint64
 	// MaxSimTime caps the simulated clock the same way. Zero means
 	// unlimited.
@@ -97,8 +100,13 @@ type Result struct {
 	// RankFinish and RankComm are the per-rank breakdowns.
 	RankFinish []simtime.Time
 	RankComm   []simtime.Time
-	// Events is the number of DES events the replay executed.
+	// Events is the number of DES events the replay executed: every
+	// logical event, whether the engine popped it or the replay kept
+	// only its key (des.Engine.Steps).
 	Events uint64
+	// Popped is the part of Events the engine took off its queue, the
+	// heap work a replay pays for.
+	Popped uint64
 	// Net reports the network model's cost counters.
 	Net simnet.Stats
 }
@@ -197,6 +205,7 @@ func (sess *Session) Replay(src trace.Source, model simnet.Model, mach *machine.
 		RankFinish: d.finish,
 		RankComm:   d.rankComm,
 		Events:     eng.Steps(),
+		Popped:     eng.Popped(),
 		Net:        net.Stats(),
 	}, nil
 }
@@ -210,7 +219,8 @@ func (sess *Session) Replay(src trace.Source, model simnet.Model, mach *machine.
 //
 // An eager send passes three milestones in no fixed order — matched
 // with a receive, payload delivered, sender released at injection end
-// — and is recycled after the last. A rendezvous send is linear: it
+// (passed at posting for an isend, whose release is only a key) — and
+// is recycled after the last. A rendezvous send is linear: it
 // transfers only once matched, and delivery completes both sides.
 type sendRec struct {
 	sess     *Session
@@ -225,7 +235,7 @@ type sendRec struct {
 	ahead     int8
 	rv        *recvRec
 
-	injectFn, deliveredFn, senderDoneFn func()
+	injectFn, deliveredFn, senderDoneFn, injectStepFn func()
 }
 
 // recvRec is one posted receive: once matched and delivered it
@@ -241,17 +251,27 @@ type recvRec struct {
 // completion resumes the rank instead of completing a request.
 const blockingOp int32 = -1
 
+// waitingReq in rankState.reqs marks a request the current wait needs
+// whose completion has no key yet.
+const waitingReq int32 = -1
+
 type rankState struct {
 	id  int32
 	ops []Rop
 	pc  int
-	// Request state is tracked in flat arrays indexed by the replay
-	// request id (lowering renumbers densely from 0): done marks
-	// requests completed before being waited on, waiting the requests
-	// the current wait still needs, nwait how many of those remain.
-	done    []bool
-	waiting []bool
+	// Request state is tracked in a flat array indexed by the replay
+	// request id (lowering renumbers densely from 0). A nonblocking
+	// completion is not an event but a key (DESIGN.md §9, "Keys, not
+	// pops"), and a request is complete once its key is at or before
+	// the running event. reqs[q] is 0 while q's completion has no key,
+	// waitingReq when the current wait needs q and q has no key yet,
+	// and otherwise names the slot of the driver's key pool that holds
+	// q's key until a wait takes it. nwait counts the waiting requests,
+	// and waitKey is the latest completion key the wait has seen, where
+	// it drains.
+	reqs    []int32
 	nwait   int
+	waitKey des.Key
 	opStart simtime.Time
 	waitEv  int32 // event of the wait currently blocking, for exit recording
 	// stepEv is the event whose compute or overhead step is in flight,
@@ -262,8 +282,9 @@ type rankState struct {
 	fin     bool
 	// stepFn is the rank's pre-bound continuation, reused for every
 	// compute and overhead step (and the rank's start), so the hot path
-	// never mints a closure per replayed event.
-	stepFn func()
+	// never mints a closure per replayed event; resumeFn drains a wait
+	// at its queued key.
+	stepFn, resumeFn func()
 }
 
 type driver struct {
@@ -284,6 +305,13 @@ type driver struct {
 	// Per-rank, per-original-event first-start and last-finish times
 	// (allocated only when recording).
 	entry, exit [][]simtime.Time
+
+	// keys is the pool of completion keys that no wait has taken yet,
+	// freeKeys its vacated slots (both lent by the session). A request
+	// holds a key only between its completion and its wait, so the pool
+	// stays as small as the requests in flight.
+	keys     []des.Key
+	freeKeys []int32
 }
 
 func (d *driver) run() {
@@ -304,23 +332,26 @@ func (d *driver) run() {
 			}
 		}
 	}
-	// One arena backs every rank's request-state flags.
+	// One session arena backs every rank's request state, and the key
+	// pool holds only the keys of completions not yet waited on.
 	var totalReqs int32
 	for _, c := range prog.reqCount {
 		totalReqs += c
 	}
-	flags := d.sess.flagArena(int(2 * totalReqs))
+	reqs := d.sess.reqStates(int(totalReqs))
+	d.keys, d.freeKeys = d.sess.keys[:0], d.sess.freeKeys[:0]
+	defer func() { d.sess.keys, d.sess.freeKeys = d.keys, d.freeKeys }()
 	for r, off := 0, int32(0); r < n; r++ {
 		c := prog.reqCount[r]
 		rs := &rankState{
-			id:      int32(r),
-			ops:     prog.ops[r],
-			done:    flags[off : off+c : off+c],
-			waiting: flags[off+c : off+2*c : off+2*c],
-			stepEv:  -1,
+			id:     int32(r),
+			ops:    prog.ops[r],
+			reqs:   reqs[off : off+c : off+c],
+			stepEv: -1,
 		}
-		off += 2 * c
+		off += c
 		rs.stepFn = func() { d.stepDone(rs) }
+		rs.resumeFn = func() { d.resume(rs, rs.waitEv) }
 		d.ranks[r] = rs
 	}
 	for _, rs := range d.ranks {
@@ -430,12 +461,26 @@ func (d *driver) advance(rs *rankState) {
 			rs.opStart = now
 			rs.blocked = true
 			rs.waitEv = op.Ev
-			d.postSend(rs, op, blockingOp)
+			if s, o := d.postSend(rs, op, blockingOp); s != nil {
+				d.eng.After(o, s.injectFn)
+			}
 			return
 
 		case RopIsend:
-			d.postSend(rs, op, op.Req)
-			d.stepOverhead(rs, op.Ev)
+			s, o := d.postSend(rs, op, op.Req)
+			if s == nil {
+				d.stepOverhead(rs, op.Ev)
+				return
+			}
+			// The injection and the overhead step are scheduled back
+			// to back; when the two overhead draws are equal (always,
+			// without a Perturber) they share a time and run as one pop.
+			if o2 := d.chargeOverhead(rs, op.Ev); o2 == o {
+				d.eng.AtBatch(now+o, 2, s.injectStepFn)
+			} else {
+				d.eng.After(o, s.injectFn)
+				d.eng.After(o2, rs.stepFn)
+			}
 			return
 
 		case RopRecv:
@@ -451,24 +496,38 @@ func (d *driver) advance(rs *rankState) {
 			return
 
 		case RopWait:
+			// A request whose completion has a key is done if the key
+			// is not ahead of the running event, and is otherwise due
+			// at the key; the others wait for their keys in complete.
 			outstanding := 0
+			rs.waitKey = des.Key{}
 			for _, q := range d.prog.Waits(op) {
-				if rs.done[q] {
-					rs.done[q] = false
-				} else {
-					rs.waiting[q] = true
+				slot := rs.reqs[q]
+				if slot <= 0 {
+					rs.reqs[q] = waitingReq
 					outstanding++
+					continue
+				}
+				rs.reqs[q] = 0
+				k := d.keys[slot-1]
+				d.freeKeys = append(d.freeKeys, slot)
+				if rs.waitKey.Before(k) {
+					rs.waitKey = k
 				}
 			}
-			if outstanding == 0 {
+			if outstanding == 0 && !d.eng.Current().Before(rs.waitKey) {
 				d.stepOverhead(rs, op.Ev)
 				return
 			}
 			rs.nwait = outstanding
 			rs.opStart = now
 			rs.blocked = true
-			// resume happens in completeReq when the set drains
 			rs.waitEv = op.Ev
+			if outstanding == 0 {
+				// Every completion is keyed and the latest is ahead:
+				// the wait drains there.
+				d.eng.AtKey(rs.waitKey, rs.resumeFn)
+			}
 			return
 		}
 	}
@@ -481,11 +540,18 @@ func (d *driver) advance(rs *rankState) {
 // stepOverhead charges one MPI call's software overhead and continues;
 // the overhead counts as communication time.
 func (d *driver) stepOverhead(rs *rankState, ev int32) {
+	d.eng.After(d.chargeOverhead(rs, ev), rs.stepFn)
+}
+
+// chargeOverhead draws and charges the overhead step of rs's event ev
+// and moves past the op, returning the step's length; the caller
+// schedules its end.
+func (d *driver) chargeOverhead(rs *rankState, ev int32) simtime.Time {
 	o := d.overhead(rs.id)
 	d.rankComm[rs.id] += o
 	rs.pc++
 	rs.stepEv = ev
-	d.eng.After(o, rs.stepFn)
+	return o
 }
 
 // resume unblocks rs after a blocking comm op, charging the blocked
@@ -499,29 +565,55 @@ func (d *driver) resume(rs *rankState, ev int32) {
 	d.advance(rs)
 }
 
-// completeReq marks a request done; if the rank is blocked in a wait
-// that drains, it resumes.
-func (d *driver) completeReq(rs *rankState, req int32) {
-	if rs.waiting[req] {
-		rs.waiting[req] = false
-		rs.nwait--
-		if rs.nwait == 0 && rs.blocked {
-			d.resume(rs, rs.waitEv)
-		}
+// complete gives request req of rs its completion key k: a key
+// reserved for a completion still ahead, or the running event's own
+// for one that happens in it. A request nobody waits on yet keeps the
+// key for its wait to compare. A wait that needed the request drains
+// once its last outstanding request has a key, at the latest key it
+// has seen: right here if that is the running event, otherwise at that
+// key, queued now under its reserved sequence number — the one
+// completion of the set that orders anything.
+func (d *driver) complete(rs *rankState, req int32, k des.Key) {
+	if rs.reqs[req] != waitingReq {
+		rs.reqs[req] = d.keepKey(k)
 		return
 	}
-	rs.done[req] = true
+	rs.reqs[req] = 0
+	if rs.waitKey.Before(k) {
+		rs.waitKey = k
+	}
+	if rs.nwait--; rs.nwait > 0 {
+		return
+	}
+	if rs.waitKey == d.eng.Current() {
+		d.resume(rs, rs.waitEv)
+	} else {
+		d.eng.AtKey(rs.waitKey, rs.resumeFn)
+	}
 }
 
-// opDone completes a send or receive on its rank: a blocking op (the
-// rank has been parked on it since posting, waitEv naming its event)
-// resumes the rank, a nonblocking one completes its request.
+// keepKey stores k in the key pool and returns its slot, counted from 1.
+func (d *driver) keepKey(k des.Key) int32 {
+	if n := len(d.freeKeys); n > 0 {
+		slot := d.freeKeys[n-1]
+		d.freeKeys = d.freeKeys[:n-1]
+		d.keys[slot-1] = k
+		return slot
+	}
+	d.keys = append(d.keys, k)
+	return int32(len(d.keys))
+}
+
+// opDone completes a send or receive on its rank in the running event:
+// a blocking op (the rank has been parked on it since posting, waitEv
+// naming its event) resumes the rank, a nonblocking one completes its
+// request.
 func (d *driver) opDone(rank, req int32) {
 	rs := d.ranks[rank]
 	if req == blockingOp {
 		d.resume(rs, rs.waitEv)
 	} else {
-		d.completeReq(rs, req)
+		d.complete(rs, req, d.eng.Current())
 	}
 }
 
@@ -535,6 +627,7 @@ func (sess *Session) newSend() *sendRec {
 	}
 	s := &sendRec{sess: sess}
 	s.injectFn, s.deliveredFn, s.senderDoneFn = s.inject, s.onDelivered, s.onSenderDone
+	s.injectStepFn = s.injectThenStep
 	return s
 }
 
@@ -553,8 +646,10 @@ func (sess *Session) newRecv() *recvRec {
 // postSend starts the send protocol for op on rank rs. The send
 // operation (not necessarily the delivery) completes req, or resumes
 // the rank for blockingOp: at injection end for eager, at delivery for
-// rendezvous.
-func (d *driver) postSend(rs *rankState, op *Rop, req int32) {
+// rendezvous. An eager send returns its record and software overhead
+// o, and the caller schedules the injection at o from now, as the next
+// event it schedules.
+func (d *driver) postSend(rs *rankState, op *Rop, req int32) (*sendRec, simtime.Time) {
 	s := d.sess.newSend()
 	s.src, s.dst, s.req, s.bytes = rs.id, op.Peer, req, op.Bytes
 	s.eager = op.Bytes <= d.mach.EagerThreshold
@@ -562,21 +657,31 @@ func (d *driver) postSend(rs *rankState, op *Rop, req int32) {
 	// Drawn for rendezvous sends too: a Perturber's overhead is a
 	// per-rank sequence, and every posted send takes one draw.
 	o := d.overhead(rs.id)
+	var eager *sendRec
 	if s.eager {
 		// Sender completes after the local injection cost, independent
-		// of matching; the payload travels immediately.
+		// of matching; the payload travels immediately. A blocking
+		// sender resumes then; an isend's completion is only a key.
 		s.ahead = 3
-		inject := simtime.TransferTime(op.Bytes, d.mach.InjectionBandwidth)
-		d.eng.After(o+inject, s.senderDoneFn)
-		d.eng.After(o, s.injectFn)
+		done := d.eng.Now() + o + simtime.TransferTime(op.Bytes, d.mach.InjectionBandwidth)
+		if req == blockingOp {
+			d.eng.At(done, s.senderDoneFn)
+		} else {
+			s.passed()
+			d.complete(rs, req, d.eng.Reserve(done))
+		}
+		eager = s
 	}
-	// Match in posting order.
+	// Match in posting order. An eager send is undelivered until its
+	// injection, so matching schedules nothing and the injection keeps
+	// the sequence number after the completion's.
 	ch := &d.chans[op.Ch]
 	if !ch.recvs.empty() {
 		d.pair(s, ch.recvs.pop())
 	} else {
 		ch.sends.push(s)
 	}
+	return eager, o
 }
 
 // postRecv posts a receive, which completes req (or resumes the rank
@@ -631,7 +736,16 @@ func (s *sendRec) onDelivered() {
 	d.opDone(src, req)
 }
 
-// onSenderDone releases an eager sender at injection end.
+// injectThenStep runs an eager isend's injection and then its rank's
+// overhead step: the two events of a batch.
+func (s *sendRec) injectThenStep() {
+	d := s.sess.d
+	rs := d.ranks[s.src]
+	s.inject()
+	d.stepDone(rs)
+}
+
+// onSenderDone releases a blocking eager sender at injection end.
 func (s *sendRec) onSenderDone() {
 	d, src, req := s.sess.d, s.src, s.req
 	s.passed()
@@ -651,12 +765,21 @@ func (s *sendRec) recycle() {
 }
 
 // completeRecv finishes a matched, delivered receive after the
-// receiver-side software overhead.
+// receiver-side software overhead: a blocking receive resumes its rank
+// then, a nonblocking one completes its request under a reserved key.
 func (d *driver) completeRecv(rv *recvRec) {
-	d.eng.After(d.overhead(rv.rank), rv.completeFn)
+	o := d.overhead(rv.rank)
+	if rv.req == blockingOp {
+		d.eng.After(o, rv.completeFn)
+		return
+	}
+	rank, req := rv.rank, rv.req
+	d.sess.freeRecvs = append(d.sess.freeRecvs, rv)
+	d.complete(d.ranks[rank], req, d.eng.Reserve(d.eng.Now()+o))
 }
 
-// complete recycles the record and completes the receive on its rank.
+// complete recycles the record and resumes its rank from a blocking
+// receive.
 func (rv *recvRec) complete() {
 	sess, rank, req := rv.sess, rv.rank, rv.req
 	sess.freeRecvs = append(sess.freeRecvs, rv)

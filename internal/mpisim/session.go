@@ -3,13 +3,14 @@ package mpisim
 import (
 	"fmt"
 
+	"hpctradeoff/internal/des"
 	"hpctradeoff/internal/trace"
 )
 
 // Session owns what replays can share: the flat arenas a trace lowers
-// into (rops, wait sets, request flags), the lowered program itself,
-// and the matching state a replay churns through (channel queues and
-// send/receive records). A campaign worker replaying hundreds of
+// into (rops, wait sets), the lowered program itself, and the state a
+// replay churns through (request states, the completion-key pool,
+// channel queues and send/receive records). A campaign worker replaying hundreds of
 // traces on several network models makes its big allocations once and
 // lowers each trace at most once, instead of once per model.
 //
@@ -30,7 +31,9 @@ import (
 type Session struct {
 	opArena  []Rop
 	reqArena []int32
-	flags    []bool
+	reqState []int32
+	keys     []des.Key
+	freeKeys []int32
 
 	prog *Program // program of the current trace; nil after Reset
 	d    *driver  // the replay in progress, for the records' continuations
@@ -117,16 +120,16 @@ func (s *Session) reqs(n int) []int32 {
 	return s.reqArena[:0]
 }
 
-// flagArena returns a zeroed bool arena of length n; the driver's
-// request-state tracking relies on starting from all-false.
-func (s *Session) flagArena(n int) []bool {
-	if cap(s.flags) < n {
-		s.flags = make([]bool, n)
+// reqStates returns a zeroed request-state arena of length n; the
+// driver's request tracking relies on starting from all-zero.
+func (s *Session) reqStates(n int) []int32 {
+	if cap(s.reqState) < n {
+		s.reqState = make([]int32, n)
 	} else {
-		s.flags = s.flags[:n]
-		clear(s.flags)
+		s.reqState = s.reqState[:n]
+		clear(s.reqState)
 	}
-	return s.flags
+	return s.reqState
 }
 
 // channels returns n empty matching channels. An aborted replay leaves

@@ -273,13 +273,9 @@ func (f *flowNet) solve(now simtime.Time) simtime.Time {
 		// Consume the uniform increment once per unfrozen flow on every
 		// link. The subtractions are all of the same delta, so doing a
 		// link's in one run rounds exactly as interleaving them flow by
-		// flow does.
+		// flow does, and subRepeated does the run in closed form.
 		for _, l := range f.activeLinks {
-			avail := f.linkAvail[l]
-			for k := f.linkCount[l]; k > 0; k-- {
-				avail -= delta
-			}
-			f.linkAvail[l] = avail
+			f.linkAvail[l] = subRepeated(f.linkAvail[l], delta, f.linkCount[l])
 		}
 		// Raise the unfrozen classes' rates, then freeze the classes
 		// crossing saturated links.
@@ -346,4 +342,83 @@ func (f *flowNet) solve(now simtime.Time) simtime.Time {
 		next = simtime.Min(next, t)
 	}
 	return next
+}
+
+// subRepeated returns x after k subtractions of delta, each rounded,
+// bit for bit what the loop
+//
+//	for ; k > 0; k-- {
+//		x -= delta
+//	}
+//
+// computes, in a handful of flops per binade instead of one per step.
+// While x is a positive normal number in the binade [b, 2b), with ulp
+// u, a step whose exact result x − delta is still ≥ b rounds to a
+// multiple of u, and it moves x by the same amount s every time — unless
+// delta is an odd multiple of u/2: then each result is a tie, rounded
+// to even, and the step depends on x. So a run of j such steps is the
+// exact x − j·s, one fused multiply-subtract. The step that leaves the
+// binade, ties, zero, negatives, subnormals and short runs (k ≤ 16) go
+// one subtraction at a time. flow_closed_test.go holds it to the loop.
+func subRepeated(x, delta float64, k int32) float64 {
+	if k <= 16 {
+		for ; k > 0; k-- {
+			x -= delta
+		}
+		return x
+	}
+	for k > 0 {
+		if x >= 0x1p-1000 && x <= math.MaxFloat64 && delta > 0 {
+			b := math.Float64frombits(math.Float64bits(x) &^ (1<<52 - 1))
+			// x − b is exact, so this is the exact x − delta ≥ b.
+			if x-b >= delta && !roundsToTie(delta, b) {
+				s := x - (x - delta)
+				j := stepsInBinade(x, b, s, delta, k)
+				x = math.FMA(-float64(j), s, x)
+				k -= j
+				continue
+			}
+		}
+		x -= delta
+		k--
+	}
+	return x
+}
+
+// roundsToTie reports whether delta is an odd multiple of half the ulp
+// of the binade [b, 2b): subtracting it from any x there lands exactly
+// halfway between two neighbours.
+func roundsToTie(delta, b float64) bool {
+	t := delta / (b * 0x1p-53) // exact: a division by a power of two
+	return t < 0x1p53 && t == math.Floor(t) && int64(t)&1 == 1
+}
+
+// stepsInBinade returns how many of the next k subtractions of delta
+// from x, each moving x by s, keep an exact result of at least b: the
+// largest j ≤ k with x − (j−1)·s − delta ≥ b, which the caller has
+// checked for j = 1. A float estimate of j is corrected against the
+// exact condition.
+func stepsInBinade(x, b, s, delta float64, k int32) int32 {
+	if s == 0 {
+		return k
+	}
+	// stays reports whether step i (from x − i·s) keeps its result at
+	// least b. x − i·s is exact whenever it is ≥ b (a multiple of u below
+	// 2b), and then so is its difference from b; a smaller exact value
+	// rounds to at most b and fails the second test.
+	stays := func(i int32) bool {
+		y := math.FMA(-float64(i), s, x)
+		return y >= b && y-b >= delta
+	}
+	i := k - 1
+	if est := (x - b - delta) / s; est < float64(k-1) {
+		i = int32(est)
+	}
+	for i+1 < k && stays(i+1) {
+		i++
+	}
+	for !stays(i) {
+		i--
+	}
+	return i + 1
 }

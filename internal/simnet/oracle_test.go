@@ -23,6 +23,10 @@ import (
 // bottleneck service time). Every packet makes h hop events plus one
 // arrival event, and the delivery callback is one more, so the run
 // executes exactly n·(h+1) + 1 events. Both must match exactly.
+//
+// The engine pops fewer: the n first hops run as one pop, and of the n
+// arrivals only the latest is queued, so exactly n·(h−1) + 3 events
+// are popped.
 func TestPacketSingleMessageClosedForm(t *testing.T) {
 	pairs := [][2]int32{{0, 95}, {3, 47}, {30, 64}, {95, 1}}
 	for _, name := range []string{"cielito", "hopper", "edison"} {
@@ -49,13 +53,16 @@ func TestPacketSingleMessageClosedForm(t *testing.T) {
 			for _, n := range []int64{1, 2, 7, 64} {
 				t.Run(fmt.Sprintf("%s/%d-%d/n=%d", name, src, dst, n), func(t *testing.T) {
 					t0 := simtime.Time(n) * 3 * simtime.Microsecond
-					got, events := sendOneAt(t, mach, t0, src, dst, n*pkt)
+					got, events, popped := sendOneAt(t, mach, t0, src, dst, n*pkt)
 					want := t0 + 2*mach.NICLatency + sum + simtime.Time(n-1)*bottleneck + simtime.Time(h)*mach.LinkLatency
 					if got != want {
 						t.Errorf("delivered at %v, closed form says %v (h=%d, Σ=%v, max=%v)", got, want, h, sum, bottleneck)
 					}
 					if wantEvents := uint64(n)*uint64(h+1) + 1; events != wantEvents {
 						t.Errorf("%d events, closed form says n·(h+1)+1 = %d", events, wantEvents)
+					}
+					if wantPopped := uint64(n)*uint64(h-1) + 3; popped != wantPopped {
+						t.Errorf("%d events popped, closed form says n·(h−1)+3 = %d", popped, wantPopped)
 					}
 				})
 			}
@@ -74,21 +81,21 @@ func TestPacketSingleMessageClosedForm(t *testing.T) {
 		}
 		const bytes = 7 << 10
 		t0 := 5 * simtime.Microsecond
-		got, events := sendOneAt(t, mach, t0, 0, 1, bytes)
+		got, events, popped := sendOneAt(t, mach, t0, 0, 1, bytes)
 		cfg := Config{}.withDefaults(Packet)
 		if want := t0 + mach.NICLatency + simtime.TransferTime(bytes, cfg.LoopbackBandwidth); got != want {
 			t.Errorf("delivered at %v, want %v", got, want)
 		}
-		if events != 1 {
-			t.Errorf("%d events, want 1", events)
+		if events != 1 || popped != 1 {
+			t.Errorf("%d events (%d popped), want 1", events, popped)
 		}
 	})
 }
 
 // sendOneAt sends one message on an idle packet network at t0 and
-// returns its delivery time and the events the engine executed from the
-// send on.
-func sendOneAt(t *testing.T, mach *machine.Config, t0 simtime.Time, src, dst int32, bytes int64) (simtime.Time, uint64) {
+// returns its delivery time and the events the engine executed and
+// popped from the send on.
+func sendOneAt(t *testing.T, mach *machine.Config, t0 simtime.Time, src, dst int32, bytes int64) (simtime.Time, uint64, uint64) {
 	t.Helper()
 	var eng des.Engine
 	net, err := New(Packet, &eng, mach, Config{})
@@ -106,7 +113,7 @@ func sendOneAt(t *testing.T, mach *machine.Config, t0 simtime.Time, src, dst int
 	if delivered != 1 {
 		t.Fatalf("delivered %d times, want once", delivered)
 	}
-	return at, eng.Steps()
+	return at, eng.Steps(), eng.Popped()
 }
 
 // diffMsg is one message of a staggered cross-node traffic pattern.

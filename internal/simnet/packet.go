@@ -41,7 +41,9 @@ type packetNet struct {
 	// packet stream allocates nothing per packet after warm-up — the
 	// packet scheme's event rate is the study's highest, which made
 	// per-packet garbage the process's dominant allocation source.
-	free []*packet
+	// freeMsgs does the same for messages.
+	free     []*packet
+	freeMsgs []*message
 }
 
 func newPacketNet(eng *des.Engine, mach *machine.Config, cfg Config, multiplex bool) *packetNet {
@@ -88,16 +90,12 @@ func (p *packetNet) Send(src, dst int32, bytes int64, onDelivered func()) {
 	if nPackets == 0 {
 		nPackets = 1 // zero-byte message still sends a header packet
 	}
-	remaining := nPackets
 	last := bytes - int64(nPackets-1)*p.cfg.PacketBytes
-	start := p.eng.Now() + p.mach.NICLatency
-	// One completion closure per message, shared by its packets.
-	done := func() {
-		remaining--
-		if remaining == 0 {
-			p.eng.After(p.mach.NICLatency, onDelivered)
-		}
-	}
+	m := p.getMessage()
+	m.left, m.onDelivered = nPackets, onDelivered
+	// The packets' first hops are n events at one time under
+	// consecutive sequence numbers: one pop runs them all, in order.
+	tail := &m.first
 	for i := 0; i < nPackets; i++ {
 		size := p.cfg.PacketBytes
 		if i == nPackets-1 {
@@ -108,9 +106,24 @@ func (p *packetNet) Send(src, dst int32, bytes int64, onDelivered func()) {
 		}
 		p.stats.Packets++
 		pk := p.getPacket()
-		pk.path, pk.size, pk.onDone = path, size, done
-		p.eng.At(start, pk.hopFn)
+		pk.path, pk.size, pk.msg = path, size, m
+		*tail = pk
+		tail = &pk.next
 	}
+	p.eng.AtBatch(p.eng.Now()+p.mach.NICLatency, nPackets, m.firstHopsFn)
+}
+
+// message is one Send's packets in flight. A packet's arrival at the
+// destination is only a key; the message queues the latest of them,
+// whose event hands the payload over.
+type message struct {
+	net         *packetNet
+	first       *packet // the packets, in order, until their first hops
+	left        int     // packets whose arrival key is not yet reserved
+	last        des.Key // the latest arrival key so far
+	onDelivered func()
+
+	firstHopsFn, arriveFn func()
 }
 
 // packet walks its path one link per event.
@@ -119,11 +132,58 @@ type packet struct {
 	path   []topology.LinkID
 	size   int64
 	hopIdx int
-	onDone func()
+	msg    *message
+	next   *packet // the message's next packet, until the first hop
 	// hopFn is the hop method bound once at allocation; scheduling it
 	// repeatedly costs nothing, where scheduling pk.hop directly would
 	// allocate a fresh method value on every hop.
 	hopFn func()
+}
+
+// getMessage takes a message from the free-list or allocates one.
+func (p *packetNet) getMessage() *message {
+	if n := len(p.freeMsgs); n > 0 {
+		m := p.freeMsgs[n-1]
+		p.freeMsgs = p.freeMsgs[:n-1]
+		return m
+	}
+	m := &message{net: p}
+	m.firstHopsFn, m.arriveFn = m.firstHops, m.arrive
+	return m
+}
+
+// firstHops runs each packet's first hop, in packet order.
+func (m *message) firstHops() {
+	pk := m.first
+	m.first = nil
+	for pk != nil {
+		next := pk.next
+		pk.next = nil
+		pk.hop()
+		pk = next
+	}
+}
+
+// arrived takes one packet's arrival key. Once every packet has one,
+// the latest is queued: the arrival that completes the message.
+// Taking the latest key, not the last packet's, keeps that exact even
+// where packet-flow's float backlog lets packets overtake.
+func (m *message) arrived(k des.Key) {
+	if m.last.Before(k) {
+		m.last = k
+	}
+	if m.left--; m.left == 0 {
+		m.net.eng.AtKey(m.last, m.arriveFn)
+	}
+}
+
+// arrive delivers the message one NIC latency after its last packet
+// arrives, and recycles it.
+func (m *message) arrive() {
+	p, onDelivered := m.net, m.onDelivered
+	m.onDelivered, m.last = nil, des.Key{}
+	p.freeMsgs = append(p.freeMsgs, m)
+	p.eng.After(p.mach.NICLatency, onDelivered)
 }
 
 // getPacket takes a packet from the free-list or allocates one.
@@ -140,20 +200,15 @@ func (p *packetNet) getPacket() *packet {
 
 // putPacket recycles a completed packet.
 func (p *packetNet) putPacket(pk *packet) {
-	pk.path, pk.onDone, pk.size, pk.hopIdx = nil, nil, 0, 0
+	pk.path, pk.msg, pk.size, pk.hopIdx = nil, nil, 0, 0
 	p.free = append(p.free, pk)
 }
 
 // hop processes the packet's arrival at its current link and schedules
-// arrival at the next.
+// arrival at the next. Arrival past the last link only reserves its
+// key, for the message to compare.
 func (pk *packet) hop() {
 	n := pk.net
-	if pk.hopIdx >= len(pk.path) {
-		done := pk.onDone
-		n.putPacket(pk)
-		done()
-		return
-	}
 	link := pk.path[pk.hopIdx]
 	pk.hopIdx++
 	now := n.eng.Now()
@@ -176,7 +231,14 @@ func (pk *packet) hop() {
 		departure = begin + simtime.TransferTime(pk.size, bw)
 		n.busyUntil[link] = departure
 	}
-	n.eng.At(departure+n.mach.LinkLatency, pk.hopFn)
+	at := departure + n.mach.LinkLatency
+	if pk.hopIdx < len(pk.path) {
+		n.eng.At(at, pk.hopFn)
+		return
+	}
+	m := pk.msg
+	n.putPacket(pk)
+	m.arrived(n.eng.Reserve(at))
 }
 
 // routeCache memoizes node-pair routes and numbers them densely in the
