@@ -72,11 +72,7 @@ type Snapshot struct {
 	// GoMaxProcs is the scheduler's actual parallelism at run time —
 	// num_cpu alone misreads snapshots taken under GOMAXPROCS caps
 	// (containers, taskset) as same-machine comparisons.
-	GoMaxProcs int `json:"go_max_procs"`
-	// Shards records the campaign shard count the snapshot was taken
-	// under (1 = unsharded), so numbers from a sharded environment are
-	// never compared against single-process ones unknowingly.
-	Shards       int     `json:"shards"`
+	GoMaxProcs   int     `json:"go_max_procs"`
 	Short        bool    `json:"short,omitempty"`
 	Entries      []Entry `json:"entries"`
 	BaselineFile string  `json:"baseline_file,omitempty"`
@@ -740,7 +736,6 @@ func main() {
 	short := flag.Bool("short", false, "reduced workloads (CI gate mode)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	shards := flag.Int("shards", 1, "campaign shard count this environment runs under (recorded in the snapshot; 1 = unsharded)")
 	specPath := flag.String("spec", "", "benchmark the campaign scenarios over this YAML/JSON campaign spec's manifest instead of the built-in slice")
 	flag.Parse()
 
@@ -791,7 +786,6 @@ func main() {
 		GoVersion:  runtime.Version(),
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Shards:     *shards,
 		Short:      *short,
 	}
 	fmt.Printf("%-28s %14s %14s %14s\n", "scenario", "ns/event", "allocs/event", "B/event")

@@ -9,10 +9,10 @@
 //     fault schedule and produce identical results.
 //  2. Durability: no result committed to the checkpoint journal before
 //     a (simulated) kill is ever lost or rewritten by the recovery run.
-//  3. Isolation: traces that survived the fault run untouched (all
-//     schemes OK, original seed, not degraded) are bit-identical to a
-//     fault-free run; degraded traces still carry the fault-free model
-//     prediction.
+//  3. Isolation: every trace that is not degraded and has all schemes
+//     OK is bit-identical to a fault-free run — no exemptions, since a
+//     campaign never re-runs a trace under another seed; degraded
+//     traces still carry the fault-free model prediction.
 //
 // Usage:
 //
@@ -98,7 +98,7 @@ func makeSchedule(seed int64, schemes []string, traces int) []faultinject.Rule {
 				Action: faultinject.ActError, Err: des.ErrBudgetExceeded,
 				Hits: []uint64{uint64(1 + rng.Intn(traces))}, MaxFires: 1,
 			})
-		case 2: // panic inside a scheme adapter: exercises isolation + retry
+		case 2: // panic inside a scheme adapter: isolation, then the ladder degrades it
 			rules = append(rules, faultinject.Rule{
 				Site: "scheme/run", Label: schemes[rng.Intn(len(schemes))],
 				Action: faultinject.ActPanic,
@@ -177,14 +177,11 @@ func firedString(fs []faultinject.Firing) string {
 // the (possibly partial) results plus the firing log. An infrastructure
 // error (torn append, failed sync) is the simulated kill, not a soak
 // failure.
-func faultRun(ps []workload.Params, schemes []string, seed int64, ckpt string) ([]*core.TraceResult, []faultinject.Firing, error) {
+func faultRun(ps []workload.Params, schemes []string, ckpt string) ([]*core.TraceResult, []faultinject.Firing, error) {
 	rs, _, err := core.RunCampaign(ps, core.CampaignConfig{
-		Workers: 1,
-		Schemes: schemes,
-		Policy: core.FailurePolicy{
-			KeepGoing: true, MaxRetries: 1, Backoff: 1,
-			Seed: seed, BreakerThreshold: 3, DegradeToModel: true,
-		},
+		Workers:        1,
+		Schemes:        schemes,
+		Policy:         core.FailurePolicy{KeepGoing: true, DegradeToModel: true},
 		CheckpointPath: ckpt,
 	})
 	if err != nil {
@@ -208,14 +205,14 @@ func soakOne(seed int64, ps []workload.Params, schemes []string, baseline []*cor
 	if err := faultinject.Arm(seed, rules); err != nil {
 		return fmt.Errorf("arm: %w", err)
 	}
-	rsA, firedA, err := faultRun(ps, schemes, seed, ckptA)
+	rsA, firedA, err := faultRun(ps, schemes, ckptA)
 	if err != nil {
 		return err
 	}
 	if err := faultinject.Arm(seed, rules); err != nil {
 		return fmt.Errorf("re-arm: %w", err)
 	}
-	rsB, firedB, err := faultRun(ps, schemes, seed, ckptB)
+	rsB, firedB, err := faultRun(ps, schemes, ckptB)
 	faultinject.Disarm()
 	if err != nil {
 		return err
@@ -265,8 +262,9 @@ func soakOne(seed int64, ps []workload.Params, schemes []string, baseline []*cor
 		}
 	}
 
-	// Isolation: untouched survivors match the fault-free baseline;
-	// every trace converged to some result.
+	// Isolation: every survivor that is not degraded and has all
+	// schemes OK matches the fault-free baseline bit for bit; every
+	// trace converged to some result.
 	for i, p := range ps {
 		r := final[i]
 		if r == nil {
@@ -279,11 +277,6 @@ func soakOne(seed int64, ps []workload.Params, schemes []string, baseline []*cor
 				return fmt.Errorf("degraded trace %s lost the model prediction: %+v vs %+v",
 					core.CampaignKey(p), fo, bo)
 			}
-			continue
-		}
-		if r.Params.Seed != p.Seed {
-			// A retried trace ran with a derived seed; its ground truth
-			// legitimately differs from the baseline's.
 			continue
 		}
 		survived := true

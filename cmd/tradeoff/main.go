@@ -34,6 +34,15 @@
 //	tradeoff -checkpoint run.jsonl -resume
 //	                                  # re-execute only missing/failed traces
 //
+// The failure ladder has three rungs: a failing trace is isolated (a
+// panic becomes a typed per-trace error), degraded to a model-only
+// prediction when core.FailurePolicy.DegradeToModel asks for it (no
+// flag sets it; cmd/chaos does), and otherwise reported as a typed
+// failure. There is no retry rung and no circuit breaker: a trace run
+// is a pure function of its parameters, so re-running it reproduces
+// the failure, and re-running it under another seed would journal a
+// different trace under the manifest's key.
+//
 // A first SIGINT/SIGTERM cancels the campaign cleanly (in-flight
 // replays stop through the DES engines' Stop path, completed traces
 // stay journaled) and prints the exact -resume invocation; a second
@@ -58,46 +67,30 @@
 // -schemes mfact). Checkpoints journal every triage decision and
 // refuse to resume under a different policy.
 //
-// Multi-process sharding (see internal/core's shard machinery): split
-// the manifest into N contiguous ranges, run each range in its own
-// worker process with its own checkpoint journal shard, then merge the
-// shard journals into one ordinary checkpoint and render:
-//
-//	tradeoff -shards 4 -checkpoint run.jsonl
-//
-// Shards share nothing at runtime, so a crashed or killed worker loses
-// only its own range; re-running the same command resumes every shard
-// from its journal (completed shards fast-forward). Results are
-// bit-identical to a single-process run of the same manifest. -shards
-// requires -checkpoint and does not compose with -triage (the
-// classifier trains on a global calibration split, which a shard
-// cannot see). -shard-worker is internal: the parent re-execs itself
-// with it to run one shard's range. The flags a worker inherits are
-// the explicit shardForward table below — a new manifest- or
-// config-shaping flag must be added there (the exhaustiveness test
-// fails the build otherwise).
+// Parallelism has one knob, -workers: the traces of one campaign run
+// on a pool of goroutines in one process. There is no multi-process
+// mode; on a 2-vCPU host, splitting a campaign across two processes
+// ran no faster than two workers in one (EXPERIMENTS.md).
 //
 // Trace caching (see internal/tracecache): keep the ground-truth-stamped
 // traces in a content-addressed on-disk cache, so repeated campaigns,
-// triage escalation passes, resumes, and shard re-runs replay an mmap'd
-// codec-v3 entry instead of regenerating and re-stamping the trace:
+// triage escalation passes, and resumes replay an mmap'd codec-v3 entry
+// instead of regenerating and re-stamping the trace:
 //
 //	tradeoff -trace-cache .tradeoff-cache
 //	tradeoff -trace-cache .tradeoff-cache -trace-cache-max-bytes 2000000000
 //
-// The directory is safe to share across shard processes and successive
-// runs; results are bit-identical to an uncached campaign. Corrupt
-// entries are detected (checksummed sidecar index), evicted, and
-// regenerated with a warning.
+// The directory is safe to share across concurrent processes (say a
+// `tracegen -warm` and a campaign) and successive runs; results are
+// bit-identical to an uncached campaign. Corrupt entries are detected
+// (checksummed sidecar index), evicted, and regenerated with a
+// warning.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
@@ -113,8 +106,6 @@ import (
 	"hpctradeoff/internal/workload"
 )
 
-// The flag set lives at package level so the shard-forwarding tables
-// below (and their exhaustiveness test) can enumerate it.
 var (
 	specPath = flag.String("spec", "", "drive the campaign from this YAML/JSON campaign spec (explicitly-set flags override spec values; -stride/-maxranks filter the compiled manifest)")
 	stride   = flag.Int("stride", 1, "keep every Nth manifest entry")
@@ -129,7 +120,6 @@ var (
 	timeout    = flag.Duration("timeout", 0, "wall-clock budget per trace (0 = unlimited)")
 	maxEvents  = flag.Uint64("max-events", 0, "DES event budget per simulation (0 = unlimited)")
 	keepGoing  = flag.Bool("keep-going", false, "continue past failing traces and render from the survivors")
-	retries    = flag.Int("retries", 0, "retry transiently failing traces up to N times")
 	checkpoint = flag.String("checkpoint", "", "append completed traces to this JSONL journal")
 	resume     = flag.Bool("resume", false, "skip traces already in -checkpoint; rerun only missing/failed ones")
 	schemes    = flag.String("schemes", "", "comma-separated scheme subset to run (default: all registered: "+
@@ -140,55 +130,9 @@ var (
 	triageThreshold = flag.Float64("triage-threshold", 0.5, "escalate when the classifier's P(DIFF > 2%) is at or above this (0 = escalate all, 1 = escalate none)")
 	triageBudget    = flag.String("triage-budget", "", "escalation budget: a count, a duration, or both comma-separated (e.g. 12,30s)")
 	triageSeed      = flag.Int64("triage-seed", 1, "seed for the triage classifier's cross-validated training")
-	shards          = flag.Int("shards", 0, "split the campaign across N worker processes with per-shard checkpoint journals (requires -checkpoint)")
-	shardWorker     = flag.Int("shard-worker", -1, "internal: run as shard worker I of -shards (set by the parent process)")
-	traceCache      = flag.String("trace-cache", "", "serve ground-truth-stamped traces from a content-addressed cache at this directory (created if missing; safe to share across shards and runs)")
+	traceCache      = flag.String("trace-cache", "", "serve ground-truth-stamped traces from a content-addressed cache at this directory (created if missing; safe to share across processes and runs)")
 	traceCacheMax   = flag.Int64("trace-cache-max-bytes", 0, "LRU-evict least-recently-used cache entries above this total size (0 = unbounded; requires -trace-cache)")
 )
-
-// shardForward lists every flag a shard worker must inherit from the
-// parent: anything that shapes the manifest (the worker re-derives its
-// range from the same manifest), the campaign config, or the journal
-// location. The parent re-exec builds worker command lines from this
-// table — os.Args is no longer forwarded wholesale — and
-// TestShardFlagTablesExhaustive pins every defined flag to exactly one
-// of the two tables, so a new flag cannot silently skip the decision.
-var shardForward = []string{
-	"spec", "stride", "maxranks", "workers", "q",
-	"timeout", "max-events", "keep-going", "retries",
-	"checkpoint", "resume", "schemes", "shards",
-	"trace-cache", "trace-cache-max-bytes",
-}
-
-// shardLocal lists the flags that stay in the parent process: pure
-// rendering and persistence (the parent renders after the merge),
-// per-process profiling (worker profiles would clobber one file), the
-// triage flags (-shards rejects -triage up front), and -shard-worker
-// itself (appended per worker, never inherited).
-var shardLocal = []string{
-	"minwall", "save", "load", "figdir",
-	"cpuprofile", "memprofile",
-	"triage", "triage-threshold", "triage-budget", "triage-seed",
-	"shard-worker",
-}
-
-// shardWorkerArgs builds shard i's command line: every explicitly-set
-// forwarded flag with its current value, plus the worker marker. Only
-// explicitly-set flags are passed, so the worker re-runs the same
-// flag/spec merge the parent did.
-func shardWorkerArgs(shard int) []string {
-	forward := map[string]bool{}
-	for _, n := range shardForward {
-		forward[n] = true
-	}
-	var args []string
-	flag.Visit(func(f *flag.Flag) {
-		if forward[f.Name] {
-			args = append(args, "-"+f.Name+"="+f.Value.String())
-		}
-	})
-	return append(args, fmt.Sprintf("-shard-worker=%d", shard))
-}
 
 // finishProfiles finalizes any active pprof outputs; exit routes all
 // early termination through it so profiles survive failed runs too.
@@ -243,95 +187,10 @@ func resumeInvocation(hadResume bool) string {
 	return strings.Join(args, " ")
 }
 
-// prefixWriter tags each output line of a shard worker with its shard
-// label, so the interleaved output of N concurrent children stays
-// attributable.
-type prefixWriter struct {
-	w      io.Writer
-	prefix []byte
-	buf    bytes.Buffer
-}
-
-func (p *prefixWriter) Write(b []byte) (int, error) {
-	p.buf.Write(b)
-	for {
-		line, err := p.buf.ReadBytes('\n')
-		if err != nil {
-			// Partial line: keep it buffered for the next Write.
-			p.buf.Write(line)
-			break
-		}
-		p.w.Write(p.prefix)
-		p.w.Write(line)
-	}
-	return len(b), nil
-}
-
-// runShardParent forks one worker process per shard (this binary with
-// the shardForward flags plus -shard-worker=i), waits for all of them,
-// and merges their journal shards into the single checkpoint at
-// ckptPath. Signals are forwarded so Ctrl-C interrupts every shard
-// cleanly (each flushes its own journal and exits; re-running the same
-// command resumes).
-func runShardParent(shards int, ckptPath string, hadResume bool) error {
-	fmt.Printf("sharding the campaign across %d worker processes...\n", shards)
-	cmds := make([]*exec.Cmd, shards)
-	for i := range cmds {
-		cmd := exec.Command(os.Args[0], shardWorkerArgs(i)...)
-		cmd.Stdout = &prefixWriter{w: os.Stdout, prefix: []byte(fmt.Sprintf("[shard %d] ", i))}
-		cmd.Stderr = &prefixWriter{w: os.Stderr, prefix: []byte(fmt.Sprintf("[shard %d] ", i))}
-		if err := cmd.Start(); err != nil {
-			for _, c := range cmds[:i] {
-				c.Process.Kill()
-				c.Wait()
-			}
-			return fmt.Errorf("starting shard %d: %w", i, err)
-		}
-		cmds[i] = cmd
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		for s := range sigs {
-			for _, c := range cmds {
-				if c.Process != nil {
-					c.Process.Signal(s)
-				}
-			}
-		}
-	}()
-
-	failed := 0
-	for i, c := range cmds {
-		if err := c.Wait(); err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "tradeoff: shard %d: %v\n", i, err)
-		}
-	}
-	signal.Stop(sigs)
-	close(sigs)
-	if failed > 0 {
-		return fmt.Errorf("%d of %d shards did not complete; their progress is journaled — resume with:\n  %s",
-			failed, shards, resumeInvocation(hadResume))
-	}
-
-	stats, err := core.MergeShardJournals(ckptPath, shards)
-	if err != nil {
-		return err
-	}
-	if err := core.RemoveShardJournals(ckptPath, shards); err != nil {
-		return fmt.Errorf("cleaning up shard journals: %w", err)
-	}
-	fmt.Printf("merged %d results from %d shard journals into %s\n", stats.Results, shards, ckptPath)
-	return nil
-}
-
 // loadSpec loads and compiles -spec, then folds its config into the
 // flag-backed values: a flag the user set explicitly on the command
 // line wins; otherwise the spec's value lands in the flag variable, so
-// everything downstream (including the shard workers, which re-run
-// this merge) reads one consistent configuration.
+// everything downstream reads one consistent configuration.
 func loadSpec(path string, explicit map[string]bool) (*spec.Compiled, error) {
 	s, err := spec.Load(path)
 	if err != nil {
@@ -352,9 +211,6 @@ func loadSpec(path string, explicit map[string]bool) (*spec.Compiled, error) {
 	}
 	if !explicit["keep-going"] {
 		*keepGoing = c.KeepGoing
-	}
-	if !explicit["retries"] {
-		*retries = c.MaxRetries
 	}
 	if !explicit["schemes"] && len(c.Schemes) > 0 {
 		*schemes = strings.Join(c.Schemes, ",")
@@ -414,30 +270,6 @@ func main() {
 	case compiled != nil && compiled.Triage != nil:
 		triagePolicy = compiled.Triage
 	}
-	if *shards > 1 {
-		if *checkpoint == "" {
-			fmt.Fprintln(os.Stderr, "tradeoff: -shards requires -checkpoint (each shard journals to <checkpoint>.shardI-of-N)")
-			os.Exit(2)
-		}
-		if triagePolicy != nil {
-			fmt.Fprintln(os.Stderr, "tradeoff: -shards does not compose with triage (the classifier trains on a global calibration split)")
-			os.Exit(2)
-		}
-		if *load != "" {
-			fmt.Fprintln(os.Stderr, "tradeoff: -shards is meaningless with -load")
-			os.Exit(2)
-		}
-	} else if *shards < 0 || *shards == 1 {
-		fmt.Fprintln(os.Stderr, "tradeoff: -shards must be 2 or more")
-		os.Exit(2)
-	} else if *shardWorker >= 0 {
-		fmt.Fprintln(os.Stderr, "tradeoff: -shard-worker is internal and requires -shards")
-		os.Exit(2)
-	}
-	if *shards > 1 && *shardWorker >= *shards {
-		fmt.Fprintf(os.Stderr, "tradeoff: -shard-worker %d out of range for %d shards\n", *shardWorker, *shards)
-		os.Exit(2)
-	}
 	if *traceCacheMax != 0 && *traceCache == "" {
 		fmt.Fprintln(os.Stderr, "tradeoff: -trace-cache-max-bytes requires -trace-cache")
 		os.Exit(2)
@@ -447,25 +279,6 @@ func main() {
 		exit(1)
 	}
 	defer finishProfiles()
-
-	if *shards > 1 && *shardWorker < 0 {
-		// Sharded parent: fork the workers, wait, merge their journals
-		// into -checkpoint, then fall through to the ordinary campaign
-		// path with -resume — it loads every merged result (re-running
-		// only traces a failed shard left behind) and renders as usual.
-		if err := runShardParent(*shards, *checkpoint, *resume); err != nil {
-			fmt.Fprintln(os.Stderr, "tradeoff:", err)
-			exit(1)
-		}
-		*resume = true
-	}
-
-	// A shard worker journals to its private shard journal, not the
-	// merged campaign checkpoint.
-	ckptPath := *checkpoint
-	if *shardWorker >= 0 {
-		ckptPath = core.ShardJournalPath(*checkpoint, *shardWorker, *shards)
-	}
 
 	var rs []*core.TraceResult
 	var err error
@@ -489,13 +302,7 @@ func main() {
 		} else {
 			suite = workload.SuiteSmall(*stride, *maxRanks)
 		}
-		if *shardWorker >= 0 {
-			lo, hi := core.ShardRange(len(suite), *shardWorker, *shards)
-			suite = suite[lo:hi]
-			fmt.Printf("running manifest range [%d,%d) (%d traces) with %d workers...\n", lo, hi, len(suite), *workers)
-		} else {
-			fmt.Printf("running %d traces with %d workers...\n", len(suite), *workers)
-		}
+		fmt.Printf("running %d traces with %d workers...\n", len(suite), *workers)
 		progress := func(done, total int, r *core.TraceResult) {
 			if *quiet || r == nil {
 				return
@@ -520,10 +327,8 @@ func main() {
 			exit(1)
 		}()
 
-		// One cache directory serves every process of the campaign: shard
-		// workers inherit -trace-cache through the forwarded command line
-		// and publish disjoint manifest ranges into the same dir, so the
-		// parent's post-merge resume pass and any later run hit warm.
+		// The cache directory outlives the process: a resume or any later
+		// run over the same manifest hits warm.
 		var cache *tracecache.Cache
 		if *traceCache != "" {
 			cache, err = tracecache.Open(*traceCache, tracecache.Options{
@@ -542,10 +347,10 @@ func main() {
 		rs, rep, err = core.RunCampaign(suite, core.CampaignConfig{
 			Workers:        *workers,
 			Cache:          cache,
-			Policy:         core.FailurePolicy{KeepGoing: *keepGoing, MaxRetries: *retries},
+			Policy:         core.FailurePolicy{KeepGoing: *keepGoing},
 			Run:            core.RunOptions{Timeout: *timeout, MaxEvents: *maxEvents},
 			Schemes:        scheme.ParseList(*schemes),
-			CheckpointPath: ckptPath,
+			CheckpointPath: *checkpoint,
 			Resume:         *resume,
 			Progress:       progress,
 			Cancel:         cancel,
@@ -586,14 +391,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tradeoff:", err)
 			exit(1)
-		}
-		if *shardWorker >= 0 {
-			// A shard worker's job ends with its journal complete —
-			// possibly with zero records when the manifest slice is
-			// smaller than the shard count. Rendering (and the
-			// no-survivor guard below) is the parent's business after
-			// the merge.
-			exit(0)
 		}
 		if rep.Succeeded+rep.Skipped == 0 {
 			fmt.Fprintln(os.Stderr, "tradeoff: no trace survived; nothing to render")

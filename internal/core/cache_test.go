@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -19,8 +20,8 @@ import (
 
 // The trace cache's one non-negotiable contract: a cached campaign is
 // bit-identical to an uncached one — across every generator, the tiered
-// scheduler, multi-process sharding over one cache dir, kill-and-
-// resume, and on-disk corruption. These tests hold RunCampaign with
+// scheduler, concurrent campaigns over one cache dir, kill-and-resume,
+// and on-disk corruption. These tests hold RunCampaign with
 // CampaignConfig.Cache against the plain campaign for all of them.
 
 func openTestCache(t *testing.T, dir string) *tracecache.Cache {
@@ -47,6 +48,18 @@ func normalizeSlice(rs []*TraceResult) []*TraceResult {
 	return rs
 }
 
+// appSuite is the differential tests' manifest: one small trace per
+// application in the suite, so each identity contract covers every
+// generator and every scheme capability combination.
+func appSuite() []workload.Params {
+	apps := workload.Apps()
+	ps := make([]workload.Params, len(apps))
+	for i, app := range apps {
+		ps[i] = workload.Params{App: app, Class: "S", Ranks: 8, Machine: "edison", Seed: int64(300 + i)}
+	}
+	return ps
+}
+
 func requireSameResultSlices(t *testing.T, label string, ps []workload.Params, want, got []*TraceResult) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -69,7 +82,7 @@ func TestCachedCampaignBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite three times")
 	}
-	ps := shardSuite()
+	ps := appSuite()
 	cache := openTestCache(t, filepath.Join(t.TempDir(), "cache"))
 
 	want, _, err := RunCampaign(ps, CampaignConfig{Workers: 2})
@@ -110,7 +123,7 @@ func TestCachedTriageBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite twice under triage")
 	}
-	ps := shardSuite()
+	ps := appSuite()
 	pol := func() *triage.Policy { return &triage.Policy{Threshold: 0.5, Calibration: 4, Seed: 7} }
 
 	want, wantRep, err := RunCampaign(ps, CampaignConfig{Workers: 2, Triage: pol()})
@@ -140,71 +153,61 @@ func TestCachedTriageBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCachedShardedCampaignSharedDir runs 4 shard "workers" (each with
-// its own Cache handle, as separate processes would have) over one
-// shared cache directory, merges their journals, and requires the
-// merged checkpoint to match the uncached single-process run — then
-// proves the shards' entries serve a whole follow-up campaign warm.
-func TestCachedShardedCampaignSharedDir(t *testing.T) {
+// TestCachedCampaignSharedDir runs two campaigns over disjoint halves
+// of the manifest at the same time, each with its own Cache handle on
+// one directory (as two processes, say `tracegen -warm` and
+// `tradeoff`, would have), and requires their results to match the
+// uncached run — then proves the two halves' entries serve a whole
+// follow-up campaign warm.
+func TestCachedCampaignSharedDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite several times")
 	}
-	ps := shardSuite()
-	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
+	ps := appSuite()
+	cacheDir := filepath.Join(t.TempDir(), "cache")
 
-	single := filepath.Join(dir, "single.jsonl")
-	if _, _, err := RunCampaign(ps, CampaignConfig{Workers: 2, CheckpointPath: single}); err != nil {
-		t.Fatalf("single-process campaign: %v", err)
-	}
-	want, err := LoadCheckpoint(single)
+	want, _, err := RunCampaign(ps, CampaignConfig{Workers: 2})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("uncached campaign: %v", err)
 	}
-	normalizeResults(want)
+	normalizeSlice(want)
 
-	const shards = 4
-	base := filepath.Join(dir, "sharded.jsonl")
-	for s := 0; s < shards; s++ {
-		lo, hi := ShardRange(len(ps), s, shards)
-		_, rep, err := RunCampaign(ps[lo:hi], CampaignConfig{
-			Workers:        2,
-			CheckpointPath: ShardJournalPath(base, s, shards),
-			Cache:          openTestCache(t, cacheDir),
-		})
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
+	mid := len(ps) / 2
+	halves := [][]workload.Params{ps[:mid], ps[mid:]}
+	got := make([][]*TraceResult, len(halves))
+	reps := make([]*CampaignReport, len(halves))
+	errs := make([]error, len(halves))
+	var wg sync.WaitGroup
+	for h, half := range halves {
+		cache := openTestCache(t, cacheDir)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[h], reps[h], errs[h] = RunCampaign(half, CampaignConfig{Workers: 1, Cache: cache})
+		}()
+	}
+	wg.Wait()
+	for h, half := range halves {
+		if errs[h] != nil {
+			t.Fatalf("half %d: %v", h, errs[h])
 		}
-		if rep.Cache.Misses != int64(hi-lo) {
-			t.Fatalf("shard %d: %d misses, want %d (disjoint ranges never share keys)", s, rep.Cache.Misses, hi-lo)
+		if reps[h].Cache.Misses != int64(len(half)) {
+			t.Fatalf("half %d: %d misses, want %d (disjoint halves never share keys)", h, reps[h].Cache.Misses, len(half))
 		}
 	}
-	if _, err := MergeShardJournals(base, shards); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	got, err := LoadCheckpoint(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	normalizeResults(got)
-	requireSameResultMaps(t, "cached shards", want, got)
+	requireSameResultSlices(t, "cached halves", ps, want, normalizeSlice(append(got[0], got[1]...)))
 
-	// Every shard published into the same dir; a fresh handle (the
-	// parent's next run) must see a fully warm cache.
+	// Both halves published into the same dir; a fresh handle (the next
+	// run) must see a fully warm cache.
 	warm, rep, err := RunCampaign(ps, CampaignConfig{Workers: 2, Cache: openTestCache(t, cacheDir)})
 	if err != nil {
-		t.Fatalf("warm campaign over shard-populated cache: %v", err)
+		t.Fatalf("warm campaign over the shared cache: %v", err)
 	}
 	if rep.Cache.Misses != 0 || rep.Cache.Hits != int64(len(ps)) {
-		t.Fatalf("shard-populated cache served %d hits / %d misses, want %d / 0",
+		t.Fatalf("shared cache served %d hits / %d misses, want %d / 0",
 			rep.Cache.Hits, rep.Cache.Misses, len(ps))
 	}
-	for i := range ps {
-		w := want[CampaignKey(ps[i])]
-		if !reflect.DeepEqual(normalizeSlice(warm)[i], w) {
-			t.Fatalf("warm result for %s differs from uncached baseline", CampaignKey(ps[i]))
-		}
-	}
+	requireSameResultSlices(t, "warm shared cache", ps, want, normalizeSlice(warm))
 }
 
 // TestCachedCampaignKillAndResume kills a cached campaign partway
@@ -213,7 +216,7 @@ func TestCachedShardedCampaignSharedDir(t *testing.T) {
 // remainder materializes once, and the final results match the
 // uncached baseline.
 func TestCachedCampaignKillAndResume(t *testing.T) {
-	ps := shardSuite()[:6]
+	ps := appSuite()[:6]
 	dir := t.TempDir()
 	cache := openTestCache(t, filepath.Join(dir, "cache"))
 
@@ -264,7 +267,7 @@ func TestCachedCampaignKillAndResume(t *testing.T) {
 // warning, and regenerated — the campaign's results stay bit-identical
 // to the uncached baseline, never silently wrong.
 func TestCachedCampaignCorruptEntry(t *testing.T) {
-	ps := shardSuite()[:3]
+	ps := appSuite()[:3]
 	dir := t.TempDir()
 	var warned atomic.Int64
 	cache, err := tracecache.Open(filepath.Join(dir, "cache"), tracecache.Options{
@@ -320,7 +323,7 @@ func TestCachedCampaignCorruptEntry(t *testing.T) {
 // still acquires each trace once, and the model-only fallback replays
 // the same cached ground truth.
 func TestCachedDegradedLadder(t *testing.T) {
-	ps := shardSuite()[:2]
+	ps := appSuite()[:2]
 	cache := openTestCache(t, filepath.Join(t.TempDir(), "cache"))
 	// FillBoundary/MultiGrid-style capability gaps are organic; instead
 	// run the plain suite twice and just assert the fallback path's
@@ -364,7 +367,7 @@ func TestTradeoffCacheFlagSummary(t *testing.T) {
 // trace regenerated), count the re-lowering, and leave a repaired
 // program that the next campaign maps without lowering.
 func TestCachedCampaignProgramDamage(t *testing.T) {
-	ps := shardSuite()[:3]
+	ps := appSuite()[:3]
 	cache := openTestCache(t, filepath.Join(t.TempDir(), "cache"))
 	want, _, err := RunCampaign(ps, CampaignConfig{Workers: 1})
 	if err != nil {
@@ -428,7 +431,7 @@ func TestCachedCampaignProgramDamage(t *testing.T) {
 // campaign: every scheme must replay the program the cache maps, so not
 // one lowering runs and every outcome equals the uncached baseline's.
 func TestWarmCampaignNeverLowers(t *testing.T) {
-	ps := shardSuite()[:4]
+	ps := appSuite()[:4]
 	cache := openTestCache(t, filepath.Join(t.TempDir(), "cache"))
 	want, _, err := RunCampaign(ps, CampaignConfig{Workers: 1})
 	if err != nil {

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -27,9 +25,17 @@ import (
 // simulations over 235 traces. This file makes that campaign
 // fault-tolerant: one bad trace (a panic in the replayer, a livelocked
 // simulation, a malformed generator output) is isolated, classified,
-// optionally retried, and reported — it no longer destroys the other
-// 234 results. Completed traces stream to an append-only checkpoint so
-// a killed campaign resumes where it left off.
+// optionally degraded to a model-only prediction, and reported — it no
+// longer destroys the other 234 results. Completed traces stream to an
+// append-only checkpoint so a killed campaign resumes where it left
+// off.
+//
+// Every trace run is a pure function of its Params and scheme set, so
+// the ladder has no retry rung (re-running the same Params reproduces
+// the failure; re-running with another seed would journal a different
+// trace under the manifest's key) and no circuit breaker (with several
+// workers its "consecutive" count followed completion order, so
+// whether a scheme ran on a trace depended on the worker count).
 
 // ErrorKind classifies why a trace failed, separating "this trace is
 // broken" (invalid-input, deadlock) from "this trace is a runaway"
@@ -54,20 +60,9 @@ const (
 	// the trace's feature set (SST/Macro 3.0's packet and flow models on
 	// complex grouping or thread-multiple traces).
 	KindUnsupported ErrorKind = "unsupported"
-	// KindBreakerOpen marks a scheme outcome that was skipped because
-	// the scheme's circuit breaker opened (K consecutive failures): the
-	// trace was not retried against a backend known to be down. It
-	// appears only in Outcome.ErrKind, never as a whole-trace failure.
-	KindBreakerOpen ErrorKind = "breaker-open"
 	// KindUnknown is everything else.
 	KindUnknown ErrorKind = "unknown"
 )
-
-// Transient reports whether a failure of this kind might succeed on a
-// retry with a fresh seed. Budget, deadlock, and invalid-input
-// failures are deterministic properties of the trace; panics and
-// unclassified errors may be environmental.
-func (k ErrorKind) Transient() bool { return k == KindPanic || k == KindUnknown }
 
 // Classify maps a trace-run error to its ErrorKind.
 func Classify(err error) ErrorKind {
@@ -97,60 +92,31 @@ type TraceError struct {
 	Err  error
 	// Stack is the recovered goroutine stack; set for panics only.
 	Stack string
-	// Attempts is how many times the trace was tried (1 + retries).
-	Attempts int
 }
 
 // Error implements error.
 func (e *TraceError) Error() string {
-	return fmt.Sprintf("trace %s [%s, %d attempt(s)]: %v", e.ID, e.Kind, e.Attempts, e.Err)
+	return fmt.Sprintf("trace %s [%s]: %v", e.ID, e.Kind, e.Err)
 }
 
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *TraceError) Unwrap() error { return e.Err }
 
-// FailurePolicy decides how a campaign reacts to failing traces. Its
-// knobs form the degradation ladder: retry (MaxRetries with jittered
-// backoff) → circuit breaker (BreakerThreshold) → model fallback
-// (DegradeToModel) → typed per-trace failure.
+// FailurePolicy decides how a campaign reacts to failing traces. The
+// degradation ladder has three rungs: panic isolation (always on) →
+// model fallback (DegradeToModel) → typed per-trace failure.
 type FailurePolicy struct {
 	// KeepGoing collects per-trace errors and returns partial results
 	// instead of aborting the campaign on the first failure.
 	KeepGoing bool
-	// MaxRetries re-runs a trace whose failure kind is Transient up to
-	// this many extra times, each with a fresh deterministic seed.
-	MaxRetries int
-	// Backoff is the first retry's delay cap; it doubles per attempt,
-	// is capped at maxBackoff, and each sleep is drawn uniformly from
-	// [0, cap] (full jitter) so retrying workers do not stampede in
-	// lockstep. Zero means defaultBackoff.
-	Backoff time.Duration
-	// Seed seeds the campaign's retry-jitter RNG. Each trace derives
-	// its own stream from (Seed, CampaignKey), so jitter is
-	// reproducible regardless of worker interleaving.
-	Seed int64
-	// BreakerThreshold opens a per-scheme circuit breaker after this
-	// many consecutive failures of one scheme: remaining traces record
-	// a KindBreakerOpen outcome for it instead of running it. 0
-	// disables the breaker. Capability gaps (KindUnsupported) and
-	// cancellations do not count toward the threshold.
-	BreakerThreshold int
-	// DegradeToModel re-runs a trace whose full scheme set failed
-	// (after retries) with the MFACT model alone, so the trace still
-	// yields a model prediction when the simulation schemes are down.
-	// Degraded results are marked (TraceResult.Degraded) and counted
-	// separately in the report. It applies only when the campaign's
-	// scheme selection includes mfact plus at least one other scheme.
+	// DegradeToModel re-runs a trace whose full scheme set failed with
+	// the MFACT model alone, so the trace still yields a model
+	// prediction when the simulation schemes are down. Degraded results
+	// are marked (TraceResult.Degraded) and counted separately in the
+	// report. It applies only when the campaign's scheme selection
+	// includes mfact plus at least one other scheme.
 	DegradeToModel bool
 }
-
-const (
-	defaultBackoff = 100 * time.Millisecond
-	maxBackoff     = 5 * time.Second
-	// retrySeedStep offsets the seed on each retry so a transient
-	// failure gets a genuinely different run while staying reproducible.
-	retrySeedStep = 1_000_003
-)
 
 // CampaignConfig configures RunCampaign. The zero value runs the
 // historical fail-fast suite on all cores with no limits.
@@ -176,8 +142,8 @@ type CampaignConfig struct {
 	// restored from the checkpoint (r is nil for failed traces).
 	Progress func(done, total int, r *TraceResult)
 	// Warnf, if non-nil, receives operator warnings that are not
-	// per-trace failures: checkpoint salvage, circuit breakers opening,
-	// degraded results. Nil discards them.
+	// per-trace failures: checkpoint salvage and degraded results. Nil
+	// discards them.
 	Warnf func(format string, args ...any)
 	// Cancel, when non-nil and closed, cancels the campaign: no new
 	// traces are scheduled, in-flight replays stop through the DES
@@ -222,9 +188,6 @@ type CampaignReport struct {
 	Failed    int
 	// Skipped counts traces restored from the checkpoint on resume.
 	Skipped int
-	// Retried counts extra attempts across all traces (including
-	// retries that eventually succeeded).
-	Retried int
 	// Degraded counts traces rescued by the model-only fallback; they
 	// are included in Succeeded.
 	Degraded int
@@ -232,9 +195,6 @@ type CampaignReport struct {
 	// included in Failed); non-zero means the campaign was interrupted
 	// and can be resumed from its checkpoint.
 	Canceled int
-	// BreakersOpen names the schemes whose circuit breakers were open
-	// when the campaign finished, sorted.
-	BreakersOpen []string
 	// Errors holds one TraceError per failed trace, in manifest order.
 	Errors []*TraceError
 	Wall   time.Duration
@@ -262,13 +222,10 @@ func (r *CampaignReport) Err() error {
 
 // Summary is a one-line operator summary.
 func (r *CampaignReport) Summary() string {
-	s := fmt.Sprintf("campaign: %d traces: %d succeeded, %d failed, %d resumed from checkpoint, %d retries, in %v",
-		r.Total, r.Succeeded, r.Failed, r.Skipped, r.Retried, r.Wall.Round(time.Millisecond))
+	s := fmt.Sprintf("campaign: %d traces: %d succeeded, %d failed, %d resumed from checkpoint, in %v",
+		r.Total, r.Succeeded, r.Failed, r.Skipped, r.Wall.Round(time.Millisecond))
 	if r.Degraded > 0 {
 		s += fmt.Sprintf(" (%d degraded to model-only)", r.Degraded)
-	}
-	if len(r.BreakersOpen) > 0 {
-		s += fmt.Sprintf(" [breakers open: %s]", strings.Join(r.BreakersOpen, ","))
 	}
 	if r.Canceled > 0 {
 		s += fmt.Sprintf(" [interrupted: %d traces canceled]", r.Canceled)
@@ -426,13 +383,6 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 		defer ckpt.Close()
 	}
 
-	// The breaker set is campaign-global: every worker's Runner shares
-	// it, so K consecutive failures of one scheme anywhere open the
-	// breaker for all workers.
-	if cfg.Policy.BreakerThreshold > 0 {
-		c.breakers = newBreakerSet(cfg.Policy.BreakerThreshold, warnf)
-	}
-
 	if pol != nil {
 		c.runTriage(pending, replayed)
 	} else {
@@ -443,7 +393,6 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 		st := cfg.Cache.Stats().Sub(cacheStart)
 		rep.Cache = &st
 	}
-	rep.Retried = int(c.retries.Load())
 	for _, te := range c.traceErrs {
 		if te != nil {
 			rep.Failed++
@@ -462,9 +411,6 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 		}
 	}
 	rep.Succeeded -= rep.Skipped
-	if c.breakers != nil {
-		rep.BreakersOpen = c.breakers.openNames()
-	}
 	rep.Wall = time.Since(start)
 
 	if c.infraErr != nil {
@@ -479,11 +425,10 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 }
 
 // campaign is one RunCampaign invocation's shared state: the manifest,
-// the aligned result/error slices, the journal, and the halt/retry
-// accounting every worker pool shares. The tiered scheduler runs
-// several pools (calibration, model pass, escalation) over the same
-// campaign, so the state lives here rather than in RunCampaign's
-// locals.
+// the aligned result/error slices, the journal, and the halt flag every
+// worker pool shares. The tiered scheduler runs several pools
+// (calibration, model pass, escalation) over the same campaign, so the
+// state lives here rather than in RunCampaign's locals.
 type campaign struct {
 	ps          []workload.Params
 	cfg         CampaignConfig
@@ -494,10 +439,8 @@ type campaign struct {
 	traceErrs   []*TraceError
 	triage      *triage.Policy
 	ckpt        *Checkpoint
-	breakers    *breakerSet
 
-	retries atomic.Int64
-	stop    atomic.Bool // stops scheduling new traces (fail-fast, infra errors)
+	stop atomic.Bool // stops scheduling new traces (fail-fast, infra errors)
 
 	mu        sync.Mutex
 	infraErr  error
@@ -582,9 +525,8 @@ type poolOpts struct {
 
 // runPool runs the indices through a worker pool. It preserves the
 // historical campaign semantics: one Runner (one scheme.Session set)
-// per worker, panic isolation and retry with jittered backoff per
-// trace, the shared circuit-breaker set, fail-fast halting, and
-// journal-loss-as-infrastructure-failure.
+// per worker, panic isolation and the model-only fallback per trace,
+// fail-fast halting, and journal-loss-as-infrastructure-failure.
 func (c *campaign) runPool(o poolOpts) {
 	// The model-only fallback applies when the pass runs mfact plus at
 	// least one other scheme (a model-only pass has nothing to degrade
@@ -611,13 +553,9 @@ func (c *campaign) runPool(o poolOpts) {
 					}
 					return
 				}
-				rn.breakers = c.breakers
 				rn.SetCache(c.cfg.Cache)
 				runner = rn.RunOne
 				if degrade {
-					// The fallback Runner deliberately bypasses the breaker
-					// set: degrading to the model is the last resort, taken
-					// even if mfact's own breaker has opened.
 					if frn, err := NewRunner([]string{scheme.MFACT}); err == nil {
 						frn.SetCache(c.cfg.Cache)
 						fallback = frn.RunOne
@@ -633,7 +571,7 @@ func (c *campaign) runPool(o poolOpts) {
 					// single-worker campaign's schedule deterministic.
 					continue
 				}
-				r, terr := runWithRetry(c.ps[i], c.cfg.Policy, c.cfg.Run, runner, fallback, &c.retries)
+				r, terr := runTrace(c.ps[i], c.cfg.Run, runner, fallback)
 				if r != nil && r.Degraded {
 					c.warnf("core: trace %s degraded to model-only after %s failure", CampaignKey(c.ps[i]), r.DegradedFrom)
 				}
@@ -674,50 +612,17 @@ produce:
 	wg.Wait()
 }
 
-// runWithRetry executes one trace, isolating panics and retrying
-// transient failures with capped exponential backoff (full jitter,
-// deterministically seeded per trace) and a fresh seed. When retries
-// are exhausted and a model-only fallback is supplied, it takes the
-// last rung of the degradation ladder before giving up.
-func runWithRetry(p workload.Params, policy FailurePolicy, ro RunOptions,
-	runner, fallback func(workload.Params, RunOptions) (*TraceResult, error),
-	retries *atomic.Int64) (*TraceResult, *TraceError) {
-	key := CampaignKey(p)
-	backoff := policy.Backoff
-	if backoff <= 0 {
-		backoff = defaultBackoff
+// runTrace executes one trace under panic isolation and, when it fails
+// and a model-only fallback is supplied, takes the ladder's degradation
+// rung before giving up.
+func runTrace(p workload.Params, ro RunOptions,
+	runner, fallback func(workload.Params, RunOptions) (*TraceResult, error)) (*TraceResult, *TraceError) {
+	r, terr := runIsolated(p, ro, runner)
+	if terr == nil {
+		return r, nil
 	}
-	// Each trace gets its own jitter stream derived from the campaign
-	// seed and its identity, so sleeps are reproducible no matter which
-	// worker runs the trace or in what order.
-	var rng *rand.Rand
-	for attempt := 0; ; attempt++ {
-		q := p
-		if attempt > 0 {
-			q.Seed = p.Seed + int64(attempt)*retrySeedStep
-		}
-		r, terr := runIsolated(q, ro, runner)
-		if terr == nil {
-			return r, nil
-		}
-		terr.ID = key
-		terr.Attempts = attempt + 1
-		if !terr.Kind.Transient() || attempt >= policy.MaxRetries {
-			return degradeToModel(p, terr, ro, fallback)
-		}
-		retries.Add(1)
-		d := backoff << attempt
-		if d > maxBackoff || d <= 0 {
-			d = maxBackoff
-		}
-		// Full jitter: sleep uniform in [0, d]. Deterministic thundering
-		// herds are still herds — without jitter every retrying worker
-		// wakes at the same instant the backoff doubles.
-		if rng == nil {
-			rng = rand.New(rand.NewSource(jitterSeed(policy.Seed, key)))
-		}
-		time.Sleep(time.Duration(rng.Int63n(int64(d) + 1)))
-	}
+	terr.ID = CampaignKey(p)
+	return degradeToModel(p, terr, ro, fallback)
 }
 
 // degradeToModel is the final rung of the ladder: re-run the failed
@@ -745,14 +650,6 @@ func degradeToModel(p workload.Params, terr *TraceError, ro RunOptions,
 	r.Degraded = true
 	r.DegradedFrom = string(terr.Kind)
 	return r, nil
-}
-
-// jitterSeed derives a trace's backoff-jitter seed from the campaign
-// seed and the trace's manifest key.
-func jitterSeed(seed int64, key string) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s", seed, key)
-	return int64(h.Sum64())
 }
 
 // containsScheme reports whether names includes name.

@@ -14,7 +14,7 @@ import (
 )
 
 // The tiered campaign runs in four phases over one shared worker-pool
-// state (breakers, retry accounting, journal, halt flag):
+// state (journal, halt flag):
 //
 //  1. Calibration: a fixed, evenly-spaced slice of the manifest runs
 //     the full scheme set; those results train the classifier. Skipped
@@ -214,7 +214,7 @@ func (c *campaign) runTriage(pending []int, replayed map[string]triage.Decision)
 		if modelRes[i] == nil {
 			terr := modelErr[i]
 			if terr == nil {
-				terr = &TraceError{ID: keys[i], Kind: KindUnknown, Attempts: 1,
+				terr = &TraceError{ID: keys[i], Kind: KindUnknown,
 					Err: fmt.Errorf("core: triage: no model result for cleared trace")}
 			}
 			c.finish(i, nil, terr)
@@ -305,7 +305,7 @@ func (c *campaign) demoteToModel(i int, dec map[int]triage.Decision, modelRes []
 			runner = rn.RunOne
 		}
 		var terr *TraceError
-		r, terr = runWithRetry(c.ps[i], c.cfg.Policy, c.cfg.Run, runner, nil, &c.retries)
+		r, terr = runTrace(c.ps[i], c.cfg.Run, runner, nil)
 		if terr != nil {
 			c.finish(i, nil, terr)
 			return

@@ -165,10 +165,6 @@ type RunOptions struct {
 type Runner struct {
 	schemes  []scheme.Scheme
 	sessions *scheme.Sessions
-	// breakers, when non-nil, is the campaign-wide circuit-breaker set
-	// shared by every worker's Runner: a scheme whose breaker is open
-	// is skipped with a typed KindBreakerOpen outcome instead of run.
-	breakers *breakerSet
 	// cache, when non-nil, serves ground-truth-stamped traces by content
 	// address instead of re-materializing them: RunOne acquires through
 	// it, so every pass after a trace's first (triage escalation,
@@ -246,21 +242,9 @@ func (rn *Runner) runSource(src trace.Source, prog *mpisim.Program, mach *machin
 	rn.sessions.NextTrace(prog)
 	for i, s := range rn.schemes {
 		name := s.Name()
-		if rn.breakers != nil && !rn.breakers.allow(name) {
-			res.Schemes[name] = scheme.Outcome{
-				Scheme: name, Kind: s.Kind(), OK: false,
-				Err:     fmt.Sprintf("circuit breaker open: %s failed %d consecutive traces", name, rn.breakers.threshold),
-				ErrKind: string(KindBreakerOpen),
-			}
-			continue
-		}
 		out, err := rn.sessions.Run(i, src, mach, opts)
 		out.Scheme, out.Kind = name, s.Kind()
 		if err != nil {
-			kind := Classify(err)
-			if rn.breakers != nil && countsTowardBreaker(kind) {
-				rn.breakers.record(name, false)
-			}
 			// A blown budget or cancellation means the trace is a runaway:
 			// fail the whole trace so the campaign can classify and report
 			// it. Everything else — capability gaps, deadlocks — stays a
@@ -270,9 +254,7 @@ func (rn *Runner) runSource(src trace.Source, prog *mpisim.Program, mach *machin
 			}
 			out.OK = false
 			out.Err = err.Error()
-			out.ErrKind = string(kind)
-		} else if rn.breakers != nil {
-			rn.breakers.record(name, true)
+			out.ErrKind = string(Classify(err))
 		}
 		res.Schemes[name] = out
 	}

@@ -242,20 +242,18 @@ func TestCheckpointRepairsTailAfterFailedAppend(t *testing.T) {
 	}
 }
 
-// K consecutive failures of one scheme open its circuit breaker: the
-// remaining traces record a typed breaker-open outcome for it instead
-// of running it, other schemes keep running, and the report names the
-// open breaker.
-func TestCampaignBreakerOpens(t *testing.T) {
+// A scheme that fails on every trace stays a per-scheme outcome: each
+// trace records the typed failure for it, the other schemes keep
+// running, and no trace fails. Nothing stops the scheme from running
+// on later traces — each trace's outcome depends on that trace alone.
+func TestCampaignSchemeFailureStaysPerScheme(t *testing.T) {
 	armFaults(t, 1, faultinject.Rule{Site: "scheme/run", Label: "packet", Action: faultinject.ActError})
 
 	ps := smallParams("EP", "IS", "DT", "EP", "IS")
-	var warns []string
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1,
 		Schemes: []string{"mfact", "packet"},
-		Policy:  FailurePolicy{KeepGoing: true, BreakerThreshold: 2},
-		Warnf:   func(f string, a ...any) { warns = append(warns, fmt.Sprintf(f, a...)) },
+		Policy:  FailurePolicy{KeepGoing: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,71 +266,18 @@ func TestCampaignBreakerOpens(t *testing.T) {
 			t.Fatalf("trace %d missing", i)
 		}
 		if o := r.Schemes["mfact"]; !o.OK {
-			t.Errorf("trace %d: mfact should be untouched by packet's breaker: %+v", i, o)
+			t.Errorf("trace %d: mfact should be untouched by packet's failure: %+v", i, o)
 		}
-		o := r.Schemes["packet"]
-		if o.OK {
-			t.Fatalf("trace %d: packet succeeded despite armed fault", i)
-		}
-		wantKind := string(KindUnknown)
-		if i >= 2 {
-			wantKind = string(KindBreakerOpen)
-		}
-		if o.ErrKind != wantKind {
-			t.Errorf("trace %d: packet ErrKind = %s, want %s", i, o.ErrKind, wantKind)
+		if o := r.Schemes["packet"]; o.OK || o.ErrKind != string(KindUnknown) {
+			t.Errorf("trace %d: packet outcome = %+v, want a failed %s outcome", i, o, KindUnknown)
 		}
 	}
-	if len(rep.BreakersOpen) != 1 || rep.BreakersOpen[0] != "packet" {
-		t.Errorf("BreakersOpen = %v, want [packet]", rep.BreakersOpen)
-	}
-	if !strings.Contains(rep.Summary(), "breakers open: packet") {
-		t.Errorf("summary omits the open breaker: %s", rep.Summary())
-	}
-	// The failpoint fired exactly twice: once the breaker opened, the
-	// scheme stopped being invoked at all.
-	if fired := faultinject.Fired(); len(fired) != 2 {
-		t.Errorf("packet ran %d times after arming, want 2 (breaker should stop further runs)", len(fired))
-	}
-	found := false
-	for _, w := range warns {
-		if strings.Contains(w, "breaker") && strings.Contains(w, "packet") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no breaker warning emitted: %v", warns)
+	if fired := faultinject.Fired(); len(fired) != len(ps) {
+		t.Errorf("packet ran %d times after arming, want %d (once per trace)", len(fired), len(ps))
 	}
 }
 
-// Capability gaps must not open a breaker: a scheme that cannot replay
-// a feature set is not "down".
-func TestBreakerIgnoresUnsupported(t *testing.T) {
-	b := newBreakerSet(2, func(string, ...any) {})
-	for i := 0; i < 5; i++ {
-		if countsTowardBreaker(KindUnsupported) {
-			b.record("packet", false)
-		}
-	}
-	if !b.allow("packet") {
-		t.Error("unsupported outcomes opened the breaker")
-	}
-	if countsTowardBreaker(KindUnsupported) || countsTowardBreaker(KindCanceled) {
-		t.Error("unsupported/canceled must not count toward the breaker")
-	}
-	if !countsTowardBreaker(KindUnknown) || !countsTowardBreaker(KindBudget) || !countsTowardBreaker(KindPanic) {
-		t.Error("real failures must count toward the breaker")
-	}
-	// A success between failures resets the streak.
-	b2 := newBreakerSet(2, func(string, ...any) {})
-	b2.record("flow", false)
-	b2.record("flow", true)
-	b2.record("flow", false)
-	if !b2.allow("flow") {
-		t.Error("non-consecutive failures opened the breaker")
-	}
-}
-
-// When the full scheme set fails after retries, DegradeToModel re-runs
+// When the full scheme set fails, DegradeToModel re-runs
 // the trace with MFACT alone: the trace still yields a model
 // prediction, marked Degraded, and the campaign counts it.
 func TestCampaignDegradesToModel(t *testing.T) {
@@ -498,40 +443,31 @@ func TestStallTripsWallClockBudget(t *testing.T) {
 	}
 }
 
-// An injected panic in a scheme adapter is recovered, classified, and
-// retried like any environmental fault; with the fault capped at one
-// firing the retry succeeds.
-func TestInjectedPanicIsRetried(t *testing.T) {
+// An injected panic inside a scheme adapter — below the worker's real
+// Runner, not in a Runner override — is recovered and classified: the
+// trace fails with KindPanic and its stack, and the next trace runs
+// normally on the same worker's Runner and sessions.
+func TestInjectedPanicIsIsolated(t *testing.T) {
 	armFaults(t, 1, faultinject.Rule{
 		Site: "scheme/run", Label: "mfact",
 		Action: faultinject.ActPanic, MaxFires: 1,
 	})
-	ps := smallParams("EP")
+	ps := smallParams("EP", "IS")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1,
 		Schemes: []string{"mfact"},
-		Policy:  FailurePolicy{MaxRetries: 1, Backoff: time.Millisecond, Seed: 42},
+		Policy:  FailurePolicy{KeepGoing: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs[0] == nil || rep.Retried != 1 || rep.Failed != 0 {
-		t.Fatalf("rs[0]=%v retried=%d failed=%d, want result/1/0", rs[0], rep.Retried, rep.Failed)
+	if rs[0] != nil || rs[1] == nil || rep.Failed != 1 || rep.Succeeded != 1 {
+		t.Fatalf("rs=%v failed=%d succeeded=%d, want nil+result / 1 / 1", rs, rep.Failed, rep.Succeeded)
 	}
-}
-
-// Retry jitter is a pure function of the campaign seed and the trace
-// key: reproducible no matter which worker runs the trace, different
-// across traces so retries do not stampede.
-func TestJitterSeedDeterminism(t *testing.T) {
-	if jitterSeed(1, "a") != jitterSeed(1, "a") {
-		t.Error("jitterSeed not deterministic")
-	}
-	if jitterSeed(1, "a") == jitterSeed(1, "b") {
-		t.Error("jitterSeed does not separate traces")
-	}
-	if jitterSeed(1, "a") == jitterSeed(2, "a") {
-		t.Error("jitterSeed does not separate campaign seeds")
+	te := rep.Errors[0]
+	if te.Kind != KindPanic || te.ID != CampaignKey(ps[0]) || te.Stack == "" {
+		t.Errorf("panic error = {Kind:%s ID:%s stack:%d bytes}, want panic / %s / a stack",
+			te.Kind, te.ID, len(te.Stack), CampaignKey(ps[0]))
 	}
 }
 

@@ -22,16 +22,15 @@ const MaxManifest = 100_000
 // configuration. Compilation is deterministic: the same spec document
 // always yields byte-identical manifests and the same Hash.
 type Compiled struct {
-	Name       string
-	Manifest   []workload.Params
-	Schemes    []string
-	Triage     *triage.Policy
-	Workers    int
-	KeepGoing  bool
-	MaxRetries int
-	Timeout    time.Duration
-	MaxEvents  uint64
-	hash       string
+	Name      string
+	Manifest  []workload.Params
+	Schemes   []string
+	Triage    *triage.Policy
+	Workers   int
+	KeepGoing bool
+	Timeout   time.Duration
+	MaxEvents uint64
+	hash      string
 }
 
 // Compile expands the spec's groups into the campaign manifest,
@@ -49,15 +48,14 @@ func Compile(s *Spec) (*Compiled, error) {
 	}
 
 	c := &Compiled{
-		Name:       s.Name,
-		Manifest:   make([]workload.Params, 0, total),
-		Schemes:    append([]string(nil), s.Schemes...),
-		Triage:     s.Triage,
-		Workers:    s.Workers,
-		KeepGoing:  s.KeepGoing,
-		MaxRetries: s.MaxRetries,
-		Timeout:    s.Timeout,
-		MaxEvents:  s.MaxEvents,
+		Name:      s.Name,
+		Manifest:  make([]workload.Params, 0, total),
+		Schemes:   append([]string(nil), s.Schemes...),
+		Triage:    s.Triage,
+		Workers:   s.Workers,
+		KeepGoing: s.KeepGoing,
+		Timeout:   s.Timeout,
+		MaxEvents: s.MaxEvents,
 	}
 	for gi := range s.Groups {
 		expandGroup(&s.Groups[gi], &c.Manifest)
@@ -212,27 +210,25 @@ func excluded(matches []Match, p workload.Params) bool {
 // is formatting, because the hash is taken over the compiled output,
 // not the source text.
 type hashDoc struct {
-	Manifest   []workload.Params `json:"manifest"`
-	Schemes    []string          `json:"schemes,omitempty"`
-	Triage     *triage.Policy    `json:"triage,omitempty"`
-	Workers    int               `json:"workers,omitempty"`
-	KeepGoing  bool              `json:"keep_going,omitempty"`
-	MaxRetries int               `json:"max_retries,omitempty"`
-	TimeoutNS  int64             `json:"timeout_ns,omitempty"`
-	MaxEvents  uint64            `json:"max_events,omitempty"`
+	Manifest  []workload.Params `json:"manifest"`
+	Schemes   []string          `json:"schemes,omitempty"`
+	Triage    *triage.Policy    `json:"triage,omitempty"`
+	Workers   int               `json:"workers,omitempty"`
+	KeepGoing bool              `json:"keep_going,omitempty"`
+	TimeoutNS int64             `json:"timeout_ns,omitempty"`
+	MaxEvents uint64            `json:"max_events,omitempty"`
 }
 
 func hashCompiled(c *Compiled) (string, error) {
 	h := sha256.New()
 	if err := json.NewEncoder(h).Encode(hashDoc{
-		Manifest:   c.Manifest,
-		Schemes:    c.Schemes,
-		Triage:     c.Triage,
-		Workers:    c.Workers,
-		KeepGoing:  c.KeepGoing,
-		MaxRetries: c.MaxRetries,
-		TimeoutNS:  int64(c.Timeout),
-		MaxEvents:  c.MaxEvents,
+		Manifest:  c.Manifest,
+		Schemes:   c.Schemes,
+		Triage:    c.Triage,
+		Workers:   c.Workers,
+		KeepGoing: c.KeepGoing,
+		TimeoutNS: int64(c.Timeout),
+		MaxEvents: c.MaxEvents,
 	}); err != nil {
 		return "", err
 	}
@@ -251,10 +247,7 @@ func (c *Compiled) Config() core.CampaignConfig {
 	return core.CampaignConfig{
 		Workers: c.Workers,
 		Schemes: append([]string(nil), c.Schemes...),
-		Policy: core.FailurePolicy{
-			KeepGoing:  c.KeepGoing,
-			MaxRetries: c.MaxRetries,
-		},
+		Policy:  core.FailurePolicy{KeepGoing: c.KeepGoing},
 		Run: core.RunOptions{
 			Timeout:   c.Timeout,
 			MaxEvents: c.MaxEvents,

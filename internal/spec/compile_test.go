@@ -14,7 +14,6 @@ name: sample
 schemes: [mfact, packetflow]
 workers: 2
 keep_going: true
-max_retries: 1
 timeout: 90s
 defaults:
   machines: rotate
@@ -188,6 +187,7 @@ func TestParseErrors(t *testing.T) {
 		"unknown machine": "groups:\n  - apps: CG\n    classes: B\n    ranks: 64\n    machines: [vulcan]\n    seeds: [1]\n",
 		"unknown scheme":  "schemes: [psychic]\ngroups:\n  - apps: CG\n    classes: B\n    ranks: 64\n    machines: [edison]\n    seeds: [1]\n",
 		"unknown key":     "grupos: []\n",
+		"retired key":     "max_retries: 1\ngroups:\n  - apps: CG\n    classes: B\n    ranks: 64\n    machines: [edison]\n    seeds: [1]\n",
 		"missing groups":  "name: empty\n",
 		"empty exclude":   "groups:\n  - apps: CG\n    classes: B\n    ranks: 64\n    machines: [edison]\n    seeds: [1]\n    exclude:\n      - {}\n",
 		"bad sweep type":  "groups:\n  - apps: CG\n    classes: B\n    ranks: [sixty-four]\n    machines: [edison]\n    seeds: [1]\n",
@@ -205,6 +205,12 @@ func TestParseErrors(t *testing.T) {
 		if _, ok := err.(*Error); !ok {
 			t.Errorf("%s: error is %T, want *Error: %v", name, err, err)
 		}
+	}
+	// Campaigns no longer retry failed traces, so a spec asking for
+	// retries must fail loudly, naming the key, not silently run once.
+	_, err := Parse([]byte(cases["retired key"]))
+	if e, ok := err.(*Error); !ok || e.Field != "max_retries" {
+		t.Errorf("retired key: error %v does not name max_retries", err)
 	}
 	// "empty exclude" uses a flow mapping, which the subset rejects —
 	// make sure the block form is also covered.
@@ -293,7 +299,7 @@ func TestVariabilitySpecCompiles(t *testing.T) {
 	seen := map[workload.Params]bool{}
 	for _, p := range c.Manifest {
 		if seen[p] {
-			t.Fatalf("duplicate manifest entry %+v (breaks resume maps and shard merges)", p)
+			t.Fatalf("duplicate manifest entry %+v (breaks resume maps)", p)
 		}
 		seen[p] = true
 	}

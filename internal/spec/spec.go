@@ -15,7 +15,6 @@ package spec
 //	schemes: [mfact, packetflow] # default: every registered scheme
 //	workers: 4                   # default 0 = all cores
 //	keep_going: true
-//	max_retries: 1
 //	timeout: 90s                 # per-trace wall budget
 //	max_events: 0                # per-trace event budget
 //	triage:                      # optional tiered-campaign policy
@@ -70,15 +69,14 @@ import (
 
 // Spec is a parsed, validated campaign spec, ready to Compile.
 type Spec struct {
-	Name       string
-	Schemes    []string
-	Workers    int
-	KeepGoing  bool
-	MaxRetries int
-	Timeout    time.Duration
-	MaxEvents  uint64
-	Triage     *triage.Policy
-	Groups     []Group
+	Name      string
+	Schemes   []string
+	Workers   int
+	KeepGoing bool
+	Timeout   time.Duration
+	MaxEvents uint64
+	Triage    *triage.Policy
+	Groups    []Group
 }
 
 // Group is one sweep block: the cross-product of its axes, minus
@@ -147,13 +145,12 @@ func Parse(data []byte) (*Spec, error) {
 	}
 	d := decoder{}
 	s := &Spec{}
-	d.keys(doc, "", "name", "schemes", "workers", "keep_going", "max_retries",
+	d.keys(doc, "", "name", "schemes", "workers", "keep_going",
 		"timeout", "max_events", "triage", "defaults", "groups")
 	s.Name = d.str(doc, "name", "")
 	s.Schemes = d.strList(doc, "schemes", "schemes")
 	s.Workers = d.num(doc, "workers", "workers", 0, 1<<16)
 	s.KeepGoing = d.boolean(doc, "keep_going", "keep_going")
-	s.MaxRetries = d.num(doc, "max_retries", "max_retries", 0, 1<<16)
 	s.Timeout = d.duration(doc, "timeout", "timeout")
 	s.MaxEvents = uint64(d.num64(doc, "max_events", "max_events", 0, 1<<62))
 	s.Triage = d.triage(doc)

@@ -26,10 +26,10 @@
 //     eviction sweep collects.
 //   - Concurrent acquisitions of one key are singleflighted in-process
 //     (one goroutine materializes, the rest wait and open the published
-//     entry). Across processes, publication is idempotent — the content
-//     is deterministic and the rename atomic, so the worst case is
-//     duplicated encoding work; sharded campaigns never even hit that,
-//     because shards own disjoint manifest ranges.
+//     entry). Across processes (say `tracegen -warm` filling the
+//     directory while a campaign reads it), publication is idempotent —
+//     the content is deterministic and the rename atomic, so the worst
+//     case is duplicated encoding work.
 //   - Every entry may also carry its trace's lowered replay program
 //     (program.go), so that AcquireProgram hits replay without
 //     lowering. The program is derived from the trace and is repaired

@@ -434,8 +434,8 @@ func TestStatsString(t *testing.T) {
 }
 
 // TestSharedDirAcrossCaches is the cross-process shape in-process: two
-// Cache handles over one directory (as two shard workers would hold)
-// serve each other's entries.
+// Cache handles over one directory (as a `tracegen -warm` process and a
+// campaign would hold) serve each other's entries.
 func TestSharedDirAcrossCaches(t *testing.T) {
 	dir := t.TempDir()
 	a := mustOpen(t, dir, Options{})
