@@ -230,9 +230,12 @@ func loadSpec(path string, explicit map[string]bool) (*spec.Compiled, error) {
 // inherited across exec), and without the floor triage_small's
 // campaign peaks at 17 MB. 7 MB put it at 26 MB, where it was before
 // replays stopped producing garbage; since MFACT stopped allocating per
-// event and cache hits stopped lowering, it takes 10 MB to keep it at
-// 25–27 MB.
-var heapBallast = make([]byte, 10<<20)
+// event and cache hits stopped lowering, it took 10 MB to keep its
+// median at 23.5–24 MB. Since replay ops shrank to 24 bytes and built
+// traces to their exact size, it takes 11.5 MB to keep it there, with
+// the smallest campaign peak 1.5–2.0 MB above the harness's (11 MB left
+// 0.3–1.8 MB).
+var heapBallast = make([]byte, 23<<19) // 11.5 MB
 
 func main() {
 	flag.Parse()

@@ -271,7 +271,7 @@ func (rp *replayer) replay(src trace.Source, prog *mpisim.Program, mach *machine
 			}
 			switch op.Kind {
 			case mpisim.RopCompute:
-				st.applyCompute(rid, op.Dur)
+				st.applyCompute(rid, op.Dur())
 
 			case mpisim.RopSend, mpisim.RopIsend:
 				post := snapshot(rid)
@@ -282,7 +282,7 @@ func (rp *replayer) replay(src trace.Source, prog *mpisim.Program, mach *machine
 				} else {
 					rp.enqueue(op.Ch, rp.newMsg(msg{post: post, send: true}))
 				}
-				st.applySend(rid, op.Bytes, op.Kind == mpisim.RopSend)
+				st.applySend(rid, op.Bytes(), op.Kind == mpisim.RopSend)
 				if op.Kind == mpisim.RopIsend {
 					// The send cost was charged inline; the request is
 					// complete as of the current clock.
@@ -292,13 +292,13 @@ func (rp *replayer) replay(src trace.Source, prog *mpisim.Program, mach *machine
 			case mpisim.RopRecv:
 				if rs.recvBuf == 0 {
 					if s := rp.dequeue(op.Ch, true); s != 0 {
-						arr := arrival(rp.msgs[s].post, op.Bytes)
+						arr := arrival(rp.msgs[s].post, op.Bytes())
 						rp.freeMsg(s)
-						st.applyRecvArrival(rid, vecs.vec(arr), op.Bytes)
+						st.applyRecvArrival(rid, vecs.vec(arr), op.Bytes())
 						vecs.put(arr)
 						break // proceed to the next op
 					}
-					rs.recvBuf = rp.newMsg(msg{rank: rid, bytes: op.Bytes})
+					rs.recvBuf = rp.newMsg(msg{rank: rid, bytes: op.Bytes()})
 					rp.enqueue(op.Ch, rs.recvBuf)
 					break rankLoop
 				}
@@ -306,18 +306,18 @@ func (rp *replayer) replay(src trace.Source, prog *mpisim.Program, mach *machine
 				if !w.filled {
 					break rankLoop
 				}
-				arr := arrival(w.post, op.Bytes)
+				arr := arrival(w.post, op.Bytes())
 				rp.freeMsg(rs.recvBuf)
 				rs.recvBuf = 0
-				st.applyRecvArrival(rid, vecs.vec(arr), op.Bytes)
+				st.applyRecvArrival(rid, vecs.vec(arr), op.Bytes())
 				vecs.put(arr)
 
 			case mpisim.RopIrecv:
 				if s := rp.dequeue(op.Ch, true); s != 0 {
-					reqs[op.Req] = reqState{arr: arrival(rp.msgs[s].post, op.Bytes)}
+					reqs[op.Req] = reqState{arr: arrival(rp.msgs[s].post, op.Bytes())}
 					rp.freeMsg(s)
 				} else {
-					w := rp.newMsg(msg{rank: rid, bytes: op.Bytes})
+					w := rp.newMsg(msg{rank: rid, bytes: op.Bytes()})
 					rp.enqueue(op.Ch, w)
 					reqs[op.Req] = reqState{pend: w}
 				}

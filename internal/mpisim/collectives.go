@@ -111,35 +111,36 @@ func (c *collCtx) sendRecv(sendTo int, sendBytes int64, recvFrom int, recvBytes 
 	}
 	c.lw.scratch = reqs
 	if len(reqs) > 0 {
-		c.emit(Rop{Kind: RopWait}, reqs)
+		c.wait(reqs)
 	}
 }
 
-// emit emits one round op of this collective: tagged with the
-// instance's tag, marked RopColl, and attributed to the collective's
-// event. Lowered rounds match in communicator 0; their tags
+// wait emits a round's wait on reqs, marked RopColl and attributed to
+// the collective's event.
+func (c *collCtx) wait(reqs []int32) {
+	c.lw.emit(Rop{Kind: RopWait, Ev: c.ev, Flags: RopColl}, reqs)
+}
+
+// p2p emits a round's point-to-point op with the member at pos, marked
+// RopColl, attributed to the collective's event, and tagged with the
+// instance's tag. Lowered rounds match in communicator 0; their tags
 // disambiguate.
-func (c *collCtx) emit(op Rop, reqs []int32) {
-	op.Tag, op.Ev, op.Flags = c.tag, c.ev, RopColl
-	c.lw.emit(c.rank, op, 0, reqs)
+func (c *collCtx) p2p(kind RopKind, pos int, bytes int64, req int32) {
+	c.lw.emitP2P(c.rank, Rop{Kind: kind, Val: bytes, Req: req, Ev: c.ev, Flags: RopColl}, c.world(pos), c.tag, 0)
 }
 
 // post emits a nonblocking isend or irecv with the member at pos and
 // returns its synthesized request id.
 func (c *collCtx) post(kind RopKind, pos int, bytes int64) int32 {
 	req := c.lw.synth()
-	c.emit(Rop{Kind: kind, Peer: c.world(pos), Bytes: bytes, Req: req}, nil)
+	c.p2p(kind, pos, bytes, req)
 	return req
 }
 
 // send and recv emit one-sided blocking halves for tree algorithms.
-func (c *collCtx) send(to int, bytes int64) {
-	c.emit(Rop{Kind: RopSend, Peer: c.world(to), Bytes: bytes}, nil)
-}
+func (c *collCtx) send(to int, bytes int64) { c.p2p(RopSend, to, bytes, 0) }
 
-func (c *collCtx) recv(from int, bytes int64) {
-	c.emit(Rop{Kind: RopRecv, Peer: c.world(from), Bytes: bytes}, nil)
-}
+func (c *collCtx) recv(from int, bytes int64) { c.p2p(RopRecv, from, bytes, 0) }
 
 // dissemination implements the dissemination barrier: ceil(log2 n)
 // rounds; in round k, pos sends to (pos+2^k) mod n and receives from
@@ -314,7 +315,7 @@ func (c *collCtx) scatteredAlltoall(bytes int64) {
 		reqs = append(reqs, c.post(RopIsend, to, bytes))
 	}
 	c.lw.scratch = reqs
-	c.emit(Rop{Kind: RopWait}, reqs)
+	c.wait(reqs)
 }
 
 // scatteredAlltoallv is scatteredAlltoall with per-peer payloads.
@@ -337,7 +338,7 @@ func (c *collCtx) scatteredAlltoallv(tbl [][]int64) {
 		reqs = append(reqs, c.post(RopIsend, to, b))
 	}
 	c.lw.scratch = reqs
-	c.emit(Rop{Kind: RopWait}, reqs)
+	c.wait(reqs)
 }
 
 // pairwiseAlltoall implements the (n-1)-round rotation: in round k,

@@ -18,7 +18,7 @@ import (
 	"hpctradeoff/internal/workload"
 )
 
-var updateFingerprints = flag.Bool("update", false, "rewrite testdata/replay_fingerprints.txt instead of comparing")
+var update = flag.Bool("update", false, "rewrite the testdata fixtures (replay_fingerprints.txt, program_bytes.txt) instead of comparing")
 
 const fingerprintFile = "testdata/replay_fingerprints.txt"
 
@@ -125,7 +125,7 @@ func TestReplayFingerprints(t *testing.T) {
 		fmt.Fprintf(&got, "%s %s\n", c.name, fingerprint(t, c))
 	}
 	path := filepath.FromSlash(fingerprintFile)
-	if *updateFingerprints {
+	if *update {
 		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}

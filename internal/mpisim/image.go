@@ -14,7 +14,7 @@ import (
 // layout (all integers little-endian, every section 8-byte aligned):
 //
 //	[ 0, 4)  magic "HPRG"
-//	[ 4, 8)  u32 image format version (1)
+//	[ 4, 8)  u32 image format version (2)
 //	[ 8,12)  u32 LoweringVersion of the build that lowered the program
 //	[12,16)  u32 Rop size in bytes
 //	[16,20)  u32 rank count n
@@ -22,18 +22,21 @@ import (
 //	[24,32)  u64 op count
 //	[32,40)  u64 wait-arena length
 //	[40,48)  u64 image size (a shorter or longer input is rejected)
-//	[48,96)  u64 section offsets: opOff, evCount, reqCount, appReqs,
-//	         ops, waits
+//	[48,104) u64 section offsets: opOff, evCount, reqCount, appReqs,
+//	         ops, waits, chans
 //
 // followed by the sections: opOff as (n+1) × i64, evCount, reqCount and
-// appReqs as n × i32, the ops as raw Rops, and the wait arena as i32.
+// appReqs as n × i32, the ops as raw Rops, the wait arena as i32, and
+// the channel table as one (src, dst) pair of i32 per channel.
 // The offsets are redundant with the counts (the layout is canonical)
 // and are checked against them, so a stored offset can never point a
 // section somewhere else.
 //
 // OpenProgram validates everything a replay indexes with before it
-// hands out a Program: section bounds and alignment, every op's kind,
-// event, peer, channel and request, and every wait set. A damaged image
+// hands out a Program: section bounds and alignment, every channel's
+// ends, every op's kind, event, channel and request, and every wait
+// set. A p2p op's channel must have the op's own rank at its end: the
+// sender's for a send, the receiver's for a receive. A damaged image
 // is an error wrapping ErrBadProgram, never a panic or an out-of-range
 // read later. What it cannot see is a well-formed program that belongs
 // to another trace or was lowered by other rules: LoweringVersion,
@@ -42,10 +45,10 @@ import (
 
 const (
 	imageMagic   = "HPRG"
-	imageFormat  = 1
-	imageHdrSize = 96
+	imageFormat  = 2
+	imageHdrSize = 104
 	imageAlign   = 8
-	numSections  = 6
+	numSections  = 7
 )
 
 // ErrBadProgram is wrapped by every OpenProgram error.
@@ -62,11 +65,11 @@ func alignUp(off uint64) uint64 { return (off + imageAlign - 1) &^ (imageAlign -
 
 // imageLayout returns the canonical section offsets and total size of
 // an image with the given counts, or ok=false if they overflow.
-func imageLayout(n, ops, waits uint64) (off [numSections]uint64, size uint64, ok bool) {
-	if n > 1<<31 || ops > 1<<56/uint64(ropSize) || waits > 1<<56 {
+func imageLayout(n, ops, waits, chans uint64) (off [numSections]uint64, size uint64, ok bool) {
+	if n > 1<<31 || ops > 1<<56/uint64(ropSize) || waits > 1<<56 || chans > 1<<31 {
 		return off, 0, false
 	}
-	lens := [numSections]uint64{(n + 1) * 8, n * 4, n * 4, n * 4, ops * uint64(ropSize), waits * 4}
+	lens := [numSections]uint64{(n + 1) * 8, n * 4, n * 4, n * 4, ops * uint64(ropSize), waits * 4, chans * 8}
 	at := uint64(imageHdrSize)
 	for i, l := range lens {
 		at = alignUp(at)
@@ -84,7 +87,7 @@ func (p *Program) WriteImage(w io.Writer) error {
 		return errors.New("mpisim: program images are written on little-endian hosts only")
 	}
 	n := uint64(len(p.evCount))
-	off, size, ok := imageLayout(n, uint64(len(p.arena)), uint64(len(p.waits)))
+	off, size, ok := imageLayout(n, uint64(len(p.arena)), uint64(len(p.waits)), uint64(len(p.chans)))
 	if !ok {
 		return fmt.Errorf("mpisim: program too large for an image")
 	}
@@ -95,7 +98,7 @@ func (p *Program) WriteImage(w io.Writer) error {
 	le.PutUint32(hdr[8:], LoweringVersion)
 	le.PutUint32(hdr[12:], uint32(ropSize))
 	le.PutUint32(hdr[16:], uint32(n))
-	le.PutUint32(hdr[20:], uint32(p.numChans))
+	le.PutUint32(hdr[20:], uint32(len(p.chans)))
 	le.PutUint64(hdr[24:], uint64(len(p.arena)))
 	le.PutUint64(hdr[32:], uint64(len(p.waits)))
 	le.PutUint64(hdr[40:], size)
@@ -107,7 +110,7 @@ func (p *Program) WriteImage(w io.Writer) error {
 	pos := uint64(imageHdrSize)
 	sections := [numSections][]byte{
 		asBytes(p.opOff), asBytes(p.evCount), asBytes(p.reqCount), asBytes(p.appReqs),
-		asBytes(p.arena), asBytes(p.waits),
+		asBytes(p.arena), asBytes(p.waits), asBytes(p.chans),
 	}
 	var zero [imageAlign]byte
 	for i, b := range sections {
@@ -172,7 +175,7 @@ func OpenProgram(data []byte) (*Program, error) {
 	if numChans > 1<<31-1 {
 		return bad("implausible channel count %d", numChans)
 	}
-	off, want, ok := imageLayout(n, nOps, nWaits)
+	off, want, ok := imageLayout(n, nOps, nWaits, numChans)
 	if !ok || want != size {
 		return bad("counts (%d ranks, %d ops, %d wait entries) do not fit a %d-byte image", n, nOps, nWaits, size)
 	}
@@ -198,7 +201,7 @@ func OpenProgram(data []byte) (*Program, error) {
 		appReqs:  asSlice[int32](data, off[3], int(n)),
 		arena:    asSlice[Rop](data, off[4], int(nOps)),
 		waits:    asSlice[int32](data, off[5], int(nWaits)),
-		numChans: int(numChans),
+		chans:    asSlice[chanEnds](data, off[6], int(numChans)),
 	}
 	if err := p.validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadProgram, err)
@@ -217,6 +220,11 @@ func (p *Program) validate() error {
 	n := len(p.evCount)
 	if p.opOff[0] != 0 || p.opOff[n] != int64(len(p.arena)) {
 		return fmt.Errorf("op offsets span [%d,%d), arena holds %d", p.opOff[0], p.opOff[n], len(p.arena))
+	}
+	for c, e := range p.chans {
+		if e.src < 0 || int(e.src) >= n || e.dst < 0 || int(e.dst) >= n {
+			return fmt.Errorf("channel %d: ends %d→%d outside [0,%d)", c, e.src, e.dst, n)
+		}
 	}
 	p2p := 0
 	for r := 0; r < n; r++ {
@@ -237,24 +245,32 @@ func (p *Program) validate() error {
 				return opErr(r, i, op, "event %d outside [%d,%d)", op.Ev, lastEv, evs)
 			}
 			lastEv = op.Ev
-			if op.Flags&^RopColl != 0 {
+			if op.Flags&^(RopColl|ropSpan) != 0 {
 				return opErr(r, i, op, "unknown flags %#x", op.Flags)
+			}
+			if op.Flags&ropSpan != 0 && op.Kind != RopWait {
+				return opErr(r, i, op, "a span that is not a wait")
 			}
 			switch op.Kind {
 			case RopCompute:
-				if op.Dur < 0 {
-					return opErr(r, i, op, "negative duration %v", op.Dur)
+				if op.Val < 0 {
+					return opErr(r, i, op, "negative duration %v", op.Dur())
 				}
 			case RopSend, RopIsend, RopRecv, RopIrecv:
 				p2p++
-				if op.Peer < 0 || int(op.Peer) >= n {
-					return opErr(r, i, op, "peer %d outside [0,%d)", op.Peer, n)
+				if op.Ch < 0 || int(op.Ch) >= len(p.chans) {
+					return opErr(r, i, op, "channel %d outside [0,%d)", op.Ch, len(p.chans))
 				}
-				if op.Ch < 0 || int(op.Ch) >= p.numChans {
-					return opErr(r, i, op, "channel %d outside [0,%d)", op.Ch, p.numChans)
+				e := p.chans[op.Ch]
+				own := e.dst
+				if op.Kind == RopSend || op.Kind == RopIsend {
+					own = e.src
 				}
-				if op.Bytes < 0 {
-					return opErr(r, i, op, "negative payload %d", op.Bytes)
+				if own != int32(r) {
+					return opErr(r, i, op, "channel %d runs %d→%d, its end here is not this rank", op.Ch, e.src, e.dst)
+				}
+				if op.Val < 0 {
+					return opErr(r, i, op, "negative payload %d", op.Bytes())
 				}
 				if op.Kind == RopIsend || op.Kind == RopIrecv {
 					if op.Req < 0 || op.Req >= reqs {
@@ -269,15 +285,22 @@ func (p *Program) validate() error {
 					}
 				}
 			case RopWait:
-				if uint64(op.WaitOff)+uint64(op.WaitLen) > uint64(len(p.waits)) {
-					return opErr(r, i, op, "wait set [%d,+%d) outside the arena of %d", op.WaitOff, op.WaitLen, len(p.waits))
-				}
 				// A trace's own wait completes only the trace's requests.
 				limit := reqs
 				if op.Flags&RopColl == 0 {
 					limit = app
 				}
-				for _, q := range p.waits[op.WaitOff : op.WaitOff+op.WaitLen] {
+				lo, hi := op.waitSet()
+				if op.Flags&ropSpan != 0 {
+					if lo < 0 || hi < lo || hi > int64(limit) {
+						return opErr(r, i, op, "waits on requests [%d,%d) outside [0,%d)", lo, hi, limit)
+					}
+					continue
+				}
+				if lo < 0 || hi < lo || hi > int64(len(p.waits)) {
+					return opErr(r, i, op, "wait set [%d,%d) outside the arena of %d", lo, hi, len(p.waits))
+				}
+				for _, q := range p.waits[lo:hi] {
 					if q < 0 || q >= limit {
 						return opErr(r, i, op, "waits on request %d outside [0,%d)", q, limit)
 					}
@@ -291,8 +314,8 @@ func (p *Program) validate() error {
 				r, reqs, app, posts, appPosts)
 		}
 	}
-	if p.numChans > p2p {
-		return fmt.Errorf("%d channels for %d point-to-point ops", p.numChans, p2p)
+	if len(p.chans) > p2p {
+		return fmt.Errorf("%d channels for %d point-to-point ops", len(p.chans), p2p)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -17,14 +18,15 @@ import (
 
 // imageProgram lowers a small trace exercising every op kind, blocking
 // and nonblocking p2p, and several collectives (so both trace-owned and
-// synthesized requests and wait sets appear).
+// synthesized requests appear, and wait sets both spans and stored in
+// the wait arena).
 func imageProgram(t testing.TB) *Program {
 	b := newTB(4)
 	for r := 0; r < 4; r++ {
 		b.compute(r, simtime.Time(10+r)*simtime.Microsecond)
 		rq := b.irecv(r, (r+3)%4, 1, 4096)
 		sq := b.isend(r, (r+1)%4, 1, 4096)
-		b.waitall(r, rq, sq)
+		b.waitall(r, sq, rq) // descending: stored in the arena
 		if r%2 == 0 {
 			b.send(r, r+1, 2, 64)
 		} else {
@@ -73,7 +75,9 @@ func TestImageRoundTrip(t *testing.T) {
 // programSeeds is the FuzzProgramImage seed set: a valid image and one
 // precise corruption per family OpenProgram must reject — a truncated
 // image, a section knocked off alignment, a wait set pointing past the
-// wait arena, and a channel id at numChans. The same bytes are committed
+// wait arena, a span past the rank's requests, a channel id at the
+// channel count, and a send on a
+// channel that starts at another rank. The same bytes are committed
 // under testdata/fuzz/FuzzProgramImage (TestWriteProgramCorpus
 // regenerates them) so they run under plain `go test`.
 func programSeeds(t testing.TB) map[string][]byte {
@@ -81,12 +85,17 @@ func programSeeds(t testing.TB) map[string][]byte {
 	good := imageOf(t, p)
 	le := binary.LittleEndian
 	opsOff := le.Uint64(good[48+8*4:])
-	// patch edits the first op of the given kind in a copy of good.
-	patch := func(kind RopKind, edit func(op []byte)) []byte {
+	// patch edits the first op of the given kind and span flag in a
+	// copy of good, passing the rank it belongs to.
+	patch := func(kind RopKind, span bool, edit func(rank int, op []byte)) []byte {
 		b := append([]byte{}, good...)
 		for i := range p.arena {
-			if p.arena[i].Kind == kind {
-				edit(b[opsOff+uint64(i*ropSize):][:ropSize])
+			if p.arena[i].Kind == kind && (p.arena[i].Flags&ropSpan != 0) == span {
+				rank := 0
+				for p.opOff[rank+1] <= int64(i) {
+					rank++
+				}
+				edit(rank, b[opsOff+uint64(i*ropSize):][:ropSize])
 				return b
 			}
 		}
@@ -101,13 +110,36 @@ func programSeeds(t testing.TB) map[string][]byte {
 			le.PutUint64(b[48+8*4:], opsOff+4)
 			return b
 		}(),
-		"wait-set-out-of-range": patch(RopWait, func(op []byte) {
-			le.PutUint32(op[unsafe.Offsetof(Rop{}.WaitOff):], uint32(len(p.waits)))
+		"wait-set-out-of-range": patch(RopWait, false, func(_ int, op []byte) {
+			le.PutUint32(op[unsafe.Offsetof(Rop{}.Req):], uint32(len(p.waits)))
 		}),
-		"channel-out-of-range": patch(RopIsend, func(op []byte) {
-			le.PutUint32(op[unsafe.Offsetof(Rop{}.Ch):], uint32(p.numChans))
+		"span-out-of-range": patch(RopWait, true, func(rank int, op []byte) {
+			le.PutUint32(op[unsafe.Offsetof(Rop{}.Req):], uint32(p.reqCount[rank]))
+		}),
+		"channel-out-of-range": patch(RopIsend, false, func(_ int, op []byte) {
+			le.PutUint32(op[unsafe.Offsetof(Rop{}.Ch):], uint32(len(p.chans)))
+		}),
+		"send-on-another-ranks-channel": patch(RopSend, false, func(rank int, op []byte) {
+			for c, e := range p.chans {
+				if e.src != int32(rank) {
+					le.PutUint32(op[unsafe.Offsetof(Rop{}.Ch):], uint32(c))
+					return
+				}
+			}
+			t.Fatalf("every channel starts at rank %d", rank)
 		}),
 	}
+}
+
+// seedRejections names the reason each corrupt seed must be rejected
+// for, as a fragment of OpenProgram's error.
+var seedRejections = map[string]string{
+	"truncated":                     "image holds",
+	"misaligned-extent":             "misaligned",
+	"wait-set-out-of-range":         "wait set",
+	"span-out-of-range":             "waits on requests",
+	"channel-out-of-range":          "outside [0,",
+	"send-on-another-ranks-channel": "its end here is not this rank",
 }
 
 // FuzzProgramImage holds OpenProgram to its contract on any input:
@@ -128,8 +160,13 @@ func FuzzProgramImage(f *testing.F) {
 			return
 		}
 		for r := 0; r < p.NumRanks(); r++ {
-			for i := range p.Rank(r) {
-				_ = p.Waits(&p.Rank(r)[i])
+			for i, op := range p.Rank(r) {
+				switch op.Kind {
+				case RopWait:
+					_ = p.Waits(&p.Rank(r)[i])
+				case RopSend, RopIsend, RopRecv, RopIrecv:
+					_ = p.peer(&p.Rank(r)[i])
+				}
 			}
 		}
 		again, err := OpenProgram(imageOf(t, p))
@@ -140,7 +177,7 @@ func FuzzProgramImage(f *testing.F) {
 }
 
 // TestProgramSeedsRejected checks each corrupt seed fails for the
-// reason it was built for, so the corpus keeps covering every check.
+// reason it was built for (seedRejections), so the corpus keeps covering every check.
 func TestProgramSeedsRejected(t *testing.T) {
 	for name, b := range programSeeds(t) {
 		_, err := OpenProgram(b)
@@ -152,6 +189,8 @@ func TestProgramSeedsRejected(t *testing.T) {
 		}
 		if !errors.Is(err, ErrBadProgram) {
 			t.Errorf("%s: err %v, want ErrBadProgram", name, err)
+		} else if want := seedRejections[name]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err %v, want it rejected for %q", name, err, want)
 		}
 	}
 }

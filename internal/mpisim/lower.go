@@ -27,15 +27,18 @@ const collTagBase int32 = 1 << 20
 // collective algorithms, the numbering of requests and channels, and the
 // Rop layout. Anything that changes the program of some trace bumps it,
 // so a program stored by an older build is recognized as stale and
-// lowered again rather than replayed.
-const LoweringVersion = 1
+// lowered again rather than replayed. Version 2 is the 24-byte Rop with
+// peers in the channel table.
+const LoweringVersion = 2
 
 // lowerer builds a Program by walking the trace rank by rank. A rank's
 // ops are appended to the one op arena while it is walked, so they are
-// contiguous. A sizing pass first counts the ops and wait-set entries,
-// so the arenas are allocated once at their exact size: a fresh program
-// is two allocations with no slack, and a Session's arenas, kept from
-// trace to trace, grow only for a trace bigger than any before it.
+// contiguous. A sizing pass first counts the ops and bounds the
+// wait-set entries, so the arenas are allocated once: the op arena at
+// its exact size, the wait arena at most at the size of the trace's
+// waitall sets, whichever of them turn out to be spans. A Session's
+// arenas, kept from trace to trace, grow only for a trace bigger than
+// any before it.
 //
 // The walk also resolves every point-to-point op's matching key (src,
 // dst, tag, comm) to a dense channel id, so the one hash lookup a
@@ -69,9 +72,15 @@ type chanKey struct {
 }
 
 // Lower translates a validated trace into a fresh Program that belongs
-// to the caller and outlives any Session.
+// to the caller and outlives any Session. Its arenas hold no slack.
 func Lower(src trace.Source) (*Program, error) {
-	return lower(src, &Session{})
+	prog, err := lower(src, &Session{})
+	if err == nil && cap(prog.waits) > len(prog.waits) {
+		waits := make([]int32, len(prog.waits))
+		copy(waits, prog.waits)
+		prog.waits = waits
+	}
+	return prog, err
 }
 
 // lower translates a validated trace into primitive replay programs:
@@ -93,7 +102,7 @@ func lower(src trace.Source, sess *Session) (*Program, error) {
 	// see every other member's send counts.
 	vIndex := buildAlltoallvIndex(src)
 	lw.size(vIndex)
-	if lw.nWaits > math.MaxUint32 {
+	if lw.nWaits > math.MaxInt32 {
 		return nil, fmt.Errorf("mpisim: %s lowers to %d wait-set entries, more than a program holds", src.TraceMeta().ID(), lw.nWaits)
 	}
 	lw.ops, lw.waits = sess.ops(lw.nOps), sess.reqs(lw.nWaits)
@@ -119,16 +128,19 @@ func lower(src trace.Source, sess *Session) (*Program, error) {
 		prog.reqCount[rank] = lw.nextApp + lw.nextSynth
 	}
 	sess.opArena, sess.reqArena = lw.ops, lw.waits
-	prog.arena, prog.waits, prog.numChans = lw.ops, lw.waits, int(lw.chans.n)
+	prog.arena, prog.waits, prog.chans = lw.ops, lw.waits, lw.chans.ends()
+	if len(prog.waits) == 0 {
+		prog.waits = nil // as an opened image has it
+	}
 	prog.views()
 	return prog, nil
 }
 
-// size runs the sizing pass, setting nOps and nWaits to what lowering
-// will emit. Every event but a collective lowers to exactly one op, a
-// wait's set being its own request list, so only collectives need a dry
-// run of their algorithm. Malformed events are left for the filling
-// walk to report.
+// size runs the sizing pass, setting nOps to what lowering will emit
+// and nWaits to at least that. Every event but a collective lowers to
+// exactly one op, a wait's set being a span or its own request list, so
+// only collectives need a dry run of their algorithm. Malformed events
+// are left for the filling walk to report.
 func (lw *lowerer) size(vIndex map[vKey][][]int64) {
 	lw.counting = true
 	defer func() { lw.counting = false }()
@@ -140,8 +152,7 @@ func (lw *lowerer) size(vIndex map[vKey][][]int64) {
 		for i := 0; i < m; i++ {
 			switch op := lw.src.OpAt(rank, i); {
 			case op == trace.OpWait:
-				lw.nOps++
-				lw.nWaits++
+				lw.nOps++ // a span
 			case op == trace.OpWaitall:
 				lw.src.EventAt(rank, i, &e)
 				lw.nOps++
@@ -171,22 +182,22 @@ func (lw *lowerer) rank(rank int, collSeq []int, vIndex map[vKey][][]int64) erro
 		comm := int32(e.Comm)
 		switch e.Op {
 		case trace.OpCompute:
-			lw.emit(rank, Rop{Kind: RopCompute, Dur: e.Duration(), Ev: ev}, 0, nil)
+			lw.emit(Rop{Kind: RopCompute, Val: int64(e.Duration()), Ev: ev}, nil)
 		case trace.OpSend:
-			lw.emit(rank, Rop{Kind: RopSend, Peer: e.Peer, Tag: e.Tag, Bytes: e.Bytes, Ev: ev}, comm, nil)
+			lw.emitP2P(rank, Rop{Kind: RopSend, Val: e.Bytes, Ev: ev}, e.Peer, e.Tag, comm)
 		case trace.OpRecv:
-			lw.emit(rank, Rop{Kind: RopRecv, Peer: e.Peer, Tag: e.Tag, Bytes: e.Bytes, Ev: ev}, comm, nil)
+			lw.emitP2P(rank, Rop{Kind: RopRecv, Val: e.Bytes, Ev: ev}, e.Peer, e.Tag, comm)
 		case trace.OpIsend:
-			lw.emit(rank, Rop{Kind: RopIsend, Peer: e.Peer, Tag: e.Tag, Bytes: e.Bytes, Req: lw.fresh(e.Req), Ev: ev}, comm, nil)
+			lw.emitP2P(rank, Rop{Kind: RopIsend, Val: e.Bytes, Req: lw.fresh(e.Req), Ev: ev}, e.Peer, e.Tag, comm)
 		case trace.OpIrecv:
-			lw.emit(rank, Rop{Kind: RopIrecv, Peer: e.Peer, Tag: e.Tag, Bytes: e.Bytes, Req: lw.fresh(e.Req), Ev: ev}, comm, nil)
+			lw.emitP2P(rank, Rop{Kind: RopIrecv, Val: e.Bytes, Req: lw.fresh(e.Req), Ev: ev}, e.Peer, e.Tag, comm)
 		case trace.OpWait:
 			id, err := lw.lookup(rank, i, e.Req)
 			if err != nil {
 				return err
 			}
 			lw.scratch = append(lw.scratch[:0], id)
-			lw.emit(rank, Rop{Kind: RopWait, Ev: ev}, 0, lw.scratch)
+			lw.emit(Rop{Kind: RopWait, Ev: ev}, lw.scratch)
 		case trace.OpWaitall:
 			lw.scratch = lw.scratch[:0]
 			for _, r := range e.Reqs {
@@ -196,7 +207,7 @@ func (lw *lowerer) rank(rank int, collSeq []int, vIndex map[vKey][][]int64) erro
 				}
 				lw.scratch = append(lw.scratch, id)
 			}
-			lw.emit(rank, Rop{Kind: RopWait, Ev: ev}, 0, lw.scratch)
+			lw.emit(Rop{Kind: RopWait, Ev: ev}, lw.scratch)
 		default:
 			if !e.Op.IsCollective() {
 				return fmt.Errorf("mpisim: rank %d event %d: unsupported op %v", rank, i, e.Op)
@@ -230,32 +241,66 @@ func (lw *lowerer) shiftSynth(start int) {
 		case RopIsend, RopIrecv:
 			op.Req += lw.nextApp
 		case RopWait:
-			for j := op.WaitOff; j < op.WaitOff+op.WaitLen; j++ {
+			if op.Flags&ropSpan != 0 {
+				op.Req += lw.nextApp
+				continue
+			}
+			lo, hi := op.waitSet()
+			for j := lo; j < hi; j++ {
 				lw.waits[j] += lw.nextApp
 			}
 		}
 	}
 }
 
-// emit appends op to rank's program. comm completes a p2p op's matching
-// key; reqs is a wait's request set, copied into the wait arena, so
-// callers may pass a reused scratch buffer.
-func (lw *lowerer) emit(rank int, op Rop, comm int32, reqs []int32) {
+// emit appends a compute or wait op to the program of the rank being
+// walked. reqs is a wait's request set: a span if its ids are
+// consecutive, and otherwise copied into the wait arena, so callers may
+// pass a reused scratch buffer.
+func (lw *lowerer) emit(op Rop, reqs []int32) {
+	span := op.Kind == RopWait && consecutive(reqs)
 	if lw.counting {
 		lw.nOps++
-		lw.nWaits += len(reqs)
+		if !span {
+			lw.nWaits += len(reqs)
+		}
 		return
 	}
-	if len(reqs) > 0 {
-		op.WaitOff, op.WaitLen = uint32(len(lw.waits)), uint32(len(reqs))
-		lw.waits = append(lw.waits, reqs...)
+	if op.Kind == RopWait {
+		op.Req, op.Ch = int32(len(lw.waits)), int32(len(reqs))
+		if span {
+			op.Req, op.Flags = reqs[0], op.Flags|ropSpan
+		} else {
+			lw.waits = append(lw.waits, reqs...)
+		}
 	}
-	switch op.Kind {
-	case RopSend, RopIsend:
-		op.Ch = lw.chans.id(chanKey{src: int32(rank), dst: op.Peer, tag: op.Tag, comm: comm})
-	case RopRecv, RopIrecv:
-		op.Ch = lw.chans.id(chanKey{src: op.Peer, dst: int32(rank), tag: op.Tag, comm: comm})
+	lw.ops = append(lw.ops, op)
+}
+
+// consecutive reports whether reqs is a non-empty run of consecutive
+// ascending ids.
+func consecutive(reqs []int32) bool {
+	for i, q := range reqs {
+		if q != reqs[0]+int32(i) {
+			return false
+		}
 	}
+	return len(reqs) > 0
+}
+
+// emitP2P appends a point-to-point op of rank with the given peer;
+// peer, tag and comm complete its matching key, which names its
+// channel.
+func (lw *lowerer) emitP2P(rank int, op Rop, peer, tag, comm int32) {
+	if lw.counting {
+		lw.nOps++
+		return
+	}
+	k := chanKey{src: int32(rank), dst: peer, tag: tag, comm: comm}
+	if op.Kind == RopRecv || op.Kind == RopIrecv {
+		k.src, k.dst = peer, int32(rank)
+	}
+	op.Ch = lw.chans.id(k)
 	lw.ops = append(lw.ops, op)
 }
 
@@ -303,6 +348,17 @@ func (t *chanTable) grow() {
 		}
 		t.keys[i], t.ids[i] = keys[j], id
 	}
+}
+
+// ends returns the channel table: each channel's ends, by id.
+func (t *chanTable) ends() []chanEnds {
+	out := make([]chanEnds, t.n)
+	for i, id := range t.ids {
+		if id != 0 {
+			out[id-1] = chanEnds{src: t.keys[i].src, dst: t.keys[i].dst}
+		}
+	}
+	return out
 }
 
 // hash mixes the key's two 64-bit halves (a multiply-xorshift finalizer).

@@ -2,8 +2,12 @@ package mpisim_test
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/workload"
@@ -72,5 +76,57 @@ func TestOpenedImageEqualsLowered(t *testing.T) {
 		if err := got.Fits(cols); err != nil {
 			t.Errorf("%s: %v", p.App, err)
 		}
+	}
+}
+
+// TestRopIs24Bytes pins the op size a program's memory and image scale
+// with.
+func TestRopIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(mpisim.Rop{}); got != 24 {
+		t.Fatalf("Rop is %d bytes, want 24", got)
+	}
+}
+
+const programBytesFile = "testdata/program_bytes.txt"
+
+// TestProgramBytes holds the program size of six small study traces
+// exactly: ops, channels and image bytes. A change to
+// lowering or to the image layout that moves them rewrites the fixture
+// with -update and says why.
+func TestProgramBytes(t *testing.T) {
+	var got bytes.Buffer
+	fmt.Fprintln(&got, "# app class ranks machine: ops chans image_bytes")
+	for _, p := range workload.SuiteSmall(8, 64)[:6] {
+		cols, err := workload.GenerateColumns(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.App, err)
+		}
+		prog, err := mpisim.Lower(cols)
+		if err != nil {
+			t.Fatalf("%s: %v", p.App, err)
+		}
+		var img bytes.Buffer
+		if err := prog.WriteImage(&img); err != nil {
+			t.Fatalf("%s: %v", p.App, err)
+		}
+		ops := 0
+		for r := 0; r < prog.NumRanks(); r++ {
+			ops += len(prog.Rank(r))
+		}
+		fmt.Fprintf(&got, "%s %s %d %s: %d %d %d\n", p.App, p.Class, p.Ranks, p.Machine, ops, prog.NumChans(), img.Len())
+	}
+	path := filepath.FromSlash(programBytesFile)
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test -run TestProgramBytes -update)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("program sizes changed:\n got\n%s\nwant\n%s", got.Bytes(), want)
 	}
 }

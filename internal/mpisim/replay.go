@@ -318,7 +318,7 @@ func (d *driver) run() {
 	prog := d.prog
 	n := d.src.TraceMeta().NumRanks
 	d.ranks = make([]*rankState, n)
-	d.chans = d.sess.channels(prog.numChans)
+	d.chans = d.sess.channels(prog.NumChans())
 	d.rankComm = make([]simtime.Time, n)
 	d.finish = make([]simtime.Time, n)
 	if d.opts.Record {
@@ -399,7 +399,14 @@ func (d *driver) checkFinished() error {
 		if !rs.fin {
 			op := "end"
 			if rs.pc < len(rs.ops) {
-				op = fmt.Sprintf("%s(peer=%d tag=%d)", rs.ops[rs.pc].Kind, rs.ops[rs.pc].Peer, rs.ops[rs.pc].Tag)
+				switch o := &rs.ops[rs.pc]; o.Kind {
+				case RopCompute:
+					op = o.Kind.String()
+				case RopWait:
+					op = fmt.Sprintf("wait(requests=%d)", o.Ch)
+				default:
+					op = fmt.Sprintf("%s(peer=%d)", o.Kind, d.prog.peer(o))
+				}
 			}
 			return fmt.Errorf("%w: rank %d stuck at op %d/%d (%s)", ErrDeadlock, rs.id, rs.pc, len(rs.ops), op)
 		}
@@ -448,7 +455,7 @@ func (d *driver) advance(rs *rankState) {
 		d.markEntry(rs, op.Ev)
 		switch op.Kind {
 		case RopCompute:
-			dur := op.Dur.Scale(d.opts.CompScale)
+			dur := op.Dur().Scale(d.opts.CompScale)
 			if d.opts.Perturb != nil {
 				dur = d.opts.Perturb.Compute(rs.id, op.Ev, dur)
 			}
@@ -651,8 +658,8 @@ func (sess *Session) newRecv() *recvRec {
 // event it schedules.
 func (d *driver) postSend(rs *rankState, op *Rop, req int32) (*sendRec, simtime.Time) {
 	s := d.sess.newSend()
-	s.src, s.dst, s.req, s.bytes = rs.id, op.Peer, req, op.Bytes
-	s.eager = op.Bytes <= d.mach.EagerThreshold
+	s.src, s.dst, s.req, s.bytes = rs.id, d.prog.chans[op.Ch].dst, req, op.Bytes()
+	s.eager = s.bytes <= d.mach.EagerThreshold
 	s.delivered, s.rv = false, nil
 	// Drawn for rendezvous sends too: a Perturber's overhead is a
 	// per-rank sequence, and every posted send takes one draw.
@@ -663,7 +670,7 @@ func (d *driver) postSend(rs *rankState, op *Rop, req int32) (*sendRec, simtime.
 		// of matching; the payload travels immediately. A blocking
 		// sender resumes then; an isend's completion is only a key.
 		s.ahead = 3
-		done := d.eng.Now() + o + simtime.TransferTime(op.Bytes, d.mach.InjectionBandwidth)
+		done := d.eng.Now() + o + simtime.TransferTime(s.bytes, d.mach.InjectionBandwidth)
 		if req == blockingOp {
 			d.eng.At(done, s.senderDoneFn)
 		} else {

@@ -248,6 +248,23 @@ func TestReplayDetectsRendezvousDeadlock(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v, want deadlock report", err)
 	}
+	// The report names the stuck op's peer from its channel.
+	if want := "rank 0 stuck at op 0/2 (send(peer=7))"; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to say %q", err, want)
+	}
+
+	// A rank stuck in a wait is reported with its request count: rank
+	// 0's rendezvous isend needs rank 7's receive, which waits behind a
+	// send to rank 0 that only rank 0's receive after the wait matches.
+	b = newTB(8)
+	b.waitall(0, b.isend(0, 7, 1, big))
+	b.recv(0, 7, 2, big)
+	b.send(7, 0, 2, big)
+	b.recv(7, 0, 1, big)
+	_, err = Replay(b.build(t), simnet.PacketFlow, mach, simnet.Config{}, Options{})
+	if want := "rank 0 stuck at op 1/3 (wait(requests=1))"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want it to say %q", err, want)
+	}
 }
 
 func TestReplayEagerCrossDoesNotDeadlock(t *testing.T) {

@@ -47,32 +47,55 @@ func (k RopKind) String() string {
 // itself.
 const RopColl uint8 = 1
 
+// ropSpan in Rop.Flags marks a wait whose request set is a run of
+// consecutive ids, [Req, Req+Ch), which takes no room in the wait arena.
+// Most sets are one: a halo exchange waits on the requests it has just
+// posted, a collective round on its receive and its send.
+const ropSpan uint8 = 2
+
 // Rop is one primitive replay operation on one rank. It holds no
 // pointers — a wait's request set is an extent of the program's wait
-// arena — so a program is one flat block of memory that can be written
-// to disk as it is and mapped back without decoding.
+// arena, and a p2p op's peer is an end of its channel in the program's
+// channel table — so a program is one flat block of memory that can be
+// written to disk as it is and mapped back without decoding.
 type Rop struct {
-	Bytes int64        // payload of a point-to-point op
-	Dur   simtime.Time // compute duration (unscaled trace time)
-	Peer  int32        // world rank of the p2p peer
-	Tag   int32
+	// Val is a p2p op's payload in bytes or a compute op's duration
+	// (unscaled trace time); Bytes and Dur read it.
+	Val int64
+	// Ch is the matching channel of a p2p op: the dense id of its (src,
+	// dst, tag, comm). A wait keeps its request set's length here.
+	Ch int32
 	// Req is the request id of an isend/irecv. Lowering renumbers
 	// requests densely per rank: the trace's own requests first, in
-	// posting order, then the ones its collectives synthesize.
+	// posting order, then the ones its collectives synthesize. A wait
+	// keeps its request set's offset here: in the wait arena, or, for a
+	// span (ropSpan), in the sequence of all ids 0, 1, 2, …, so that the
+	// offset is the set's first id.
 	Req int32
-	// Ch is the matching channel of a p2p op: the dense id of its (src,
-	// dst, tag, comm).
-	Ch int32
 	// Ev is the index of the originating event in the rank's trace
 	// stream; a rank's ops are in nondecreasing Ev order.
-	Ev int32
-	// WaitOff and WaitLen locate a wait's request set in the program's
-	// wait arena.
-	WaitOff uint32
-	WaitLen uint32
-	Kind    RopKind
-	Flags   uint8
-	_       [2]byte
+	Ev    int32
+	Kind  RopKind
+	Flags uint8
+	_     [2]byte
+}
+
+// Bytes returns a p2p op's payload.
+func (op *Rop) Bytes() int64 { return op.Val }
+
+// Dur returns a compute op's duration.
+func (op *Rop) Dur() simtime.Time { return simtime.Time(op.Val) }
+
+// waitSet returns the extent [lo, hi) of a wait's request set: in the
+// wait arena, or for a span the ids themselves.
+func (op *Rop) waitSet() (lo, hi int64) {
+	return int64(op.Req), int64(op.Req) + int64(op.Ch)
+}
+
+// chanEnds is one row of a program's channel table: the sending and
+// the receiving world rank of a matching channel.
+type chanEnds struct {
+	src, dst int32
 }
 
 // ropSize is the in-memory (and on-disk) size of a Rop; the image
@@ -96,8 +119,11 @@ type Program struct {
 	// opOff[r] is where rank r's ops start in arena; opOff[n] is its
 	// length.
 	opOff []int64
-	// waits is the arena every wait's request set points into.
-	waits []int32
+	// waits is the arena the request set of every wait but a span
+	// points into, and ids is 0, 1, 2, … up to the most requests of any
+	// rank, which a span's set is an extent of. ids is derived, never
+	// stored.
+	waits, ids []int32
 	// evCount[r] is the number of original events on rank r (for
 	// timestamp write-back and the shape check).
 	evCount []int32
@@ -107,9 +133,9 @@ type Program struct {
 	// arrays instead of maps; MFACT needs only the first appReqs[r].
 	reqCount []int32
 	appReqs  []int32
-	// numChans is the number of distinct (src, dst, tag, comm) matching
-	// channels; Rop.Ch indexes [0, numChans).
-	numChans int
+	// chans is the channel table, one row per distinct (src, dst, tag,
+	// comm) matching key; a p2p op's Rop.Ch indexes it.
+	chans []chanEnds
 }
 
 // NumRanks returns the number of ranks the program replays.
@@ -120,7 +146,20 @@ func (p *Program) Rank(r int) []Rop { return p.ops[r] }
 
 // Waits returns the request set of a wait op. The slice is read-only.
 func (p *Program) Waits(op *Rop) []int32 {
-	return p.waits[op.WaitOff : op.WaitOff+op.WaitLen : op.WaitOff+op.WaitLen]
+	lo, hi := op.waitSet()
+	if op.Flags&ropSpan != 0 {
+		return p.ids[lo:hi:hi]
+	}
+	return p.waits[lo:hi:hi]
+}
+
+// peer returns the world rank at the other end of a p2p op's channel:
+// the destination of a send, the source of a receive.
+func (p *Program) peer(op *Rop) int32 {
+	if op.Kind == RopSend || op.Kind == RopIsend {
+		return p.chans[op.Ch].dst
+	}
+	return p.chans[op.Ch].src
 }
 
 // EventCount returns the number of trace events on rank r.
@@ -131,7 +170,7 @@ func (p *Program) EventCount(r int) int { return int(p.evCount[r]) }
 func (p *Program) AppRequests(r int) int32 { return p.appReqs[r] }
 
 // NumChans returns the number of matching channels.
-func (p *Program) NumChans() int { return p.numChans }
+func (p *Program) NumChans() int { return len(p.chans) }
 
 // Fits reports an error when the program cannot be src's: a different
 // rank count or a different number of events on some rank. It compares
@@ -162,16 +201,25 @@ func (p *Program) Retime(src trace.Source) {
 		for i := range ops {
 			if op := &ops[i]; op.Kind == RopCompute {
 				src.EventAt(r, int(op.Ev), &e)
-				op.Dur = e.Duration()
+				op.Val = int64(e.Duration())
 			}
 		}
 	}
 }
 
-// views rebuilds the per-rank op slices from opOff.
+// views rebuilds the per-rank op slices from opOff, and the ids span
+// waits read.
 func (p *Program) views() {
 	p.ops = make([][]Rop, len(p.opOff)-1)
 	for r := range p.ops {
 		p.ops[r] = p.arena[p.opOff[r]:p.opOff[r+1]:p.opOff[r+1]]
+	}
+	var most int32
+	for _, c := range p.reqCount {
+		most = max(most, c)
+	}
+	p.ids = make([]int32, most)
+	for i := range p.ids {
+		p.ids[i] = int32(i)
 	}
 }

@@ -139,8 +139,11 @@ func (b *Builder) Alltoallv(r int, comm CommID, sendBytes []int64) {
 	b.push(r, Event{Op: OpAlltoallv, Peer: NoPeer, Req: NoReq, Comm: comm, SendBytes: sendBytes})
 }
 
-// BuildColumns validates and returns the trace.
+// BuildColumns validates and returns the trace, its columns sized
+// exactly to their content: a trace lives through stamping and every
+// replay, so the slack of appending would cost it that long.
 func (b *Builder) BuildColumns() (*Columns, error) {
+	b.cols.clip()
 	if err := b.cols.Validate(); err != nil {
 		return nil, fmt.Errorf("trace builder produced invalid trace: %w", err)
 	}

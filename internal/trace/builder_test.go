@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"hpctradeoff/internal/simtime"
@@ -82,5 +83,34 @@ func TestBuilderWaitallEmptyNoop(t *testing.T) {
 	}
 	if tr.RankLen(0) != 1 {
 		t.Errorf("rank 0 has %d events, want 1", tr.RankLen(0))
+	}
+}
+
+// TestBuildColumnsExactSize: every column and arena of a built trace
+// has no spare capacity, whatever the appends left.
+func TestBuildColumnsExactSize(t *testing.T) {
+	b := NewBuilder(Meta{App: "exact", NumRanks: 3})
+	for i := 0; i < 37; i++ {
+		b.Compute(0, simtime.Microsecond)
+		b.Wait(0, b.Isend(0, 1, 1, 64, CommWorld))
+		b.Recv(1, 0, 1, 64, CommWorld)
+		b.Waitall(2, b.Irecv(2, 1, 2, 8, CommWorld), b.Irecv(2, 1, 3, 8, CommWorld))
+		b.Send(1, 2, 2, 8, CommWorld)
+		b.Send(1, 2, 3, 8, CommWorld)
+	}
+	for r := 0; r < 3; r++ {
+		b.Alltoallv(r, CommWorld, []int64{1, 2, 3})
+	}
+	tr, err := b.BuildColumns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range tr.ranks {
+		v := reflect.ValueOf(tr.ranks[r])
+		for f := 0; f < v.NumField(); f++ {
+			if col := v.Field(f); col.Cap() != col.Len() {
+				t.Errorf("rank %d %s: cap %d, len %d", r, v.Type().Field(f).Name, col.Cap(), col.Len())
+			}
+		}
 	}
 }

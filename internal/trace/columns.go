@@ -83,6 +83,32 @@ func (c *Columns) Append(r int, e *Event) {
 	rc.auxLen = append(rc.auxLen, n)
 }
 
+// clip reallocates every rank's columns and arenas at exactly their
+// length, so a finished trace keeps none of the spare capacity that
+// appending left behind.
+func (c *Columns) clip() {
+	for r := range c.ranks {
+		rc := &c.ranks[r]
+		rc.op = exact(rc.op)
+		rc.entry, rc.exit = exact(rc.entry), exact(rc.exit)
+		rc.peer, rc.tag, rc.root, rc.req = exact(rc.peer), exact(rc.tag), exact(rc.root), exact(rc.req)
+		rc.comm, rc.bytes = exact(rc.comm), exact(rc.bytes)
+		rc.auxOff, rc.auxLen = exact(rc.auxOff), exact(rc.auxLen)
+		rc.reqArena, rc.sbArena = exact(rc.reqArena), exact(rc.sbArena)
+	}
+}
+
+// exact returns s itself if it has no spare capacity, and otherwise a
+// copy that has none.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
 // TraceMeta implements Source.
 func (c *Columns) TraceMeta() *Meta { return &c.Meta }
 

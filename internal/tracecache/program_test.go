@@ -144,3 +144,62 @@ func TestListMarksStalePrograms(t *testing.T) {
 		t.Errorf("missing program listed with err %v", es[0].ProgramErr)
 	}
 }
+
+// TestPreviousLayoutProgramIsRelowered: an entry holding a program
+// stored by a lowering-version-1 build (48-byte ops with the peer in
+// each op; testdata/lowering-v1.prog is that build's program file for
+// testParams(13), bound to the same trace bytes) is a hit whose program
+// is lowered again and re-published. Nothing is evicted and nothing
+// counts as a miss.
+func TestPreviousLayoutProgramIsRelowered(t *testing.T) {
+	dir := t.TempDir()
+	p := testParams(13)
+	c := mustOpen(t, dir, Options{})
+	_, _, release, _ := acquireProgram(t, c, p)
+	release()
+	path := c.ProgramPath(Hash(p))
+	cur, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile("testdata/lowering-v1.prog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oh, err := parseProgramHeader(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := parseProgramHeader(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oh.lowering != 1 || oh.traceSize != ch.traceSize || oh.traceCRC != ch.traceCRC {
+		t.Fatalf("fixture is lowering version %d of a %d-byte trace with CRC %08x; want version 1 of this entry's %d-byte trace with CRC %08x",
+			oh.lowering, oh.traceSize, oh.traceCRC, ch.traceSize, ch.traceCRC)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c = mustOpen(t, dir, Options{})
+	cols, prog, release, hit := acquireProgram(t, c, p)
+	defer release()
+	if st := c.Stats(); !hit || st.Relowered != 1 || st.Corrupt != 0 || st.Misses != 0 {
+		t.Fatalf("hit=%v, stats %+v; want a hit with one program re-lowered and nothing evicted", hit, st)
+	}
+	want, err := mpisim.Lower(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(prog, want) {
+		t.Fatal("served program differs from a lowering of the served trace")
+	}
+	es, err := c.List()
+	if err != nil || len(es) != 1 {
+		t.Fatalf("List: %v, %d entries", err, len(es))
+	}
+	if e := es[0]; e.ProgramErr != nil || e.ProgramVersion != mpisim.LoweringVersion {
+		t.Fatalf("re-published program: version %d, err %v", e.ProgramVersion, e.ProgramErr)
+	}
+}

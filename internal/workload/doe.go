@@ -300,11 +300,11 @@ func genMultiGrid(g *gen) error {
 // which the SST/Macro 3.0 models cannot replay.
 func genFB(g *gen) error {
 	base := int64(float64(6<<10) * g.scale) // weak-scaled patch volume
+	grid := newGrid3(g.n)
 	for it := 0; it < g.iters; it++ {
 		g.computeAll(g.weakCompute(ms(0.9)), 0.06)
 		for phase := 0; phase < 2; phase++ {
 			// Partner set: 6 structured neighbors + random AMR overlaps.
-			grid := newGrid3(g.n)
 			var pairs [][2]int
 			seen := map[[2]int]bool{}
 			add := func(a, b int) {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"hpctradeoff/internal/trace"
 )
 
@@ -37,27 +39,31 @@ func factor3(n int) (int, int, int) {
 // grid3 is a 3-D process decomposition over ranks 0..n-1.
 type grid3 struct {
 	nx, ny, nz int
+	// face and all hold every rank's face and face/edge/corner
+	// neighbors, each computed on first use: generators exchange halos
+	// every iteration, with the same neighbors each time.
+	face, all [][]int
 }
 
-func newGrid3(n int) grid3 {
+func newGrid3(n int) *grid3 {
 	a, b, c := factor3(n)
-	return grid3{a, b, c}
+	return &grid3{nx: a, ny: b, nz: c}
 }
 
-func (g grid3) coords(r int) (x, y, z int) {
+func (g *grid3) coords(r int) (x, y, z int) {
 	x = r % g.nx
 	y = (r / g.nx) % g.ny
 	z = r / (g.nx * g.ny)
 	return
 }
 
-func (g grid3) rank(x, y, z int) int {
+func (g *grid3) rank(x, y, z int) int {
 	return (z*g.ny+y)*g.nx + x
 }
 
 // neighbor returns the rank offset by (dx,dy,dz) with periodic
 // wrap-around, or -1 if it would be the rank itself.
-func (g grid3) neighbor(r, dx, dy, dz int) int {
+func (g *grid3) neighbor(r, dx, dy, dz int) int {
 	x, y, z := g.coords(r)
 	nx := (x + dx + g.nx) % g.nx
 	ny := (y + dy + g.ny) % g.ny
@@ -69,39 +75,59 @@ func (g grid3) neighbor(r, dx, dy, dz int) int {
 	return nr
 }
 
-// faceNeighbors returns the up-to-6 distinct face neighbors of r.
-func (g grid3) faceNeighbors(r int) []int {
-	dirs := [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
-	var out []int
-	seen := map[int]bool{}
-	for _, d := range dirs {
-		if nr := g.neighbor(r, d[0], d[1], d[2]); nr >= 0 && !seen[nr] {
-			seen[nr] = true
-			out = append(out, nr)
-		}
-	}
-	return out
-}
+// faceDirs are the 6 face offsets, and allDirs the 26 face, edge and
+// corner offsets, in the order neighbor lists are built in.
+var faceDirs = [][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
 
-// allNeighbors returns the up-to-26 distinct face/edge/corner
-// neighbors of r (the LULESH ghost-exchange stencil).
-func (g grid3) allNeighbors(r int) []int {
-	var out []int
-	seen := map[int]bool{}
+var allDirs = func() [][3]int {
+	var out [][3]int
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dz := -1; dz <= 1; dz++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				if nr := g.neighbor(r, dx, dy, dz); nr >= 0 && !seen[nr] {
-					seen[nr] = true
-					out = append(out, nr)
+				if dx != 0 || dy != 0 || dz != 0 {
+					out = append(out, [3]int{dx, dy, dz})
 				}
 			}
 		}
 	}
 	return out
+}()
+
+// faceNeighbors returns the up-to-6 distinct face neighbors of r. The
+// slice is shared and read-only.
+func (g *grid3) faceNeighbors(r int) []int {
+	if g.face == nil {
+		g.face = g.neighborTable(faceDirs)
+	}
+	return g.face[r]
+}
+
+// allNeighbors returns the up-to-26 distinct face/edge/corner
+// neighbors of r (the LULESH ghost-exchange stencil). The slice is
+// shared and read-only.
+func (g *grid3) allNeighbors(r int) []int {
+	if g.all == nil {
+		g.all = g.neighborTable(allDirs)
+	}
+	return g.all[r]
+}
+
+// neighborTable lists, for every rank, its distinct neighbors at the
+// given offsets in first-seen order.
+func (g *grid3) neighborTable(dirs [][3]int) [][]int {
+	n := g.nx * g.ny * g.nz
+	flat := make([]int, 0, n*len(dirs))
+	table := make([][]int, n)
+	for r := range table {
+		start := len(flat)
+		for _, d := range dirs {
+			if nr := g.neighbor(r, d[0], d[1], d[2]); nr >= 0 && !slices.Contains(flat[start:], nr) {
+				flat = append(flat, nr)
+			}
+		}
+		table[r] = flat[start:len(flat):len(flat)]
+	}
+	return table
 }
 
 // haloExchange emits a nonblocking halo exchange: every rank posts
