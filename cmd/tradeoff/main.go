@@ -232,9 +232,13 @@ func loadSpec(path string, explicit map[string]bool) (*spec.Compiled, error) {
 // replays stopped producing garbage; since MFACT stopped allocating per
 // event and cache hits stopped lowering, it took 10 MB to keep its
 // median at 23.5–24 MB. Since replay ops shrank to 24 bytes and built
-// traces to their exact size, it takes 11.5 MB to keep it there, with
-// the smallest campaign peak 1.5–2.0 MB above the harness's (11 MB left
-// 0.3–1.8 MB).
+// traces to their exact size, it takes 11.5 MB to keep it there. The
+// margin moves with the harness's own peak as much as with the
+// campaign's: over five runs each with link queues, triage_small's
+// smallest campaign peak was 2.1–2.5 MB above the harness's and
+// p2p_warm's 2.7–3.3 MB (1.4–3.0 and 3.2–4.3 MB just before), and no
+// run was refused (EXPERIMENTS.md, "Link queues and per-class flow
+// columns").
 var heapBallast = make([]byte, 23<<19) // 11.5 MB
 
 func main() {

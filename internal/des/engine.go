@@ -112,6 +112,10 @@ func (e *Engine) Popped() uint64 { return e.popped }
 // Pending returns the number of scheduled, not-yet-executed events.
 func (e *Engine) Pending() int { return e.queue.len() }
 
+// PeakPending returns the most events that were ever pending at once:
+// the deepest the queue has been.
+func (e *Engine) PeakPending() int { return e.queue.peak }
+
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now) panics: it indicates a causality bug in the model. The
 // campaign layer's panic isolation converts such a panic into a

@@ -75,6 +75,9 @@ func TestEngineRunUntil(t *testing.T) {
 	if count != 10 {
 		t.Errorf("count = %d, want 10 after Run", count)
 	}
+	if e.PeakPending() != 10 {
+		t.Errorf("PeakPending = %d, want 10: all ten events were queued at once", e.PeakPending())
+	}
 }
 
 func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {

@@ -10,8 +10,8 @@ import "math/bits"
 // heap reaches its element's less method through the generic
 // dictionary — an indirect, non-inlined call that copies two 24-byte
 // events per comparison, about sixteen of them per pop — and swaps
-// whole structs at every level. At the depths campaigns actually run (a
-// mean of 18–1,581 pending events per replay, typically 70–400;
+// whole structs at every level. At the depths the p2p stencil campaigns
+// run (a mean of 18–1,581 pending events per replay, typically 70–400;
 // EXPERIMENTS.md has the table) that call overhead, not tree depth, was
 // 43 % of a warm campaign's CPU. eventQueue compares inline, sifts
 // through a hole (the moving element is held in a local and each level
@@ -19,7 +19,9 @@ import "math/bits"
 // four children with arithmetic instead of branches, which on
 // effectively random sibling timestamps mispredict half the time. A
 // calendar or ladder queue was not built: it pays off when depth sets
-// the price, and depth does not.
+// the price, and on the stencils depth does not. On the all-to-all
+// codes it did, because every packet in flight was an event here, and
+// the packet models now keep those packets out of the queue instead.
 //
 // Four children per node give half the levels of a binary heap for a
 // slightly wider sibling scan, the usual shape for DES queues, which
@@ -30,18 +32,24 @@ import "math/bits"
 // the property tests in heap_test.go hold the queue to against an O(n)
 // linear-scan oracle.
 //
-// The queue holds only the events that order something. An event whose
-// handler would merely flip state that a later observer can read off its
-// key is never pushed (Engine.Reserve), and events due at one time under
-// consecutive sequence numbers share one push (Engine.AtBatch), which
-// takes about a third of all pops off a campaign (DESIGN.md §9, "Keys,
-// not pops"). A key queued late (Engine.AtKey) keeps the sequence number
-// it was reserved under, so the heap never sees an event out of its
-// original order, and schedEvent stays 24 bytes.
+// The queue holds only the events that order something, and of those
+// only the ones that can be next. An event whose handler would merely
+// flip state that a later observer can read off its key is never pushed
+// (Engine.Reserve), and events due at one time under consecutive
+// sequence numbers share one push (Engine.AtBatch), which takes about a
+// third of all pops off a campaign (DESIGN.md §9, "Keys, not pops").
+// A packet's next hop is a reserved key in its link's queue, and only
+// each queue's head is pushed (DESIGN.md §9, "Link queues"): FT.B.x256
+// packet replays average 123 pending events instead of 112,054. A key
+// queued late (Engine.AtKey) keeps the sequence number it was reserved
+// under, so the heap never sees an event out of its original order, and
+// schedEvent stays 24 bytes. PeakPending records the deepest the queue
+// got, at the cost of one compare per push.
 
 // eventQueue is the Engine's pending-event set, ordered by (at, seq).
 type eventQueue struct {
 	items []schedEvent
+	peak  int // the most events ever pending at once
 }
 
 func (q *eventQueue) len() int { return len(q.items) }
@@ -53,6 +61,9 @@ func (q *eventQueue) min() *schedEvent { return &q.items[0] }
 func (q *eventQueue) push(ev schedEvent) {
 	q.items = append(q.items, ev)
 	items := q.items
+	if len(items) > q.peak {
+		q.peak = len(items)
+	}
 	i := len(items) - 1
 	for i > 0 {
 		p := (i - 1) >> 2

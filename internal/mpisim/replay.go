@@ -107,6 +107,10 @@ type Result struct {
 	// Popped is the part of Events the engine took off its queue, the
 	// heap work a replay pays for.
 	Popped uint64
+	// PeakPending is the most events the engine's queue ever held at
+	// once (des.Engine.PeakPending): how deep the heap got, which sets
+	// what each pop costs.
+	PeakPending int
 	// Net reports the network model's cost counters.
 	Net simnet.Stats
 }
@@ -199,14 +203,15 @@ func (sess *Session) Replay(src trace.Source, model simnet.Model, mach *machine.
 		total = simtime.Max(total, f)
 	}
 	return &Result{
-		Model:      model,
-		Total:      total,
-		Comm:       comm / n,
-		RankFinish: d.finish,
-		RankComm:   d.rankComm,
-		Events:     eng.Steps(),
-		Popped:     eng.Popped(),
-		Net:        net.Stats(),
+		Model:       model,
+		Total:       total,
+		Comm:        comm / n,
+		RankFinish:  d.finish,
+		RankComm:    d.rankComm,
+		Events:      eng.Steps(),
+		Popped:      eng.Popped(),
+		PeakPending: eng.PeakPending(),
+		Net:         net.Stats(),
 	}, nil
 }
 

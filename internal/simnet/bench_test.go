@@ -53,6 +53,37 @@ func BenchmarkFlowLargeMsgs(b *testing.B)       { benchTraffic(b, Flow, Config{}
 func BenchmarkPacketFlowSmallMsgs(b *testing.B) { benchTraffic(b, PacketFlow, Config{}, 512, 1024) }
 func BenchmarkPacketFlowLargeMsgs(b *testing.B) { benchTraffic(b, PacketFlow, Config{}, 64, 1<<20) }
 
+// benchAllToAll has each of 96 ranks send one message to every other
+// rank at once: the all-to-all regime of FT and IS, where thousands of
+// packets wait behind each injection link and a flow recompute sees
+// thousands of flows in a few hundred route classes.
+func benchAllToAll(b *testing.B, m Model, bytes int64) {
+	mach := benchMach(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var eng des.Engine
+		net, err := New(m, &eng, mach, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered := 0
+		for src := int32(0); src < 96; src++ {
+			for k := int32(1); k < 96; k++ {
+				net.Send(src, (src+k)%96, bytes, func() { delivered++ })
+			}
+		}
+		eng.Run()
+		if delivered != 96*95 {
+			b.Fatalf("delivered %d of %d", delivered, 96*95)
+		}
+	}
+}
+
+// Per-model cost of one 96 × 95-message all-to-all.
+func BenchmarkPacketAllToAll(b *testing.B)     { benchAllToAll(b, Packet, 4<<10) }
+func BenchmarkFlowAllToAll(b *testing.B)       { benchAllToAll(b, Flow, 4<<10) }
+func BenchmarkPacketFlowAllToAll(b *testing.B) { benchAllToAll(b, PacketFlow, 16<<10) }
+
 // BenchmarkPacketSizeAblation sweeps the packet model's granularity:
 // smaller packets mean more events (the accuracy/cost knob).
 func BenchmarkPacketSizeAblation(b *testing.B) {

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"hpctradeoff/internal/des"
 	"hpctradeoff/internal/machine"
@@ -20,24 +22,35 @@ import (
 // exchange posting thousands of flows in one event round) are coalesced
 // into a single progressive-filling pass.
 //
-// Progressive filling runs over route classes, not flows. Routes are
-// memoised per node pair, so the many ranks of one node that talk to
-// another node share one path, and max-min fairness treats flows on one
-// path identically: they receive the same increment in every tier,
-// freeze in the same tier, and take the same fair-share finish. A
-// recompute therefore counts the live flows of each class while it
-// advances and compacts them, fills the classes, and copies each class's
-// rate to its flows. Only progress, compaction and that copy stay
-// O(flows); the result is bit-identical to filling flow by flow
-// (DESIGN.md §9, "Route classes"), which flow_ref_test.go holds it to.
+// A recompute works on route classes, not flows. Routes are memoised
+// per node pair, so the many ranks of one node that talk to another
+// node share one path, and max-min fairness treats flows on one path
+// identically: they receive the same increment in every tier, freeze
+// in the same tier, and take the same fair-share finish. Every member
+// of a class therefore drains at the class rate, and every live flow
+// was last advanced at the previous recompute, so a class's progress
+// is one decrement shared by all its members. A class keeps its
+// members' remaining bytes as a column: a recompute subtracts the
+// decrement over it, touches a member only where one completes, fills
+// the classes, and reads each class's earliest completion off its
+// least remaining. The result is bit-identical to advancing and
+// filling flow by flow (DESIGN.md §9, "Route classes"), which
+// flow_ref_test.go holds it to.
 type flowNet struct {
 	eng  *des.Engine
 	mach *machine.Config
 	cfg  Config
 
 	routes routeCache
-	flows  []*flow // active flows, compacted on completion
-	free   []*flow // completed flow objects recycled by Send
+	// pending holds the flows sent since the last recompute, in Send
+	// order. They have no rate yet and join their classes there.
+	pending []*flow
+	free    []*flow // completed flow objects recycled by Send
+	done    []*flow // scratch: the flows one recompute completes
+	sent    uint64  // flows sent so far: the next flow's id
+	// solved is the last recompute's time, up to which every live flow
+	// has been advanced.
+	solved simtime.Time
 	stats  Stats
 
 	// Per-link scratch state indexed by topology.LinkID, epoch-stamped
@@ -49,10 +62,9 @@ type flowNet struct {
 	// bwOf caches per-link bandwidth.
 	bwOf []float64
 
-	// classes holds per-route-class solver state, indexed by route id
-	// and epoch-stamped like the links. active lists the classes with
-	// live flows in the current recompute, unfrozen the subset still
-	// being filled (both scratch, rebuilt each recompute).
+	// classes holds per-route-class state, indexed by route id. active
+	// lists the classes with live flows, unfrozen the subset still being
+	// filled (scratch, rebuilt each recompute).
 	classes  []routeClass
 	active   []int32
 	unfrozen []int32
@@ -71,22 +83,23 @@ type flowNet struct {
 // bounded by the quantum, which is on the order of the network's α.
 const recomputeQuantum = 2 * simtime.Microsecond
 
+// flow is one message in flight. Its remaining bytes live in its
+// class's column once it has joined it.
 type flow struct {
-	path      []topology.LinkID
-	route     int32   // route id: the flow's class in progressive filling
-	remaining float64 // bytes
-	rate      float64 // bytes/s
-	updated   simtime.Time
+	route     int32        // route id: the flow's class
+	id        uint64       // Send order, the order completions are scheduled in
+	remaining float64      // bytes, until the flow joins its class
 	tail      simtime.Time // propagation latency appended after drain
 	onDone    func()
 }
 
-// routeClass is the solver state of the live flows sharing one route.
+// routeClass is the state of the live flows sharing one route, as
+// columns in Send order.
 type routeClass struct {
-	epoch  uint32
-	n      int32   // live flows on the route
-	minRem float64 // smallest remaining byte count among them
-	rate   float64 // the rate every one of them receives
+	rems   []float64 // each member's remaining bytes
+	fls    []*flow
+	minRem float64 // the least of rems
+	rate   float64 // the rate every member receives
 }
 
 func newFlowNet(eng *des.Engine, mach *machine.Config, cfg Config) *flowNet {
@@ -124,23 +137,23 @@ func (f *flowNet) Send(src, dst int32, bytes int64, onDelivered func()) {
 		f.eng.After(latency, onDelivered)
 		return
 	}
-	fl := f.getFlow()
-	fl.path, fl.route, fl.remaining, fl.rate = path, route, float64(bytes), 0
-	fl.updated, fl.tail, fl.onDone = f.eng.Now(), latency, onDelivered
-	f.flows = append(f.flows, fl)
+	f.add(route, float64(bytes), latency, onDelivered)
 	f.requestRecompute()
 }
 
-// getFlow takes a flow object from the free-list or allocates one; a
-// steady message stream recycles its flow objects instead of leaving
-// one garbage struct per message.
-func (f *flowNet) getFlow() *flow {
+// add starts a flow of the given bytes on a route; it joins its class
+// at the next recompute.
+func (f *flowNet) add(route int32, bytes float64, tail simtime.Time, onDone func()) {
+	var fl *flow
 	if n := len(f.free); n > 0 {
-		fl := f.free[n-1]
+		fl = f.free[n-1]
 		f.free = f.free[:n-1]
-		return fl
+	} else {
+		fl = &flow{}
 	}
-	return &flow{}
+	f.sent++
+	fl.route, fl.id, fl.remaining, fl.tail, fl.onDone = route, f.sent, bytes, tail, onDone
+	f.pending = append(f.pending, fl)
 }
 
 // requestRecompute schedules one recompute within the coalescing
@@ -185,48 +198,60 @@ func (f *flowNet) recompute() {
 	})
 }
 
-// solve advances every flow's progress to now, completes drained flows,
-// recomputes max-min fair rates by progressive filling over route
-// classes, and returns the earliest completion time (Forever if no flow
-// is draining).
+// solve advances every class's progress to now, completes drained
+// flows, lets the pending flows join their classes, recomputes max-min
+// fair rates by progressive filling over the classes, and returns the
+// earliest completion time (Forever if no flow is draining).
 func (f *flowNet) solve(now simtime.Time) simtime.Time {
 	if n := len(f.routes.paths); len(f.classes) < n {
 		f.classes = append(f.classes, make([]routeClass, n-len(f.classes))...)
 	}
-	f.epoch++
-	f.active = f.active[:0]
+	dt := (now - f.solved).Seconds()
+	f.solved = now
 
-	// Advance progress and complete drained flows, compacting in place;
-	// count each route class's live flows and their least remaining.
-	live := f.flows[:0]
-	for _, fl := range f.flows {
-		if fl.rate > 0 {
-			fl.remaining -= fl.rate * (now - fl.updated).Seconds()
+	// Advance each class at the rate it was given last time, which the
+	// filling below overwrites, and drop the classes left empty.
+	kept := f.active[:0]
+	for _, r := range f.active {
+		c := &f.classes[r]
+		if c.rate > 0 {
+			f.advance(c, float64(c.rate*dt))
 		}
-		fl.updated = now
-		if fl.remaining <= 0.5 { // sub-byte residue is numeric noise
-			f.eng.After(fl.tail, fl.onDone)
-			fl.path, fl.onDone = nil, nil
-			f.free = append(f.free, fl)
+		if len(c.rems) > 0 {
+			kept = append(kept, r)
+		}
+	}
+	f.active = kept
+	for _, fl := range f.pending {
+		if fl.remaining <= 0.5 {
+			f.done = append(f.done, fl)
 			continue
 		}
-		live = append(live, fl)
 		c := &f.classes[fl.route]
-		if c.epoch != f.epoch {
-			*c = routeClass{epoch: f.epoch, n: 1, minRem: fl.remaining}
+		if len(c.rems) == 0 {
 			f.active = append(f.active, fl.route)
-		} else {
-			c.n++
-			if fl.remaining < c.minRem {
-				c.minRem = fl.remaining
-			}
+			c.minRem = fl.remaining
+		} else if fl.remaining < c.minRem {
+			c.minRem = fl.remaining
 		}
+		c.rems = append(c.rems, fl.remaining)
+		c.fls = append(c.fls, fl)
 	}
-	for i := len(live); i < len(f.flows); i++ {
-		f.flows[i] = nil
+	clear(f.pending)
+	f.pending = f.pending[:0]
+	// Deliver the completed flows in Send order: completions at one
+	// time pop in the order they are scheduled.
+	if len(f.done) > 0 {
+		slices.SortFunc(f.done, func(a, b *flow) int { return cmp.Compare(a.id, b.id) })
+		for _, fl := range f.done {
+			f.eng.After(fl.tail, fl.onDone)
+			fl.onDone = nil
+			f.free = append(f.free, fl)
+		}
+		clear(f.done)
+		f.done = f.done[:0]
 	}
-	f.flows = live
-	if len(f.flows) == 0 {
+	if len(f.active) == 0 {
 		return simtime.Forever
 	}
 
@@ -234,9 +259,12 @@ func (f *flowNet) solve(now simtime.Time) simtime.Time {
 	// rates uniformly until a link saturates, freeze the classes crossing
 	// it, repeat. Link state is epoch-stamped scratch; a link's count is
 	// the number of unfrozen flows crossing it.
+	f.epoch++
 	f.activeLinks = f.activeLinks[:0]
 	for _, r := range f.active {
-		n := f.classes[r].n
+		c := &f.classes[r]
+		c.rate = 0
+		n := int32(len(c.rems))
 		for _, l := range f.routes.paths[r] {
 			if f.linkEpoch[l] != f.epoch {
 				f.linkEpoch[l] = f.epoch
@@ -295,8 +323,9 @@ func (f *flowNet) solve(now simtime.Time) simtime.Time {
 				kept = append(kept, r)
 				continue
 			}
+			n := int32(len(c.rems))
 			for _, l := range path {
-				f.linkCount[l] -= c.n
+				f.linkCount[l] -= n
 			}
 		}
 		froze := len(kept) < len(f.unfrozen)
@@ -322,10 +351,6 @@ func (f *flowNet) solve(now simtime.Time) simtime.Time {
 		}
 	}
 
-	for _, fl := range f.flows {
-		fl.rate = f.classes[fl.route].rate
-	}
-
 	// The earliest completion is the earliest over classes of the class's
 	// least remaining drained at the class rate: the per-flow time is a
 	// monotone function of remaining, so its minimum is attained there.
@@ -342,6 +367,38 @@ func (f *flowNet) solve(now simtime.Time) simtime.Time {
 		next = simtime.Min(next, t)
 	}
 	return next
+}
+
+// advance drains d bytes from every member of c, moving the ones left
+// with at most half a byte (numeric noise) to f.done. A rounded
+// subtraction of the same d is monotone, so fl(minRem − d) is the new
+// least remaining: while it stays above half a byte, no member
+// completes and the column needs neither a test nor a scan.
+func (f *flowNet) advance(c *routeClass, d float64) {
+	rems := c.rems
+	if m := c.minRem - d; m > 0.5 {
+		for i := range rems {
+			rems[i] -= d
+		}
+		c.minRem = m
+		return
+	}
+	fls := c.fls
+	k := 0
+	for i, r := range rems {
+		r -= d
+		if r <= 0.5 {
+			f.done = append(f.done, fls[i])
+			continue
+		}
+		if k == 0 || r < c.minRem {
+			c.minRem = r
+		}
+		rems[k], fls[k] = r, fls[i]
+		k++
+	}
+	clear(fls[k:])
+	c.rems, c.fls = rems[:k], fls[:k]
 }
 
 // subRepeated returns x after k subtractions of delta, each rounded,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hpctradeoff/internal/des"
@@ -12,12 +13,32 @@ import (
 	"hpctradeoff/internal/topology"
 )
 
+// refNet is the per-flow reference's own state: its flows, in Send
+// order, carrying their rates and last-update times, and a flowNet for
+// the engine, the bandwidths and the link scratch state.
+type refNet struct {
+	*flowNet
+	flows []*refFlow // active flows, compacted on completion
+	free  []*refFlow
+}
+
+// refFlow is a flow as the reference keeps it.
+type refFlow struct {
+	path      []topology.LinkID
+	remaining float64 // bytes
+	rate      float64 // bytes/s
+	updated   simtime.Time
+	tail      simtime.Time
+	onDone    func()
+	id        uint64 // for the differential only
+}
+
 // refSolve is the flow model's rate solver as it was before progressive
 // filling moved to route classes: every pass walks every flow. It is
 // kept verbatim, except that the per-flow frozen flags live in a local
 // slice and the earliest completion is returned instead of scheduled,
 // as the reference flowNet.solve is held to bit for bit.
-func refSolve(f *flowNet, now simtime.Time) simtime.Time {
+func refSolve(f *refNet, now simtime.Time) simtime.Time {
 	// Advance progress and complete drained flows, compacting in place.
 	live := f.flows[:0]
 	for _, fl := range f.flows {
@@ -165,7 +186,8 @@ type flowDiffCase struct {
 // TestFlowSolverMatchesPerFlowReference drives the route-class solver
 // and the per-flow reference over identical flow sets, round after
 // round (progress, completions and arrivals in between), and demands
-// bit-equal per-flow rates, remaining bytes and next completion time.
+// bit-equal per-flow rates, remaining bytes and next completion time,
+// and the same order of onDone calls.
 func TestFlowSolverMatchesPerFlowReference(t *testing.T) {
 	var cases []flowDiffCase
 	for _, m := range []string{"cielito", "hopper", "edison"} {
@@ -225,9 +247,12 @@ func runFlowDiff(t *testing.T, c flowDiffCase, seed int64) {
 
 	var engA, engB des.Engine
 	a := newFlowNet(&engA, mach, Config{}.withDefaults(Flow))
-	b := newFlowNet(&engB, mach, Config{}.withDefaults(Flow))
-	noop := func() {}
+	b := &refNet{flowNet: newFlowNet(&engB, mach, Config{}.withDefaults(Flow))}
+	// Each side logs the ids of its flows in the order their onDone
+	// calls run.
+	var doneA, doneB []uint64
 	now := simtime.Time(0)
+	var id uint64
 	add := func(n int) {
 		for k := 0; k < n; k++ {
 			p := pairs[rng.Intn(len(pairs))]
@@ -240,32 +265,55 @@ func runFlowDiff(t *testing.T, c flowDiffCase, seed int64) {
 			default:
 				rem = math.Ldexp(1+rng.Float64(), 6+rng.Intn(20))
 			}
-			for _, f := range []*flowNet{a, b} {
-				path, route := f.routes.get(int(p[0]), int(p[1]))
-				fl := f.getFlow()
-				fl.path, fl.route, fl.remaining, fl.rate = path, route, rem, 0
-				fl.updated, fl.tail, fl.onDone = now, 0, noop
-				f.flows = append(f.flows, fl)
+			id++
+			fid := id
+			_, route := a.routes.get(int(p[0]), int(p[1]))
+			a.add(route, rem, 0, func() { doneA = append(doneA, fid) })
+			if a.pending[len(a.pending)-1].id != fid {
+				t.Fatalf("flow %d got id %d", fid, a.pending[len(a.pending)-1].id)
 			}
+			path, _ := b.routes.get(int(p[0]), int(p[1]))
+			b.flows = append(b.flows, &refFlow{path: path, remaining: rem, updated: now,
+				onDone: func() { doneB = append(doneB, fid) }, id: fid})
 		}
 	}
 
 	add(c.flows)
 	for round := 0; round < 8; round++ {
+		engA.RunUntil(now)
+		engB.RunUntil(now)
 		nextA := a.solve(now)
 		nextB := refSolve(b, now)
+		engA.RunUntil(now)
+		engB.RunUntil(now)
 		if nextA != nextB {
 			t.Fatalf("round %d: next completion %d, reference %d", round, nextA, nextB)
 		}
-		if len(a.flows) != len(b.flows) {
-			t.Fatalf("round %d: %d live flows, reference %d", round, len(a.flows), len(b.flows))
+		if !slices.Equal(doneA, doneB) {
+			t.Fatalf("round %d: flows completed in order %v, reference %v", round, doneA, doneB)
 		}
-		for i := range a.flows {
-			fa, fb := a.flows[i], b.flows[i]
+		// Every live flow's rate is its class's; its remaining bytes
+		// are in the class's column.
+		type state struct{ rate, remaining float64 }
+		live := make(map[uint64]state)
+		for _, r := range a.active {
+			cl := &a.classes[r]
+			for i, fl := range cl.fls {
+				live[fl.id] = state{cl.rate, cl.rems[i]}
+			}
+		}
+		if len(live) != len(b.flows) {
+			t.Fatalf("round %d: %d live flows, reference %d", round, len(live), len(b.flows))
+		}
+		for _, fb := range b.flows {
+			fa, ok := live[fb.id]
+			if !ok {
+				t.Fatalf("round %d: flow %d is live only in the reference", round, fb.id)
+			}
 			if math.Float64bits(fa.rate) != math.Float64bits(fb.rate) ||
 				math.Float64bits(fa.remaining) != math.Float64bits(fb.remaining) {
 				t.Fatalf("round %d flow %d: rate %v remaining %v, reference rate %v remaining %v",
-					round, i, fa.rate, fa.remaining, fb.rate, fb.remaining)
+					round, fb.id, fa.rate, fa.remaining, fb.rate, fb.remaining)
 			}
 		}
 		// Step to just past the next completion (or a random while), so
@@ -276,5 +324,8 @@ func runFlowDiff(t *testing.T, c flowDiffCase, seed int64) {
 		}
 		now += step
 		add(rng.Intn(1 + c.flows/4))
+	}
+	if len(doneA) == 0 {
+		t.Fatalf("no flow completed in 8 rounds")
 	}
 }

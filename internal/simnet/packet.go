@@ -33,6 +33,15 @@ type packetNet struct {
 	backlog   []float64      // packet-flow: fluid backlog in bytes
 	lastDrain []simtime.Time // packet-flow: last backlog update
 
+	// Link queues, indexed by topology.LinkID: the packets that have
+	// left a link and wait for their next hop, in key order, linked
+	// through packet.next. Only a queue's head is in the engine's heap;
+	// when it pops it queues the packet behind it. overtakes counts the
+	// packets whose key was not after their queue's tail and so were
+	// queued on their own (DESIGN.md §9, "Link queues").
+	qHead, qTail []*packet
+	overtakes    int
+
 	routes routeCache
 	stats  Stats
 
@@ -54,6 +63,8 @@ func newPacketNet(eng *des.Engine, mach *machine.Config, cfg Config, multiplex b
 		cfg:       cfg,
 		multiplex: multiplex,
 		bwOf:      linkBandwidths(mach),
+		qHead:     make([]*packet, n),
+		qTail:     make([]*packet, n),
 		routes:    newRouteCache(mach),
 	}
 	if multiplex {
@@ -85,7 +96,7 @@ func (p *packetNet) Send(src, dst int32, bytes int64, onDelivered func()) {
 		p.eng.After(loopback(bytes, p.cfg, p.mach), onDelivered)
 		return
 	}
-	path, _ := p.routes.get(int(srcNode), int(dstNode))
+	_, route := p.routes.get(int(srcNode), int(dstNode))
 	nPackets := int((bytes + p.cfg.PacketBytes - 1) / p.cfg.PacketBytes)
 	if nPackets == 0 {
 		nPackets = 1 // zero-byte message still sends a header packet
@@ -106,7 +117,7 @@ func (p *packetNet) Send(src, dst int32, bytes int64, onDelivered func()) {
 		}
 		p.stats.Packets++
 		pk := p.getPacket()
-		pk.path, pk.size, pk.msg = path, size, m
+		pk.route, pk.size, pk.msg = route, size, m
 		*tail = pk
 		tail = &pk.next
 	}
@@ -126,18 +137,23 @@ type message struct {
 	firstHopsFn, arriveFn func()
 }
 
-// packet walks its path one link per event.
+// packet walks its route one link per event. It is 64 bytes: every
+// packet in flight is one, so its size sets the packet models' memory.
 type packet struct {
-	net    *packetNet
-	path   []topology.LinkID
+	net *packetNet
+	msg *message
+	// next is the message's next packet until the first hop, and after
+	// each later hop the packet behind this one in its link queue.
+	next   *packet
+	key    des.Key // the next hop's key, while the packet is queued
 	size   int64
-	hopIdx int
-	msg    *message
-	next   *packet // the message's next packet, until the first hop
-	// hopFn is the hop method bound once at allocation; scheduling it
-	// repeatedly costs nothing, where scheduling pk.hop directly would
-	// allocate a fresh method value on every hop.
-	hopFn func()
+	route  int32 // route id: the path is net.routes.paths[route]
+	hopIdx int32
+	// nextHopFn is the nextHop method bound once at allocation;
+	// scheduling it repeatedly costs nothing, where scheduling
+	// pk.nextHop directly would allocate a fresh method value on every
+	// hop.
+	nextHopFn func()
 }
 
 // getMessage takes a message from the free-list or allocates one.
@@ -194,22 +210,23 @@ func (p *packetNet) getPacket() *packet {
 		return pk
 	}
 	pk := &packet{net: p}
-	pk.hopFn = pk.hop
+	pk.nextHopFn = pk.nextHop
 	return pk
 }
 
 // putPacket recycles a completed packet.
 func (p *packetNet) putPacket(pk *packet) {
-	pk.path, pk.msg, pk.size, pk.hopIdx = nil, nil, 0, 0
+	pk.msg, pk.size, pk.hopIdx = nil, 0, 0
 	p.free = append(p.free, pk)
 }
 
-// hop processes the packet's arrival at its current link and schedules
-// arrival at the next. Arrival past the last link only reserves its
-// key, for the message to compare.
+// hop processes the packet's arrival at its current link and queues it
+// behind that link for its arrival at the next. Arrival past the last
+// link only reserves its key, for the message to compare.
 func (pk *packet) hop() {
 	n := pk.net
-	link := pk.path[pk.hopIdx]
+	path := n.routes.paths[pk.route]
+	link := path[pk.hopIdx]
 	pk.hopIdx++
 	now := n.eng.Now()
 	bw := n.bwOf[link]
@@ -217,7 +234,7 @@ func (pk *packet) hop() {
 	if n.multiplex {
 		// Drain the fluid backlog, add ourselves, sample the delay.
 		elapsed := now - n.lastDrain[link]
-		n.backlog[link] -= elapsed.Seconds() * bw
+		n.backlog[link] -= float64(elapsed.Seconds() * bw)
 		if n.backlog[link] < 0 {
 			n.backlog[link] = 0
 		}
@@ -232,13 +249,50 @@ func (pk *packet) hop() {
 		n.busyUntil[link] = departure
 	}
 	at := departure + n.mach.LinkLatency
-	if pk.hopIdx < len(pk.path) {
-		n.eng.At(at, pk.hopFn)
+	if int(pk.hopIdx) < len(path) {
+		n.enqueue(link, pk, n.eng.Reserve(at))
 		return
 	}
 	m := pk.msg
 	n.putPacket(pk)
 	m.arrived(n.eng.Reserve(at))
+}
+
+// enqueue appends pk, whose next hop has key k, to the queue of the
+// link it has just left. A queue holds strictly increasing keys, so
+// only its head needs to be in the heap. In the packet model a link's
+// departures always increase; packet-flow's float backlog can put a
+// key at or before the tail's, and that packet is queued on its own.
+func (n *packetNet) enqueue(link topology.LinkID, pk *packet, k des.Key) {
+	pk.key = k
+	switch tail := n.qTail[link]; {
+	case tail == nil:
+		n.qHead[link], n.qTail[link] = pk, pk
+		n.eng.AtKey(k, pk.nextHopFn)
+	case tail.key.Before(k):
+		tail.next, n.qTail[link] = pk, pk
+	default:
+		n.overtakes++
+		n.eng.AtKey(k, pk.nextHopFn)
+	}
+}
+
+// nextHop is a queued packet's next hop. At the head of its link's
+// queue, it first queues the packet behind it, whose key is later; a
+// packet queued on its own is no queue's head.
+func (pk *packet) nextHop() {
+	n := pk.net
+	link := n.routes.paths[pk.route][pk.hopIdx-1]
+	if n.qHead[link] == pk {
+		if next := pk.next; next != nil {
+			pk.next = nil
+			n.qHead[link] = next
+			n.eng.AtKey(next.key, next.nextHopFn)
+		} else {
+			n.qHead[link], n.qTail[link] = nil, nil
+		}
+	}
+	pk.hop()
 }
 
 // routeCache memoizes node-pair routes and numbers them densely in the
