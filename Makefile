@@ -1,18 +1,18 @@
 GO ?= go
-DATE := $(shell date +%F)
 
-.PHONY: all check build test vet test-race race bench bench-short benchmark benchmark-smoke microbench fuzz fuzz-seeds tools-smoke triage-smoke chaos-short chaos cache-warm study variability figures clean
+.PHONY: all check build test vet test-race race benchmark benchmark-smoke microbench microbench-smoke fuzz fuzz-seeds tools-smoke triage-smoke chaos-short chaos cache-warm study variability clean
 
 all: check
 
 # check is the default gate: build, vet, full test suite, the
 # race-detector pass over the concurrency-bearing packages, the fuzz
-# seed corpus, a short benchmark smoke run (proving the harness and
-# every scenario still execute; numbers are not recorded), the study
+# seed corpus, one iteration of every in-package go test benchmark
+# (proving each still executes; numbers are not recorded), the study
 # benchmark's smoke pass (every workload's paths and its digest gate),
-# the file-based tools on one trace file, the tiered triage threshold
-# sweep, and the bounded chaos soak.
-check: build vet test test-race fuzz-seeds bench-short benchmark-smoke tools-smoke triage-smoke chaos-short
+# the file-based tools on one trace file plus the committed reports
+# regenerated byte for byte, the tiered triage threshold sweep, and the
+# bounded chaos soak.
+check: build vet test test-race fuzz-seeds microbench-smoke benchmark-smoke tools-smoke triage-smoke chaos-short
 
 build:
 	$(GO) build ./...
@@ -39,23 +39,6 @@ test-race:
 race: test-race
 	$(GO) test -race ./internal/mfact/
 
-# bench runs the pinned benchmark scenarios (cmd/bench) over the fixed
-# trace set and writes a dated BENCH_<date>.json snapshot. Pass
-# BASELINE=<file> to embed a comparison against a previous snapshot.
-bench:
-ifdef BASELINE
-	$(GO) run ./cmd/bench -out BENCH_$(DATE).json -baseline $(BASELINE)
-else
-	$(GO) run ./cmd/bench -out BENCH_$(DATE).json
-endif
-
-# bench-short is the smoke variant wired into `make check`: one short
-# measurement per scenario, results printed but not written. The
-# scenario list includes trace/codec-open-v3, so this smoke run
-# exercises the zero-copy mmap open path end to end.
-bench-short:
-	$(GO) run ./cmd/bench -short -out ""
-
 # benchmark runs the study benchmark of BENCHMARK.json (benchmark/):
 # four named campaign workloads, end-to-end metrics from real
 # `tradeoff -spec` runs, then per-layer metrics from a traced run, with
@@ -71,10 +54,16 @@ benchmark:
 benchmark-smoke:
 	$(GO) run ./benchmark -smoke
 
-# microbench runs the in-package go test benchmarks (finer-grained
-# than cmd/bench's scenario snapshots).
+# microbench runs the in-package go test benchmarks: the DES heap,
+# the network models, replay lowering, the trace codec and cache, and
+# the paper's tables and figures.
 microbench:
 	$(GO) test -bench=. -benchmem ./...
+
+# microbench-smoke is the variant wired into `make check`: one
+# iteration of every benchmark, no tests, numbers not recorded.
+microbench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # fuzz-seeds replays the committed fuzz corpora as ordinary tests
 # (plain `go test` already includes them; this target names them so a
@@ -88,21 +77,27 @@ fuzz:
 	$(GO) test -fuzz=FuzzCheckpointLoader -fuzztime=$(FUZZTIME) ./internal/core/
 
 # tools-smoke drives the file-based tools end to end in a temporary
-# directory: tracegen writes one codec-v3 trace, traceinfo, mfact
-# (sweep and grid) and sstsim read it back, and dumpiconv converts the
-# two-rank DUMPI fixture for traceinfo to read.
+# directory: tracegen writes one codec-v3 trace, traceinfo and mfact
+# (sweep, grid, one simulator scheme) read it back, mfact calibrates a
+# machine, and dumpiconv converts the two-rank DUMPI fixture for
+# traceinfo to read. It then regenerates the committed reports from
+# results/results.json and compares them byte for byte.
 DUMPI_FIXTURE := internal/trace/testdata/dumpi
 tools-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && set -e && \
-	$(GO) build -o "$$dir/bin/" ./cmd/tracegen ./cmd/traceinfo ./cmd/mfact ./cmd/sstsim ./cmd/dumpiconv && \
+	$(GO) build -o "$$dir/bin/" ./cmd/tracegen ./cmd/traceinfo ./cmd/mfact ./cmd/diffreport ./cmd/dumpiconv && \
 	"$$dir/bin/tracegen" -out "$$dir/traces" -app FT -class S -ranks 16 > /dev/null && \
 	trace=$$(ls "$$dir"/traces/*.htrc) && \
 	"$$dir/bin/traceinfo" -v "$$trace" > /dev/null && \
 	"$$dir/bin/mfact" "$$trace" > /dev/null && \
 	"$$dir/bin/mfact" -grid "$$trace" > /dev/null && \
-	"$$dir/bin/sstsim" -model flow "$$trace" > /dev/null && \
+	"$$dir/bin/mfact" -schemes flow "$$trace" > /dev/null && \
+	"$$dir/bin/mfact" -calibrate > /dev/null && \
 	"$$dir/bin/dumpiconv" -out "$$dir/imported.htrc" $(DUMPI_FIXTURE)/rank0.txt $(DUMPI_FIXTURE)/rank1.txt > /dev/null && \
 	"$$dir/bin/traceinfo" "$$dir/imported.htrc" > /dev/null && \
+	"$$dir/bin/diffreport" -load results/results.json | cmp - results/diffreport.txt && \
+	"$$dir/bin/diffreport" -load results/results.json -frontier | cmp - results/frontier.txt && \
+	"$$dir/bin/diffreport" -load results/results.json -predict | cmp - results/prediction.txt && \
 	echo "tools-smoke: ok"
 
 # triage-smoke is the threshold-sweep smoke wired into `make check`:
@@ -150,7 +145,7 @@ variability:
 # The full 235-trace study (Tables I-II, Figures 1-5, Table IV, rates).
 study:
 	$(GO) run ./cmd/tradeoff -save results/results.json -figdir results/figures | tee results/study.txt
-	$(GO) run ./cmd/predictor -load results/results.json | tee results/prediction.txt
+	$(GO) run ./cmd/diffreport -load results/results.json -predict | tee results/prediction.txt
 	$(GO) run ./cmd/diffreport -load results/results.json > results/diffreport.txt
 	$(GO) run ./cmd/diffreport -load results/results.json -frontier > results/frontier.txt
 

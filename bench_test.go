@@ -3,7 +3,7 @@ package hpctradeoff_test
 // One benchmark per table and figure of the paper's evaluation
 // section. Each benchmark regenerates its artifact from a shared
 // reduced-suite run (the full 235-trace study lives in cmd/tradeoff
-// and cmd/predictor) and prints it once, so
+// and diffreport -predict) and prints it once, so
 //
 //	go test -bench=. -benchmem
 //
@@ -159,7 +159,7 @@ func BenchmarkTableIVAndRates(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		// Fewer CV runs than the paper's 100 keep the benchmark honest
-		// about per-iteration cost; cmd/predictor runs the full 100.
+		// about per-iteration cost; diffreport -predict runs the full 100.
 		study, err = core.BuildPredictionStudy(rs, 25, 5, 2016)
 		if err != nil {
 			b.Fatal(err)

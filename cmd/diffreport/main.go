@@ -8,6 +8,7 @@
 //
 //	diffreport -load results.json [-top N]
 //	diffreport -load results.json -frontier     # triage accuracy-vs-cost sweep
+//	diffreport -load results.json -predict      # §VI: Figure 5, Table IV, rates
 //	diffreport -triage results.json.triage.json # a tiered campaign's decisions
 //
 // The -frontier sweep replays the tiered scheduler (internal/triage)
@@ -15,7 +16,11 @@
 // simulation wall and DIFF is already known there, so each operating
 // point — escalation rate, rescued/missed DIFF mass, wall-clock saved
 // — is exact. -triage renders the decision report a tiered
-// `tradeoff -triage -save` run wrote.
+// `tradeoff -triage -save` run wrote. -predict runs the paper's
+// Section VI study: it groups the traces by MFACT classification
+// (Figure 5), trains the enhanced-MFACT need-for-simulation model with
+// 100-fold Monte-Carlo cross-validation and step-wise AIC feature
+// selection, and prints Table IV and the misclassification/FN/FP rates.
 package main
 
 import (
@@ -34,6 +39,27 @@ import (
 // run-everything and model-only baselines) plus interior operating
 // points.
 var frontierThresholds = []float64{0, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1}
+
+// The -predict study's cross-validation: the paper's 100 Monte-Carlo
+// partitions, a five-variable step-wise cap, and a fixed seed.
+const (
+	predictRuns    = 100
+	predictMaxVars = 5
+	predictSeed    = 2016
+)
+
+// renderPrediction prints Figure 5, Table IV and the §VI rates.
+func renderPrediction(rs []*core.TraceResult) error {
+	fmt.Println(core.BuildFigure5(rs).Render())
+	study, err := core.BuildPredictionStudy(rs, predictRuns, predictMaxVars, predictSeed)
+	if err != nil {
+		return err
+	}
+	fmt.Println(study.RenderTable4(10))
+	fmt.Println()
+	fmt.Println(study.RenderRates())
+	return nil
+}
 
 // renderFrontier computes and prints the accuracy-vs-cost frontier
 // from a run-everything result set.
@@ -101,6 +127,7 @@ func main() {
 	frontier := flag.Bool("frontier", false, "render the triage accuracy-vs-cost frontier instead of the DIFF report")
 	frontierSeed := flag.Int64("frontier-seed", 1, "classifier training seed for the frontier sweep")
 	triageReport := flag.String("triage", "", "render a tiered campaign's triage report JSON (from tradeoff -triage -save)")
+	predict := flag.Bool("predict", false, "render the §VI need-for-simulation study (Figure 5, Table IV, rates) instead of the DIFF report")
 	flag.Parse()
 	if *triageReport != "" {
 		if err := renderTriageReport(*triageReport, *top); err != nil {
@@ -110,7 +137,7 @@ func main() {
 		return
 	}
 	if *load == "" {
-		fmt.Fprintln(os.Stderr, "usage: diffreport -load results.json [-frontier] | diffreport -triage report.json")
+		fmt.Fprintln(os.Stderr, "usage: diffreport -load results.json [-frontier | -predict] | diffreport -triage report.json")
 		os.Exit(2)
 	}
 	rs, err := core.LoadResultsFile(*load)
@@ -120,6 +147,13 @@ func main() {
 	}
 	if *frontier {
 		if err := renderFrontier(rs, *frontierSeed); err != nil {
+			fmt.Fprintln(os.Stderr, "diffreport:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	if *predict {
+		if err := renderPrediction(rs); err != nil {
 			fmt.Fprintln(os.Stderr, "diffreport:", err)
 			os.Exit(1)
 		}

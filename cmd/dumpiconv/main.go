@@ -1,6 +1,6 @@
 // Command dumpiconv imports dumpi2ascii-style per-rank text dumps and
-// writes them as a binary trace (codec v3) usable by cmd/mfact,
-// cmd/sstsim and cmd/traceinfo.
+// writes them as a binary trace (codec v3) usable by cmd/mfact and
+// cmd/traceinfo.
 //
 // Usage:
 //

@@ -1,6 +1,9 @@
 // Command mfact models an MPI trace with the MFACT modeling tool: one
 // logical-clock replay predicts application performance across a sweep
-// of network configurations and classifies the application.
+// of network configurations and classifies the application. It also
+// runs any registered scheme, simulators included, over the same trace,
+// and fits MFACT's Hockney (α, β) for a machine from simulated
+// ping-pongs.
 //
 // Usage:
 //
@@ -8,6 +11,8 @@
 //	mfact -app FT -ranks 64       # generate and model a synthetic trace
 //	mfact -schemes mfact,packet -app FT -ranks 64
 //	                              # compare registry schemes on one trace
+//	mfact -calibrate -machine edison -ranks 48
+//	                              # fit (α, β) on the packet-flow simulator
 package main
 
 import (
@@ -20,6 +25,7 @@ import (
 	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/mfact"
 	"hpctradeoff/internal/scheme"
+	"hpctradeoff/internal/simnet"
 	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
 )
@@ -33,7 +39,16 @@ func main() {
 	grid := flag.Bool("grid", false, "print a 2-D bandwidth × latency what-if grid")
 	schemes := flag.String("schemes", "", "run these registered schemes over the trace and compare "+
 		"(comma-separated; available: "+strings.Join(scheme.Names(), ",")+")")
+	calibrate := flag.Bool("calibrate", false, "fit (α, β) for -machine at -ranks from packet-flow ping-pongs and exit")
 	flag.Parse()
+
+	if *calibrate {
+		if err := runCalibrate(*machName, *ranks); err != nil {
+			fmt.Fprintln(os.Stderr, "mfact:", err)
+			os.Exit(1)
+		}
+		return
+	}
 
 	tr, closeTrace, err := loadOrGenerate(*app, *class, *ranks, *machName, *seed, flag.Arg(0))
 	if err != nil {
@@ -102,23 +117,58 @@ func main() {
 }
 
 // runSchemes replays the trace through each selected registry scheme
-// and prints a side-by-side comparison.
+// and prints a side-by-side comparison (the paper's Table II shape for
+// a single trace). A trace that carries measured times gains a
+// prediction/measured column.
 func runSchemes(tr *trace.Columns, mach *machine.Config, list string) error {
 	ss, err := scheme.Resolve(scheme.ParseList(list))
 	if err != nil {
 		return err
 	}
+	measured := trace.SourceMeasuredTotal(tr)
+	ratioHead := ""
+	if measured > 0 {
+		ratioHead = fmt.Sprintf("%-10s ", "pred/meas")
+	}
 	fmt.Printf("trace   %s (%d ranks, %d events)\n\n", tr.Meta.ID(), tr.Meta.NumRanks, tr.NumEvents())
-	fmt.Printf("%-12s %-11s %-14s %-14s %-12s %s\n", "scheme", "kind", "total", "comm", "events", "wall")
+	fmt.Printf("%-12s %-11s %-14s %-14s %-12s %swall\n", "scheme", "kind", "total", "comm", "events", ratioHead)
 	for _, s := range ss {
 		out, err := s.Run(tr, mach, scheme.Options{})
 		if err != nil {
 			fmt.Printf("%-12s %-11s failed: %v\n", s.Name(), s.Kind(), err)
 			continue
 		}
-		fmt.Printf("%-12s %-11s %-14v %-14v %-12d %v\n",
-			out.Scheme, out.Kind, out.Total, out.Comm, out.Events, out.Wall.Round(time.Microsecond))
+		ratio := ""
+		if measured > 0 {
+			ratio = fmt.Sprintf("%-10.3f ", float64(out.Total)/float64(measured))
+		}
+		fmt.Printf("%-12s %-11s %-14v %-14v %-12d %s%v\n",
+			out.Scheme, out.Kind, out.Total, out.Comm, out.Events, ratio, out.Wall.Round(time.Microsecond))
 	}
+	return nil
+}
+
+// runCalibrate fits Hockney (α, β) for a machine by timing ping-pongs
+// on the packet-flow simulator — the way MFACT's parameters are
+// obtained on real systems — and compares them with the configured
+// data-sheet values.
+func runCalibrate(machName string, ranks int) error {
+	mach, err := machine.New(machName, ranks, 0)
+	if err != nil {
+		return err
+	}
+	cal, err := mfact.Calibrate(mach, simnet.PacketFlow, nil)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("machine %s (%s), measured with the %s model:\n\n", mach.Name, mach.Topo.Name(), simnet.PacketFlow)
+	fmt.Printf("  %-12s %-14s\n", "bytes", "one-way time")
+	for _, s := range cal.Samples {
+		fmt.Printf("  %-12d %-14v\n", s.Bytes, s.OneWay)
+	}
+	fmt.Printf("\n  fitted α  %v   (configured %v)\n", cal.Alpha, mach.Alpha)
+	fmt.Printf("  fitted β  %.3g GB/s (configured %.3g GB/s)\n", cal.Beta/1e9, mach.Beta/1e9)
+	fmt.Println("\nUse Calibration.Apply to model with the fitted parameters.")
 	return nil
 }
 

@@ -7,7 +7,7 @@
 //
 //	tradeoff                          # full 235-trace study
 //	tradeoff -stride 8 -maxranks 256  # quick reduced study
-//	tradeoff -save results.json       # persist results for cmd/predictor
+//	tradeoff -save results.json       # persist results for cmd/diffreport
 //	tradeoff -load results.json       # re-render from saved results
 //
 // Campaign specs (see internal/spec): drive the whole campaign from a

@@ -377,7 +377,7 @@ func TestCheckpointRoundTripAndTruncation(t *testing.T) {
 	p := workload.Params{App: "EP", Class: "S", Ranks: 16, Machine: "cielito", Seed: 41}
 	r := &TraceResult{Params: p, ID: "EP.S.x16.cielito", Measured: 12345}
 
-	ck, err := OpenCheckpoint(path, []string{"mfact", "packet"})
+	ck, err := OpenCheckpointSpec(path, []string{"mfact", "packet"}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestCampaignRejectsSchemeSetMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	p := workload.Params{App: "EP", Class: "S", Ranks: 16, Machine: "cielito", Seed: 51}
 
-	ck, err := OpenCheckpoint(path, []string{"mfact", "packet"})
+	ck, err := OpenCheckpointSpec(path, []string{"mfact", "packet"}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

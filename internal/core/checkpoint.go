@@ -123,32 +123,20 @@ type Checkpoint struct {
 	dirty bool
 }
 
-// OpenCheckpoint opens (creating if needed) the journal at path for
-// appending. A fresh (empty) journal gets a header line recording the
-// schema version and the campaign's scheme set, and the containing
-// directory is fsynced so the file itself survives a crash; an
-// existing journal is appended to as-is (RunCampaign validates its
+// OpenCheckpointSpec opens (creating if needed) the journal at path
+// for appending. A fresh (empty) journal gets a header line recording
+// the schema version, the campaign's scheme set, the (normalized)
+// triage policy of a tiered campaign (nil for none) and the compiled
+// spec's hash ("" for none), and the containing directory is fsynced
+// so the file itself survives a crash. The policy and the hash are
+// resume gates: a journal written under one policy or spec refuses to
+// resume under a different (or no) one. The hash covers the compiled
+// manifest and campaign config, not the file's bytes, so reformatting
+// a spec does not orphan its journals but changing what it runs does.
+// An existing journal is appended to as-is (RunCampaign validates its
 // header before opening), except that a missing final newline — a
 // crash cut the last append short and no salvage ran — is repaired
 // first so the next record cannot merge into the torn fragment.
-func OpenCheckpoint(path string, schemes []string) (*Checkpoint, error) {
-	return OpenCheckpointTriage(path, schemes, nil)
-}
-
-// OpenCheckpointTriage is OpenCheckpoint for a tiered campaign: the
-// header additionally records the (normalized) triage policy, which is
-// the resume gate — a journal written under one policy refuses to
-// resume under a different one.
-func OpenCheckpointTriage(path string, schemes []string, pol *triage.Policy) (*Checkpoint, error) {
-	return OpenCheckpointSpec(path, schemes, pol, "")
-}
-
-// OpenCheckpointSpec is OpenCheckpointTriage for a spec-driven
-// campaign: the header additionally records the compiled spec's hash,
-// the third resume gate — a journal written under one spec refuses to
-// resume under a different (or no) spec. The hash covers the compiled
-// manifest and campaign config, not the file's bytes, so reformatting
-// a spec does not orphan its journals but changing what it runs does.
 func OpenCheckpointSpec(path string, schemes []string, pol *triage.Policy, spec string) (*Checkpoint, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -316,17 +304,6 @@ func LoadCheckpoint(path string) (map[string]*TraceResult, error) {
 		return nil, err
 	}
 	return st.results, nil
-}
-
-// loadCheckpointFull is LoadCheckpoint also returning the header's
-// scheme set (nil when the journal has no header line) and a salvage
-// report of any damage it skipped over.
-func loadCheckpointFull(path string) (map[string]*TraceResult, []string, *Salvage, error) {
-	st, err := loadCheckpointState(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return st.results, st.schemes, st.salvage, nil
 }
 
 // checkpointState is everything the loader recovers from a journal:

@@ -9,7 +9,7 @@ import (
 )
 
 // Results files let the §V study (cmd/tradeoff) and the §VI study
-// (cmd/predictor) share one expensive suite run.
+// (cmd/diffreport -predict) share one expensive suite run.
 
 // resultsFile is the on-disk envelope.
 type resultsFile struct {

@@ -71,7 +71,7 @@ func TestCheckpointSalvageTornTail(t *testing.T) {
 	p1 := workload.Params{App: "EP", Class: "S", Ranks: 16, Machine: "cielito", Seed: 1}
 	p2 := workload.Params{App: "IS", Class: "S", Ranks: 16, Machine: "edison", Seed: 2}
 
-	ck, err := OpenCheckpoint(path, []string{"mfact", "packet"})
+	ck, err := OpenCheckpointSpec(path, []string{"mfact", "packet"}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCheckpointSalvageParsableUnterminatedTail(t *testing.T) {
 // the tail on open. Before the guard existed this lost BOTH records.
 func TestCheckpointAppendAfterTornTailDoesNotMerge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	ck, err := OpenCheckpoint(path, []string{"mfact"})
+	ck, err := OpenCheckpointSpec(path, []string{"mfact"}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCheckpointAppendAfterTornTailDoesNotMerge(t *testing.T) {
 	}
 	f.Close()
 
-	ck2, err := OpenCheckpoint(path, []string{"mfact"})
+	ck2, err := OpenCheckpointSpec(path, []string{"mfact"}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestCheckpointRepairsTailAfterFailedAppend(t *testing.T) {
 		Site: "core/checkpoint-append", Action: faultinject.ActTorn, Hits: []uint64{1},
 	})
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	ck, err := OpenCheckpoint(path, []string{"mfact"})
+	ck, err := OpenCheckpointSpec(path, []string{"mfact"}, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,4 +615,15 @@ func TestResultsSaveFailpoint(t *testing.T) {
 	if err != nil || len(got) != 1 || got[0].ID != "keep" {
 		t.Fatalf("previous results clobbered by failed save: %v %v", got, err)
 	}
+}
+
+// loadCheckpointFull is LoadCheckpoint also returning the header's
+// scheme set (nil when the journal has no header line) and a salvage
+// report of any damage it skipped over.
+func loadCheckpointFull(path string) (map[string]*TraceResult, []string, *Salvage, error) {
+	st, err := loadCheckpointState(path)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return st.results, st.schemes, st.salvage, nil
 }

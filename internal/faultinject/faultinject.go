@@ -268,18 +268,6 @@ func NewSite(name string) *Site {
 	return s
 }
 
-// Sites lists the registered site names (sorted by creation is not
-// guaranteed; callers sort if they need a stable order).
-func Sites() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(sites))
-	for n := range sites {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Arm installs a fault schedule: the rules are grouped by site and
 // armed atomically per site, replacing any previous schedule, and the
 // firing log is reset. Each rule's RNG is seeded from the schedule

@@ -58,6 +58,12 @@ func fingerprintCases() []fingerprintCase {
 	lu := workload.Params{App: "LU", Class: "A", Ranks: 32, Machine: "hopper", Seed: 77}
 	add("+background", lu, &mpisim.Background{Sources: 4, MsgBytes: 24 << 10, Interval: 30 * simtime.Microsecond, Seed: 3}, 0)
 	add("+rendezvous", lu, nil, -1)
+	// Flows of several route classes that drain in one flow-model solve
+	// are delivered in Send order. In this noisy irregular exchange that
+	// order reaches the stamped times (the flow stamp row moves if the
+	// completions are delivered in class order instead), which none of
+	// the cases above shows.
+	add("+tied", workload.Params{App: "CrystalRouter", Class: "S", Ranks: 16, Machine: "cielito", Seed: 5}, nil, 0)
 	return out
 }
 
@@ -117,8 +123,9 @@ func fingerprint(t *testing.T, c fingerprintCase) string {
 // TestReplayFingerprints holds every replay to the fixture: 18
 // generators at 16–64 ranks on all three network models, each as a
 // prediction and as the noisy recording stamper, plus background
-// traffic and all-rendezvous cases. A change to the replay's event
-// handling that claims bit-identity must leave every line as it is.
+// traffic, all-rendezvous and tied flow completion cases. A change to
+// the replay's event handling that claims bit-identity must leave every
+// line as it is.
 func TestReplayFingerprints(t *testing.T) {
 	var got strings.Builder
 	for _, c := range fingerprintCases() {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"hpctradeoff/internal/core"
 	"hpctradeoff/internal/triage"
 	"hpctradeoff/internal/workload"
 )
@@ -207,13 +206,13 @@ func excluded(matches []Match, p workload.Params) bool {
 // hashDoc is the canonical form the spec hash covers: everything that
 // changes what a campaign computes. Name is deliberately excluded —
 // relabeling a spec must not orphan its checkpoint journals — and so
-// is formatting, because the hash is taken over the compiled output,
-// not the source text.
+// are workers, because a campaign is bit-identical at any worker
+// count, and formatting, because the hash is taken over the compiled
+// output, not the source text.
 type hashDoc struct {
 	Manifest  []workload.Params `json:"manifest"`
 	Schemes   []string          `json:"schemes,omitempty"`
 	Triage    *triage.Policy    `json:"triage,omitempty"`
-	Workers   int               `json:"workers,omitempty"`
 	KeepGoing bool              `json:"keep_going,omitempty"`
 	TimeoutNS int64             `json:"timeout_ns,omitempty"`
 	MaxEvents uint64            `json:"max_events,omitempty"`
@@ -225,7 +224,6 @@ func hashCompiled(c *Compiled) (string, error) {
 		Manifest:  c.Manifest,
 		Schemes:   c.Schemes,
 		Triage:    c.Triage,
-		Workers:   c.Workers,
 		KeepGoing: c.KeepGoing,
 		TimeoutNS: int64(c.Timeout),
 		MaxEvents: c.MaxEvents,
@@ -239,20 +237,3 @@ func hashCompiled(c *Compiled) (string, error) {
 // carries it into the checkpoint header, where the resume gate holds
 // journals to the spec that wrote them.
 func (c *Compiled) Hash() string { return c.hash }
-
-// Config builds the core.CampaignConfig the spec describes. The
-// caller still owns the runtime-only fields (checkpoint path, resume,
-// progress, cache, cancel).
-func (c *Compiled) Config() core.CampaignConfig {
-	return core.CampaignConfig{
-		Workers: c.Workers,
-		Schemes: append([]string(nil), c.Schemes...),
-		Policy:  core.FailurePolicy{KeepGoing: c.KeepGoing},
-		Run: core.RunOptions{
-			Timeout:   c.Timeout,
-			MaxEvents: c.MaxEvents,
-		},
-		Triage:   c.Triage,
-		SpecHash: c.hash,
-	}
-}

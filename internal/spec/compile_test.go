@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hpctradeoff/internal/workload"
@@ -97,9 +98,6 @@ func TestCompileSample(t *testing.T) {
 	if g2[1].Noise.Seed != 1 {
 		t.Errorf("noise seed not applied: %+v", g2[1].Noise)
 	}
-	if c.Config().SpecHash != c.Hash() {
-		t.Error("Config().SpecHash disagrees with Hash()")
-	}
 }
 
 // TestHashSensitivity: the hash must move with anything that changes
@@ -109,6 +107,10 @@ func TestHashSensitivity(t *testing.T) {
 	renamed := mustCompile(t, "name: other\n"+sample[len("\nname: sample\n"):])
 	if base.Hash() != renamed.Hash() {
 		t.Error("renaming the spec changed its hash; journals would be orphaned by a relabel")
+	}
+	reworkered := mustCompile(t, strings.Replace(sample, "workers: 2", "workers: 1", 1))
+	if reworkered.Workers != 1 || base.Hash() != reworkered.Hash() {
+		t.Error("changing the worker count changed the hash; a campaign is bit-identical at any worker count")
 	}
 	reordered := mustCompile(t, `
 groups:

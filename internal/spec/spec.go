@@ -4,8 +4,8 @@ package spec
 // document names the apps, classes, rank counts, machines, seeds,
 // iteration counts, and platform-noise amplitudes to sweep, and
 // Compile turns it deterministically into the []workload.Params
-// manifest plus the core.CampaignConfig that cmd/tradeoff, tracegen,
-// chaos, and bench previously hard-coded. The committed
+// manifest plus the campaign settings that cmd/tradeoff, tracegen and
+// chaos previously hard-coded. The committed
 // specs/paper-235.yaml compiles bit-identically to workload.Suite()
 // (TestPaper235SpecMatchesSuite), so the study manifest is now data.
 //
@@ -13,7 +13,7 @@ package spec
 //
 //	name: paper-235              # label; not part of the spec hash
 //	schemes: [mfact, packetflow] # default: every registered scheme
-//	workers: 4                   # default 0 = all cores
+//	workers: 4                   # default 0 = all cores; not part of the spec hash
 //	keep_going: true
 //	timeout: 90s                 # per-trace wall budget
 //	max_events: 0                # per-trace event budget

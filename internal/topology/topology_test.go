@@ -290,3 +290,41 @@ func TestBadShapes(t *testing.T) {
 		t.Error("FitFatTree(0) accepted")
 	}
 }
+
+// PathHops returns the number of router-to-router hops in a path
+// produced by Route (i.e. excluding injection and ejection links).
+func PathHops(path []LinkID, t Topology) int {
+	hops := 0
+	for _, id := range path {
+		switch t.Link(id).Kind {
+		case Injection, Ejection:
+		default:
+			hops++
+		}
+	}
+	return hops
+}
+
+// ValidateSampled checks the same invariants as Validate on a
+// deterministic sample of at most samples (src,dst) pairs, for
+// topologies too large for the O(nodes²) full walk.
+func ValidateSampled(t Topology, samples int) error {
+	n := t.Nodes()
+	if n*n <= samples {
+		return Validate(t)
+	}
+	var buf []LinkID
+	// Deterministic stride-based sample covering diverse pairs.
+	state := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < samples; i++ {
+		state = state*6364136223846793005 + 1442695040888963407
+		s := int(state>>33) % n
+		state = state*6364136223846793005 + 1442695040888963407
+		d := int(state>>33) % n
+		buf = t.Route(buf[:0], s, d)
+		if err := checkPath(t, buf, s, d); err != nil {
+			return err
+		}
+	}
+	return nil
+}

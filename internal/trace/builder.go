@@ -19,7 +19,6 @@ type Builder struct {
 	cols   *Columns
 	cursor []simtime.Time
 	req    []int32
-	open   []map[int32]bool // requests issued and not yet waited, per rank
 }
 
 // NewBuilder starts a trace for the given metadata.
@@ -30,10 +29,6 @@ func NewBuilder(meta Meta) *Builder {
 		cols:   c,
 		cursor: make([]simtime.Time, n),
 		req:    make([]int32, n),
-		open:   make([]map[int32]bool, n),
-	}
-	for r := range b.open {
-		b.open[r] = make(map[int32]bool)
 	}
 	return b
 }
@@ -89,13 +84,11 @@ func (b *Builder) Irecv(r int, peer int32, tag int32, bytes int64, comm CommID) 
 func (b *Builder) nextReq(r int) int32 {
 	id := b.req[r]
 	b.req[r]++
-	b.open[r][id] = true
 	return id
 }
 
 // Wait appends a single-request wait.
 func (b *Builder) Wait(r int, req int32) {
-	delete(b.open[r], req)
 	b.push(r, Event{Op: OpWait, Peer: NoPeer, Req: req})
 }
 
@@ -104,28 +97,7 @@ func (b *Builder) Waitall(r int, reqs ...int32) {
 	if len(reqs) == 0 {
 		return
 	}
-	for _, q := range reqs {
-		delete(b.open[r], q)
-	}
 	b.push(r, Event{Op: OpWaitall, Peer: NoPeer, Req: NoReq, Reqs: reqs})
-}
-
-// WaitOpen appends a waitall on every outstanding request of rank r.
-func (b *Builder) WaitOpen(r int) {
-	if len(b.open[r]) == 0 {
-		return
-	}
-	reqs := make([]int32, 0, len(b.open[r]))
-	for q := range b.open[r] {
-		reqs = append(reqs, q)
-	}
-	// Deterministic order.
-	for i := 1; i < len(reqs); i++ {
-		for j := i; j > 0 && reqs[j] < reqs[j-1]; j-- {
-			reqs[j], reqs[j-1] = reqs[j-1], reqs[j]
-		}
-	}
-	b.Waitall(r, reqs...)
 }
 
 // Collective appends a collective with per-member payload bytes on

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"hpctradeoff/internal/simtime"
@@ -24,14 +25,14 @@ func TestBuilderFullSurface(t *testing.T) {
 	b.Wait(3, b.Isend(3, 2, 9, 64, CommWorld))
 	b.Recv(3, 2, 10, 32, CommWorld)
 
-	// WaitOpen drains everything outstanding (and is a no-op when
+	// waitOpen drains everything outstanding (and is a no-op when
 	// nothing is pending).
 	q1 := b.Irecv(0, 1, 20, 16, CommWorld)
 	q2 := b.Irecv(0, 1, 21, 16, CommWorld)
 	_ = q1
 	_ = q2
-	b.WaitOpen(0)
-	b.WaitOpen(0) // nothing open now
+	waitOpen(b, 0)
+	waitOpen(b, 0) // nothing open now
 	b.Send(1, 0, 20, 16, CommWorld)
 	b.Send(1, 0, 21, 16, CommWorld)
 
@@ -113,4 +114,30 @@ func TestBuildColumnsExactSize(t *testing.T) {
 			}
 		}
 	}
+}
+
+// waitOpen appends a waitall on every request rank r has issued and
+// not yet waited on, in request order.
+func waitOpen(b *Builder, r int) {
+	open := map[int32]bool{}
+	var e Event
+	for i := 0; i < b.cols.RankLen(r); i++ {
+		b.cols.EventAt(r, i, &e)
+		switch e.Op {
+		case OpIsend, OpIrecv:
+			open[e.Req] = true
+		case OpWait:
+			delete(open, e.Req)
+		case OpWaitall:
+			for _, q := range e.Reqs {
+				delete(open, q)
+			}
+		}
+	}
+	reqs := make([]int32, 0, len(open))
+	for q := range open {
+		reqs = append(reqs, q)
+	}
+	slices.Sort(reqs)
+	b.Waitall(r, reqs...)
 }

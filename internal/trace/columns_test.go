@@ -27,8 +27,8 @@ func richProgram(b *Builder) {
 	b.Isend(0, 3, 3, 64, CommWorld)
 	b.Irecv(3, 0, 2, 64, CommWorld)
 	b.Irecv(3, 0, 3, 64, CommWorld)
-	b.WaitOpen(0)
-	b.WaitOpen(3)
+	waitOpen(b, 0)
+	waitOpen(b, 3)
 
 	for r := 0; r < 4; r++ {
 		b.Collective(r, OpAllreduce, CommWorld, 0, 64)

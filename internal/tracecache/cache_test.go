@@ -33,7 +33,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Cache {
 }
 
 // acquire materializes through the real workload path.
-func acquire(t *testing.T, c *Cache, p workload.Params) (*trace.Columns, func(), bool) {
+func acquire(t testing.TB, c *Cache, p workload.Params) (*trace.Columns, func(), bool) {
 	t.Helper()
 	cols, release, hit, err := c.Acquire(p, func() (*trace.Columns, error) {
 		return workload.MaterializeColumns(p)
