@@ -85,7 +85,8 @@ func describeCache(dir string) error {
 func describeProgram(e tracecache.Entry) string {
 	switch {
 	case e.ProgramErr == nil:
-		return fmt.Sprintf("lowering=v%d %.2f MB", e.ProgramVersion, float64(e.ProgramBytes)/1e6)
+		return fmt.Sprintf("lowering=v%d ops=%d templates=%d template_ops=%d %.2f MB", e.ProgramVersion,
+			e.ProgramSize.Ops, e.ProgramSize.Templates, e.ProgramSize.TemplateOps, float64(e.ProgramBytes)/1e6)
 	case os.IsNotExist(e.ProgramErr):
 		return "none (the next hit lowers and stores one)"
 	case errors.Is(e.ProgramErr, tracecache.ErrCorrupt):

@@ -234,11 +234,12 @@ func loadSpec(path string, explicit map[string]bool) (*spec.Compiled, error) {
 // median at 23.5–24 MB. Since replay ops shrank to 24 bytes and built
 // traces to their exact size, it takes 11.5 MB to keep it there. The
 // margin moves with the harness's own peak as much as with the
-// campaign's: over five runs each with link queues, triage_small's
-// smallest campaign peak was 2.1–2.5 MB above the harness's and
-// p2p_warm's 2.7–3.3 MB (1.4–3.0 and 3.2–4.3 MB just before), and no
-// run was refused (EXPERIMENTS.md, "Link queues and per-class flow
-// columns").
+// campaign's: over five runs each with collective templates,
+// triage_small's smallest campaign peak was 1.1–2.1 MB above the
+// harness's and p2p_warm's 0.2–1.3 MB (1.5–2.0 and 2.5–3.4 MB just
+// before), because templates shrank the mapped programs a warm
+// campaign replays. No run was refused (EXPERIMENTS.md, "Collective
+// templates").
 var heapBallast = make([]byte, 23<<19) // 11.5 MB
 
 func main() {

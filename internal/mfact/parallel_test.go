@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"hpctradeoff/internal/machine"
+	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/simtime"
 	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
@@ -369,7 +370,8 @@ func replayRank(st *state, src trace.Source, rid int32, boxes []*mailbox, colls 
 			}
 			maxEntry, rootEntry := inst.maxEntry, inst.rootEntry
 			inst.mu.Unlock()
-			st.applyCollective(rid, e, nMembers, e.Op.IsRooted() && rid == e.Root, maxEntry, rootEntry)
+			h := mpisim.HeaderOf(e)
+			st.applyCollective(rid, &h, nMembers, e.Op.IsRooted() && rid == e.Root, maxEntry, rootEntry)
 		}
 	}
 	return nil

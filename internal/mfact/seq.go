@@ -17,12 +17,13 @@ import (
 // tests hold it to (parallel_test.go).
 //
 // It walks the trace's lowered program (mpisim.Program, the one the
-// simulators replay) in lockstep with the trace. Every point-to-point,
-// compute and wait event is one program op that already carries a
-// dense matching-channel id and dense request ids, so matching indexes
-// flat arrays instead of hashing (src, dst, tag, comm) keys; the trace
-// itself is read only at collectives, whose lowered rounds MFACT skips
-// in favour of its cost formulas. Message records, request states,
+// simulators replay), which has one op per trace event. Every
+// point-to-point, compute and wait op already carries a dense
+// matching-channel id and dense request ids, so matching indexes flat
+// arrays instead of hashing (src, dst, tag, comm) keys; a collective
+// op's template header says which collective it is, and MFACT costs it
+// with its formulas instead of running the template's rounds. The
+// trace's events are never read. Message records, request states,
 // collective instances and clock vectors all live in session-owned
 // arrays addressed by int32 handles and recycled through free lists, so
 // a replay in steady state allocates nothing per event; recycled
@@ -114,8 +115,7 @@ type collInst struct {
 }
 
 type seqRank struct {
-	pc      int32 // next trace event
-	op      int32 // next program op
+	pc      int32 // next program op, which is the next trace event
 	reqBase int32 // the rank's first reqState
 	recvBuf int32 // waiter of a pending blocking receive
 	inColl  bool  // registered at the collective at pc
@@ -235,7 +235,6 @@ func (rp *replayer) replay(src trace.Source, prog *mpisim.Program, mach *machine
 		return h
 	}
 
-	var e trace.Event
 	for queued > 0 {
 		rid := rp.work[head]
 		head = (head + 1) % n
@@ -243,33 +242,17 @@ func (rp *replayer) replay(src trace.Source, prog *mpisim.Program, mach *machine
 		rs := &rp.ranks[rid]
 		rs.queued = false
 		ops := prog.Rank(int(rid))
-		m := int32(prog.EventCount(int(rid)))
 		reqs := rp.reqs[rs.reqBase:]
 
 	rankLoop:
-		for rs.pc < m {
-			var op *mpisim.Rop
-			if int(rs.op) < len(ops) && ops[rs.op].Ev == rs.pc {
-				op = &ops[rs.op]
-			}
-			if op == nil || op.Flags&mpisim.RopColl != 0 {
-				// A collective: lowering left its rounds (none for a
-				// single-member communicator), which MFACT skips, and
-				// the trace event says which collective it is.
-				src.EventAt(int(rid), int(rs.pc), &e)
-				if !e.Op.IsCollective() {
-					return nil, fmt.Errorf("mfact: rank %d event %d: %v has no op in the program", rid, rs.pc, e.Op)
-				}
-				if !rp.collective(st, comms, rid, &e, push, snapshot) {
+		for int(rs.pc) < len(ops) {
+			op := &ops[rs.pc]
+			switch op.Kind {
+			case mpisim.RopCollective:
+				if !rp.collective(st, comms, rid, prog.Collective(int(rid), op), push, snapshot) {
 					break rankLoop
 				}
-				for int(rs.op) < len(ops) && ops[rs.op].Ev == rs.pc {
-					rs.op++
-				}
-				rs.pc++
-				continue
-			}
-			switch op.Kind {
+
 			case mpisim.RopCompute:
 				st.applyCompute(rid, op.Dur())
 
@@ -363,10 +346,9 @@ func (rp *replayer) replay(src trace.Source, prog *mpisim.Program, mach *machine
 				st.applyWait(rid, vecs.vec(acc))
 				vecs.put(acc)
 			}
-			rs.op++
 			rs.pc++
 		}
-		if rs.pc >= m {
+		if int(rs.pc) >= len(ops) {
 			rs.done = true
 		}
 	}
@@ -382,7 +364,7 @@ func (rp *replayer) replay(src trace.Source, prog *mpisim.Program, mach *machine
 // collective registers rank rid at the collective e (once) and applies
 // it when every member has arrived. It reports whether the rank may
 // proceed past the event.
-func (rp *replayer) collective(st *state, comms *trace.CommTable, rid int32, e *trace.Event,
+func (rp *replayer) collective(st *state, comms *trace.CommTable, rid int32, e *mpisim.Collective,
 	push func(int32), snapshot func(int32) int32) bool {
 	nMembers := comms.Size(e.Comm)
 	if nMembers <= 1 {

@@ -1,6 +1,7 @@
 package mfact
 
 import (
+	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/simtime"
 	"hpctradeoff/internal/trace"
 )
@@ -129,16 +130,10 @@ func (st *state) applyWait(r int32, arrivals []simtime.Time) {
 //     completion = max(ownEntry + o, rootEntry + cost).
 //   - Reduce/gather: the root absorbs everyone (completion = maxEntry +
 //     cost); non-roots only pay their own leaf send.
-func (st *state) applyCollective(r int32, e *trace.Event, n int, isRoot bool, maxEntry, rootEntry []simtime.Time) {
+func (st *state) applyCollective(r int32, e *mpisim.Collective, n int, isRoot bool, maxEntry, rootEntry []simtime.Time) {
 	st.events[r]++
 	o := st.cm.overhead
-	var sendTotal int64
-	if e.Op == trace.OpAlltoallv {
-		for _, b := range e.SendBytes {
-			sendTotal += b
-		}
-	}
-	cc := collectiveCost(e.Op, n, e.Bytes, sendTotal)
+	cc := collectiveCost(e.Op, n, e.Bytes, e.SendTotal)
 	for k := 0; k < st.K; k++ {
 		entry := st.clocks[r][k]
 		// Each algorithm round costs one message latency plus the

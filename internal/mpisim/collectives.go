@@ -35,31 +35,97 @@ const (
 	scatteredThreshold = 32 << 10
 )
 
-func (lw *lowerer) lowerCollective(rank int, e *trace.Event, ev int32, seq int, vIndex map[vKey][][]int64) error {
+// template returns the id, among rank's templates, of the template
+// collective event e (the seq'th on its communicator) runs, expanding
+// the rounds of its algorithm into a new template if it is the first
+// on the rank with its header. The rounds are a pure function of what
+// collKey holds: the header, and for an alltoallv the counts the rank
+// sends and receives, which vIndex has for every instance.
+func (lw *lowerer) template(rank int, e *trace.Event, seq int, vIndex map[vKey][][]int64) (int32, error) {
 	members := lw.comms.Members(e.Comm)
 	n := len(members)
 	pos := lw.comms.Position(e.Comm, int32(rank))
 	if pos < 0 {
-		return fmt.Errorf("mpisim: rank %d not in comm %d", rank, e.Comm)
+		return 0, fmt.Errorf("mpisim: rank %d not in comm %d", rank, e.Comm)
 	}
-	tag := collTagBase | int32(e.Comm)<<12
-	c := collCtx{lw: lw, rank: rank, ev: ev, tag: tag, members: members, n: n, pos: pos}
-	if n == 1 {
-		return nil // single-member collective is a no-op
+	key := collKey{bytes: e.Bytes, comm: int32(e.Comm), root: e.Root, v: -1, op: e.Op}
+	var tbl [][]int64
+	if e.Op == trace.OpAlltoallv {
+		tbl = vIndex[vKey{e.Comm, seq}]
+		key.v = lw.vID(tbl, pos)
 	}
+	if id, ok := lw.tmplIDs[key]; ok {
+		return id, nil
+	}
+	id := int32(len(lw.tmplIDs))
+	lw.tmplIDs[key] = id
+	t := collTemplate{Collective: HeaderOf(e), opOff: int64(len(lw.tops)), waitOff: int64(len(lw.waits))}
+	lw.nextSynth = 0
+	if n > 1 { // a single-member collective has no rounds
+		c := collCtx{lw: lw, rank: rank, tag: collTagBase | int32(e.Comm)<<12, members: members, n: n, pos: pos}
+		lw.inTmpl = true
+		err := c.rounds(e, tbl)
+		lw.inTmpl = false
+		if err != nil {
+			return 0, err
+		}
+	}
+	if lw.counting {
+		lw.nTmpls++
+		return id, nil
+	}
+	t.opLen = int32(int64(len(lw.tops)) - t.opOff)
+	t.waitLen = int32(int64(len(lw.waits)) - t.waitOff)
+	t.reqs = lw.nextSynth
+	lw.tmpls = append(lw.tmpls, t)
+	return id, nil
+}
+
+// vID numbers, per rank, the alltoallv send and receive counts of the
+// member at pos in tbl: its row, and its entry in every other row.
+func (lw *lowerer) vID(tbl [][]int64, pos int) int32 {
+	b := lw.vBuf[:0]
+	if pos < len(tbl) && tbl[pos] != nil {
+		b = append(b, int64(len(tbl[pos])))
+		b = append(b, tbl[pos]...)
+	} else {
+		b = append(b, -1)
+	}
+	for _, row := range tbl {
+		var v int64
+		if row != nil {
+			v = row[pos]
+		}
+		b = append(b, v)
+	}
+	lw.vBuf = b
+	if id, ok := lw.vIDs[string(asBytes(b))]; ok {
+		return id
+	}
+	if lw.vIDs == nil {
+		lw.vIDs = make(map[string]int32)
+	}
+	id := int32(len(lw.vIDs))
+	lw.vIDs[string(asBytes(b))] = id
+	return id
+}
+
+// rounds emits the rounds of collective e's algorithm.
+func (c *collCtx) rounds(e *trace.Event, tbl [][]int64) error {
+	comms, n := c.lw.comms, c.n
 	switch e.Op {
 	case trace.OpBarrier:
 		c.dissemination(0)
 	case trace.OpBcast:
-		c.binomialBcast(int(lw.comms.Position(e.Comm, e.Root)), e.Bytes)
+		c.binomialBcast(comms.Position(e.Comm, e.Root), e.Bytes)
 	case trace.OpReduce:
-		c.binomialReduce(int(lw.comms.Position(e.Comm, e.Root)), e.Bytes)
+		c.binomialReduce(comms.Position(e.Comm, e.Root), e.Bytes)
 	case trace.OpAllreduce:
 		c.recursiveDoublingAllreduce(e.Bytes)
 	case trace.OpGather:
-		c.binomialGather(int(lw.comms.Position(e.Comm, e.Root)), e.Bytes)
+		c.binomialGather(comms.Position(e.Comm, e.Root), e.Bytes)
 	case trace.OpScatter:
-		c.binomialScatter(int(lw.comms.Position(e.Comm, e.Root)), e.Bytes)
+		c.binomialScatter(comms.Position(e.Comm, e.Root), e.Bytes)
 	case trace.OpAllgather:
 		c.ringAllgather(e.Bytes)
 	case trace.OpAlltoall:
@@ -72,7 +138,6 @@ func (lw *lowerer) lowerCollective(rank int, e *trace.Event, ev int32, seq int, 
 			c.pairwiseAlltoall(e.Bytes)
 		}
 	case trace.OpAlltoallv:
-		tbl := vIndex[vKey{e.Comm, seq}]
 		if alltoallvAvg(tbl, c.pos, n) <= scatteredThreshold {
 			c.scatteredAlltoallv(tbl)
 		} else {
@@ -86,11 +151,10 @@ func (lw *lowerer) lowerCollective(rank int, e *trace.Event, ev int32, seq int, 
 	return nil
 }
 
-// collCtx carries one rank's view of one collective instance.
+// collCtx carries one rank's view of one collective template.
 type collCtx struct {
 	lw      *lowerer
 	rank    int
-	ev      int32
 	tag     int32
 	members []int32
 	n, pos  int
@@ -115,18 +179,16 @@ func (c *collCtx) sendRecv(sendTo int, sendBytes int64, recvFrom int, recvBytes 
 	}
 }
 
-// wait emits a round's wait on reqs, marked RopColl and attributed to
-// the collective's event.
+// wait emits a round's wait on reqs.
 func (c *collCtx) wait(reqs []int32) {
-	c.lw.emit(Rop{Kind: RopWait, Ev: c.ev, Flags: RopColl}, reqs)
+	c.lw.wait(reqs)
 }
 
-// p2p emits a round's point-to-point op with the member at pos, marked
-// RopColl, attributed to the collective's event, and tagged with the
-// instance's tag. Lowered rounds match in communicator 0; their tags
-// disambiguate.
+// p2p emits a round's point-to-point op with the member at pos, tagged
+// with the communicator's collective tag. Lowered rounds match in
+// communicator 0; their tags disambiguate.
 func (c *collCtx) p2p(kind RopKind, pos int, bytes int64, req int32) {
-	c.lw.emitP2P(c.rank, Rop{Kind: kind, Val: bytes, Req: req, Ev: c.ev, Flags: RopColl}, c.world(pos), c.tag, 0)
+	c.lw.emitP2P(c.rank, kind, bytes, req, c.world(pos), c.tag, 0)
 }
 
 // post emits a nonblocking isend or irecv with the member at pos and

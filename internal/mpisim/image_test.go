@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,10 +19,15 @@ import (
 
 // imageProgram lowers a small trace exercising every op kind, blocking
 // and nonblocking p2p, and several collectives (so both trace-owned and
-// synthesized requests appear, and wait sets both spans and stored in
-// the wait arena).
+// template requests appear, wait sets both spans and stored in the wait
+// arena, templates run by more than one instance, and an empty
+// template for a single-member communicator).
 func imageProgram(t testing.TB) *Program {
 	b := newTB(4)
+	self := make([]trace.CommID, 4)
+	for r := range self {
+		self[r] = b.tr.Comms.Add([]int32{int32(r)})
+	}
 	for r := 0; r < 4; r++ {
 		b.compute(r, simtime.Time(10+r)*simtime.Microsecond)
 		rq := b.irecv(r, (r+3)%4, 1, 4096)
@@ -34,6 +40,8 @@ func imageProgram(t testing.TB) *Program {
 		}
 		b.coll(r, trace.OpAllreduce, trace.CommWorld, 0, 64)
 		b.coll(r, trace.OpAlltoall, trace.CommWorld, 0, 1024)
+		b.coll(r, trace.OpAllreduce, trace.CommWorld, 0, 64)
+		b.coll(r, trace.OpBarrier, self[r], r, 0)
 	}
 	tr := b.tr
 	if err := tr.Validate(); err != nil {
@@ -75,71 +83,122 @@ func TestImageRoundTrip(t *testing.T) {
 // programSeeds is the FuzzProgramImage seed set: a valid image and one
 // precise corruption per family OpenProgram must reject — a truncated
 // image, a section knocked off alignment, a wait set pointing past the
-// wait arena, a span past the rank's requests, a channel id at the
-// channel count, and a send on a
-// channel that starts at another rank. The same bytes are committed
-// under testdata/fuzz/FuzzProgramImage (TestWriteProgramCorpus
-// regenerates them) so they run under plain `go test`.
+// wait arena, a span past its template's requests, a channel id at the
+// channel count, a send on a channel that starts at another rank, a
+// template id at the rank's template count, a template's request at
+// the template's count, an instance whose requests run past the rank's,
+// a template round on a channel that does not touch the rank that
+// owns the template, and a template op extent whose end overflows. The
+// same bytes are committed under testdata/fuzz/FuzzProgramImage
+// (TestWriteProgramCorpus regenerates them) so they run under plain
+// `go test`.
 func programSeeds(t testing.TB) map[string][]byte {
 	p := imageProgram(t)
 	good := imageOf(t, p)
 	le := binary.LittleEndian
-	opsOff := le.Uint64(good[48+8*4:])
-	// patch edits the first op of the given kind and span flag in a
-	// copy of good, passing the rank it belongs to.
-	patch := func(kind RopKind, span bool, edit func(rank int, op []byte)) []byte {
+	opsAt := le.Uint64(good[offsetsAt+8*3:])
+	topsAt := le.Uint64(good[offsetsAt+8*8:])
+	// patch edits, in a copy of good, the first op of the given kind and
+	// span flag among the ranks' own ops, or (round) among the
+	// templates' rounds, passing the rank that owns it and, for a round,
+	// its template.
+	patch := func(round bool, kind RopKind, span bool, edit func(rank int, tm *collTemplate, op []byte)) []byte {
 		b := append([]byte{}, good...)
-		for i := range p.arena {
-			if p.arena[i].Kind == kind && (p.arena[i].Flags&ropSpan != 0) == span {
-				rank := 0
+		ops, at := p.arena, opsAt
+		if round {
+			ops, at = p.tarena, topsAt
+		}
+		for i := range ops {
+			if ops[i].Kind != kind || ops[i].Flags&ropSpan != 0 != span {
+				continue
+			}
+			rank, tm := 0, (*collTemplate)(nil)
+			if round {
+				ti := 0
+				for tm = &p.tmpls[0]; int64(i) >= tm.opOff+int64(tm.opLen); tm = &p.tmpls[ti] {
+					ti++
+				}
+				for p.tmplOff[rank+1] <= int64(ti) {
+					rank++
+				}
+			} else {
 				for p.opOff[rank+1] <= int64(i) {
 					rank++
 				}
-				edit(rank, b[opsOff+uint64(i*ropSize):][:ropSize])
-				return b
 			}
+			edit(rank, tm, b[at+uint64(i*ropSize):][:ropSize])
+			return b
 		}
 		t.Fatalf("no %v op to patch", kind)
 		return nil
+	}
+	ch, req := unsafe.Offsetof(Rop{}.Ch), unsafe.Offsetof(Rop{}.Req)
+	put := func(op []byte, field uintptr, v int) { le.PutUint32(op[field:], uint32(v)) }
+	// otherChannel returns a channel that does not start at rank.
+	otherChannel := func(rank int) int {
+		for c, e := range p.chans {
+			if e.src != int32(rank) && e.dst != int32(rank) {
+				return c
+			}
+		}
+		t.Fatalf("every channel touches rank %d", rank)
+		return 0
 	}
 	return map[string][]byte{
 		"valid":     good,
 		"truncated": good[:len(good)/2],
 		"misaligned-extent": func() []byte {
 			b := append([]byte{}, good...)
-			le.PutUint64(b[48+8*4:], opsOff+4)
+			le.PutUint64(b[offsetsAt+8*3:], opsAt+4)
 			return b
 		}(),
-		"wait-set-out-of-range": patch(RopWait, false, func(_ int, op []byte) {
-			le.PutUint32(op[unsafe.Offsetof(Rop{}.Req):], uint32(len(p.waits)))
+		"wait-set-out-of-range": patch(false, RopWait, false, func(_ int, _ *collTemplate, op []byte) {
+			put(op, req, len(p.waits))
 		}),
-		"span-out-of-range": patch(RopWait, true, func(rank int, op []byte) {
-			le.PutUint32(op[unsafe.Offsetof(Rop{}.Req):], uint32(p.reqCount[rank]))
+		"span-out-of-range": patch(true, RopWait, true, func(_ int, tm *collTemplate, op []byte) {
+			put(op, req, int(tm.reqs))
 		}),
-		"channel-out-of-range": patch(RopIsend, false, func(_ int, op []byte) {
-			le.PutUint32(op[unsafe.Offsetof(Rop{}.Ch):], uint32(len(p.chans)))
+		"channel-out-of-range": patch(false, RopIsend, false, func(_ int, _ *collTemplate, op []byte) {
+			put(op, ch, len(p.chans))
 		}),
-		"send-on-another-ranks-channel": patch(RopSend, false, func(rank int, op []byte) {
-			for c, e := range p.chans {
-				if e.src != int32(rank) {
-					le.PutUint32(op[unsafe.Offsetof(Rop{}.Ch):], uint32(c))
-					return
-				}
-			}
-			t.Fatalf("every channel starts at rank %d", rank)
+		"send-on-another-ranks-channel": patch(false, RopSend, false, func(rank int, _ *collTemplate, op []byte) {
+			put(op, ch, otherChannel(rank))
 		}),
+		"template-out-of-range": patch(false, RopCollective, false, func(rank int, _ *collTemplate, op []byte) {
+			put(op, ch, int(p.tmplOff[rank+1]-p.tmplOff[rank]))
+		}),
+		"template-request-out-of-range": patch(true, RopIsend, false, func(_ int, tm *collTemplate, op []byte) {
+			put(op, req, int(tm.reqs))
+		}),
+		"base-past-requests": patch(false, RopCollective, false, func(rank int, _ *collTemplate, op []byte) {
+			put(op, req, int(p.reqCount[rank]))
+		}),
+		"template-channel-off-rank": patch(true, RopIsend, false, func(rank int, _ *collTemplate, op []byte) {
+			put(op, ch, otherChannel(rank))
+		}),
+		"template-extent-overflow": func() []byte {
+			b := append([]byte{}, good...)
+			at := le.Uint64(good[offsetsAt+8*7:]) + uint64(unsafe.Offsetof(collTemplate{}.opOff))
+			le.PutUint64(b[at:], math.MaxInt64-1)
+			return b
+		}(),
 	}
 }
 
 // seedRejections names the reason each corrupt seed must be rejected
-// for, as a fragment of OpenProgram's error.
-var seedRejections = map[string]string{
-	"truncated":                     "image holds",
-	"misaligned-extent":             "misaligned",
-	"wait-set-out-of-range":         "wait set",
-	"span-out-of-range":             "waits on requests",
-	"channel-out-of-range":          "outside [0,",
-	"send-on-another-ranks-channel": "its end here is not this rank",
+// for, as fragments of OpenProgram's error.
+var seedRejections = map[string][]string{
+	"truncated":                     {"image holds"},
+	"misaligned-extent":             {"misaligned"},
+	"wait-set-out-of-range":         {"wait set"},
+	"span-out-of-range":             {"template", "waits on requests"},
+	"channel-out-of-range":          {"outside [0,"},
+	"send-on-another-ranks-channel": {"its end here is not this rank"},
+	"template-out-of-range":         {"no such template"},
+	"template-request-out-of-range": {"outside the template's"},
+	"base-past-requests":            {"outside the rank's collective requests"},
+	"template-channel-off-rank":     {"template", "its end here is not this rank"},
+	"template-extent-overflow":      {"template", "op extent"},
 }
 
 // FuzzProgramImage holds OpenProgram to its contract on any input:
@@ -159,13 +218,22 @@ func FuzzProgramImage(f *testing.F) {
 			}
 			return
 		}
+		walk := func(ops []Rop) {
+			for i := range ops {
+				switch op := &ops[i]; op.Kind {
+				case RopWait:
+					_ = p.Waits(op)
+				case RopSend, RopIsend, RopRecv, RopIrecv:
+					_ = p.peer(op)
+				}
+			}
+		}
 		for r := 0; r < p.NumRanks(); r++ {
 			for i, op := range p.Rank(r) {
-				switch op.Kind {
-				case RopWait:
-					_ = p.Waits(&p.Rank(r)[i])
-				case RopSend, RopIsend, RopRecv, RopIrecv:
-					_ = p.peer(&p.Rank(r)[i])
+				walk(p.Rank(r)[i : i+1])
+				if op.Kind == RopCollective {
+					_ = p.Collective(r, &op)
+					walk(p.templateOps(p.template(int32(r), &op)))
 				}
 			}
 		}
@@ -189,8 +257,12 @@ func TestProgramSeedsRejected(t *testing.T) {
 		}
 		if !errors.Is(err, ErrBadProgram) {
 			t.Errorf("%s: err %v, want ErrBadProgram", name, err)
-		} else if want := seedRejections[name]; !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: err %v, want it rejected for %q", name, err, want)
+		} else {
+			for _, want := range seedRejections[name] {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: err %v, want it rejected for %q", name, err, want)
+				}
+			}
 		}
 	}
 }

@@ -27,18 +27,24 @@ const collTagBase int32 = 1 << 20
 // collective algorithms, the numbering of requests and channels, and the
 // Rop layout. Anything that changes the program of some trace bumps it,
 // so a program stored by an older build is recognized as stale and
-// lowered again rather than replayed. Version 2 is the 24-byte Rop with
-// peers in the channel table.
-const LoweringVersion = 2
+// lowered again rather than replayed. Version 2 was the 24-byte Rop
+// with peers in the channel table; version 3 lowers each distinct
+// collective once per rank into a template that its instances run by
+// reference.
+const LoweringVersion = 3
 
 // lowerer builds a Program by walking the trace rank by rank. A rank's
-// ops are appended to the one op arena while it is walked, so they are
-// contiguous. A sizing pass first counts the ops and bounds the
+// ops, one per event, are appended to the one op arena while it is
+// walked, so they are contiguous. A collective's rounds go to the
+// template arena, and only for the first instance of its header on
+// the rank (collKey); every instance is one op naming that template. A
+// sizing pass first dry-runs each template once and bounds the
 // wait-set entries, so the arenas are allocated once: the op arena at
-// its exact size, the wait arena at most at the size of the trace's
-// waitall sets, whichever of them turn out to be spans. A Session's
-// arenas, kept from trace to trace, grow only for a trace bigger than
-// any before it.
+// the trace's event count, the template arena at its exact size, and
+// the wait arena at most at the size of the trace's waitall sets and
+// the templates' wait sets, whichever of them turn out to be spans. A
+// Session's arenas, kept from trace to trace, grow only for a trace
+// bigger than any before it.
 //
 // The walk also resolves every point-to-point op's matching key (src,
 // dst, tag, comm) to a dense channel id, so the one hash lookup a
@@ -48,19 +54,32 @@ type lowerer struct {
 	src   trace.Source
 	comms *trace.CommTable
 
-	// counting marks the sizing pass: emit only counts.
-	counting     bool
-	nOps, nWaits int
-	ops          []Rop   // the op arena: every rank walked so far
-	waits        []int32 // the wait arena
-	scratch      []int32 // transient wait-set buffer, owned until the emit
+	// counting marks the sizing pass: emitting only counts, and
+	// nTops, nTmpls and nWaits are the counts.
+	counting              bool
+	nTops, nTmpls, nWaits int
+	ops                   []Rop   // the op arena: every rank walked so far
+	tops                  []Rop   // the template op arena
+	waits                 []int32 // the wait arena
+	scratch               []int32 // transient wait-set buffer, owned until the emit
+	// inTmpl sends emitted ops to the template arena.
+	inTmpl bool
 
 	// Request numbering of the rank being walked. The trace's own
-	// requests are numbered first; how many there are is known only at
-	// the end of the rank, so synthesized requests count from 0 in a
-	// space of their own until shiftSynth moves them after.
-	nextApp, nextSynth int32
-	reqMap             map[int32]int32 // trace request id → replay id
+	// requests are numbered first, in posting order; nextSynth numbers
+	// the requests of the template being expanded from 0.
+	nApp, nextSynth int32
+	reqMap          map[int32]int32 // trace request id → replay id
+
+	// tmpls is every template so far, and rankTmpl the first of the
+	// rank being walked; tmplIDs numbers the rank's templates by
+	// header, and vIDs the alltoallv send and receive counts they are
+	// keyed by (vBuf builds one).
+	tmpls    []collTemplate
+	rankTmpl int
+	tmplIDs  map[collKey]int32
+	vIDs     map[string]int32
+	vBuf     []int64
 
 	chans chanTable
 }
@@ -71,32 +90,45 @@ type chanKey struct {
 	comm          int32
 }
 
+// collKey is everything a collective's rounds on one rank are a
+// function of, besides the rank: its header, and for an alltoallv the
+// number vIDs gives its send and receive counts.
+type collKey struct {
+	bytes      int64
+	comm, root int32
+	v          int32
+	op         trace.Op
+}
+
 // Lower translates a validated trace into a fresh Program that belongs
 // to the caller and outlives any Session. Its arenas hold no slack.
 func Lower(src trace.Source) (*Program, error) {
 	prog, err := lower(src, &Session{})
 	if err == nil && cap(prog.waits) > len(prog.waits) {
-		waits := make([]int32, len(prog.waits))
-		copy(waits, prog.waits)
-		prog.waits = waits
+		prog.waits = append([]int32(nil), prog.waits...)
 	}
 	return prog, err
 }
 
 // lower translates a validated trace into primitive replay programs:
 // point-to-point and compute events copy through (with requests
-// renumbered into a fresh namespace), and every collective expands into
-// the point-to-point rounds of its algorithm. sess supplies the arenas,
-// reused across traces.
+// renumbered into a fresh namespace), and every collective becomes an
+// instance of a template holding the point-to-point rounds of its
+// algorithm. sess supplies the arenas, reused across traces.
 func lower(src trace.Source, sess *Session) (*Program, error) {
 	if err := failLower.Fail(); err != nil {
 		return nil, fmt.Errorf("mpisim: lowering %s: %w", src.TraceMeta().ID(), err)
 	}
 	n := src.TraceMeta().NumRanks
+	events := 0
+	for r := 0; r < n; r++ {
+		events += src.RankLen(r)
+	}
 	lw := &lowerer{
-		src:    src,
-		comms:  src.TraceComms(),
-		reqMap: make(map[int32]int32),
+		src:     src,
+		comms:   src.TraceComms(),
+		reqMap:  make(map[int32]int32),
+		tmplIDs: make(map[collKey]int32),
 	}
 	// Index alltoallv events by (comm, instance) so every member can
 	// see every other member's send counts.
@@ -105,42 +137,55 @@ func lower(src trace.Source, sess *Session) (*Program, error) {
 	if lw.nWaits > math.MaxInt32 {
 		return nil, fmt.Errorf("mpisim: %s lowers to %d wait-set entries, more than a program holds", src.TraceMeta().ID(), lw.nWaits)
 	}
-	lw.ops, lw.waits = sess.ops(lw.nOps), sess.reqs(lw.nWaits)
+	lw.ops, lw.tops, lw.waits = arena(&sess.opArena, events), arena(&sess.tmplArena, lw.nTops), arena(&sess.reqArena, lw.nWaits)
+	lw.tmpls = make([]collTemplate, 0, lw.nTmpls)
 	prog := &Program{
 		opOff:    make([]int64, n+1),
-		evCount:  make([]int32, n),
 		reqCount: make([]int32, n),
 		appReqs:  make([]int32, n),
+		tmplOff:  make([]int64, n+1),
 	}
 	collSeq := make([]int, lw.comms.Len())
 	for rank := 0; rank < n; rank++ {
 		start := len(lw.ops)
 		clear(collSeq)
 		clear(lw.reqMap)
-		lw.nextApp, lw.nextSynth = 0, 0
+		clear(lw.tmplIDs)
+		clear(lw.vIDs)
+		lw.nApp, lw.rankTmpl = 0, len(lw.tmpls)
 		if err := lw.rank(rank, collSeq, vIndex); err != nil {
 			return nil, err
 		}
-		lw.shiftSynth(start)
+		// A rank runs one collective at a time, and a template waits on
+		// every request it posts, so every instance can use the same
+		// ids: the ones after the rank's own requests.
+		var most int32
+		for _, t := range lw.tmpls[lw.rankTmpl:] {
+			most = max(most, t.reqs)
+		}
+		for i := start; i < len(lw.ops); i++ {
+			if op := &lw.ops[i]; op.Kind == RopCollective {
+				op.Req = lw.nApp
+			}
+		}
 		prog.opOff[rank+1] = int64(len(lw.ops))
-		prog.evCount[rank] = int32(src.RankLen(rank))
-		prog.appReqs[rank] = lw.nextApp
-		prog.reqCount[rank] = lw.nextApp + lw.nextSynth
+		prog.tmplOff[rank+1] = int64(len(lw.tmpls))
+		prog.appReqs[rank] = lw.nApp
+		prog.reqCount[rank] = lw.nApp + most
 	}
-	sess.opArena, sess.reqArena = lw.ops, lw.waits
-	prog.arena, prog.waits, prog.chans = lw.ops, lw.waits, lw.chans.ends()
-	if len(prog.waits) == 0 {
-		prog.waits = nil // as an opened image has it
-	}
+	sess.opArena, sess.reqArena, sess.tmplArena = lw.ops, lw.waits, lw.tops
+	prog.arena, prog.waits, prog.chans, prog.tmpls, prog.tarena = lw.ops, lw.waits, lw.chans.ends(), lw.tmpls, lw.tops
+	// An empty section opens from an image as nil.
+	prog.waits, prog.tmpls, prog.tarena = orNil(prog.waits), orNil(prog.tmpls), orNil(prog.tarena)
 	prog.views()
 	return prog, nil
 }
 
-// size runs the sizing pass, setting nOps to what lowering will emit
-// and nWaits to at least that. Every event but a collective lowers to
-// exactly one op, a wait's set being a span or its own request list, so
-// only collectives need a dry run of their algorithm. Malformed events
-// are left for the filling walk to report.
+// size runs the sizing pass, setting nTops and nTmpls to what lowering
+// will emit and nWaits to at least that. A rank's own ops are one per
+// event, a wait's set being a span or its own request list, so only
+// the first instance of each template needs a dry run of its
+// algorithm. Malformed events are left for the filling walk to report.
 func (lw *lowerer) size(vIndex map[vKey][][]int64) {
 	lw.counting = true
 	defer func() { lw.counting = false }()
@@ -148,14 +193,13 @@ func (lw *lowerer) size(vIndex map[vKey][][]int64) {
 	var e trace.Event
 	for rank := 0; rank < lw.src.TraceMeta().NumRanks; rank++ {
 		clear(collSeq)
+		clear(lw.tmplIDs)
+		clear(lw.vIDs)
 		m := lw.src.RankLen(rank)
 		for i := 0; i < m; i++ {
 			switch op := lw.src.OpAt(rank, i); {
-			case op == trace.OpWait:
-				lw.nOps++ // a span
 			case op == trace.OpWaitall:
 				lw.src.EventAt(rank, i, &e)
-				lw.nOps++
 				lw.nWaits += len(e.Reqs)
 			case op.IsCollective():
 				lw.src.EventAt(rank, i, &e)
@@ -164,12 +208,18 @@ func (lw *lowerer) size(vIndex map[vKey][][]int64) {
 				}
 				seq := collSeq[e.Comm]
 				collSeq[e.Comm]++
-				_ = lw.lowerCollective(rank, &e, int32(i), seq, vIndex)
-			default:
-				lw.nOps++
+				_, _ = lw.template(rank, &e, seq, vIndex)
 			}
 		}
 	}
+}
+
+// orNil returns s, or nil if it is empty.
+func orNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // rank walks one rank's event stream, emitting its ops.
@@ -178,26 +228,25 @@ func (lw *lowerer) rank(rank int, collSeq []int, vIndex map[vKey][][]int64) erro
 	m := lw.src.RankLen(rank)
 	for i := 0; i < m; i++ {
 		lw.src.EventAt(rank, i, &e)
-		ev := int32(i)
 		comm := int32(e.Comm)
 		switch e.Op {
 		case trace.OpCompute:
-			lw.emit(Rop{Kind: RopCompute, Val: int64(e.Duration()), Ev: ev}, nil)
+			lw.push(Rop{Kind: RopCompute, Val: int64(e.Duration())})
 		case trace.OpSend:
-			lw.emitP2P(rank, Rop{Kind: RopSend, Val: e.Bytes, Ev: ev}, e.Peer, e.Tag, comm)
+			lw.emitP2P(rank, RopSend, e.Bytes, 0, e.Peer, e.Tag, comm)
 		case trace.OpRecv:
-			lw.emitP2P(rank, Rop{Kind: RopRecv, Val: e.Bytes, Ev: ev}, e.Peer, e.Tag, comm)
+			lw.emitP2P(rank, RopRecv, e.Bytes, 0, e.Peer, e.Tag, comm)
 		case trace.OpIsend:
-			lw.emitP2P(rank, Rop{Kind: RopIsend, Val: e.Bytes, Req: lw.fresh(e.Req), Ev: ev}, e.Peer, e.Tag, comm)
+			lw.emitP2P(rank, RopIsend, e.Bytes, lw.fresh(e.Req), e.Peer, e.Tag, comm)
 		case trace.OpIrecv:
-			lw.emitP2P(rank, Rop{Kind: RopIrecv, Val: e.Bytes, Req: lw.fresh(e.Req), Ev: ev}, e.Peer, e.Tag, comm)
+			lw.emitP2P(rank, RopIrecv, e.Bytes, lw.fresh(e.Req), e.Peer, e.Tag, comm)
 		case trace.OpWait:
 			id, err := lw.lookup(rank, i, e.Req)
 			if err != nil {
 				return err
 			}
 			lw.scratch = append(lw.scratch[:0], id)
-			lw.emit(Rop{Kind: RopWait, Ev: ev}, lw.scratch)
+			lw.wait(lw.scratch)
 		case trace.OpWaitall:
 			lw.scratch = lw.scratch[:0]
 			for _, r := range e.Reqs {
@@ -207,7 +256,7 @@ func (lw *lowerer) rank(rank int, collSeq []int, vIndex map[vKey][][]int64) erro
 				}
 				lw.scratch = append(lw.scratch, id)
 			}
-			lw.emit(Rop{Kind: RopWait, Ev: ev}, lw.scratch)
+			lw.wait(lw.scratch)
 		default:
 			if !e.Op.IsCollective() {
 				return fmt.Errorf("mpisim: rank %d event %d: unsupported op %v", rank, i, e.Op)
@@ -217,64 +266,47 @@ func (lw *lowerer) rank(rank int, collSeq []int, vIndex map[vKey][][]int64) erro
 			}
 			seq := collSeq[e.Comm]
 			collSeq[e.Comm]++
-			if err := lw.lowerCollective(rank, &e, ev, seq, vIndex); err != nil {
+			id, err := lw.template(rank, &e, seq, vIndex)
+			if err != nil {
 				return err
 			}
+			lw.ops = append(lw.ops, Rop{Kind: RopCollective, Ch: id})
 		}
 	}
 	return nil
 }
 
-// shiftSynth moves the synthesized request ids of the rank whose ops
-// start at start after its own requests, in the ops that post them and
-// in the collectives' wait sets.
-func (lw *lowerer) shiftSynth(start int) {
-	if lw.nextSynth == 0 {
-		return
-	}
-	for i := start; i < len(lw.ops); i++ {
-		op := &lw.ops[i]
-		if op.Flags&RopColl == 0 {
-			continue
-		}
-		switch op.Kind {
-		case RopIsend, RopIrecv:
-			op.Req += lw.nextApp
-		case RopWait:
-			if op.Flags&ropSpan != 0 {
-				op.Req += lw.nextApp
-				continue
-			}
-			lo, hi := op.waitSet()
-			for j := lo; j < hi; j++ {
-				lw.waits[j] += lw.nextApp
-			}
-		}
+// push appends op to the arena being emitted into. The sizing pass
+// emits only templates' rounds, and counts them.
+func (lw *lowerer) push(op Rop) {
+	switch {
+	case lw.counting:
+		lw.nTops++
+	case lw.inTmpl:
+		lw.tops = append(lw.tops, op)
+	default:
+		lw.ops = append(lw.ops, op)
 	}
 }
 
-// emit appends a compute or wait op to the program of the rank being
-// walked. reqs is a wait's request set: a span if its ids are
+// wait appends a wait on the request set reqs: a span if its ids are
 // consecutive, and otherwise copied into the wait arena, so callers may
 // pass a reused scratch buffer.
-func (lw *lowerer) emit(op Rop, reqs []int32) {
-	span := op.Kind == RopWait && consecutive(reqs)
+func (lw *lowerer) wait(reqs []int32) {
 	if lw.counting {
-		lw.nOps++
-		if !span {
+		if !consecutive(reqs) {
 			lw.nWaits += len(reqs)
 		}
+		lw.nTops++
 		return
 	}
-	if op.Kind == RopWait {
-		op.Req, op.Ch = int32(len(lw.waits)), int32(len(reqs))
-		if span {
-			op.Req, op.Flags = reqs[0], op.Flags|ropSpan
-		} else {
-			lw.waits = append(lw.waits, reqs...)
-		}
+	op := Rop{Kind: RopWait, Ch: int32(len(reqs)), Req: int32(len(lw.waits))}
+	if consecutive(reqs) {
+		op.Req, op.Flags = reqs[0], ropSpan
+	} else {
+		lw.waits = append(lw.waits, reqs...)
 	}
-	lw.ops = append(lw.ops, op)
+	lw.push(op)
 }
 
 // consecutive reports whether reqs is a non-empty run of consecutive
@@ -288,20 +320,19 @@ func consecutive(reqs []int32) bool {
 	return len(reqs) > 0
 }
 
-// emitP2P appends a point-to-point op of rank with the given peer;
-// peer, tag and comm complete its matching key, which names its
-// channel.
-func (lw *lowerer) emitP2P(rank int, op Rop, peer, tag, comm int32) {
+// emitP2P appends a point-to-point op of rank with the given kind,
+// payload and request; peer, tag and comm complete its matching key,
+// which names its channel.
+func (lw *lowerer) emitP2P(rank int, kind RopKind, bytes int64, req, peer, tag, comm int32) {
 	if lw.counting {
-		lw.nOps++
+		lw.nTops++
 		return
 	}
 	k := chanKey{src: int32(rank), dst: peer, tag: tag, comm: comm}
-	if op.Kind == RopRecv || op.Kind == RopIrecv {
+	if kind == RopRecv || kind == RopIrecv {
 		k.src, k.dst = peer, int32(rank)
 	}
-	op.Ch = lw.chans.id(k)
-	lw.ops = append(lw.ops, op)
+	lw.push(Rop{Kind: kind, Val: bytes, Ch: lw.chans.id(k), Req: req})
 }
 
 // chanTable numbers matching keys densely in first-use order. It is an
@@ -373,14 +404,14 @@ func (k chanKey) hash() uint64 {
 // fresh allocates a new request id for one of the trace's own requests
 // and records the mapping from the trace's id.
 func (lw *lowerer) fresh(orig int32) int32 {
-	id := lw.nextApp
-	lw.nextApp++
+	id := lw.nApp
+	lw.nApp++
 	lw.reqMap[orig] = id
 	return id
 }
 
-// synth allocates a request id for a synthetic (lowered) operation, in
-// the space shiftSynth moves after the rank's own requests.
+// synth allocates a request id for a round of the template being
+// expanded, counted from the template's first.
 func (lw *lowerer) synth() int32 {
 	id := lw.nextSynth
 	lw.nextSynth++

@@ -11,7 +11,19 @@ import (
 // p2p workloads' kind) into a fresh program: what a campaign pays per
 // trace when the cache holds no current program for it.
 func BenchmarkLowerStencil(b *testing.B) {
-	cols, err := workload.GenerateColumns(workload.Params{App: "LULESH", Class: "B", Ranks: 128, Machine: "hopper", Seed: 1})
+	benchmarkLower(b, workload.Params{App: "LULESH", Class: "B", Ranks: 128, Machine: "hopper", Seed: 1})
+}
+
+// BenchmarkLowerCollective is BenchmarkLowerStencil for a trace whose
+// collectives dominate its program: a 128-rank class-B MiniFE, whose
+// allreduce rounds were 82 % of its ops when every instance was
+// lowered in full.
+func BenchmarkLowerCollective(b *testing.B) {
+	benchmarkLower(b, workload.Params{App: "MiniFE", Class: "B", Ranks: 128, Machine: "hopper", Seed: 1})
+}
+
+func benchmarkLower(b *testing.B, p workload.Params) {
+	cols, err := workload.GenerateColumns(p)
 	if err != nil {
 		b.Fatal(err)
 	}

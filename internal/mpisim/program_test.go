@@ -90,12 +90,12 @@ func TestRopIs24Bytes(t *testing.T) {
 const programBytesFile = "testdata/program_bytes.txt"
 
 // TestProgramBytes holds the program size of six small study traces
-// exactly: ops, channels and image bytes. A change to
-// lowering or to the image layout that moves them rewrites the fixture
-// with -update and says why.
+// exactly: ops, channels, collective templates and the ops they hold,
+// and image bytes. A change to lowering or to the image layout that
+// moves them rewrites the fixture with -update and says why.
 func TestProgramBytes(t *testing.T) {
 	var got bytes.Buffer
-	fmt.Fprintln(&got, "# app class ranks machine: ops chans image_bytes")
+	fmt.Fprintln(&got, "# app class ranks machine: ops chans templates template_ops image_bytes")
 	for _, p := range workload.SuiteSmall(8, 64)[:6] {
 		cols, err := workload.GenerateColumns(p)
 		if err != nil {
@@ -113,7 +113,8 @@ func TestProgramBytes(t *testing.T) {
 		for r := 0; r < prog.NumRanks(); r++ {
 			ops += len(prog.Rank(r))
 		}
-		fmt.Fprintf(&got, "%s %s %d %s: %d %d %d\n", p.App, p.Class, p.Ranks, p.Machine, ops, prog.NumChans(), img.Len())
+		fmt.Fprintf(&got, "%s %s %d %s: %d %d %d %d %d\n", p.App, p.Class, p.Ranks, p.Machine,
+			ops, prog.NumChans(), prog.NumTemplates(), prog.TemplateOps(), img.Len())
 	}
 	path := filepath.FromSlash(programBytesFile)
 	if *update {

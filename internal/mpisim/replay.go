@@ -264,6 +264,14 @@ type rankState struct {
 	id  int32
 	ops []Rop
 	pc  int
+	// A collective op runs its template as a one-level sub-program: sub
+	// is the template's rounds (nil outside one) and spc the next of
+	// them, and reqBase, the instance's request base (0 outside one), is
+	// added to every round's request ids. pc stays at the instance, so
+	// a round's event is the instance's.
+	sub     []Rop
+	spc     int
+	reqBase int32
 	// Request state is tracked in a flat array indexed by the replay
 	// request id (lowering renumbers densely from 0). A nonblocking
 	// completion is not an event but a key (DESIGN.md §9, "Keys, not
@@ -321,7 +329,7 @@ type driver struct {
 
 func (d *driver) run() {
 	prog := d.prog
-	n := d.src.TraceMeta().NumRanks
+	n := prog.NumRanks()
 	d.ranks = make([]*rankState, n)
 	d.chans = d.sess.channels(prog.NumChans())
 	d.rankComm = make([]simtime.Time, n)
@@ -330,8 +338,8 @@ func (d *driver) run() {
 		d.entry = make([][]simtime.Time, n)
 		d.exit = make([][]simtime.Time, n)
 		for r := 0; r < n; r++ {
-			d.entry[r] = make([]simtime.Time, prog.evCount[r])
-			d.exit[r] = make([]simtime.Time, prog.evCount[r])
+			d.entry[r] = make([]simtime.Time, prog.EventCount(r))
+			d.exit[r] = make([]simtime.Time, prog.EventCount(r))
 			for i := range d.entry[r] {
 				d.entry[r][i] = -1
 			}
@@ -357,6 +365,7 @@ func (d *driver) run() {
 		off += c
 		rs.stepFn = func() { d.stepDone(rs) }
 		rs.resumeFn = func() { d.resume(rs, rs.waitEv) }
+		d.enter(rs)
 		d.ranks[r] = rs
 	}
 	for _, rs := range d.ranks {
@@ -403,8 +412,8 @@ func (d *driver) checkFinished() error {
 	for _, rs := range d.ranks {
 		if !rs.fin {
 			op := "end"
-			if rs.pc < len(rs.ops) {
-				switch o := &rs.ops[rs.pc]; o.Kind {
+			if o := rs.op(); o != nil {
+				switch o.Kind {
 				case RopCompute:
 					op = o.Kind.String()
 				case RopWait:
@@ -451,43 +460,86 @@ func (d *driver) stepDone(rs *rankState) {
 	d.advance(rs)
 }
 
+// op returns the op rs runs next, nil when it has run them all: the
+// round its collective is at, or its own next op.
+func (rs *rankState) op() *Rop {
+	if rs.sub != nil {
+		return &rs.sub[rs.spc]
+	}
+	if rs.pc < len(rs.ops) {
+		return &rs.ops[rs.pc]
+	}
+	return nil
+}
+
+// next moves rs past the op it runs and, into and out of collective
+// templates, on to the next op it must run, which op then returns. An
+// instance adds no op of its own: entering and leaving its template
+// happen here, between ops, so the driver meets the template's rounds
+// in place of the instance, exactly as if they were the rank's own
+// ops. A single-member collective's template is empty.
+func (d *driver) next(rs *rankState) {
+	if rs.sub != nil {
+		if rs.spc++; rs.spc < len(rs.sub) {
+			return
+		}
+		rs.sub, rs.reqBase = nil, 0
+	}
+	rs.pc++
+	d.enter(rs)
+}
+
+// enter steps rs into the template of each collective op it stands
+// at, and past each one whose template is empty.
+func (d *driver) enter(rs *rankState) {
+	for rs.pc < len(rs.ops) && rs.ops[rs.pc].Kind == RopCollective {
+		op := &rs.ops[rs.pc]
+		t := d.prog.template(rs.id, op)
+		if t.opLen > 0 {
+			rs.sub, rs.spc, rs.reqBase = d.prog.templateOps(t), 0, op.Req
+			return
+		}
+		rs.pc++
+	}
+}
+
 // advance executes ops for rs until it blocks or finishes. Called from
 // engine context only.
 func (d *driver) advance(rs *rankState) {
-	for rs.pc < len(rs.ops) {
-		op := &rs.ops[rs.pc]
+	for op := rs.op(); op != nil; op = rs.op() {
 		now := d.eng.Now()
-		d.markEntry(rs, op.Ev)
+		ev := int32(rs.pc)
+		d.markEntry(rs, ev)
 		switch op.Kind {
 		case RopCompute:
 			dur := op.Dur().Scale(d.opts.CompScale)
 			if d.opts.Perturb != nil {
-				dur = d.opts.Perturb.Compute(rs.id, op.Ev, dur)
+				dur = d.opts.Perturb.Compute(rs.id, ev, dur)
 			}
-			rs.pc++
-			rs.stepEv = op.Ev
+			d.next(rs)
+			rs.stepEv = ev
 			d.eng.After(dur, rs.stepFn)
 			return
 
 		case RopSend:
 			rs.opStart = now
 			rs.blocked = true
-			rs.waitEv = op.Ev
+			rs.waitEv = ev
 			if s, o := d.postSend(rs, op, blockingOp); s != nil {
 				d.eng.After(o, s.injectFn)
 			}
 			return
 
 		case RopIsend:
-			s, o := d.postSend(rs, op, op.Req)
+			s, o := d.postSend(rs, op, op.Req+rs.reqBase)
 			if s == nil {
-				d.stepOverhead(rs, op.Ev)
+				d.stepOverhead(rs, ev)
 				return
 			}
 			// The injection and the overhead step are scheduled back
 			// to back; when the two overhead draws are equal (always,
 			// without a Perturber) they share a time and run as one pop.
-			if o2 := d.chargeOverhead(rs, op.Ev); o2 == o {
+			if o2 := d.chargeOverhead(rs, ev); o2 == o {
 				d.eng.AtBatch(now+o, 2, s.injectStepFn)
 			} else {
 				d.eng.After(o, s.injectFn)
@@ -498,13 +550,13 @@ func (d *driver) advance(rs *rankState) {
 		case RopRecv:
 			rs.opStart = now
 			rs.blocked = true
-			rs.waitEv = op.Ev
+			rs.waitEv = ev
 			d.postRecv(rs, op, blockingOp)
 			return
 
 		case RopIrecv:
-			d.postRecv(rs, op, op.Req)
-			d.stepOverhead(rs, op.Ev)
+			d.postRecv(rs, op, op.Req+rs.reqBase)
+			d.stepOverhead(rs, ev)
 			return
 
 		case RopWait:
@@ -514,6 +566,7 @@ func (d *driver) advance(rs *rankState) {
 			outstanding := 0
 			rs.waitKey = des.Key{}
 			for _, q := range d.prog.Waits(op) {
+				q += rs.reqBase
 				slot := rs.reqs[q]
 				if slot <= 0 {
 					rs.reqs[q] = waitingReq
@@ -528,13 +581,13 @@ func (d *driver) advance(rs *rankState) {
 				}
 			}
 			if outstanding == 0 && !d.eng.Current().Before(rs.waitKey) {
-				d.stepOverhead(rs, op.Ev)
+				d.stepOverhead(rs, ev)
 				return
 			}
 			rs.nwait = outstanding
 			rs.opStart = now
 			rs.blocked = true
-			rs.waitEv = op.Ev
+			rs.waitEv = ev
 			if outstanding == 0 {
 				// Every completion is keyed and the latest is ahead:
 				// the wait drains there.
@@ -561,7 +614,7 @@ func (d *driver) stepOverhead(rs *rankState, ev int32) {
 func (d *driver) chargeOverhead(rs *rankState, ev int32) simtime.Time {
 	o := d.overhead(rs.id)
 	d.rankComm[rs.id] += o
-	rs.pc++
+	d.next(rs)
 	rs.stepEv = ev
 	return o
 }
@@ -573,7 +626,7 @@ func (d *driver) resume(rs *rankState, ev int32) {
 	d.rankComm[rs.id] += now - rs.opStart
 	rs.blocked = false
 	d.markExit(rs, ev)
-	rs.pc++
+	d.next(rs)
 	d.advance(rs)
 }
 

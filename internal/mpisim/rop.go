@@ -29,11 +29,12 @@ const (
 	RopIsend
 	RopRecv
 	RopIrecv
-	RopWait // completes a set of requests (Wait and Waitall unified)
+	RopWait       // completes a set of requests (Wait and Waitall unified)
+	RopCollective // runs one instance of a collective template
 	numRopKinds
 )
 
-var ropNames = [...]string{"compute", "send", "isend", "recv", "irecv", "wait"}
+var ropNames = [...]string{"compute", "send", "isend", "recv", "irecv", "wait", "collective"}
 
 func (k RopKind) String() string {
 	if k >= numRopKinds {
@@ -42,43 +43,46 @@ func (k RopKind) String() string {
 	return ropNames[k]
 }
 
-// RopColl in Rop.Flags marks an op lowered from a collective: one of the
-// point-to-point rounds of its algorithm rather than the trace event
-// itself.
-const RopColl uint8 = 1
-
-// ropSpan in Rop.Flags marks a wait whose request set is a run of
-// consecutive ids, [Req, Req+Ch), which takes no room in the wait arena.
-// Most sets are one: a halo exchange waits on the requests it has just
-// posted, a collective round on its receive and its send.
-const ropSpan uint8 = 2
-
 // Rop is one primitive replay operation on one rank. It holds no
 // pointers — a wait's request set is an extent of the program's wait
-// arena, and a p2p op's peer is an end of its channel in the program's
-// channel table — so a program is one flat block of memory that can be
-// written to disk as it is and mapped back without decoding.
+// arena, a p2p op's peer is an end of its channel in the program's
+// channel table, and a collective names its rank's template by id — so
+// a program is one flat block of memory that can be written to disk as
+// it is and mapped back without decoding.
+//
+// A rank's ops are one per trace event, in event order, so an op's
+// event is its index. A collective event is one RopCollective op that
+// points at a template: the point-to-point rounds its algorithm lowers
+// to, stored once per rank for every instance with the same header
+// (DESIGN.md §9). A template's rounds belong to the event of the
+// instance that runs them, and their requests (and wait sets) count
+// from 0: the instance supplies the base.
 type Rop struct {
 	// Val is a p2p op's payload in bytes or a compute op's duration
 	// (unscaled trace time); Bytes and Dur read it.
 	Val int64
 	// Ch is the matching channel of a p2p op: the dense id of its (src,
-	// dst, tag, comm). A wait keeps its request set's length here.
+	// dst, tag, comm). A wait keeps its request set's length here, and
+	// a collective its template's id among its rank's templates.
 	Ch int32
 	// Req is the request id of an isend/irecv. Lowering renumbers
 	// requests densely per rank: the trace's own requests first, in
-	// posting order, then the ones its collectives synthesize. A wait
+	// posting order, then the ones a collective's template uses. A wait
 	// keeps its request set's offset here: in the wait arena, or, for a
 	// span (ropSpan), in the sequence of all ids 0, 1, 2, …, so that the
-	// offset is the set's first id.
-	Req int32
-	// Ev is the index of the originating event in the rank's trace
-	// stream; a rank's ops are in nondecreasing Ev order.
-	Ev    int32
+	// offset is the set's first id. A collective keeps the base its
+	// template's request ids are offset by.
+	Req   int32
 	Kind  RopKind
 	Flags uint8
-	_     [2]byte
+	_     [6]byte
 }
+
+// ropSpan in Rop.Flags marks a wait whose request set is a run of
+// consecutive ids, [Req, Req+Ch), which takes no room in the wait arena.
+// Most sets are one: a halo exchange waits on the requests it has just
+// posted, a collective round on its receive and its send.
+const ropSpan uint8 = 1
 
 // Bytes returns a p2p op's payload.
 func (op *Rop) Bytes() int64 { return op.Val }
@@ -102,9 +106,53 @@ type chanEnds struct {
 // header records it so a layout change can never be misread.
 const ropSize = int(unsafe.Sizeof(Rop{}))
 
+// Collective is the header of a collective instance: what its trace
+// event says of it, and everything MFACT's collective cost model reads.
+type Collective struct {
+	// Bytes is the event's payload (per member, or per destination for
+	// an alltoall).
+	Bytes int64
+	// SendTotal is an alltoallv's send payload summed over its
+	// destinations; 0 for the other collectives.
+	SendTotal int64
+	Comm      trace.CommID
+	// Root is a rooted collective's root, as a world rank.
+	Root int32
+	Op   trace.Op
+	_    [7]byte
+}
+
+// HeaderOf returns the header of collective event e.
+func HeaderOf(e *trace.Event) Collective {
+	c := Collective{Bytes: e.Bytes, Comm: e.Comm, Root: e.Root, Op: e.Op}
+	if e.Op == trace.OpAlltoallv {
+		for _, b := range e.SendBytes {
+			c.SendTotal += b
+		}
+	}
+	return c
+}
+
+// collTemplate is one entry of a rank's template table: a collective's
+// header and the rounds its algorithm lowers to on that rank, as an
+// extent of the program's template op arena, the extent of the wait
+// arena its stored wait sets use, and how many request ids its rounds
+// post. An empty template is a single-member collective, which has no
+// rounds.
+type collTemplate struct {
+	Collective
+	opOff, waitOff       int64
+	opLen, waitLen, reqs int32
+	_                    int32
+}
+
+// templateSize is the in-memory (and on-disk) size of a collTemplate.
+const templateSize = int(unsafe.Sizeof(collTemplate{}))
+
 // Program is the fully lowered per-rank replay program of one trace:
-// every collective expanded into the point-to-point rounds of its
-// algorithm, every request and matching key renumbered densely. It is a
+// every collective lowered to the point-to-point rounds of its
+// algorithm, once per rank and distinct header, every request and
+// matching key renumbered densely. It is a
 // pure function of the trace's events (compute durations are the only
 // times it reads), so one program serves every network model the trace
 // is replayed on, and MFACT's matching as well. A replay only reads it.
@@ -124,9 +172,6 @@ type Program struct {
 	// rank, which a span's set is an extent of. ids is derived, never
 	// stored.
 	waits, ids []int32
-	// evCount[r] is the number of original events on rank r (for
-	// timestamp write-back and the shape check).
-	evCount []int32
 	// reqCount[r] is the number of replay request ids rank r uses, and
 	// appReqs[r] how many of them (the first ones) belong to the trace's
 	// own isend/irecv events. The driver tracks request state in flat
@@ -136,6 +181,12 @@ type Program struct {
 	// chans is the channel table, one row per distinct (src, dst, tag,
 	// comm) matching key; a p2p op's Rop.Ch indexes it.
 	chans []chanEnds
+	// tmpls holds every rank's template table, rank-major: rank r's
+	// are tmpls[tmplOff[r]:tmplOff[r+1]], and a collective op's Rop.Ch
+	// counts from tmplOff[r]. tarena holds the templates' ops.
+	tmplOff []int64
+	tmpls   []collTemplate
+	tarena  []Rop
 }
 
 // NumRanks returns the number of ranks the program replays.
@@ -153,6 +204,30 @@ func (p *Program) Waits(op *Rop) []int32 {
 	return p.waits[lo:hi:hi]
 }
 
+// Collective returns the header of the collective op on rank r. The
+// value is read-only.
+func (p *Program) Collective(r int, op *Rop) *Collective {
+	return &p.tmpls[p.tmplOff[r]+int64(op.Ch)].Collective
+}
+
+// template returns the template the collective op on rank r runs.
+func (p *Program) template(r int32, op *Rop) *collTemplate {
+	return &p.tmpls[p.tmplOff[r]+int64(op.Ch)]
+}
+
+// templateOps returns the rounds of template t.
+func (p *Program) templateOps(t *collTemplate) []Rop {
+	end := t.opOff + int64(t.opLen)
+	return p.tarena[t.opOff:end:end]
+}
+
+// NumTemplates returns the number of collective templates, over all
+// ranks, and TemplateOps the number of ops they hold.
+func (p *Program) NumTemplates() int { return len(p.tmpls) }
+
+// TemplateOps returns the number of ops the collective templates hold.
+func (p *Program) TemplateOps() int { return len(p.tarena) }
+
 // peer returns the world rank at the other end of a p2p op's channel:
 // the destination of a send, the source of a receive.
 func (p *Program) peer(op *Rop) int32 {
@@ -163,7 +238,7 @@ func (p *Program) peer(op *Rop) int32 {
 }
 
 // EventCount returns the number of trace events on rank r.
-func (p *Program) EventCount(r int) int { return int(p.evCount[r]) }
+func (p *Program) EventCount(r int) int { return len(p.ops[r]) }
 
 // AppRequests returns how many request ids of rank r (numbered from 0)
 // come from the trace's own isend/irecv events.
@@ -173,24 +248,32 @@ func (p *Program) AppRequests(r int) int32 { return p.appReqs[r] }
 func (p *Program) NumChans() int { return len(p.chans) }
 
 // Fits reports an error when the program cannot be src's: a different
-// rank count or a different number of events on some rank. It compares
+// rank count, a different number of events on some rank, or a
+// collective on a communicator the trace does not have. It compares
 // shapes only, so it catches a mix-up of traces, not every instance of
 // one.
 func (p *Program) Fits(src trace.Source) error {
 	n := src.TraceMeta().NumRanks
-	if n != len(p.evCount) {
-		return fmt.Errorf("mpisim: program has %d ranks, trace %s has %d", len(p.evCount), src.TraceMeta().ID(), n)
+	if n != len(p.ops) {
+		return fmt.Errorf("mpisim: program has %d ranks, trace %s has %d", len(p.ops), src.TraceMeta().ID(), n)
 	}
 	for r := 0; r < n; r++ {
-		if src.RankLen(r) != int(p.evCount[r]) {
+		if src.RankLen(r) != len(p.ops[r]) {
 			return fmt.Errorf("mpisim: program has %d events on rank %d, trace %s has %d",
-				p.evCount[r], r, src.TraceMeta().ID(), src.RankLen(r))
+				len(p.ops[r]), r, src.TraceMeta().ID(), src.RankLen(r))
+		}
+	}
+	comms := src.TraceComms().Len()
+	for i := range p.tmpls {
+		if c := p.tmpls[i].Comm; c < 0 || int(c) >= comms {
+			return fmt.Errorf("mpisim: program has a collective on communicator %d, trace %s has %d", c, src.TraceMeta().ID(), comms)
 		}
 	}
 	return nil
 }
 
 // Retime rewrites every compute op's duration from src's event times.
+// Templates hold no compute ops.
 // Compute durations are the only times lowering reads, so retiming a
 // program lowered from a trace before it was stamped yields exactly the
 // program of the stamped trace: Retime(Lower(generated)) equals
@@ -200,7 +283,7 @@ func (p *Program) Retime(src trace.Source) {
 	for r, ops := range p.ops {
 		for i := range ops {
 			if op := &ops[i]; op.Kind == RopCompute {
-				src.EventAt(r, int(op.Ev), &e)
+				src.EventAt(r, i, &e)
 				op.Val = int64(e.Duration())
 			}
 		}

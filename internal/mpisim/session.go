@@ -8,7 +8,7 @@ import (
 )
 
 // Session owns what replays can share: the flat arenas a trace lowers
-// into (rops, wait sets), the lowered program itself, and the state a
+// into (rops, template rops, wait sets), the lowered program itself, and the state a
 // replay churns through (request states, the completion-key pool,
 // channel queues and send/receive records). A campaign worker replaying hundreds of
 // traces on several network models makes its big allocations once and
@@ -29,11 +29,12 @@ import (
 //
 // A Session is not safe for concurrent use; give each worker its own.
 type Session struct {
-	opArena  []Rop
-	reqArena []int32
-	reqState []int32
-	keys     []des.Key
-	freeKeys []int32
+	opArena   []Rop
+	tmplArena []Rop
+	reqArena  []int32
+	reqState  []int32
+	keys      []des.Key
+	freeKeys  []int32
 
 	prog *Program // program of the current trace; nil after Reset
 	d    *driver  // the replay in progress, for the records' continuations
@@ -103,21 +104,13 @@ func (s *Session) mustFit(src trace.Source) {
 	}
 }
 
-// ops returns an empty rop arena with room for n ops, reusing the
-// session's backing array when it is large enough.
-func (s *Session) ops(n int) []Rop {
-	if cap(s.opArena) < n {
-		s.opArena = make([]Rop, 0, n)
+// arena returns *a emptied, with room for n elements: a lowering's
+// arenas reuse the session's backing arrays when they are large enough.
+func arena[T any](a *[]T, n int) []T {
+	if cap(*a) < n {
+		*a = make([]T, 0, n)
 	}
-	return s.opArena[:0]
-}
-
-// reqs is ops for the wait-set arena.
-func (s *Session) reqs(n int) []int32 {
-	if cap(s.reqArena) < n {
-		s.reqArena = make([]int32, 0, n)
-	}
-	return s.reqArena[:0]
+	return (*a)[:0]
 }
 
 // reqStates returns a zeroed request-state arena of length n; the

@@ -617,10 +617,13 @@ type Entry struct {
 	// lower the program again instead of mapping it — no file, a
 	// damaged header, or a stale one (lowered by another version, or
 	// from other trace bytes) — as far as the header tells; nil if it
-	// would map it.
+	// would map it. ProgramSize is what the image header counts (ops,
+	// collective templates and their ops), zero unless the image is of
+	// this build's format.
 	ProgramVersion int
 	ProgramBytes   int64
 	ProgramErr     error
+	ProgramSize    mpisim.ImageSize
 }
 
 // List returns every entry in the cache directory, sorted by key (then
@@ -636,7 +639,7 @@ func (c *Cache) List() ([]Entry, error) {
 		if e.sc != nil {
 			ent.Key, ent.Codec, ent.WorkloadSchema = e.sc.Key, e.sc.Codec, e.sc.WorkloadSchema
 		}
-		ent.ProgramVersion, ent.ProgramBytes, ent.ProgramErr = c.programInfo(e.hash, e.sc)
+		c.programInfo(e.hash, e.sc, &ent)
 		out = append(out, ent)
 	}
 	sort.Slice(out, func(i, j int) bool {

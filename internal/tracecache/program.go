@@ -209,33 +209,41 @@ func (c *Cache) relower(hash string, sc *sidecar, cols *trace.Columns, cause err
 	return prog, nil
 }
 
-// programInfo describes an entry's program file for List without
-// verifying its image: the version it was lowered under, its size, and
-// why this build would not serve it (nil if it would, as far as the
-// header tells).
-func (c *Cache) programInfo(hash string, sc *sidecar) (version int, size int64, problem error) {
+// programInfo describes an entry's program file in ent for List
+// without verifying its image: the version it was lowered under, its
+// size and counts, and why this build would not serve it (nil if it
+// would, as far as the headers tell).
+func (c *Cache) programInfo(hash string, sc *sidecar, ent *Entry) {
 	f, err := os.Open(filepath.Join(c.dir, hash+programSuffix))
 	if err != nil {
-		return 0, 0, err
+		ent.ProgramErr = err
+		return
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return 0, 0, err
+		ent.ProgramErr = err
+		return
 	}
-	b := make([]byte, programHeaderSize)
+	ent.ProgramBytes = st.Size()
+	b := make([]byte, programHeaderSize+mpisim.ImageHeaderSize)
 	n, _ := f.ReadAt(b, 0)
 	h, err := parseProgramHeader(b[:n])
 	if err != nil {
-		return 0, st.Size(), err
+		ent.ProgramErr = err
+		return
 	}
+	ent.ProgramVersion = int(h.lowering)
 	if st.Size() != programHeaderSize+h.imageSize {
-		return int(h.lowering), st.Size(), fmt.Errorf("%w: program file is %d bytes, header says %d", ErrCorrupt, st.Size(), programHeaderSize+h.imageSize)
+		ent.ProgramErr = fmt.Errorf("%w: program file is %d bytes, header says %d", ErrCorrupt, st.Size(), programHeaderSize+h.imageSize)
+		return
 	}
 	if sc != nil {
-		problem = h.check(sc)
+		ent.ProgramErr = h.check(sc)
 	}
-	return int(h.lowering), st.Size(), problem
+	if size, err := mpisim.ReadImageSize(b[programHeaderSize:n]); err == nil {
+		ent.ProgramSize = size
+	}
 }
 
 func parseCRC(s string) (uint32, error) {

@@ -3,12 +3,16 @@ package tracecache
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"reflect"
 	"testing"
 
+	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/mpisim"
+	"hpctradeoff/internal/scheme"
+	"hpctradeoff/internal/simtime"
 	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
 )
@@ -53,6 +57,12 @@ func TestAcquireProgramServesLoweredProgram(t *testing.T) {
 	}
 	if e := es[0]; e.ProgramErr != nil || e.ProgramVersion != mpisim.LoweringVersion || e.ProgramBytes <= programHeaderSize {
 		t.Fatalf("listed program: version %d, %d bytes, err %v", e.ProgramVersion, e.ProgramBytes, e.ProgramErr)
+	}
+	cols, prog, release, _ := acquireProgram(t, c, p)
+	defer release()
+	want := mpisim.ImageSize{Ops: uint64(cols.NumEvents()), Templates: uint64(prog.NumTemplates()), TemplateOps: uint64(prog.TemplateOps())}
+	if got := es[0].ProgramSize; got != want || want.Templates == 0 {
+		t.Fatalf("listed program counts %+v, the program has %+v", got, want)
 	}
 }
 
@@ -146,60 +156,127 @@ func TestListMarksStalePrograms(t *testing.T) {
 }
 
 // TestPreviousLayoutProgramIsRelowered: an entry holding a program
-// stored by a lowering-version-1 build (48-byte ops with the peer in
-// each op; testdata/lowering-v1.prog is that build's program file for
-// testParams(13), bound to the same trace bytes) is a hit whose program
-// is lowered again and re-published. Nothing is evicted and nothing
-// counts as a miss.
+// stored by an older build is a hit whose program is lowered again and
+// re-published. Nothing is evicted and nothing counts as a miss. Each
+// fixture is that build's program file for testParams(13), bound to the
+// same trace bytes: lowering-v1.prog has 48-byte ops with the peer in
+// each op, and lowering-v2.prog 24-byte ops with every collective
+// instance's rounds stored in full.
 func TestPreviousLayoutProgramIsRelowered(t *testing.T) {
-	dir := t.TempDir()
-	p := testParams(13)
-	c := mustOpen(t, dir, Options{})
+	for _, version := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			p := testParams(13)
+			c := mustOpen(t, dir, Options{})
+			_, _, release, _ := acquireProgram(t, c, p)
+			release()
+			path := c.ProgramPath(Hash(p))
+			cur, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := os.ReadFile(fmt.Sprintf("testdata/lowering-v%d.prog", version))
+			if err != nil {
+				t.Fatal(err)
+			}
+			oh, err := parseProgramHeader(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch, err := parseProgramHeader(cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if oh.lowering != version || oh.traceSize != ch.traceSize || oh.traceCRC != ch.traceCRC {
+				t.Fatalf("fixture is lowering version %d of a %d-byte trace with CRC %08x; want version %d of this entry's %d-byte trace with CRC %08x",
+					oh.lowering, oh.traceSize, oh.traceCRC, version, ch.traceSize, ch.traceCRC)
+			}
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			c = mustOpen(t, dir, Options{})
+			cols, prog, release, hit := acquireProgram(t, c, p)
+			defer release()
+			if st := c.Stats(); !hit || st.Relowered != 1 || st.Corrupt != 0 || st.Misses != 0 {
+				t.Fatalf("hit=%v, stats %+v; want a hit with one program re-lowered and nothing evicted", hit, st)
+			}
+			want, err := mpisim.Lower(cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(prog, want) {
+				t.Fatal("served program differs from a lowering of the served trace")
+			}
+			es, err := c.List()
+			if err != nil || len(es) != 1 {
+				t.Fatalf("List: %v, %d entries", err, len(es))
+			}
+			if e := es[0]; e.ProgramErr != nil || e.ProgramVersion != mpisim.LoweringVersion {
+				t.Fatalf("re-published program: version %d, err %v", e.ProgramVersion, e.ProgramErr)
+			}
+		})
+	}
+}
+
+// eventlessSource is a trace whose events cannot be read: every method
+// that reads or writes an event panics. TraceMeta, TraceComms and
+// RankLen stay: a replay names the trace and checks the machine hosts
+// its ranks (TraceMeta), MFACT meets a collective's members at its
+// communicator (TraceComms), and Program.Fits compares shapes (RankLen,
+// TraceComms' size).
+type eventlessSource struct{ src trace.Source }
+
+func (s eventlessSource) TraceMeta() *trace.Meta         { return s.src.TraceMeta() }
+func (s eventlessSource) TraceComms() *trace.CommTable   { return s.src.TraceComms() }
+func (s eventlessSource) RankLen(r int) int              { return s.src.RankLen(r) }
+func (eventlessSource) EventAt(r, i int, _ *trace.Event) { panic("a replay read an event") }
+func (eventlessSource) OpAt(r, i int) trace.Op           { panic("a replay read an op") }
+func (eventlessSource) SetEventTimes(r, i int, _, _ simtime.Time) {
+	panic("a replay wrote an event's times")
+}
+
+// TestWarmHitReadsNoEvents: on a warm hit, all four schemes replay the
+// stored program through one scheme.Sessions without reading a single
+// event of the trace, and agree with a replay of the trace itself.
+func TestWarmHitReadsNoEvents(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	p := workload.Params{App: "MiniFE", Class: "S", Ranks: 16, Machine: "hopper", Seed: 3}
 	_, _, release, _ := acquireProgram(t, c, p)
 	release()
-	path := c.ProgramPath(Hash(p))
-	cur, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := os.ReadFile("testdata/lowering-v1.prog")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oh, err := parseProgramHeader(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch, err := parseProgramHeader(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oh.lowering != 1 || oh.traceSize != ch.traceSize || oh.traceCRC != ch.traceCRC {
-		t.Fatalf("fixture is lowering version %d of a %d-byte trace with CRC %08x; want version 1 of this entry's %d-byte trace with CRC %08x",
-			oh.lowering, oh.traceSize, oh.traceCRC, ch.traceSize, ch.traceCRC)
-	}
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c = mustOpen(t, dir, Options{})
 	cols, prog, release, hit := acquireProgram(t, c, p)
 	defer release()
-	if st := c.Stats(); !hit || st.Relowered != 1 || st.Corrupt != 0 || st.Misses != 0 {
-		t.Fatalf("hit=%v, stats %+v; want a hit with one program re-lowered and nothing evicted", hit, st)
+	if !hit {
+		t.Fatal("second acquire missed")
 	}
-	want, err := mpisim.Lower(cols)
+	mach, err := machine.New(p.Machine, p.Ranks, p.RanksPerNode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(prog, want) {
-		t.Fatal("served program differs from a lowering of the served trace")
+	all := scheme.All()
+	if len(all) != 4 {
+		t.Fatalf("%d schemes registered, want the four built-in ones", len(all))
 	}
-	es, err := c.List()
-	if err != nil || len(es) != 1 {
-		t.Fatalf("List: %v, %d entries", err, len(es))
+	run := func(src trace.Source) []scheme.Outcome {
+		ss := scheme.NewSessions(all)
+		ss.NextTrace(prog)
+		defer ss.NextTrace(nil)
+		var outs []scheme.Outcome
+		for i, s := range all {
+			out, err := ss.Run(i, src, mach, scheme.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
+			out.Wall = 0
+			outs = append(outs, out)
+		}
+		return outs
 	}
-	if e := es[0]; e.ProgramErr != nil || e.ProgramVersion != mpisim.LoweringVersion {
-		t.Fatalf("re-published program: version %d, err %v", e.ProgramVersion, e.ProgramErr)
+	got := run(eventlessSource{cols})
+	want := run(cols)
+	for i := range got {
+		if got[i].Total != want[i].Total || got[i].Comm != want[i].Comm || got[i].Events != want[i].Events {
+			t.Errorf("%s: eventless replay %+v, replay of the trace %+v", all[i].Name(), got[i], want[i])
+		}
 	}
 }
