@@ -150,9 +150,9 @@ type CampaignConfig struct {
 	// engines' Stop() path (failing with KindCanceled), and RunCampaign
 	// returns with everything completed so far already journaled.
 	Cancel <-chan struct{}
-	// Runner overrides how one trace executes — the campaign's fault
-	// injection seam for tests. Nil means RunOneOpts. The override is
-	// scheme-agnostic: a tiered campaign's model pass calls it too.
+	// Runner overrides how one trace executes (a test seam). Nil means
+	// RunOneOpts. The override is scheme-agnostic: a tiered campaign's
+	// model pass calls it too.
 	Runner func(p workload.Params, ro RunOptions) (*TraceResult, error)
 	// Cache, when non-nil, serves ground-truth-stamped traces from a
 	// content-addressed on-disk cache: every worker Runner (including

@@ -42,9 +42,8 @@ import (
 // input, wall-clock spend, is journaled at the moment it demotes, so
 // resume replays the demotion instead of re-measuring time.
 //
-// Failure posture: a broken classifier (training or scoring failure,
-// including faults injected at the triage/score site) degrades the
-// plan to escalate-always — flagged-by-failure traces run the full
+// Failure posture: a broken classifier (training or scoring failure)
+// degrades the plan to escalate-always — flagged-by-failure traces run the full
 // scheme set, and the report counts the degradation. A failed tier-0
 // model run escalates its trace (nothing to score, so nothing may be
 // silently trusted); only budget demotions ever downgrade a flagged

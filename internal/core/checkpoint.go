@@ -13,20 +13,8 @@ import (
 	"sort"
 	"sync"
 
-	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/triage"
 	"hpctradeoff/internal/workload"
-)
-
-// Failpoints on the journal's write path. An injected error at the
-// append site (optionally a torn write — half a record, no newline,
-// no sync — the on-disk signature of a kill mid-append) or at the
-// sync site is how the chaos harness and the crash/resume tests make
-// the campaign die at an exact checkpoint offset.
-var (
-	failCkptAppend  = faultinject.NewSite("core/checkpoint-append")
-	failCkptSync    = faultinject.NewSite("core/checkpoint-sync")
-	failResultsSave = faultinject.NewSite("core/results-save")
 )
 
 // The campaign checkpoint is an append-only JSONL journal: a header
@@ -113,9 +101,8 @@ func sameSchemeSet(a, b []string) bool {
 // Checkpoint appends completed trace results to a JSONL journal. It is
 // safe for concurrent use by the campaign workers.
 type Checkpoint struct {
-	mu  sync.Mutex
-	f   *os.File
-	enc *json.Encoder
+	mu sync.Mutex
+	f  *os.File
 	// dirty marks that the previous append failed, so the file may end
 	// in a torn partial record; the next append repairs the tail with a
 	// newline first, or the new record would merge into the fragment and
@@ -142,7 +129,7 @@ func OpenCheckpointSpec(path string, schemes []string, pol *triage.Policy, spec 
 	if err != nil {
 		return nil, err
 	}
-	c := &Checkpoint{f: f, enc: json.NewEncoder(f)}
+	c := &Checkpoint{f: f}
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -150,7 +137,7 @@ func OpenCheckpointSpec(path string, schemes []string, pol *triage.Policy, spec 
 	}
 	switch {
 	case st.Size() == 0:
-		if err := c.enc.Encode(checkpointEntry{
+		if err := c.encode(checkpointEntry{
 			Version: checkpointVersion,
 			Header:  true,
 			Schemes: sortedSchemes(schemes),
@@ -198,26 +185,10 @@ func (c *Checkpoint) Append(key string, r *TraceResult) error {
 		}
 		c.dirty = false
 	}
-	if err := failCkptAppend.FailLabel(key); err != nil {
-		var inj *faultinject.Injected
-		if errors.As(err, &inj) && inj.Action == faultinject.ActTorn {
-			// Emulate a kill mid-append: a prefix of the record reaches
-			// the disk, with no newline and no sync. The loader must
-			// salvage everything before it.
-			if b, merr := json.Marshal(checkpointEntry{Version: checkpointVersion, Key: key, Result: r}); merr == nil {
-				c.f.Write(b[:len(b)/2])
-			}
-		}
-		c.dirty = true
-		return err
-	}
-	if err := c.enc.Encode(checkpointEntry{Version: checkpointVersion, Key: key, Result: r}); err != nil {
+	if err := c.encode(checkpointEntry{Version: checkpointVersion, Key: key, Result: r}); err != nil {
 		// The record may have reached the disk partially; repair the
 		// tail before any further append.
 		c.dirty = true
-		return err
-	}
-	if err := failCkptSync.FailLabel(key); err != nil {
 		return err
 	}
 	return c.f.Sync()
@@ -227,9 +198,7 @@ func (c *Checkpoint) Append(key string, r *TraceResult) error {
 // appended when the tiered scheduler plans (before any escalation
 // runs) and again when a dispatch-time budget demotes a trace; the
 // loader keeps the latest record per key, so a superseding demotion
-// wins on replay. The append shares the checkpoint failpoints (label
-// "decision:<key>") so the crash harness can tear a decision line at
-// an exact offset.
+// wins on replay.
 func (c *Checkpoint) AppendDecision(d triage.Decision) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -239,24 +208,23 @@ func (c *Checkpoint) AppendDecision(d triage.Decision) error {
 		}
 		c.dirty = false
 	}
-	if err := failCkptAppend.FailLabel("decision:" + d.Key); err != nil {
-		var inj *faultinject.Injected
-		if errors.As(err, &inj) && inj.Action == faultinject.ActTorn {
-			if b, merr := json.Marshal(checkpointEntry{Version: checkpointVersion, Decision: &d}); merr == nil {
-				c.f.Write(b[:len(b)/2])
-			}
-		}
+	if err := c.encode(checkpointEntry{Version: checkpointVersion, Decision: &d}); err != nil {
 		c.dirty = true
-		return err
-	}
-	if err := c.enc.Encode(checkpointEntry{Version: checkpointVersion, Decision: &d}); err != nil {
-		c.dirty = true
-		return err
-	}
-	if err := failCkptSync.FailLabel("decision:" + d.Key); err != nil {
 		return err
 	}
 	return c.f.Sync()
+}
+
+// encode writes e as one JSON line, the bytes a json.Encoder writes. An
+// Encoder keeps its first write error and returns it from every later
+// Encode, so after one short write no append could succeed again.
+func (c *Checkpoint) encode(e checkpointEntry) error {
+	b, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	_, err = c.f.Write(append(b, '\n'))
+	return err
 }
 
 // syncDir fsyncs a directory so a just-created or just-renamed entry

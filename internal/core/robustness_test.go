@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,20 +12,26 @@ import (
 	"time"
 
 	"hpctradeoff/internal/des"
-	"hpctradeoff/internal/faultinject"
+	"hpctradeoff/internal/machine"
+	"hpctradeoff/internal/scheme"
+	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
 )
 
-// The tests in this file arm the global faultinject registry; they must
-// not run in parallel with each other. Each arms via armFaults, which
-// disarms on cleanup.
-
-func armFaults(t *testing.T, seed int64, rules ...faultinject.Rule) {
+// registerScheme registers a test-only scheme under name for the
+// test's duration: a real fifth backend whose failures (errors, blown
+// budgets, panics) the campaign must isolate, classify and degrade
+// exactly as it would a built-in scheme's.
+func registerScheme(t *testing.T, name string, kind scheme.Kind, run func() (scheme.Outcome, error)) {
 	t.Helper()
-	if err := faultinject.Arm(seed, rules); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(faultinject.Disarm)
+	scheme.Register(scheme.Func{
+		SchemeName: name,
+		SchemeKind: kind,
+		RunFunc: func(trace.Source, *machine.Config, scheme.Options) (scheme.Outcome, error) {
+			return run()
+		},
+	})
+	t.Cleanup(func() { scheme.Unregister(name) })
 }
 
 // smallParams builds one cheap manifest entry per app name given.
@@ -209,50 +217,21 @@ func TestCheckpointAppendAfterTornTailDoesNotMerge(t *testing.T) {
 	}
 }
 
-// Within one campaign process, an append that fails partway (short
-// write) must not corrupt the NEXT append: the journal repairs its
-// tail before writing again, so the later record survives even though
-// the torn one is lost.
-func TestCheckpointRepairsTailAfterFailedAppend(t *testing.T) {
-	armFaults(t, 1, faultinject.Rule{
-		Site: "core/checkpoint-append", Action: faultinject.ActTorn, Hits: []uint64{1},
-	})
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	ck, err := OpenCheckpointSpec(path, []string{"mfact"}, nil, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Append("a", &TraceResult{ID: "a"}); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("first append err = %v, want injected torn write", err)
-	}
-	if err := ck.Append("b", &TraceResult{ID: "b", Measured: 2}); err != nil {
-		t.Fatal(err)
-	}
-	ck.Close()
-
-	got, _, sal, err := loadCheckpointFull(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["b"] == nil {
-		t.Fatal("record after the torn append was lost to a tail merge")
-	}
-	if sal.Damaged != 1 {
-		t.Errorf("Damaged = %d, want 1 (the torn fragment, newline-terminated by the repair)", sal.Damaged)
-	}
-}
-
 // A scheme that fails on every trace stays a per-scheme outcome: each
 // trace records the typed failure for it, the other schemes keep
 // running, and no trace fails. Nothing stops the scheme from running
 // on later traces — each trace's outcome depends on that trace alone.
 func TestCampaignSchemeFailureStaysPerScheme(t *testing.T) {
-	armFaults(t, 1, faultinject.Rule{Site: "scheme/run", Label: "packet", Action: faultinject.ActError})
+	runs := 0
+	registerScheme(t, "flaky", scheme.KindSimulation, func() (scheme.Outcome, error) {
+		runs++
+		return scheme.Outcome{}, errors.New("flaky backend down")
+	})
 
 	ps := smallParams("EP", "IS", "DT", "EP", "IS")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1,
-		Schemes: []string{"mfact", "packet"},
+		Schemes: []string{"mfact", "flaky"},
 		Policy:  FailurePolicy{KeepGoing: true},
 	})
 	if err != nil {
@@ -266,30 +245,30 @@ func TestCampaignSchemeFailureStaysPerScheme(t *testing.T) {
 			t.Fatalf("trace %d missing", i)
 		}
 		if o := r.Schemes["mfact"]; !o.OK {
-			t.Errorf("trace %d: mfact should be untouched by packet's failure: %+v", i, o)
+			t.Errorf("trace %d: mfact should be untouched by flaky's failure: %+v", i, o)
 		}
-		if o := r.Schemes["packet"]; o.OK || o.ErrKind != string(KindUnknown) {
-			t.Errorf("trace %d: packet outcome = %+v, want a failed %s outcome", i, o, KindUnknown)
+		if o := r.Schemes["flaky"]; o.OK || o.ErrKind != string(KindUnknown) {
+			t.Errorf("trace %d: flaky outcome = %+v, want a failed %s outcome", i, o, KindUnknown)
 		}
 	}
-	if fired := faultinject.Fired(); len(fired) != len(ps) {
-		t.Errorf("packet ran %d times after arming, want %d (once per trace)", len(fired), len(ps))
+	if runs != len(ps) {
+		t.Errorf("flaky ran %d times, want %d (once per trace)", runs, len(ps))
 	}
 }
 
-// When the full scheme set fails, DegradeToModel re-runs
-// the trace with MFACT alone: the trace still yields a model
-// prediction, marked Degraded, and the campaign counts it.
+// When the full scheme set fails — a simulation blows its budget —
+// DegradeToModel re-runs the trace with MFACT alone: the trace still
+// yields a model prediction, marked Degraded, and the campaign counts
+// it.
 func TestCampaignDegradesToModel(t *testing.T) {
-	armFaults(t, 1, faultinject.Rule{
-		Site: "scheme/run", Label: "packet",
-		Action: faultinject.ActError, Err: des.ErrBudgetExceeded,
+	registerScheme(t, "runaway", scheme.KindSimulation, func() (scheme.Outcome, error) {
+		return scheme.Outcome{}, fmt.Errorf("runaway replay: %w", des.ErrBudgetExceeded)
 	})
 
 	ps := smallParams("EP", "IS")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1,
-		Schemes: []string{"mfact", "packet"},
+		Schemes: []string{"mfact", "runaway"},
 		Policy:  FailurePolicy{KeepGoing: true, DegradeToModel: true},
 	})
 	if err != nil {
@@ -308,7 +287,7 @@ func TestCampaignDegradesToModel(t *testing.T) {
 		if o := r.Schemes["mfact"]; !o.OK {
 			t.Errorf("trace %d: degraded result has no model prediction: %+v", i, o)
 		}
-		if _, ok := r.Schemes["packet"]; ok {
+		if _, ok := r.Schemes["runaway"]; ok {
 			t.Errorf("trace %d: degraded result carries a simulation outcome", i)
 		}
 	}
@@ -336,8 +315,8 @@ func TestDegradeSkipsCanceled(t *testing.T) {
 
 // Closing Cancel mid-campaign fails the trace that sees it with
 // KindCanceled, schedules no further traces, and preserves completed
-// work. TestCancelStopsRunningReplay covers a cancel that lands while a
-// replay is running.
+// work. TestCancelStopsRunningReplay covers the replay that sees the
+// closed channel.
 func TestCampaignCancellation(t *testing.T) {
 	schemes := []string{"mfact", "packet"}
 	rn, err := NewRunner(schemes)
@@ -385,29 +364,14 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-// A cancel that arrives while a replay runs (Ctrl-C on cmd/tradeoff)
-// must reach the engine through the replay's watcher. Every engine step
-// stalls 1 ms, so the stamper's replay of thousands of events runs for
-// seconds; Cancel closes once a step has fired, so the replay is under
-// way and the already-canceled check at its start cannot be what stops
-// it. The error must report a run halted after some events.
+// A canceled run (Ctrl-C on cmd/tradeoff) must stop at its replay, not
+// after it: with Cancel already closed, the ground-truth replay halts
+// before its first event, and the error is a classified cancellation
+// that reports where the replay stopped. des's
+// TestEngineStopFromHandler covers a Stop that lands mid-run.
 func TestCancelStopsRunningReplay(t *testing.T) {
-	armFaults(t, 1, faultinject.Rule{
-		Site: "des/step", Action: faultinject.ActStall,
-		Every: 1, Stall: time.Millisecond,
-	})
-	cancel, done := make(chan struct{}), make(chan struct{})
-	defer close(done)
-	go func() {
-		for len(faultinject.Fired()) == 0 {
-			select {
-			case <-done:
-				return
-			case <-time.After(100 * time.Microsecond):
-			}
-		}
-		close(cancel)
-	}()
+	cancel := make(chan struct{})
+	close(cancel)
 	p := workload.Params{App: "CG", Class: "S", Ranks: 16, Machine: "cielito", Seed: 7}
 	_, err := RunOneOpts(p, RunOptions{Cancel: cancel})
 	if !errors.Is(err, des.ErrCanceled) {
@@ -416,46 +380,45 @@ func TestCancelStopsRunningReplay(t *testing.T) {
 	if Classify(err) != KindCanceled {
 		t.Errorf("canceled run classified %s, want canceled", Classify(err))
 	}
-	var steps uint64
-	msg := err.Error()
-	if i := strings.Index(msg, "aborted after "); i < 0 {
+	if !strings.Contains(err.Error(), "aborted after 0 events") {
 		t.Errorf("error does not report where the replay stopped: %v", err)
-	} else if _, serr := fmt.Sscanf(msg[i:], "aborted after %d events", &steps); serr != nil || steps == 0 {
-		t.Errorf("replay stopped after %d events (%v), want a run halted mid-way: %v", steps, serr, err)
 	}
 }
 
-// An injected stall must push a run past its wall-clock budget: the
-// shape of a hung I/O or livelocked peer that only the deadline
-// watchdog can catch.
+// A run past its wall-clock budget fails with a blown budget. A 1 ns
+// timeout has passed by the time the first replay starts, and the
+// engine reads the clock before its first event, so the run halts at
+// the same point on any host.
 func TestStallTripsWallClockBudget(t *testing.T) {
-	armFaults(t, 1, faultinject.Rule{
-		Site: "des/step", Action: faultinject.ActStall,
-		Every: 100, Stall: time.Millisecond,
-	})
 	p := workload.Params{App: "EP", Class: "S", Ranks: 16, Machine: "cielito", Seed: 7}
-	_, err := RunOneOpts(p, RunOptions{Timeout: 15 * time.Millisecond})
+	_, err := RunOneOpts(p, RunOptions{Timeout: time.Nanosecond})
 	if !errors.Is(err, des.ErrBudgetExceeded) {
-		t.Fatalf("stalled run err = %v, want des.ErrBudgetExceeded", err)
+		t.Fatalf("timed-out run err = %v, want des.ErrBudgetExceeded", err)
 	}
 	if Classify(err) != KindBudget {
-		t.Errorf("stalled run classified %s, want budget", Classify(err))
+		t.Errorf("timed-out run classified %s, want budget", Classify(err))
+	}
+	if !strings.Contains(err.Error(), "deadline passed after 0 events") {
+		t.Errorf("timed-out run did not halt before its first event: %v", err)
 	}
 }
 
-// An injected panic inside a scheme adapter — below the worker's real
-// Runner, not in a Runner override — is recovered and classified: the
-// trace fails with KindPanic and its stack, and the next trace runs
-// normally on the same worker's Runner and sessions.
+// A panic inside a scheme — below the worker's real Runner, not in a
+// Runner override — is recovered and classified: the trace fails with
+// KindPanic and its stack, and the next trace runs normally on the
+// same worker's Runner and sessions.
 func TestInjectedPanicIsIsolated(t *testing.T) {
-	armFaults(t, 1, faultinject.Rule{
-		Site: "scheme/run", Label: "mfact",
-		Action: faultinject.ActPanic, MaxFires: 1,
+	runs := 0
+	registerScheme(t, "panicky", scheme.KindModel, func() (scheme.Outcome, error) {
+		if runs++; runs == 1 {
+			panic("panicky: index out of range")
+		}
+		return scheme.Outcome{OK: true}, nil
 	})
 	ps := smallParams("EP", "IS")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1,
-		Schemes: []string{"mfact"},
+		Schemes: []string{"mfact", "panicky"},
 		Policy:  FailurePolicy{KeepGoing: true},
 	})
 	if err != nil {
@@ -471,149 +434,130 @@ func TestInjectedPanicIsIsolated(t *testing.T) {
 	}
 }
 
-// The crash/resume differential: a campaign killed mid-checkpoint-write
-// (torn append at a failpoint-chosen offset), then resumed, must
-// converge to exactly the uninterrupted run's results across all 18
-// applications — no committed result lost, no survivor perturbed.
-func TestCrashResumeDifferentialAllApps(t *testing.T) {
-	apps := []string{
-		"CG", "MG", "FT", "IS", "LU", "BT", "EP", "DT",
-		"BigFFT", "CrystalRouter", "AMG", "MiniFE", "LULESH",
-		"CNS", "CMC", "Nekbone", "MultiGrid", "FillBoundary",
+// journalLines returns the byte extent [start, end) of each line of a
+// journal image, newline excluded, in file order: the header first,
+// then one line per append.
+func journalLines(data []byte) [][2]int {
+	var out [][2]int
+	for start := 0; start < len(data); {
+		end := bytes.IndexByte(data[start:], '\n')
+		if end < 0 {
+			out = append(out, [2]int{start, len(data)})
+			break
+		}
+		out = append(out, [2]int{start, start + end})
+		start += end + 1
 	}
-	ps := smallParams(apps...)
+	return out
+}
+
+// cutJournal writes a copy of a journal image cut at byte offset at —
+// what a kill in the middle of the append that wrote byte at leaves on
+// disk — and returns its path.
+func cutJournal(t *testing.T, data []byte, at int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cut.jsonl")
+	if err := os.WriteFile(path, data[:at], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// The crash/resume differential: a campaign killed mid-append leaves
+// its journal cut inside a record. Cutting a finished journal at seeded
+// byte offsets inside its records reproduces that state; each cut,
+// resumed, must converge to exactly the uninterrupted run's results
+// across all 18 applications — no committed result lost, no survivor
+// perturbed.
+func TestCrashResumeDifferentialAllApps(t *testing.T) {
+	ps := smallParams(allApps...)
 	schemes := []string{"mfact", "packet"}
 
-	// Uninterrupted reference run.
-	want, _, err := RunCampaign(ps, CampaignConfig{Workers: 1, Schemes: schemes})
+	// Uninterrupted reference run, journaled.
+	full := filepath.Join(t.TempDir(), "campaign.jsonl")
+	want, _, err := RunCampaign(ps, CampaignConfig{Workers: 1, Schemes: schemes, CheckpointPath: full})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Phase 1: the final checkpoint append tears mid-record — the
-	// on-disk state of a kill, with the torn fragment at EOF — which the
-	// campaign reports as an infrastructure failure and stops.
-	const tornAppend = 18
-	armFaults(t, 1, faultinject.Rule{
-		Site: "core/checkpoint-append", Action: faultinject.ActTorn,
-		Hits: []uint64{tornAppend},
-	})
-	ckpt := filepath.Join(t.TempDir(), "campaign.jsonl")
-	_, _, err = RunCampaign(ps, CampaignConfig{
-		Workers:        1,
-		Schemes:        schemes,
-		Policy:         FailurePolicy{KeepGoing: true},
-		CheckpointPath: ckpt,
-	})
-	if err == nil {
-		t.Fatal("torn checkpoint append did not stop the campaign")
-	}
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("campaign error does not carry the injected fault: %v", err)
-	}
-	faultinject.Disarm()
-
-	// The journal must hold every append committed before the kill, and
-	// the torn tail must be recoverable (not poison the loader).
-	committed, err := LoadCheckpoint(ckpt)
-	if err != nil {
-		t.Fatalf("journal with torn tail must load: %v", err)
-	}
-	if len(committed) != tornAppend-1 {
-		t.Fatalf("journal holds %d records, want %d committed before the kill", len(committed), tornAppend-1)
-	}
-
-	// Phase 2: resume. Salvage truncates the torn tail, the committed
-	// traces are skipped, the rest re-run.
-	var warns []string
-	got, rep, err := RunCampaign(ps, CampaignConfig{
-		Workers:        1,
-		Schemes:        schemes,
-		Policy:         FailurePolicy{KeepGoing: true},
-		CheckpointPath: ckpt,
-		Resume:         true,
-		Warnf:          func(f string, a ...any) { warns = append(warns, fmt.Sprintf(f, a...)) },
-	})
-	if err != nil {
-		t.Fatalf("resume after kill: %v", err)
-	}
-	if rep.Skipped != tornAppend-1 {
-		t.Errorf("resume skipped %d, want %d (every committed result reused)", rep.Skipped, tornAppend-1)
-	}
-	salvaged := false
-	for _, w := range warns {
-		if strings.Contains(w, "torn") {
-			salvaged = true
-		}
-	}
-	if !salvaged {
-		t.Errorf("no salvage warning on resume: %v", warns)
-	}
-
-	// Differential: every app's result matches the uninterrupted run.
-	for i := range ps {
-		if err := sameResult(got[i], want[i]); err != nil {
-			t.Errorf("%s diverged after crash/resume: %v", ps[i].App, err)
-		}
-	}
-
-	// No committed result was lost: each key journaled before the kill
-	// is still the final answer.
-	final, err := LoadCheckpoint(ckpt)
+	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, r := range committed {
-		fr := final[key]
-		if fr == nil {
-			t.Errorf("committed result %s lost on resume", key)
-			continue
-		}
-		if err := sameResult(fr, r); err != nil {
-			t.Errorf("committed result %s rewritten on resume: %v", key, err)
-		}
+	lines := journalLines(data)
+	if len(lines) != len(ps)+1 {
+		t.Fatalf("journal has %d lines, want a header and %d records", len(lines), len(ps))
 	}
-	// And the salvaged journal is fully valid JSONL again.
-	if len(final) != len(ps) {
-		t.Errorf("final journal holds %d records, want %d", len(final), len(ps))
-	}
-}
 
-// A sync-failure at the checkpoint (disk full, dying device) is an
-// infrastructure failure: the campaign stops rather than silently
-// running on without durability.
-func TestCheckpointSyncFailureStopsCampaign(t *testing.T) {
-	armFaults(t, 1, faultinject.Rule{
-		Site: "core/checkpoint-sync", Action: faultinject.ActError, MaxFires: 1,
-	})
-	ps := smallParams("EP", "IS")
-	_, _, err := RunCampaign(ps, CampaignConfig{
-		Workers:        1,
-		Schemes:        []string{"mfact"},
-		Policy:         FailurePolicy{KeepGoing: true},
-		CheckpointPath: filepath.Join(t.TempDir(), "ck.jsonl"),
-	})
-	if err == nil || !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("sync failure not surfaced as infrastructure error: %v", err)
-	}
-}
+	// Cut inside the last record (one trace to re-run) and inside a
+	// seeded earlier one; each cut keeps at least one byte of its record
+	// and drops at least one.
+	rng := rand.New(rand.NewSource(1))
+	for _, k := range []int{len(ps), 1 + rng.Intn(len(ps)-1)} {
+		ln := lines[k]
+		at := ln[0] + 1 + rng.Intn(ln[1]-ln[0]-1)
+		ckpt := cutJournal(t, data, at)
 
-// The results-save failpoint makes SaveResultsFile fail cleanly: no
-// temp droppings, no clobbered previous file.
-func TestResultsSaveFailpoint(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "results.json")
-	if err := SaveResultsFile(path, []*TraceResult{{ID: "keep"}}); err != nil {
-		t.Fatal(err)
-	}
-	armFaults(t, 1, faultinject.Rule{Site: "core/results-save", Action: faultinject.ActError})
-	if err := SaveResultsFile(path, []*TraceResult{{ID: "clobber"}}); !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("err = %v, want injected", err)
-	}
-	faultinject.Disarm()
-	got, err := LoadResultsFile(path)
-	if err != nil || len(got) != 1 || got[0].ID != "keep" {
-		t.Fatalf("previous results clobbered by failed save: %v %v", got, err)
+		// The cut journal holds every append committed before the kill,
+		// and the torn tail does not poison the loader.
+		committed, err := LoadCheckpoint(ckpt)
+		if err != nil {
+			t.Fatalf("cut at byte %d of record %d: journal must load: %v", at, k, err)
+		}
+		if len(committed) != k-1 {
+			t.Fatalf("cut at byte %d of record %d: journal holds %d records, want %d", at, k, len(committed), k-1)
+		}
+
+		// Resume. Salvage truncates the torn tail, the committed traces
+		// are skipped, the rest re-run.
+		var warns []string
+		got, rep, err := RunCampaign(ps, CampaignConfig{
+			Workers:        1,
+			Schemes:        schemes,
+			Policy:         FailurePolicy{KeepGoing: true},
+			CheckpointPath: ckpt,
+			Resume:         true,
+			Warnf:          func(f string, a ...any) { warns = append(warns, fmt.Sprintf(f, a...)) },
+		})
+		if err != nil {
+			t.Fatalf("resume after a cut in record %d: %v", k, err)
+		}
+		if rep.Skipped != k-1 {
+			t.Errorf("record %d cut: resume skipped %d, want %d (every committed result reused)", k, rep.Skipped, k-1)
+		}
+		if !strings.Contains(strings.Join(warns, "\n"), "torn") {
+			t.Errorf("record %d cut: no salvage warning on resume: %v", k, warns)
+		}
+
+		// Differential: every app's result matches the uninterrupted run.
+		for i := range ps {
+			if err := sameResult(got[i], want[i]); err != nil {
+				t.Errorf("record %d cut: %s diverged after crash/resume: %v", k, ps[i].App, err)
+			}
+		}
+
+		// No committed result was lost: each key journaled before the
+		// kill is still the final answer, and the salvaged journal is
+		// fully valid JSONL again, the torn fragment cut away.
+		final, _, sal, err := loadCheckpointFull(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sal.TornTail || sal.Damaged != 0 {
+			t.Errorf("record %d cut: journal after resume still carries damage: %+v", k, sal)
+		}
+		for key, r := range committed {
+			fr := final[key]
+			if fr == nil {
+				t.Errorf("record %d cut: committed result %s lost on resume", k, key)
+				continue
+			}
+			if err := sameResult(fr, r); err != nil {
+				t.Errorf("record %d cut: committed result %s rewritten on resume: %v", k, key, err)
+			}
+		}
+		if len(final) != len(ps) {
+			t.Errorf("record %d cut: final journal holds %d records, want %d", k, len(final), len(ps))
+		}
 	}
 }
 

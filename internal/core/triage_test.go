@@ -2,13 +2,13 @@ package core
 
 import (
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/scheme"
 	"hpctradeoff/internal/triage"
 	"hpctradeoff/internal/workload"
@@ -184,8 +184,9 @@ func TestTriageIntermediateSubsetsMatchBaselines(t *testing.T) {
 	}
 }
 
-// TestTriageCrashResumeReplaysDecisions kills a tiered campaign with a
-// torn journal append mid-decision-batch, resumes it, and asserts the
+// TestTriageCrashResumeReplaysDecisions cuts a finished tiered
+// campaign's journal inside a decision record — what a kill
+// mid-decision-batch leaves — resumes it, and asserts the
 // checkpoint-v3 contract: replayed decisions are adopted verbatim (the
 // final plan is identical to an uninterrupted run's), completed traces
 // are skipped, and no trace ever runs — or escalates — twice.
@@ -194,8 +195,9 @@ func TestTriageCrashResumeReplaysDecisions(t *testing.T) {
 	schemes := []string{scheme.MFACT, scheme.Packet}
 	pol := &triage.Policy{Threshold: 0.5, Calibration: 12, Seed: 1}
 
-	// Uninterrupted tiered reference.
-	want, wantRep, err := RunCampaign(ps, CampaignConfig{Workers: 1, Schemes: schemes, Triage: pol})
+	// Uninterrupted tiered reference, journaled.
+	full := filepath.Join(t.TempDir(), "tiered.jsonl")
+	want, wantRep, err := RunCampaign(ps, CampaignConfig{Workers: 1, Schemes: schemes, Triage: pol, CheckpointPath: full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,23 +206,15 @@ func TestTriageCrashResumeReplaysDecisions(t *testing.T) {
 	}
 
 	// Phase 1 journals 12 calibration results (appends 1–12); phase 3
-	// then journals one decision per trace in manifest order. Tearing
-	// append 16 kills the campaign after 3 committed decisions.
+	// then journals one decision per trace in manifest order. A cut at
+	// a seeded byte inside append 16 leaves 3 committed decisions.
 	const tornAppend = 16
-	armFaults(t, 1, faultinject.Rule{
-		Site: "core/checkpoint-append", Action: faultinject.ActTorn,
-		Hits: []uint64{tornAppend},
-	})
-	ckpt := filepath.Join(t.TempDir(), "tiered.jsonl")
-	_, _, err = RunCampaign(ps, CampaignConfig{
-		Workers: 1, Schemes: schemes, Triage: pol,
-		Policy:         FailurePolicy{KeepGoing: true},
-		CheckpointPath: ckpt,
-	})
-	if err == nil {
-		t.Fatal("torn decision append did not stop the campaign")
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
 	}
-	faultinject.Disarm()
+	ln := journalLines(data)[tornAppend]
+	ckpt := cutJournal(t, data, ln[0]+1+rand.New(rand.NewSource(1)).Intn(ln[1]-ln[0]-1))
 
 	st, err := loadCheckpointState(ckpt)
 	if err != nil {
@@ -233,7 +227,7 @@ func TestTriageCrashResumeReplaysDecisions(t *testing.T) {
 		t.Fatalf("journal header policy = %v, want %v", st.triage, pol)
 	}
 
-	// Resume with faults disarmed.
+	// Resume.
 	got, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1, Schemes: schemes, Triage: pol,
 		Policy:         FailurePolicy{KeepGoing: true},
@@ -463,32 +457,31 @@ func TestParseTriageBudget(t *testing.T) {
 }
 
 // TestTriageScoreFailpointEscalatesAll is the in-process version of the
-// cmd/chaos triage schedule: break the classifier mid-campaign through
-// the triage/score failpoint and assert the campaign escalates
-// everything, reports the degradation, and ends with full-fidelity
-// results for every trace.
+// cmd/chaos triage soak: a calibration split too small to train on (5
+// observations; training needs 10) takes the classifier down, and the
+// campaign must escalate everything, report the degradation, and end
+// with full-fidelity results for every trace. triage's
+// TestScoreFaultDegradesRetroactively covers a scoring failure
+// mid-plan.
 func TestTriageScoreFailpointEscalatesAll(t *testing.T) {
 	ps := triageSuite(2 * len(allApps))
 	schemes := []string{scheme.MFACT, scheme.Packet}
-	armFaults(t, 1, faultinject.Rule{
-		Site: "triage/score", Action: faultinject.ActError,
-		Hits: []uint64{2}, MaxFires: 1, // hit 1 is Train; hit 2 the first Score
-	})
+	const calibration = 5
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1, Schemes: schemes,
-		Triage: &triage.Policy{Threshold: 0.5, Calibration: 12, Seed: 1},
+		Triage: &triage.Policy{Threshold: 0.5, Calibration: calibration, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := rep.Triage
 	if tr == nil || !tr.ClassifierDown {
-		t.Fatalf("scoring fault not reported as classifier-down: %+v", tr)
+		t.Fatalf("training failure not reported as classifier-down: %+v", tr)
 	}
 	if tr.ModelOnly != 0 {
 		t.Fatalf("%d traces skipped simulation under a down classifier", tr.ModelOnly)
 	}
-	if want := len(ps) - 12; tr.Forced != want {
+	if want := len(ps) - calibration; tr.Forced != want {
 		t.Errorf("forced escalations = %d, want %d", tr.Forced, want)
 	}
 	for i, r := range rs {

@@ -2,6 +2,7 @@ package des
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,6 +73,31 @@ func TestEngineStopFromWatchdog(t *testing.T) {
 	}
 	if err := e.Err(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestEngineStopFromHandler stops a run from inside its own event
+// handler, partway through: the engine finishes that event, runs no
+// other, and reports a cancellation at exactly that point.
+func TestEngineStopFromHandler(t *testing.T) {
+	e := &Engine{}
+	var tick func()
+	tick = func() {
+		if e.Steps() == 500 {
+			e.Stop()
+		}
+		e.After(simtime.Microsecond, tick)
+	}
+	e.At(0, tick)
+	e.Run()
+	if err := e.Err(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Err = %v, want ErrCanceled", err)
+	}
+	if e.Steps() != 500 || e.Pending() != 1 {
+		t.Errorf("steps = %d, pending = %d; want 500 and 1", e.Steps(), e.Pending())
+	}
+	if want := "after 500 events"; !strings.Contains(e.Err().Error(), want) {
+		t.Errorf("Err = %v, want it to say %q", e.Err(), want)
 	}
 }
 

@@ -28,18 +28,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/simtime"
 )
-
-// failStep is the event-loop failpoint, hit once per executed event. An
-// injected stall sleeps inside the loop — the shape
-// of a livelocked model that only a wall-clock Deadline can catch, so
-// the budget watchdog is exercisable deterministically — and an
-// injected error halts the run through the cooperative-cancellation
-// path (as Stop would). Disarmed it costs one atomic load, alongside
-// the stop-flag load the loop already pays.
-var failStep = faultinject.NewSite("des/step")
 
 // Engine is a sequential discrete-event engine. Events are closures
 // executed in nondecreasing timestamp order; ties are broken by
@@ -222,10 +212,6 @@ func (e *Engine) halted() bool {
 	}
 	if e.stopReq.Load() {
 		e.err = fmt.Errorf("%w after %d events at t=%v", ErrCanceled, e.Steps(), e.now)
-		return true
-	}
-	if err := failStep.Fail(); err != nil {
-		e.err = fmt.Errorf("%w after %d events at t=%v: %v", ErrCanceled, e.Steps(), e.now, err)
 		return true
 	}
 	if !e.limited {

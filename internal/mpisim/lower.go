@@ -4,14 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/trace"
 )
-
-// failLower is the lowering failpoint, hit once per lowering. Armed
-// to fail, it shows up any path that lowers where it should replay a
-// program it was given (a warm campaign lowers nothing).
-var failLower = faultinject.NewSite("mpisim/lower")
 
 // Collective traffic uses a reserved tag space far above application
 // tags so lowered rounds never match application messages. Every
@@ -116,9 +110,6 @@ func Lower(src trace.Source) (*Program, error) {
 // instance of a template holding the point-to-point rounds of its
 // algorithm. sess supplies the arenas, reused across traces.
 func lower(src trace.Source, sess *Session) (*Program, error) {
-	if err := failLower.Fail(); err != nil {
-		return nil, fmt.Errorf("mpisim: lowering %s: %w", src.TraceMeta().ID(), err)
-	}
 	n := src.TraceMeta().NumRanks
 	events := 0
 	for r := 0; r < n; r++ {

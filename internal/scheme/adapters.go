@@ -4,21 +4,12 @@ import (
 	"fmt"
 	"time"
 
-	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/mfact"
 	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/simnet"
 	"hpctradeoff/internal/trace"
 )
-
-// failRun is the scheme-execution failpoint, hit once per scheme run
-// (stateless and session paths alike) with the scheme's name as the
-// label, so a schedule can target one backend: injected errors become
-// per-scheme failures the campaign classifies, injected panics
-// exercise its panic isolation, and injected stalls push a run past
-// its wall-clock budget. Disarmed it is a nil check.
-var failRun = faultinject.NewSite("scheme/run")
 
 // The four built-in schemes of the study, registered in the order the
 // paper reports them: the MFACT model, then the packet, flow, and
@@ -46,9 +37,6 @@ func (mfactScheme) Kind() Kind   { return KindModel }
 // than the simulations the budget defends against.
 func (mfactScheme) Run(src trace.Source, mach *machine.Config, _ Options) (Outcome, error) {
 	start := time.Now()
-	if err := failRun.FailLabel(MFACT); err != nil {
-		return Outcome{Scheme: MFACT, Kind: KindModel, Wall: time.Since(start)}, err
-	}
 	res, err := mfact.Model(src, mach, nil)
 	return mfactOutcome(res, err, time.Since(start))
 }
@@ -66,9 +54,6 @@ type mfactSession struct {
 
 func (s *mfactSession) Run(src trace.Source, mach *machine.Config, _ Options) (Outcome, error) {
 	start := time.Now()
-	if err := failRun.FailLabel(MFACT); err != nil {
-		return Outcome{Scheme: MFACT, Kind: KindModel, Wall: time.Since(start)}, err
-	}
 	if s.low == nil {
 		res, err := s.sess.Model(src, mach, nil)
 		return mfactOutcome(res, err, time.Since(start))
@@ -102,9 +87,6 @@ func (simScheme) Kind() Kind     { return KindSimulation }
 
 func (s simScheme) Run(src trace.Source, mach *machine.Config, opts Options) (Outcome, error) {
 	start := time.Now()
-	if err := failRun.FailLabel(string(s.model)); err != nil {
-		return Outcome{Scheme: string(s.model), Kind: KindSimulation, Wall: time.Since(start)}, err
-	}
 	res, err := mpisim.Replay(src, s.model, mach, simnet.Config{}, simOpts(opts))
 	return simOutcome(string(s.model), res, err, time.Since(start))
 }
@@ -125,9 +107,6 @@ type simSession struct {
 
 func (s *simSession) Run(src trace.Source, mach *machine.Config, opts Options) (Outcome, error) {
 	start := time.Now()
-	if err := failRun.FailLabel(string(s.model)); err != nil {
-		return Outcome{Scheme: string(s.model), Kind: KindSimulation, Wall: time.Since(start)}, err
-	}
 	if !s.shared {
 		s.sess.Reset()
 	}

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"hpctradeoff/internal/faultinject"
 )
 
 // Binary trace format ("HTRC"). The only codec is version 3
@@ -24,11 +22,6 @@ const (
 
 // ErrBadFormat reports a malformed, truncated or retired binary trace.
 var ErrBadFormat = errors.New("trace: bad binary format")
-
-// failRead is the codec's failpoint, hit once per rank body parsed. An
-// armed fault surfaces as an open error — injected failures are always
-// loud, never a silently short trace. Disarmed it is a nil check.
-var failRead = faultinject.NewSite("trace/codec-read")
 
 // appendMetaComms appends the varint-framed meta and communicator
 // table: the three identity strings, rank counts, seed, capability

@@ -308,9 +308,6 @@ func parseV3(data []byte, alias bool) (*Columns, error) {
 
 	c := &Columns{Meta: meta, Comms: ct, ranks: make([]rankCols, numRanks)}
 	for r := 0; r < int(numRanks); r++ {
-		if err := failRead.Fail(); err != nil {
-			return nil, fmt.Errorf("trace: rank %d: %w", r, err)
-		}
 		rec := data[extOff+uint64(r)*v3ExtentSize:][:v3ExtentSize]
 		var e v3Extent
 		e.n = binary.LittleEndian.Uint64(rec[0:])

@@ -181,6 +181,38 @@ func TestV3Rejections(t *testing.T) {
 	}
 }
 
+// TestCodecReadFailpoint damages one rank's body on disk — a flipped
+// high bit in the last rank's event count — and requires both the
+// mapped and the copy-mode open to fail loudly at that rank, never to
+// return a short trace; the undamaged file still opens.
+func TestCodecReadFailpoint(t *testing.T) {
+	cols := randomTrace(rand.New(rand.NewSource(1)))
+	path := writeV3File(t, cols)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := cols.Meta.NumRanks - 1
+	bad := append([]byte(nil), good...)
+	bad[binary.LittleEndian.Uint64(bad[32:40])+uint64(last)*v3ExtentSize+7] ^= 0x80
+	badPath := filepath.Join(t.TempDir(), "damaged.v3")
+	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("rank %d:", last)
+	if _, err := OpenMapped(badPath); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), want) {
+		t.Errorf("OpenMapped err = %v, want ErrBadFormat at %q", err, want)
+	}
+	if _, err := parseV3(bad, false); !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), want) {
+		t.Errorf("copy-mode parseV3 err = %v, want ErrBadFormat at %q", err, want)
+	}
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatalf("undamaged OpenMapped failed: %v", err)
+	}
+	m.Close()
+}
+
 func writeV3File(t *testing.T, cols *Columns) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trace.v3")

@@ -54,7 +54,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/mpisim"
 	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
@@ -66,12 +65,6 @@ import (
 // entry is evicted and regenerated — but eviction warnings wrap it and
 // tests match it with errors.Is.
 var ErrCorrupt = errors.New("tracecache: corrupt entry")
-
-// failOpen is the cache's failpoint, hit once per existing entry
-// opened (label = the workload's app name). A firing is treated
-// exactly like on-disk corruption: the entry is evicted with a warning
-// and the trace regenerated — never trusted, never fatal.
-var failOpen = faultinject.NewSite("tracecache/open")
 
 const (
 	traceSuffix   = ".htrc3"
@@ -128,9 +121,8 @@ type Stats struct {
 	// the number of times the materialize callback ran, which is what
 	// the warm-path tests assert on.
 	Hits, Misses int64
-	// Corrupt counts entries evicted because verification failed
-	// (including tracecache/open failpoint firings); Evictions counts
-	// LRU evictions under the size cap.
+	// Corrupt counts entries evicted because verification failed;
+	// Evictions counts LRU evictions under the size cap.
 	Corrupt, Evictions int64
 	// Relowered counts hits whose stored program was missing, damaged
 	// or stale, so the program was lowered again from the trace and
@@ -333,9 +325,6 @@ func (c *Cache) openEntry(hash string, p workload.Params) (*trace.Mapped, *sidec
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: sidecar unreadable: %v", ErrCorrupt, err)
-	}
-	if err := failOpen.FailLabel(p.App); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	sc, err := parseSidecar(scData)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
 )
@@ -237,33 +236,39 @@ func TestCorruptSidecarEvicted(t *testing.T) {
 	}
 }
 
-// TestOpenFailpoint proves the tracecache/open failpoint is treated as
-// corruption: evict, warn, regenerate.
+// TestOpenFailpoint empties an entry's sidecar on disk — what a power
+// loss between creating a file and writing it leaves on a filesystem
+// that orders no data — and proves the open treats it as corruption:
+// evict, warn, regenerate.
 func TestOpenFailpoint(t *testing.T) {
-	c := mustOpen(t, t.TempDir(), Options{})
+	var warns atomic.Int64
+	c := mustOpen(t, t.TempDir(), Options{Warnf: func(format string, args ...any) {
+		warns.Add(1)
+		t.Logf(format, args...)
+	}})
 	p := testParams(6)
 	_, release, _ := acquire(t, c, p)
 	release()
-
-	if err := faultinject.Arm(1, []faultinject.Rule{{
-		Site: "tracecache/open", Action: faultinject.ActError, Hits: []uint64{1}, MaxFires: 1,
-	}}); err != nil {
+	_, scPath := c.EntryPaths(Hash(p))
+	if err := os.WriteFile(scPath, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer faultinject.Disarm()
 
 	_, release2, hit := acquire(t, c, p)
 	release2()
 	if hit {
-		t.Fatal("failpoint firing still served a hit")
+		t.Fatal("an empty sidecar still served a hit")
 	}
 	if st := c.Stats(); st.Corrupt != 1 || st.Misses != 2 {
-		t.Errorf("stats after failpoint = %+v, want corrupt 1, misses 2", st)
+		t.Errorf("stats after an empty sidecar = %+v, want corrupt 1, misses 2", st)
+	}
+	if warns.Load() == 0 {
+		t.Error("corrupt eviction produced no warning")
 	}
 	_, release3, hit3 := acquire(t, c, p)
 	release3()
 	if !hit3 {
-		t.Error("entry not regenerated after failpoint eviction")
+		t.Error("entry not regenerated after an empty sidecar")
 	}
 }
 

@@ -15,8 +15,7 @@
 // same escalation set instead of re-deriving it.
 //
 // Failure posture: a broken classifier must never silently skip
-// simulation. Any scoring or training failure — including faults
-// injected at the triage/score failpoint — degrades the plan to
+// simulation. Any scoring or training failure degrades the plan to
 // escalate-always, and the degradation is counted in the frontier
 // report.
 package triage
@@ -28,14 +27,7 @@ import (
 	"time"
 
 	"hpctradeoff/internal/classifier"
-	"hpctradeoff/internal/faultinject"
 )
-
-// failScore is the classifier failpoint: hit once per Train call
-// (label "train") and once per Score call (label = trace key), so a
-// chaos schedule can break the classifier at an exact point and assert
-// the scheduler degrades to escalate-always.
-var failScore = faultinject.NewSite("triage/score")
 
 // Policy configures the tiered triage scheduler. The zero value is not
 // meaningful; use Normalize to apply defaults.
@@ -235,16 +227,12 @@ func (s *Scheduler) CalibrationIndices(n int) []int {
 }
 
 // Train fits the classifier on the calibration observations. A
-// training failure (too few usable observations, non-finite features,
-// an injected fault) does not fail the campaign: it marks the
+// training failure (too few usable observations, non-finite features)
+// does not fail the campaign: it marks the
 // classifier down, and Plan escalates everything.
 func (s *Scheduler) Train(obs []classifier.Observation) error {
 	if !s.NeedsClassifier() {
 		return nil
-	}
-	if err := failScore.FailLabel("train"); err != nil {
-		s.down, s.downErr = true, err
-		return err
 	}
 	m, err := classifier.Train(obs, s.policy.CVRuns, s.policy.MaxVars, s.policy.Seed)
 	if err != nil {
@@ -259,13 +247,10 @@ func (s *Scheduler) Train(obs []classifier.Observation) error {
 func (s *Scheduler) Down() (bool, error) { return s.down || s.model == nil, s.downErr }
 
 // Score returns the classifier's predicted probability that simulation
-// would disagree for one full feature vector. Failures (including the
-// triage/score failpoint) mark the classifier down.
+// would disagree for one full feature vector. Failures (no trained
+// classifier, a NaN score from a non-finite feature) mark the
+// classifier down.
 func (s *Scheduler) Score(key string, x []float64) (float64, error) {
-	if err := failScore.FailLabel(key); err != nil {
-		s.down, s.downErr = true, err
-		return 0, err
-	}
 	if s.model == nil {
 		err := fmt.Errorf("triage: no trained classifier")
 		s.down, s.downErr = true, err

@@ -3,13 +3,13 @@ package triage
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
 	"time"
 
 	"hpctradeoff/internal/classifier"
-	"hpctradeoff/internal/faultinject"
 	"hpctradeoff/internal/features"
 )
 
@@ -292,22 +292,20 @@ func TestTrainFailureDegrades(t *testing.T) {
 	}
 }
 
-// TestScoreFaultDegradesRetroactively arms the triage/score failpoint
-// on one mid-plan scoring call and asserts the degradation is
-// retroactive: candidates already cleared earlier in the same plan are
-// flipped to forced escalation too.
+// TestScoreFaultDegradesRetroactively feeds one mid-plan candidate a
+// non-finite feature vector, which the classifier scores as NaN, and
+// asserts the degradation is retroactive: candidates already cleared
+// earlier in the same plan are flipped to forced escalation too.
 func TestScoreFaultDegradesRetroactively(t *testing.T) {
 	s, rest := trainedScheduler(t, 0.5, 200, 40, 3)
 	cands := candidates(rest)
 
 	// Break the 5th Score call of this plan.
-	if err := faultinject.Arm(1, []faultinject.Rule{{
-		Site: "triage/score", Action: faultinject.ActError,
-		Hits: []uint64{5}, MaxFires: 1,
-	}}); err != nil {
-		t.Fatal(err)
+	nan := make([]float64, len(cands[4].X))
+	for i := range nan {
+		nan[i] = math.NaN()
 	}
-	defer faultinject.Disarm()
+	cands[4].X = nan
 
 	for _, d := range s.Plan(cands) {
 		if !d.Escalate || d.Reason != ReasonClassifierDown {
