@@ -1,7 +1,7 @@
 // Command mfact models an MPI trace with the MFACT modeling tool: one
 // logical-clock replay predicts application performance across a sweep
 // of network configurations and classifies the application. It also
-// runs any registered scheme, simulators included, over the same trace,
+// runs any built-in scheme, simulators included, over the same trace,
 // and fits MFACT's Hockney (α, β) for a machine from simulated
 // ping-pongs.
 //
@@ -10,7 +10,7 @@
 //	mfact trace.htrc              # model a trace file
 //	mfact -app FT -ranks 64       # generate and model a synthetic trace
 //	mfact -schemes mfact,packet -app FT -ranks 64
-//	                              # compare registry schemes on one trace
+//	                              # compare the schemes on one trace
 //	mfact -calibrate -machine edison -ranks 48
 //	                              # fit (α, β) on the packet-flow simulator
 package main
@@ -37,7 +37,7 @@ func main() {
 	machName := flag.String("machine", "edison", "target machine")
 	seed := flag.Int64("seed", 1, "seed for -app")
 	grid := flag.Bool("grid", false, "print a 2-D bandwidth × latency what-if grid")
-	schemes := flag.String("schemes", "", "run these registered schemes over the trace and compare "+
+	schemes := flag.String("schemes", "", "run these built-in schemes over the trace and compare "+
 		"(comma-separated; available: "+strings.Join(scheme.Names(), ",")+")")
 	calibrate := flag.Bool("calibrate", false, "fit (α, β) for -machine at -ranks from packet-flow ping-pongs and exit")
 	flag.Parse()
@@ -116,7 +116,7 @@ func main() {
 	}
 }
 
-// runSchemes replays the trace through each selected registry scheme
+// runSchemes replays the trace through each selected built-in scheme
 // and prints a side-by-side comparison (the paper's Table II shape for
 // a single trace). A trace that carries measured times gains a
 // prediction/measured column.

@@ -34,23 +34,23 @@
 //	tradeoff -checkpoint run.jsonl -resume
 //	                                  # re-execute only missing/failed traces
 //
-// The failure ladder has three rungs: a failing trace is isolated (a
-// panic becomes a typed per-trace error), degraded to a model-only
-// prediction when core.FailurePolicy.DegradeToModel asks for it (no
-// flag sets it; cmd/chaos does), and otherwise reported as a typed
-// failure. There is no retry rung and no circuit breaker: a trace run
-// is a pure function of its parameters, so re-running it reproduces
-// the failure, and re-running it under another seed would journal a
-// different trace under the manifest's key.
+// The failure ladder has two rungs: a failing trace is isolated (a
+// panic becomes a typed per-trace error) and reported as a typed
+// failure. There is no retry rung, no circuit breaker and no model-only
+// fallback: a trace run is a pure function of its parameters and scheme
+// set, so re-running it reproduces the failure, re-running it under
+// another seed would journal a different trace under the manifest's
+// key, and an MFACT-only result would be journaled under a header
+// naming the full scheme set.
 //
 // A first SIGINT/SIGTERM cancels the campaign cleanly (in-flight
 // replays stop through the DES engines' Stop path, completed traces
 // stay journaled) and prints the exact -resume invocation; a second
 // signal kills immediately.
 //
-// Scheme selection (see internal/scheme's registry):
+// Scheme selection (see internal/scheme's table):
 //
-//	tradeoff -schemes mfact,packet    # run a subset of the registered schemes
+//	tradeoff -schemes mfact,packet    # run a subset of the schemes
 //	                                  # (checkpoints record the selection and
 //	                                  # refuse to resume under a different one)
 //
@@ -122,7 +122,7 @@ var (
 	keepGoing  = flag.Bool("keep-going", false, "continue past failing traces and render from the survivors")
 	checkpoint = flag.String("checkpoint", "", "append completed traces to this JSONL journal")
 	resume     = flag.Bool("resume", false, "skip traces already in -checkpoint; rerun only missing/failed ones")
-	schemes    = flag.String("schemes", "", "comma-separated scheme subset to run (default: all registered: "+
+	schemes    = flag.String("schemes", "", "comma-separated scheme subset to run (default: all built-in: "+
 		strings.Join(scheme.Names(), ",")+")")
 	cpuprofile      = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile      = flag.String("memprofile", "", "write a heap profile at exit to this file")

@@ -6,8 +6,10 @@
 package classifier
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hpctradeoff/internal/features"
 	"hpctradeoff/internal/stats"
@@ -71,6 +73,11 @@ func NaiveSuccessRate(obs []Observation) float64 {
 	return float64(correct) / float64(len(obs))
 }
 
+// ErrOneLabel is returned (wrapped) by Train when every observation
+// carries the same label: the data hold no evidence for the other
+// class, so no score fitted on them means anything.
+var ErrOneLabel = errors.New("classifier: every observation has the same label")
+
 // Model is the trained enhanced-MFACT predictor.
 type Model struct {
 	// CV carries the Monte-Carlo cross-validation record (per-run error
@@ -84,11 +91,15 @@ type Model struct {
 // Train runs the paper's protocol on the observations: `runs`
 // Monte-Carlo 80/20 partitions, step-wise forward selection capped at
 // maxVars features, and a final model fitted on the full data with the
-// most-selected features.
+// most-selected features. Observations of one label only are refused
+// with ErrOneLabel.
 func Train(obs []Observation, runs, maxVars int, seed int64) (*Model, error) {
 	d, err := BuildDataset(obs)
 	if err != nil {
 		return nil, err
+	}
+	if len(d.Y) > 0 && !slices.Contains(d.Y, !d.Y[0]) {
+		return nil, fmt.Errorf("%w (%d observations, needs simulation: %v)", ErrOneLabel, len(d.Y), d.Y[0])
 	}
 	cv, err := stats.MonteCarloCV(d, runs, maxVars, 0.8, seed)
 	if err != nil {

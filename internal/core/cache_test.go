@@ -317,17 +317,13 @@ func TestCachedCampaignCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestCachedDegradedLadder proves the degradation ladder's fallback
-// runner shares the cache: a campaign whose simulation scheme is down
-// still acquires each trace once, and the model-only fallback replays
-// the same cached ground truth.
+// TestCachedDegradedLadder proves that a model-only campaign — the
+// selection a triage model pass and a budget demotion run — shares the
+// cache with the full campaign that filled it: every trace is a hit,
+// and none is materialized again.
 func TestCachedDegradedLadder(t *testing.T) {
 	ps := appSuite()[:2]
 	cache := openTestCache(t, filepath.Join(t.TempDir(), "cache"))
-	// FillBoundary/MultiGrid-style capability gaps are organic; instead
-	// run the plain suite twice and just assert the fallback path's
-	// acquisitions are hits after a cold pass (the fallback Runner was
-	// wired with SetCache like the primary).
 	if _, _, err := RunCampaign(ps, CampaignConfig{Workers: 1, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}

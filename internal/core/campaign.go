@@ -25,17 +25,19 @@ import (
 // simulations over 235 traces. This file makes that campaign
 // fault-tolerant: one bad trace (a panic in the replayer, a livelocked
 // simulation, a malformed generator output) is isolated, classified,
-// optionally degraded to a model-only prediction, and reported — it no
-// longer destroys the other 234 results. Completed traces stream to an
-// append-only checkpoint so a killed campaign resumes where it left
-// off.
+// and reported — it no longer destroys the other 234 results.
+// Completed traces stream to an append-only checkpoint so a killed
+// campaign resumes where it left off.
 //
 // Every trace run is a pure function of its Params and scheme set, so
 // the ladder has no retry rung (re-running the same Params reproduces
 // the failure; re-running with another seed would journal a different
-// trace under the manifest's key) and no circuit breaker (with several
+// trace under the manifest's key), no circuit breaker (with several
 // workers its "consecutive" count followed completion order, so
-// whether a scheme ran on a trace depended on the worker count).
+// whether a scheme ran on a trace depended on the worker count), and
+// no model-only fallback (it journaled an MFACT-only result under a
+// header naming the full scheme set, so the journal no longer said
+// which schemes a record ran).
 
 // ErrorKind classifies why a trace failed, separating "this trace is
 // broken" (invalid-input, deadlock) from "this trace is a runaway"
@@ -47,8 +49,8 @@ const (
 	// KindPanic marks a recovered panic in the modeling or simulation
 	// stack.
 	KindPanic ErrorKind = "panic"
-	// KindBudget marks a run that exceeded its event, simulated-time,
-	// or wall-clock budget.
+	// KindBudget marks a run that exceeded its event or wall-clock
+	// budget.
 	KindBudget ErrorKind = "budget"
 	// KindCanceled marks a run stopped by external cancellation.
 	KindCanceled ErrorKind = "canceled"
@@ -103,19 +105,12 @@ func (e *TraceError) Error() string {
 func (e *TraceError) Unwrap() error { return e.Err }
 
 // FailurePolicy decides how a campaign reacts to failing traces. The
-// degradation ladder has three rungs: panic isolation (always on) →
-// model fallback (DegradeToModel) → typed per-trace failure.
+// failure ladder has two rungs: panic isolation (always on) → typed
+// per-trace failure.
 type FailurePolicy struct {
 	// KeepGoing collects per-trace errors and returns partial results
 	// instead of aborting the campaign on the first failure.
 	KeepGoing bool
-	// DegradeToModel re-runs a trace whose full scheme set failed with
-	// the MFACT model alone, so the trace still yields a model
-	// prediction when the simulation schemes are down. Degraded results
-	// are marked (TraceResult.Degraded) and counted separately in the
-	// report. It applies only when the campaign's scheme selection
-	// includes mfact plus at least one other scheme.
-	DegradeToModel bool
 }
 
 // CampaignConfig configures RunCampaign. The zero value runs the
@@ -123,10 +118,11 @@ type FailurePolicy struct {
 type CampaignConfig struct {
 	// Workers is the worker-pool size (≤0 = all cores).
 	Workers int
-	// Schemes selects which registered schemes run on each trace, in
-	// the given order; nil or empty runs every registered scheme. The
-	// selection is recorded in the checkpoint header, so a resumed
-	// campaign cannot silently mix results from different scheme sets.
+	// Schemes selects which built-in schemes run on each trace, in the
+	// given order; nil or empty runs every built-in scheme. With Runner
+	// set, it names the schemes the override runs. The selection is
+	// recorded in the checkpoint header, so a resumed campaign cannot
+	// silently mix results from different scheme sets.
 	Schemes []string
 	// Policy is the failure policy.
 	Policy FailurePolicy
@@ -142,24 +138,26 @@ type CampaignConfig struct {
 	// restored from the checkpoint (r is nil for failed traces).
 	Progress func(done, total int, r *TraceResult)
 	// Warnf, if non-nil, receives operator warnings that are not
-	// per-trace failures: checkpoint salvage and degraded results. Nil
-	// discards them.
+	// per-trace failures: checkpoint salvage, a classifier that could
+	// not train, damaged cache entries. Nil discards them.
 	Warnf func(format string, args ...any)
 	// Cancel, when non-nil and closed, cancels the campaign: no new
 	// traces are scheduled, in-flight replays stop through the DES
 	// engines' Stop() path (failing with KindCanceled), and RunCampaign
 	// returns with everything completed so far already journaled.
 	Cancel <-chan struct{}
-	// Runner overrides how one trace executes (a test seam). Nil means
-	// RunOneOpts. The override is scheme-agnostic: a tiered campaign's
-	// model pass calls it too.
+	// Runner overrides how one trace executes (a test seam: a Runner
+	// over a scheme outside the built-in table, a runner that cancels
+	// or fails on cue). Nil means one Runner per worker over Schemes.
+	// The override is scheme-agnostic: a tiered campaign's model pass
+	// calls it too.
 	Runner func(p workload.Params, ro RunOptions) (*TraceResult, error)
 	// Cache, when non-nil, serves ground-truth-stamped traces from a
 	// content-addressed on-disk cache: every worker Runner (including
-	// the triage model pass, escalations, degradation fallbacks, and
-	// budget demotions) acquires through it, so a trace is generated and
-	// stamped at most once per cache lifetime and every later pass
-	// replays an mmap'd codec-v3 entry. Ignored when Runner is
+	// the triage model pass, escalations, and budget demotions)
+	// acquires through it, so a trace is generated and stamped at most
+	// once per cache lifetime and every later pass replays an mmap'd
+	// codec-v3 entry. Ignored when Runner is
 	// overridden (the override owns acquisition). Results are
 	// bit-identical with and without a cache; see internal/tracecache.
 	Cache *tracecache.Cache
@@ -188,9 +186,6 @@ type CampaignReport struct {
 	Failed    int
 	// Skipped counts traces restored from the checkpoint on resume.
 	Skipped int
-	// Degraded counts traces rescued by the model-only fallback; they
-	// are included in Succeeded.
-	Degraded int
 	// Canceled counts traces that failed with KindCanceled (they are
 	// included in Failed); non-zero means the campaign was interrupted
 	// and can be resumed from its checkpoint.
@@ -224,9 +219,6 @@ func (r *CampaignReport) Err() error {
 func (r *CampaignReport) Summary() string {
 	s := fmt.Sprintf("campaign: %d traces: %d succeeded, %d failed, %d resumed from checkpoint, in %v",
 		r.Total, r.Succeeded, r.Failed, r.Skipped, r.Wall.Round(time.Millisecond))
-	if r.Degraded > 0 {
-		s += fmt.Sprintf(" (%d degraded to model-only)", r.Degraded)
-	}
 	if r.Canceled > 0 {
 		s += fmt.Sprintf(" [interrupted: %d traces canceled]", r.Canceled)
 	}
@@ -405,9 +397,6 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 	for _, r := range c.results {
 		if r != nil {
 			rep.Succeeded++
-			if r.Degraded {
-				rep.Degraded++
-			}
 		}
 	}
 	rep.Succeeded -= rep.Skipped
@@ -525,14 +514,9 @@ type poolOpts struct {
 
 // runPool runs the indices through a worker pool. It preserves the
 // historical campaign semantics: one Runner (one scheme.Session set)
-// per worker, panic isolation and the model-only fallback per trace,
-// fail-fast halting, and journal-loss-as-infrastructure-failure.
+// per worker, panic isolation per trace, fail-fast halting, and
+// journal-loss-as-infrastructure-failure.
 func (c *campaign) runPool(o poolOpts) {
-	// The model-only fallback applies when the pass runs mfact plus at
-	// least one other scheme (a model-only pass has nothing to degrade
-	// to).
-	degrade := c.cfg.Policy.DegradeToModel && len(o.schemes) > 1 &&
-		containsScheme(o.schemes, scheme.MFACT)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < c.cfg.Workers; w++ {
@@ -540,7 +524,6 @@ func (c *campaign) runPool(o poolOpts) {
 		go func() {
 			defer wg.Done()
 			runner := c.cfg.Runner
-			var fallback func(workload.Params, RunOptions) (*TraceResult, error)
 			if runner == nil {
 				// One Runner (one scheme.Session set) per worker: replay
 				// arenas and free lists amortize across this worker's
@@ -555,12 +538,6 @@ func (c *campaign) runPool(o poolOpts) {
 				}
 				rn.SetCache(c.cfg.Cache)
 				runner = rn.RunOne
-				if degrade {
-					if frn, err := NewRunner([]string{scheme.MFACT}); err == nil {
-						frn.SetCache(c.cfg.Cache)
-						fallback = frn.RunOne
-					}
-				}
 			}
 			for i := range jobs {
 				if c.stop.Load() {
@@ -571,10 +548,7 @@ func (c *campaign) runPool(o poolOpts) {
 					// single-worker campaign's schedule deterministic.
 					continue
 				}
-				r, terr := runTrace(c.ps[i], c.cfg.Run, runner, fallback)
-				if r != nil && r.Degraded {
-					c.warnf("core: trace %s degraded to model-only after %s failure", CampaignKey(c.ps[i]), r.DegradedFrom)
-				}
+				r, terr := runIsolated(c.ps[i], c.cfg.Run, runner)
 				if o.onResult != nil {
 					o.onResult(i, r, terr)
 				}
@@ -612,46 +586,6 @@ produce:
 	wg.Wait()
 }
 
-// runTrace executes one trace under panic isolation and, when it fails
-// and a model-only fallback is supplied, takes the ladder's degradation
-// rung before giving up.
-func runTrace(p workload.Params, ro RunOptions,
-	runner, fallback func(workload.Params, RunOptions) (*TraceResult, error)) (*TraceResult, *TraceError) {
-	r, terr := runIsolated(p, ro, runner)
-	if terr == nil {
-		return r, nil
-	}
-	terr.ID = CampaignKey(p)
-	return degradeToModel(p, terr, ro, fallback)
-}
-
-// degradeToModel is the final rung of the ladder: re-run the failed
-// trace with the MFACT model alone so it still yields a prediction.
-// Cancellation is the operator's choice and invalid input would fail
-// the model the same way, so neither degrades; everything else —
-// blown budgets, panics, deadlocks, capability gaps, unknowns — is
-// worth one model-only attempt. If the fallback also fails, the
-// original error stands.
-func degradeToModel(p workload.Params, terr *TraceError, ro RunOptions,
-	fallback func(workload.Params, RunOptions) (*TraceResult, error)) (*TraceResult, *TraceError) {
-	if fallback == nil || terr.Kind == KindCanceled || terr.Kind == KindInvalidInput {
-		return nil, terr
-	}
-	r, ferr := runIsolated(p, ro, fallback)
-	if ferr != nil {
-		return nil, terr
-	}
-	// A fallback run whose model outcome failed (a scheme-level failure
-	// does not error the trace) rescued nothing: without a prediction
-	// the original failure stands.
-	if o, ok := r.Schemes[scheme.MFACT]; !ok || !o.OK {
-		return nil, terr
-	}
-	r.Degraded = true
-	r.DegradedFrom = string(terr.Kind)
-	return r, nil
-}
-
 // containsScheme reports whether names includes name.
 func containsScheme(names []string, name string) bool {
 	for _, n := range names {
@@ -672,6 +606,7 @@ func runIsolated(p workload.Params, ro RunOptions,
 		if rec := recover(); rec != nil {
 			r = nil
 			terr = &TraceError{
+				ID:    CampaignKey(p),
 				Kind:  KindPanic,
 				Err:   fmt.Errorf("panic: %v", rec),
 				Stack: string(debug.Stack()),
@@ -680,7 +615,7 @@ func runIsolated(p workload.Params, ro RunOptions,
 	}()
 	res, err := runner(p, ro)
 	if err != nil {
-		return nil, &TraceError{Kind: Classify(err), Err: err}
+		return nil, &TraceError{ID: CampaignKey(p), Kind: Classify(err), Err: err}
 	}
 	return res, nil
 }

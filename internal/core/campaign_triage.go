@@ -304,7 +304,7 @@ func (c *campaign) demoteToModel(i int, dec map[int]triage.Decision, modelRes []
 			runner = rn.RunOne
 		}
 		var terr *TraceError
-		r, terr = runTrace(c.ps[i], c.cfg.Run, runner, nil)
+		r, terr = runIsolated(c.ps[i], c.cfg.Run, runner)
 		if terr != nil {
 			c.finish(i, nil, terr)
 			return
@@ -481,7 +481,7 @@ func triageObservation(r *TraceResult) (classifier.Observation, bool) {
 // TriagePoints reduces a run-everything result set to frontier points
 // (triage.Frontier): per trace, the scoring vector, the DIFF label,
 // and the model-vs-simulation wall split. Traces without a usable
-// label (failed simulations, degraded results) are dropped.
+// label (failed simulations, a missing model run) are dropped.
 func TriagePoints(rs []*TraceResult) []triage.Point {
 	var pts []triage.Point
 	for _, r := range rs {

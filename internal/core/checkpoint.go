@@ -25,8 +25,8 @@ import (
 // JSON is still written separately (atomically) by SaveResultsFile;
 // the journal exists so a killed campaign restarts where it left off.
 //
-// The header's scheme set is what makes resumption safe under the
-// scheme registry: a journal written by `-schemes=mfact,packet` must
+// The header's scheme set is what makes resumption safe under scheme
+// selection: a journal written by `-schemes=mfact,packet` must
 // not silently satisfy a campaign running all four schemes, so
 // RunCampaign compares the header against its selection and rejects
 // mismatches.

@@ -1,5 +1,5 @@
 // Package core orchestrates the study: it materializes traces from the
-// workload manifest, runs every registered prediction scheme (MFACT
+// workload manifest, runs every selected prediction scheme (MFACT
 // modeling and the three SST/Macro-analog simulations) on each, and
 // aggregates the results into the paper's tables and figures
 // (performance ratios, accuracy CDFs, per-app comparisons,
@@ -8,8 +8,9 @@
 //
 // Traces are generated and stamped as *trace.Columns
 // (workload.MaterializeReplay), and every scheme replays them through
-// the trace.Source access path. Schemes come from the internal/scheme registry; adding
-// a backend is a scheme.Register call, with no change here.
+// the trace.Source access path. Schemes come from internal/scheme's
+// table of built-ins; adding a backend is an entry there, with no
+// change here.
 package core
 
 import (
@@ -41,21 +42,14 @@ type TraceResult struct {
 	Events       int
 
 	// Schemes holds every scheme's outcome keyed by scheme name
-	// ("mfact", "packet", "flow", "packetflow", plus any custom
-	// registrations). Failed schemes carry their typed classification
+	// ("mfact", "packet", "flow", "packetflow", or whatever schemes the
+	// trace's Runner was built over). Failed schemes carry their typed classification
 	// (Outcome.ErrKind) so reports bucket capability gaps separately
 	// from deadlocks.
 	Schemes map[string]scheme.Outcome
 
 	// Features is the Table III vector (filled when the run succeeds).
 	Features []float64
-
-	// Degraded marks a result produced by the model-only fallback
-	// (FailurePolicy.DegradeToModel) after the full scheme set failed:
-	// it carries an MFACT prediction but no simulation outcomes.
-	// DegradedFrom records the original failure's ErrorKind.
-	Degraded     bool   `json:",omitempty"`
-	DegradedFrom string `json:",omitempty"`
 }
 
 // Model returns the MFACT result (baseline = as-configured machine),
@@ -178,14 +172,21 @@ type Runner struct {
 func (rn *Runner) SetCache(c *tracecache.Cache) { rn.cache = c }
 
 // NewRunner returns a Runner over the named schemes in the given
-// order; nil or empty selects every registered scheme in registry
-// order. Unknown names are an error.
+// order; nil or empty selects every built-in scheme in table order.
+// Unknown names are an error.
 func NewRunner(names []string) (*Runner, error) {
 	ss, err := scheme.Resolve(names)
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{schemes: ss, sessions: scheme.NewSessions(ss)}, nil
+	return newRunner(ss), nil
+}
+
+// newRunner returns a Runner over ss, in order. Unlike NewRunner it
+// takes schemes, not names, so a scheme outside the built-in table
+// runs too; a campaign runs it through CampaignConfig.Runner.
+func newRunner(ss []scheme.Scheme) *Runner {
+	return &Runner{schemes: ss, sessions: scheme.NewSessions(ss)}
 }
 
 // RunOne materializes the trace for p (or acquires it from the trace
@@ -262,7 +263,7 @@ func (rn *Runner) runSource(src trace.Source, prog *mpisim.Program, mach *machin
 	return res, nil
 }
 
-// RunOne materializes the trace for p and runs every registered scheme
+// RunOne materializes the trace for p and runs every built-in scheme
 // on it.
 func RunOne(p workload.Params) (*TraceResult, error) {
 	return RunOneOpts(p, RunOptions{})

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/scheme"
 	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
@@ -62,26 +61,21 @@ func TestRunOneCapabilityGaps(t *testing.T) {
 	}
 }
 
-// A fifth scheme registered through the public scheme API flows
-// through RunOne with no change to internal/core: it appears in the
+// A fifth scheme outside the built-in table runs through a Runner built
+// over it with no change to internal/core: it appears in the
 // TraceResult keyed by its name, alongside the four built-ins.
 func TestRunOneIncludesRegisteredFifthScheme(t *testing.T) {
-	scheme.Register(scheme.Func{
-		SchemeName: "toy-count",
-		SchemeKind: scheme.KindModel,
-		RunFunc: func(src trace.Source, mach *machine.Config, opts scheme.Options) (scheme.Outcome, error) {
-			return scheme.Outcome{
-				OK:     true,
-				Total:  1,
-				Comm:   1,
-				Events: uint64(trace.SourceNumEvents(src)),
-			}, nil
-		},
-	})
-	defer scheme.Unregister("toy-count")
+	toy := testScheme{name: "toy-count", kind: scheme.KindModel, run: func(src trace.Source) (scheme.Outcome, error) {
+		return scheme.Outcome{
+			OK:     true,
+			Total:  1,
+			Comm:   1,
+			Events: uint64(trace.SourceNumEvents(src)),
+		}, nil
+	}}
 
 	p := workload.Params{App: "EP", Class: "S", Ranks: 16, Machine: "cielito", Seed: 71}
-	r, err := RunOne(p)
+	r, err := runnerOver(append(scheme.All(), toy)...)(p, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

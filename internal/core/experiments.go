@@ -52,9 +52,9 @@ func exclusionNote(excluded int) string {
 }
 
 // simSchemes returns the simulation scheme names present in rs, in
-// registry order (names no longer registered sort last,
+// table order (names not in the built-in table sort last,
 // alphabetically), so the builders iterate deterministically even over
-// results loaded from disk or produced under a different registry.
+// results loaded from disk or produced by other schemes.
 func simSchemes(rs []*TraceResult) []string {
 	present := map[string]bool{}
 	for _, r := range rs {
@@ -228,7 +228,7 @@ type Figure1 struct {
 	// the run was not trivially small (the paper keeps 126 of 235).
 	Used int
 	// Sims lists the simulation scheme names the figure covers, in
-	// registry order — the iteration order of Buckets and Ratios.
+	// table order — the iteration order of Buckets and Ratios.
 	Sims []string
 	// Buckets[scheme] = cumulative fractions for ≤10×, ≤100×, ≤1000×,
 	// and the fraction >1000×.
@@ -323,7 +323,7 @@ func (f Figure1) Render() string {
 // Figure2 holds the accuracy CDFs of the simulation schemes against
 // MFACT.
 type Figure2 struct {
-	// Sims lists the simulation scheme names, in registry order — the
+	// Sims lists the simulation scheme names, in table order — the
 	// iteration order of the CDF maps.
 	Sims      []string
 	CommDiff  map[string]metrics.CDF

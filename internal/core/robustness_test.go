@@ -18,20 +18,38 @@ import (
 	"hpctradeoff/internal/workload"
 )
 
-// registerScheme registers a test-only scheme under name for the
-// test's duration: a real fifth backend whose failures (errors, blown
-// budgets, panics) the campaign must isolate, classify and degrade
-// exactly as it would a built-in scheme's.
-func registerScheme(t *testing.T, name string, kind scheme.Kind, run func() (scheme.Outcome, error)) {
+// testScheme is a test-only fifth backend: a real scheme outside the
+// built-in table whose failures (errors, blown budgets, panics) the
+// campaign must isolate and classify exactly as it would a built-in
+// scheme's. It is stateless, so it serves as its own session.
+type testScheme struct {
+	name string
+	kind scheme.Kind
+	run  func(src trace.Source) (scheme.Outcome, error)
+}
+
+func (s testScheme) Name() string               { return s.name }
+func (s testScheme) Kind() scheme.Kind          { return s.kind }
+func (s testScheme) NewSession() scheme.Session { return s }
+func (s testScheme) Run(src trace.Source, _ *machine.Config, _ scheme.Options) (scheme.Outcome, error) {
+	return s.run(src)
+}
+
+// runnerOver is a CampaignConfig.Runner over ss, in order: how a
+// campaign runs a scheme outside the built-in table. It is one Runner,
+// so the campaign must run one worker.
+func runnerOver(ss ...scheme.Scheme) func(workload.Params, RunOptions) (*TraceResult, error) {
+	return newRunner(ss).RunOne
+}
+
+// builtin returns the built-in scheme named name.
+func builtin(t testing.TB, name string) scheme.Scheme {
 	t.Helper()
-	scheme.Register(scheme.Func{
-		SchemeName: name,
-		SchemeKind: kind,
-		RunFunc: func(trace.Source, *machine.Config, scheme.Options) (scheme.Outcome, error) {
-			return run()
-		},
-	})
-	t.Cleanup(func() { scheme.Unregister(name) })
+	ss, err := scheme.Resolve([]string{name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss[0]
 }
 
 // smallParams builds one cheap manifest entry per app name given.
@@ -223,16 +241,17 @@ func TestCheckpointAppendAfterTornTailDoesNotMerge(t *testing.T) {
 // on later traces — each trace's outcome depends on that trace alone.
 func TestCampaignSchemeFailureStaysPerScheme(t *testing.T) {
 	runs := 0
-	registerScheme(t, "flaky", scheme.KindSimulation, func() (scheme.Outcome, error) {
+	flaky := testScheme{name: "flaky", kind: scheme.KindSimulation, run: func(trace.Source) (scheme.Outcome, error) {
 		runs++
 		return scheme.Outcome{}, errors.New("flaky backend down")
-	})
+	}}
 
 	ps := smallParams("EP", "IS", "DT", "EP", "IS")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1,
 		Schemes: []string{"mfact", "flaky"},
 		Policy:  FailurePolicy{KeepGoing: true},
+		Runner:  runnerOver(builtin(t, scheme.MFACT), flaky),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,63 +272,6 @@ func TestCampaignSchemeFailureStaysPerScheme(t *testing.T) {
 	}
 	if runs != len(ps) {
 		t.Errorf("flaky ran %d times, want %d (once per trace)", runs, len(ps))
-	}
-}
-
-// When the full scheme set fails — a simulation blows its budget —
-// DegradeToModel re-runs the trace with MFACT alone: the trace still
-// yields a model prediction, marked Degraded, and the campaign counts
-// it.
-func TestCampaignDegradesToModel(t *testing.T) {
-	registerScheme(t, "runaway", scheme.KindSimulation, func() (scheme.Outcome, error) {
-		return scheme.Outcome{}, fmt.Errorf("runaway replay: %w", des.ErrBudgetExceeded)
-	})
-
-	ps := smallParams("EP", "IS")
-	rs, rep, err := RunCampaign(ps, CampaignConfig{
-		Workers: 1,
-		Schemes: []string{"mfact", "runaway"},
-		Policy:  FailurePolicy{KeepGoing: true, DegradeToModel: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failed != 0 || rep.Degraded != 2 || rep.Succeeded != 2 {
-		t.Fatalf("report = %+v, want 0 failed / 2 degraded / 2 succeeded", rep)
-	}
-	for i, r := range rs {
-		if r == nil {
-			t.Fatalf("trace %d not rescued by the model fallback", i)
-		}
-		if !r.Degraded || r.DegradedFrom != string(KindBudget) {
-			t.Errorf("trace %d: Degraded=%v From=%q, want true/budget", i, r.Degraded, r.DegradedFrom)
-		}
-		if o := r.Schemes["mfact"]; !o.OK {
-			t.Errorf("trace %d: degraded result has no model prediction: %+v", i, o)
-		}
-		if _, ok := r.Schemes["runaway"]; ok {
-			t.Errorf("trace %d: degraded result carries a simulation outcome", i)
-		}
-	}
-	if !strings.Contains(rep.Summary(), "2 degraded to model-only") {
-		t.Errorf("summary omits degradation: %s", rep.Summary())
-	}
-}
-
-// Cancellation degrades nothing (the operator asked the campaign to
-// stop) and a canceled campaign reports itself resumable.
-func TestDegradeSkipsCanceled(t *testing.T) {
-	terr := &TraceError{Kind: KindCanceled, Err: des.ErrCanceled}
-	called := false
-	fallback := func(p workload.Params, ro RunOptions) (*TraceResult, error) {
-		called = true
-		return &TraceResult{}, nil
-	}
-	if r, got := degradeToModel(workload.Params{}, terr, RunOptions{}, fallback); r != nil || got != terr {
-		t.Errorf("canceled trace degraded: r=%v err=%v", r, got)
-	}
-	if called {
-		t.Error("fallback invoked for a canceled trace")
 	}
 }
 
@@ -409,17 +371,18 @@ func TestStallTripsWallClockBudget(t *testing.T) {
 // same worker's Runner and sessions.
 func TestInjectedPanicIsIsolated(t *testing.T) {
 	runs := 0
-	registerScheme(t, "panicky", scheme.KindModel, func() (scheme.Outcome, error) {
+	panicky := testScheme{name: "panicky", kind: scheme.KindModel, run: func(trace.Source) (scheme.Outcome, error) {
 		if runs++; runs == 1 {
 			panic("panicky: index out of range")
 		}
 		return scheme.Outcome{OK: true}, nil
-	})
+	}}
 	ps := smallParams("EP", "IS")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1,
 		Schemes: []string{"mfact", "panicky"},
 		Policy:  FailurePolicy{KeepGoing: true},
+		Runner:  runnerOver(builtin(t, scheme.MFACT), panicky),
 	})
 	if err != nil {
 		t.Fatal(err)

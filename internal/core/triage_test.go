@@ -456,8 +456,8 @@ func TestParseTriageBudget(t *testing.T) {
 	}
 }
 
-// TestTriageScoreFailpointEscalatesAll is the in-process version of the
-// cmd/chaos triage soak: a calibration split too small to train on (5
+// TestTriageScoreFailpointEscalatesAll is a larger-suite version of the
+// chaos soak's soakTriage: a calibration split too small to train on (5
 // observations; training needs 10) takes the classifier down, and the
 // campaign must escalate everything, report the degradation, and end
 // with full-fidelity results for every trace. triage's

@@ -88,7 +88,7 @@ func noiseAxis(n workload.Noise) (string, float64) {
 }
 
 // schemesPresent lists every scheme name with at least one successful
-// outcome in rs, in registry order (unregistered names last,
+// outcome in rs, in table order (names not in the table last,
 // alphabetically) — same ordering contract as simSchemes, but
 // including the modeling schemes, because MFACT's degradation is the
 // study's headline.

@@ -3,13 +3,11 @@ package des
 import (
 	"errors"
 	"time"
-
-	"hpctradeoff/internal/simtime"
 )
 
 // ErrBudgetExceeded is returned (wrapped) by an engine whose run was
-// cut short because a Budget limit — event count, simulated time, or
-// wall-clock deadline — was reached. A campaign treats it as "this
+// cut short because a Budget limit — event count or wall-clock
+// deadline — was reached. A campaign treats it as "this
 // trace is a runaway", not "the runner is broken".
 var ErrBudgetExceeded = errors.New("des: budget exceeded")
 
@@ -29,10 +27,6 @@ type Budget struct {
 	// reaches the cap, which it may already have passed when one event
 	// reserves several keys.
 	MaxEvents uint64
-	// MaxTime caps the simulated clock: no event with a timestamp past
-	// it is executed. A reserved key past the cap fails the run too,
-	// when the queue drains without reaching it.
-	MaxTime simtime.Time
 	// Deadline is a wall-clock cutoff. It is polled every
 	// deadlineCheckInterval pops to keep time.Now off the hot path,
 	// so enforcement granularity is that many popped events.
@@ -41,7 +35,7 @@ type Budget struct {
 
 // limited reports whether any bound is set.
 func (b Budget) limited() bool {
-	return b.MaxEvents > 0 || b.MaxTime > 0 || !b.Deadline.IsZero()
+	return b.MaxEvents > 0 || !b.Deadline.IsZero()
 }
 
 // deadlineCheckInterval throttles wall-clock reads on the event loop;

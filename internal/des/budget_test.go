@@ -31,18 +31,6 @@ func TestEngineMaxEvents(t *testing.T) {
 	}
 }
 
-func TestEngineMaxSimTime(t *testing.T) {
-	e := runaway()
-	e.SetBudget(Budget{MaxTime: 10 * simtime.Microsecond})
-	e.Run()
-	if err := e.Err(); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("Err = %v, want ErrBudgetExceeded", err)
-	}
-	if e.Now() > 10*simtime.Microsecond {
-		t.Errorf("clock ran to %v, past the cap", e.Now())
-	}
-}
-
 func TestEngineDeadlineAlreadyPassed(t *testing.T) {
 	e := runaway()
 	e.SetBudget(Budget{Deadline: time.Now().Add(-time.Second)})
@@ -131,19 +119,5 @@ func TestEngineMaxEventsCountsKeys(t *testing.T) {
 	}
 	if e.Steps() != 1000 || e.Popped() != 500 {
 		t.Errorf("Steps %d, Popped %d; want 1000 and 500", e.Steps(), e.Popped())
-	}
-}
-
-// TestEngineMaxTimeCoversKeys: a reserved key past the simulated-time
-// cap fails the run even though nothing is queued for it.
-func TestEngineMaxTimeCoversKeys(t *testing.T) {
-	for _, limit := range []simtime.Time{50, 100} {
-		e := &Engine{}
-		e.At(0, func() { e.Reserve(100) })
-		e.SetBudget(Budget{MaxTime: limit})
-		e.Run()
-		if fail := errors.Is(e.Err(), ErrBudgetExceeded); fail != (limit < 100) {
-			t.Errorf("cap %v: Err = %v", limit, e.Err())
-		}
 	}
 }

@@ -46,9 +46,6 @@ type Engine struct {
 	// queued, and the members of a batch after its first.
 	popped uint64
 	keyed  uint64
-	// lastKey is the latest time a key was reserved for, which a
-	// simulated-time cap must also cover.
-	lastKey simtime.Time
 
 	budget  Budget
 	limited bool
@@ -131,7 +128,6 @@ func (e *Engine) Reserve(t simtime.Time) Key {
 	}
 	e.seq++
 	e.keyed++
-	e.lastKey = max(e.lastKey, t)
 	return Key{t, e.seq}
 }
 
@@ -182,11 +178,6 @@ func (e *Engine) Run() simtime.Time {
 	for e.queue.len() > 0 && !e.halted() {
 		e.step()
 	}
-	// A reserved key past the simulated-time cap stands for an event
-	// the cap forbids, even though nothing was queued for it.
-	if e.err == nil && e.limited && e.budget.MaxTime > 0 && e.lastKey > e.budget.MaxTime {
-		e.err = fmt.Errorf("%w: an event at %v is past the simulated-time cap %v", ErrBudgetExceeded, e.lastKey, e.budget.MaxTime)
-	}
 	return e.now
 }
 
@@ -221,8 +212,6 @@ func (e *Engine) halted() bool {
 	switch {
 	case b.MaxEvents > 0 && e.Steps() >= b.MaxEvents:
 		e.err = fmt.Errorf("%w: %d events executed (cap %d)", ErrBudgetExceeded, e.Steps(), b.MaxEvents)
-	case b.MaxTime > 0 && e.queue.min().at > b.MaxTime:
-		e.err = fmt.Errorf("%w: next event at %v is past the simulated-time cap %v", ErrBudgetExceeded, e.queue.min().at, b.MaxTime)
 	case !b.Deadline.IsZero() && e.popped&(deadlineCheckInterval-1) == 0 && time.Now().After(b.Deadline):
 		e.err = fmt.Errorf("%w: wall-clock deadline passed after %d events", ErrBudgetExceeded, e.Steps())
 	default:

@@ -57,16 +57,6 @@ func TestReplayDeadlinePassed(t *testing.T) {
 	}
 }
 
-func TestReplayMaxSimTime(t *testing.T) {
-	tr := busyTrace(t, 4, 100)
-	mach := testMach(t, 4)
-	_, err := Replay(tr, simnet.PacketFlow, mach, simnet.Config{},
-		Options{MaxSimTime: 3 * simtime.Microsecond})
-	if !errors.Is(err, des.ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-}
-
 func TestReplayWithinBudgetSucceeds(t *testing.T) {
 	tr := busyTrace(t, 4, 3)
 	mach := testMach(t, 4)

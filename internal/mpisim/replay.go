@@ -75,9 +75,6 @@ type Options struct {
 	// completion the replay keys instead of queueing counts from the
 	// moment its key is reserved (des.Budget).
 	MaxEvents uint64
-	// MaxSimTime caps the simulated clock the same way. Zero means
-	// unlimited.
-	MaxSimTime simtime.Time
 	// Deadline is a wall-clock cutoff for the replay (zero value means
 	// none); it is polled periodically on the event loop.
 	Deadline time.Time
@@ -156,8 +153,8 @@ func (sess *Session) Replay(src trace.Source, model simnet.Model, mach *machine.
 	if d.opts.CompScale == 0 {
 		d.opts.CompScale = 1
 	}
-	if opts.MaxEvents > 0 || opts.MaxSimTime > 0 || !opts.Deadline.IsZero() {
-		eng.SetBudget(des.Budget{MaxEvents: opts.MaxEvents, MaxTime: opts.MaxSimTime, Deadline: opts.Deadline})
+	if opts.MaxEvents > 0 || !opts.Deadline.IsZero() {
+		eng.SetBudget(des.Budget{MaxEvents: opts.MaxEvents, Deadline: opts.Deadline})
 	}
 	if opts.Cancel != nil {
 		select {

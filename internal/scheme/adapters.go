@@ -11,15 +11,17 @@ import (
 	"hpctradeoff/internal/trace"
 )
 
-// The four built-in schemes of the study, registered in the order the
-// paper reports them: the MFACT model, then the packet, flow, and
-// packet-flow simulations.
-func init() {
-	Register(mfactScheme{})
+// builtins are the study's four schemes, in the order the paper
+// reports them: the MFACT model, then the packet, flow, and packet-flow
+// simulations. The table is fixed; a campaign runs a scheme outside it
+// only through a Runner built over that scheme (internal/core).
+var builtins = func() []Scheme {
+	ss := []Scheme{mfactScheme{}}
 	for _, m := range simnet.Models() {
-		Register(simScheme{model: m})
+		ss = append(ss, simScheme{model: m})
 	}
-}
+	return ss
+}()
 
 // Adapters return (Outcome, err) with the Outcome's identity and Wall
 // always filled, leaving the caller to decide which errors are fatal

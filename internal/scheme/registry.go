@@ -3,101 +3,49 @@ package scheme
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
-// The registry maps scheme names to implementations. Registration
-// order is the deterministic order every listing reports — the
-// campaign's iteration order, the builders' column order — so two runs
-// of the same binary always process schemes identically.
+// The table of built-in schemes (builtins, in adapters.go) fixes the
+// order every listing reports — the campaign's iteration order, the
+// builders' column order — so two runs of the same binary always
+// process schemes identically.
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Scheme{}
-	order    []string
-)
-
-// Register adds s under its name. Duplicate or empty names panic: both
-// are programming errors best caught at init time.
-func Register(s Scheme) {
-	name := s.Name()
-	regMu.Lock()
-	defer regMu.Unlock()
-	if name == "" {
-		panic("scheme: Register with empty name")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("scheme: Register called twice for %q", name))
-	}
-	registry[name] = s
-	order = append(order, name)
-}
-
-// Unregister removes a scheme by name (a no-op if absent). It exists
-// so tests can register temporary schemes and restore the registry;
-// production code never unregisters.
-func Unregister(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[name]; !ok {
-		return
-	}
-	delete(registry, name)
-	for i, n := range order {
-		if n == name {
-			order = append(order[:i], order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Get returns the scheme registered under name.
-func Get(name string) (Scheme, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
-}
-
-// Names lists the registered scheme names in registration order.
+// Names lists the built-in scheme names in table order.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return append([]string(nil), order...)
-}
-
-// All lists the registered schemes in registration order.
-func All() []Scheme {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Scheme, len(order))
-	for i, n := range order {
-		out[i] = registry[n]
+	out := make([]string, len(builtins))
+	for i, s := range builtins {
+		out[i] = s.Name()
 	}
 	return out
 }
 
+// All lists the built-in schemes in table order.
+func All() []Scheme { return append([]Scheme(nil), builtins...) }
+
 // Resolve maps names to schemes, preserving the given order. An empty
-// or nil list selects every registered scheme in registration order;
-// an unknown name is an error naming the valid choices.
+// or nil list selects every built-in scheme in table order; an unknown
+// name is an error naming the valid choices.
 func Resolve(names []string) ([]Scheme, error) {
 	if len(names) == 0 {
 		return All(), nil
 	}
 	out := make([]Scheme, len(names))
+next:
 	for i, n := range names {
-		s, ok := Get(n)
-		if !ok {
-			return nil, fmt.Errorf("scheme: unknown scheme %q (registered: %s)", n, strings.Join(Names(), ", "))
+		for _, s := range builtins {
+			if s.Name() == n {
+				out[i] = s
+				continue next
+			}
 		}
-		out[i] = s
+		return nil, fmt.Errorf("scheme: unknown scheme %q (known: %s)", n, strings.Join(Names(), ", "))
 	}
 	return out, nil
 }
 
 // ParseList splits a -schemes flag value ("mfact,packet") into names,
 // trimming whitespace and dropping empties. An empty value yields nil,
-// which Resolve treats as "all registered".
+// which Resolve treats as "all built-in schemes".
 func ParseList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {

@@ -1,8 +1,8 @@
 // Package scheme unifies the study's prediction schemes — MFACT
 // modeling and the packet, flow, and packet-flow simulations — behind
-// one interface and registry, so the campaign layer runs "every
-// registered scheme" without naming any of them. Adding a fifth
-// backend is a Register call; internal/core never changes.
+// one interface and one fixed table, so the campaign layer runs "every
+// scheme" without naming any of them. Adding a fifth backend is one
+// entry in that table; internal/core never changes.
 //
 // Schemes run over trace.Source, so a campaign drives a *trace.Columns
 // (heap-built or mapped from the trace cache) straight into every
@@ -58,8 +58,8 @@ type Options struct {
 // Outcome records one scheme's run on one trace.
 type Outcome struct {
 	// Scheme and Kind echo the scheme's identity so outcomes loaded
-	// from disk stay self-describing even for schemes no longer
-	// registered.
+	// from disk stay self-describing even for schemes no longer built
+	// in.
 	Scheme string
 	Kind   Kind
 	// OK is false when the scheme could not predict the trace (a
@@ -88,7 +88,7 @@ type Outcome struct {
 // Scheme is one prediction scheme: a way to turn a trace plus a
 // machine model into predicted application and communication times.
 type Scheme interface {
-	// Name is the registry key ("mfact", "packet", ...).
+	// Name is the scheme's key ("mfact", "packet", ...).
 	Name() string
 	// Kind classifies the scheme as modeling or simulation.
 	Kind() Kind
@@ -106,26 +106,3 @@ type Scheme interface {
 type Session interface {
 	Run(src trace.Source, mach *machine.Config, opts Options) (Outcome, error)
 }
-
-// Func adapts a plain function into a stateless Scheme — the shortest
-// path to registering an experimental backend or a test double.
-type Func struct {
-	SchemeName string
-	SchemeKind Kind
-	RunFunc    func(src trace.Source, mach *machine.Config, opts Options) (Outcome, error)
-}
-
-// Name implements Scheme.
-func (f Func) Name() string { return f.SchemeName }
-
-// Kind implements Scheme.
-func (f Func) Kind() Kind { return f.SchemeKind }
-
-// Run implements Scheme.
-func (f Func) Run(src trace.Source, mach *machine.Config, opts Options) (Outcome, error) {
-	return f.RunFunc(src, mach, opts)
-}
-
-// NewSession implements Scheme; a Func is stateless, so the session is
-// the Func itself.
-func (f Func) NewSession() Session { return f }

@@ -2,36 +2,35 @@ package scheme_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/scheme"
-	"hpctradeoff/internal/trace"
 	"hpctradeoff/internal/workload"
 )
 
-// The four built-in schemes register at init in the paper's reporting
+// The four built-in schemes sit in the table in the paper's reporting
 // order; this order is the campaign's deterministic iteration order.
 func TestBuiltinRegistrationOrder(t *testing.T) {
 	want := []string{scheme.MFACT, scheme.Packet, scheme.Flow, scheme.PacketFlow}
 	if got := scheme.Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	for _, n := range want {
-		s, ok := scheme.Get(n)
-		if !ok {
-			t.Fatalf("Get(%q) missing", n)
-		}
-		if s.Name() != n {
-			t.Errorf("Get(%q).Name() = %q", n, s.Name())
-		}
+	all := scheme.All()
+	if len(all) != len(want) {
+		t.Fatalf("All() has %d schemes, want %d", len(all), len(want))
 	}
-	if s, _ := scheme.Get(scheme.MFACT); s.Kind() != scheme.KindModel {
-		t.Error("mfact is not a model")
-	}
-	for _, n := range want[1:] {
-		if s, _ := scheme.Get(n); s.Kind() != scheme.KindSimulation {
-			t.Errorf("%s is not a simulation", n)
+	for i, s := range all {
+		if s.Name() != want[i] {
+			t.Errorf("All()[%d].Name() = %q, want %q", i, s.Name(), want[i])
+		}
+		kind := scheme.KindSimulation
+		if i == 0 {
+			kind = scheme.KindModel
+		}
+		if s.Kind() != kind {
+			t.Errorf("%s is a %s, want a %s", s.Name(), s.Kind(), kind)
 		}
 	}
 }
@@ -48,8 +47,12 @@ func TestResolve(t *testing.T) {
 	if len(subset) != 2 || subset[0].Name() != scheme.Packet || subset[1].Name() != scheme.MFACT {
 		t.Fatalf("Resolve preserves selection order: got %v", subset)
 	}
-	if _, err := scheme.Resolve([]string{"warp-drive"}); err == nil {
+	_, err = scheme.Resolve([]string{scheme.MFACT, "warp-drive"})
+	if err == nil {
 		t.Fatal("unknown scheme accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"warp-drive"`) || !strings.Contains(msg, "mfact, packet, flow, packetflow") {
+		t.Errorf("unknown-scheme error %q does not name the scheme and the valid choices", msg)
 	}
 }
 
@@ -70,41 +73,6 @@ func TestParseList(t *testing.T) {
 	}
 }
 
-// A fifth backend registers through the public API alone — the promise
-// that lets an out-of-tree scheme join the campaign without touching
-// internal/core.
-func TestRegisterFifthScheme(t *testing.T) {
-	toy := scheme.Func{
-		SchemeName: "toy",
-		SchemeKind: scheme.KindModel,
-		RunFunc: func(src trace.Source, mach *machine.Config, opts scheme.Options) (scheme.Outcome, error) {
-			return scheme.Outcome{
-				Scheme: "toy", Kind: scheme.KindModel, OK: true,
-				Total: 1, Comm: 1, Events: uint64(trace.SourceNumEvents(src)),
-			}, nil
-		},
-	}
-	scheme.Register(toy)
-	defer scheme.Unregister("toy")
-
-	names := scheme.Names()
-	if names[len(names)-1] != "toy" {
-		t.Fatalf("toy not appended to registry order: %v", names)
-	}
-	ss, err := scheme.Resolve([]string{"toy"})
-	if err != nil || len(ss) != 1 {
-		t.Fatalf("Resolve(toy): %v, %v", ss, err)
-	}
-
-	// Duplicate registration is a programming error.
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	scheme.Register(toy)
-}
-
 // Session results must be bit-identical to the stateless Run — across
 // repeated traces, so recycled arenas and free lists are proven to
 // carry no state between replays.
@@ -114,8 +82,8 @@ func TestSessionBitIdenticalToRun(t *testing.T) {
 		{App: "FT", Class: "S", Ranks: 8, Machine: "hopper", Seed: 62},
 		{App: "CG", Class: "S", Ranks: 8, Machine: "edison", Seed: 61}, // repeat: reuse paths
 	}
-	for _, name := range scheme.Names() {
-		s, _ := scheme.Get(name)
+	for _, s := range scheme.All() {
+		name := s.Name()
 		sess := s.NewSession()
 		for i, p := range ps {
 			cols, err := workload.MaterializeColumns(p)

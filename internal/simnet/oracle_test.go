@@ -142,10 +142,17 @@ func diffTraffic(mach *machine.Config, n int) []diffMsg {
 	return out
 }
 
+// delivery is one message delivery of a packet-model run: its time,
+// and the engine's pop that delivered it.
+type delivery struct {
+	at  simtime.Time
+	pop uint64
+}
+
 // runSequentialPacket replays traffic on the packet model under a
-// budget and returns the delivery times in delivery order and the
-// engine's error.
-func runSequentialPacket(t *testing.T, mach *machine.Config, traffic []diffMsg, b des.Budget) ([]simtime.Time, error) {
+// budget and returns the deliveries in delivery order, the events the
+// engine popped, and its error.
+func runSequentialPacket(t *testing.T, mach *machine.Config, traffic []diffMsg, b des.Budget) ([]delivery, uint64, error) {
 	t.Helper()
 	var eng des.Engine
 	eng.SetBudget(b)
@@ -153,23 +160,23 @@ func runSequentialPacket(t *testing.T, mach *machine.Config, traffic []diffMsg, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var delivered []simtime.Time
+	var delivered []delivery
 	for _, m := range traffic {
 		eng.At(m.at, func() {
 			net.Send(m.src, m.dst, m.bytes, func() {
-				delivered = append(delivered, eng.Now())
+				delivered = append(delivered, delivery{eng.Now(), eng.Popped()})
 			})
 		})
 	}
 	eng.Run()
-	return delivered, eng.Err()
+	return delivered, eng.Popped(), eng.Err()
 }
 
 // TestDifferentialBudgetHalt runs the same workload complete and under
-// a simulated-time budget that halts it midway. The halted run must
-// report the typed budget error and have executed exactly the complete
-// run's prefix up to the cap: the same deliveries, at the same times,
-// in the same order.
+// an event budget that halts it midway. The halted run must report the
+// typed budget error and have executed exactly the complete run's
+// prefix up to the halt: the same deliveries, at the same times and
+// pops, in the same order, and none of the complete run's later ones.
 func TestDifferentialBudgetHalt(t *testing.T) {
 	mach, err := machine.Hopper(64, 4)
 	if err != nil {
@@ -179,28 +186,33 @@ func TestDifferentialBudgetHalt(t *testing.T) {
 	if len(traffic) < 32 {
 		t.Fatalf("degenerate traffic pattern: %d messages", len(traffic))
 	}
-	full, err := runSequentialPacket(t, mach, traffic, des.Budget{})
+	full, fullPops, err := runSequentialPacket(t, mach, traffic, des.Budget{})
 	if err != nil {
 		t.Fatalf("complete run failed: %v", err)
 	}
 	if len(full) != len(traffic) {
 		t.Fatalf("complete run delivered %d of %d", len(full), len(traffic))
 	}
-	limit := slices.Max(full) / 2
-	halted, err := runSequentialPacket(t, mach, traffic, des.Budget{MaxTime: limit})
+	// Cap the logical events at half the run's pops: packet keying and
+	// batching make the run's logical count larger still, so the cap
+	// falls well inside it.
+	halted, pops, err := runSequentialPacket(t, mach, traffic, des.Budget{MaxEvents: fullPops / 2})
 	if !errors.Is(err, des.ErrBudgetExceeded) {
 		t.Fatalf("budgeted run err = %v, want ErrBudgetExceeded", err)
 	}
-	var prefix []simtime.Time
-	for _, at := range full {
-		if at <= limit {
-			prefix = append(prefix, at)
+	if pops >= fullPops {
+		t.Fatalf("budgeted run popped %d events, the complete run %d", pops, fullPops)
+	}
+	var prefix []delivery
+	for _, d := range full {
+		if d.pop <= pops {
+			prefix = append(prefix, d)
 		}
 	}
 	if len(prefix) == len(full) || len(prefix) == 0 {
-		t.Fatalf("budget did not cut mid-run: %d of %d deliveries by %v", len(prefix), len(full), limit)
+		t.Fatalf("budget did not cut mid-run: %d of %d deliveries by pop %d", len(prefix), len(full), pops)
 	}
 	if !slices.Equal(halted, prefix) {
-		t.Errorf("halted run delivered %v, the complete run's prefix to %v is %v", halted, limit, prefix)
+		t.Errorf("halted run delivered %v, the complete run's prefix to pop %d is %v", halted, pops, prefix)
 	}
 }

@@ -4,15 +4,15 @@ package spec
 // document names the apps, classes, rank counts, machines, seeds,
 // iteration counts, and platform-noise amplitudes to sweep, and
 // Compile turns it deterministically into the []workload.Params
-// manifest plus the campaign settings that cmd/tradeoff, tracegen and
-// chaos previously hard-coded. The committed
+// manifest plus the campaign settings that cmd/tradeoff and tracegen
+// previously hard-coded. The committed
 // specs/paper-235.yaml compiles bit-identically to workload.Suite()
 // (TestPaper235SpecMatchesSuite), so the study manifest is now data.
 //
 // Schema (every list also accepts a single scalar):
 //
 //	name: paper-235              # label; not part of the spec hash
-//	schemes: [mfact, packetflow] # default: every registered scheme
+//	schemes: [mfact, packetflow] # default: every built-in scheme
 //	workers: 4                   # default 0 = all cores; not part of the spec hash
 //	keep_going: true
 //	timeout: 90s                 # per-trace wall budget

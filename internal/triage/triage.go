@@ -227,8 +227,8 @@ func (s *Scheduler) CalibrationIndices(n int) []int {
 }
 
 // Train fits the classifier on the calibration observations. A
-// training failure (too few usable observations, non-finite features)
-// does not fail the campaign: it marks the
+// training failure (too few usable observations, non-finite features,
+// a split of one label) does not fail the campaign: it marks the
 // classifier down, and Plan escalates everything.
 func (s *Scheduler) Train(obs []classifier.Observation) error {
 	if !s.NeedsClassifier() {

@@ -1,6 +1,7 @@
 package triage
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -288,6 +289,30 @@ func TestTrainFailureDegrades(t *testing.T) {
 	for _, d := range s.Plan(candidates(pts[2:])) {
 		if !d.Escalate || d.Reason != ReasonClassifierDown {
 			t.Fatalf("down scheduler planned %+v, want forced escalation", d)
+		}
+	}
+}
+
+// TestTrainOneLabelDegrades trains on a calibration split large enough
+// to fit but whose traces all agree with the model (every DIFF under
+// the 2% label cut): with no evidence for the other class the classifier
+// must refuse to train, and the scheduler must plan as if it were down.
+func TestTrainOneLabelDegrades(t *testing.T) {
+	pts := synthPoints(40, 1)
+	s := New(Policy{Threshold: 0.5, Calibration: 20, Seed: 1}.Normalize(len(pts)))
+	var obs []classifier.Observation
+	for _, p := range pts[:20] {
+		obs = append(obs, classifier.Observation{ID: p.Key, X: p.X, DiffTotal: 0.001})
+	}
+	if err := s.Train(obs); !errors.Is(err, classifier.ErrOneLabel) {
+		t.Fatalf("training on one label: err = %v, want classifier.ErrOneLabel", err)
+	}
+	if down, err := s.Down(); !down || !errors.Is(err, classifier.ErrOneLabel) {
+		t.Fatalf("Down() = %v, %v after a one-label split", down, err)
+	}
+	for _, d := range s.Plan(candidates(pts[20:])) {
+		if !d.Escalate || d.Reason != ReasonClassifierDown {
+			t.Fatalf("one-label scheduler planned %+v, want forced escalation", d)
 		}
 	}
 }
