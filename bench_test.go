@@ -38,7 +38,7 @@ var (
 func suiteForBench(b *testing.B) []*core.TraceResult {
 	b.Helper()
 	suiteOnce.Do(func() {
-		ps := workload.SuiteSmall(4, 256) // every 4th trace, ≤256 ranks
+		ps := workload.Filter(workload.Suite(), 4, 256) // every 4th trace, ≤256 ranks
 		suiteResults, suiteErr = core.RunSuite(ps, 0, nil)
 	})
 	if suiteErr != nil {

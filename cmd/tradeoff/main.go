@@ -5,25 +5,26 @@
 //
 // Usage:
 //
-//	tradeoff                          # full 235-trace study
+//	tradeoff                          # full 235-trace study (specs/paper-235.yaml)
 //	tradeoff -stride 8 -maxranks 256  # quick reduced study
 //	tradeoff -save results.json       # persist results for cmd/diffreport
 //	tradeoff -load results.json       # re-render from saved results
 //
-// Campaign specs (see internal/spec): drive the whole campaign from a
-// declarative YAML/JSON file — manifest sweep, scheme selection,
-// budgets, triage policy, and the platform-noise axis — instead of
-// flags and the built-in suite:
+// Every campaign is a campaign spec (see internal/spec): a declarative
+// YAML/JSON file naming the manifest sweep, scheme selection, budgets,
+// triage policy, and the platform-noise axis. Without -spec the
+// campaign is the built-in study, specs/paper-235.yaml embedded:
 //
-//	tradeoff -spec specs/paper-235.yaml        # the study, as data
+//	tradeoff -spec specs/paper-235.yaml        # the study, same as no -spec
 //	tradeoff -spec specs/variability.yaml      # the noise study
-//	tradeoff -spec s.yaml -stride 8            # flags still filter/override
+//	tradeoff -spec s.yaml -stride 8 -triage-threshold 0.3
+//	                                  # flags filter and override
 //
-// Explicitly-set flags override the spec's values; -stride/-maxranks
-// filter the compiled manifest. Checkpoints record the compiled spec
-// hash and refuse to resume under a different spec (or under none).
-// When results carry non-zero noise points, the variability study
-// table renders after the figures.
+// Each campaign flag set on the command line writes its field into the
+// spec before it is compiled (see compileCampaign), so the spec hash
+// that checkpoints record describes what runs; -stride/-maxranks filter
+// the compiled manifest. When results carry non-zero noise points, the
+// variability study table renders after the figures.
 //
 // Campaign robustness (see internal/core's campaign runner):
 //
@@ -34,15 +35,6 @@
 //	tradeoff -checkpoint run.jsonl -resume
 //	                                  # re-execute only missing/failed traces
 //
-// The failure ladder has two rungs: a failing trace is isolated (a
-// panic becomes a typed per-trace error) and reported as a typed
-// failure. There is no retry rung, no circuit breaker and no model-only
-// fallback: a trace run is a pure function of its parameters and scheme
-// set, so re-running it reproduces the failure, re-running it under
-// another seed would journal a different trace under the manifest's
-// key, and an MFACT-only result would be journaled under a header
-// naming the full scheme set.
-//
 // A first SIGINT/SIGTERM cancels the campaign cleanly (in-flight
 // replays stop through the DES engines' Stop path, completed traces
 // stay journaled) and prints the exact -resume invocation; a second
@@ -51,8 +43,7 @@
 // Scheme selection (see internal/scheme's table):
 //
 //	tradeoff -schemes mfact,packet    # run a subset of the schemes
-//	                                  # (checkpoints record the selection and
-//	                                  # refuse to resume under a different one)
+//	                                  # (a set: the order given does not matter)
 //
 // Tiered triage (see internal/triage): run MFACT on everything, train
 // the enhanced-MFACT classifier on a calibration split, and escalate
@@ -61,11 +52,11 @@
 //	tradeoff -triage                           # classifier-gated escalation
 //	tradeoff -triage -triage-threshold 0.3     # escalate at P ≥ 0.3
 //	tradeoff -triage -triage-budget 12,30s     # ≤12 escalations, ≤30s wall
+//	tradeoff -spec tiered.yaml -triage=false   # drop the spec's triage block
 //
 // Threshold 0 escalates everything (bit-identical to the plain
 // campaign); threshold 1 escalates nothing (bit-identical to
-// -schemes mfact). Checkpoints journal every triage decision and
-// refuse to resume under a different policy.
+// -schemes mfact). Checkpoints journal every triage decision.
 //
 // Parallelism has one knob, -workers: the traces of one campaign run
 // on a pool of goroutines in one process. There is no multi-process
@@ -88,12 +79,15 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -104,35 +98,133 @@ import (
 	"hpctradeoff/internal/tracecache"
 	"hpctradeoff/internal/triage"
 	"hpctradeoff/internal/workload"
+	"hpctradeoff/specs"
 )
 
-var (
-	specPath = flag.String("spec", "", "drive the campaign from this YAML/JSON campaign spec (explicitly-set flags override spec values; -stride/-maxranks filter the compiled manifest)")
-	stride   = flag.Int("stride", 1, "keep every Nth manifest entry")
-	maxRanks = flag.Int("maxranks", 0, "skip traces larger than this (0 = no cap)")
-	workers  = flag.Int("workers", runtime.NumCPU(), "parallel trace workers")
-	minWall  = flag.Duration("minwall", 20*time.Millisecond,
+// options holds the command's flag values.
+type options struct {
+	spec, save, load, figDir, checkpoint, schemes, triageBudget, traceCache string
+	cpuProfile, memProfile                                                  string
+	stride, maxRanks, workers                                               int
+	minWall, timeout                                                        time.Duration
+	maxEvents                                                               uint64
+	quiet, keepGoing, resume, triage                                        bool
+	triageThreshold                                                         float64
+	triageSeed, traceCacheMax                                               int64
+}
+
+// newFlags defines the command's flags on fs.
+func newFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.spec, "spec", "", "run this YAML/JSON campaign spec instead of the built-in paper-235 study (explicitly-set flags override its values; -stride/-maxranks filter the compiled manifest)")
+	fs.IntVar(&o.stride, "stride", 1, "keep every Nth manifest entry")
+	fs.IntVar(&o.maxRanks, "maxranks", 0, "skip traces larger than this (0 = no cap)")
+	fs.IntVar(&o.workers, "workers", 0, "parallel trace workers (0 = all cores; default: the spec's value)")
+	fs.DurationVar(&o.minWall, "minwall", 20*time.Millisecond,
 		"Figure 1 drops traces whose slowest simulation is below this (the paper drops sub-second runs)")
-	save       = flag.String("save", "", "save results JSON to this path (written atomically)")
-	load       = flag.String("load", "", "load results JSON instead of running the suite")
-	figDir     = flag.String("figdir", "", "write the figures as SVG files into this directory")
-	quiet      = flag.Bool("q", false, "suppress per-trace progress")
-	timeout    = flag.Duration("timeout", 0, "wall-clock budget per trace (0 = unlimited)")
-	maxEvents  = flag.Uint64("max-events", 0, "DES event budget per simulation (0 = unlimited)")
-	keepGoing  = flag.Bool("keep-going", false, "continue past failing traces and render from the survivors")
-	checkpoint = flag.String("checkpoint", "", "append completed traces to this JSONL journal")
-	resume     = flag.Bool("resume", false, "skip traces already in -checkpoint; rerun only missing/failed ones")
-	schemes    = flag.String("schemes", "", "comma-separated scheme subset to run (default: all built-in: "+
+	fs.StringVar(&o.save, "save", "", "save results JSON to this path (written atomically)")
+	fs.StringVar(&o.load, "load", "", "load results JSON instead of running the suite")
+	fs.StringVar(&o.figDir, "figdir", "", "write the figures as SVG files into this directory")
+	fs.BoolVar(&o.quiet, "q", false, "suppress per-trace progress")
+	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget per trace (0 = unlimited)")
+	fs.Uint64Var(&o.maxEvents, "max-events", 0, "DES event budget per simulation (0 = unlimited)")
+	fs.BoolVar(&o.keepGoing, "keep-going", false, "continue past failing traces and render from the survivors")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "append completed traces to this JSONL journal")
+	fs.BoolVar(&o.resume, "resume", false, "skip traces already in -checkpoint; rerun only missing/failed ones")
+	fs.StringVar(&o.schemes, "schemes", "", "comma-separated scheme subset to run (default: the spec's, else all built-in: "+
 		strings.Join(scheme.Names(), ",")+")")
-	cpuprofile      = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile      = flag.String("memprofile", "", "write a heap profile at exit to this file")
-	triageOn        = flag.Bool("triage", false, "run the campaign tiered: model everything, escalate only classifier-flagged traces to simulation")
-	triageThreshold = flag.Float64("triage-threshold", 0.5, "escalate when the classifier's P(DIFF > 2%) is at or above this (0 = escalate all, 1 = escalate none)")
-	triageBudget    = flag.String("triage-budget", "", "escalation budget: a count, a duration, or both comma-separated (e.g. 12,30s)")
-	triageSeed      = flag.Int64("triage-seed", 1, "seed for the triage classifier's cross-validated training")
-	traceCache      = flag.String("trace-cache", "", "serve ground-truth-stamped traces from a content-addressed cache at this directory (created if missing; safe to share across processes and runs)")
-	traceCacheMax   = flag.Int64("trace-cache-max-bytes", 0, "LRU-evict least-recently-used cache entries above this total size (0 = unbounded; requires -trace-cache)")
-)
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile at exit to this file")
+	fs.BoolVar(&o.triage, "triage", false, "run the campaign tiered: model everything, escalate only classifier-flagged traces to simulation (a spec's triage block already does)")
+	fs.Float64Var(&o.triageThreshold, "triage-threshold", 0.5, "escalate when the classifier's P(DIFF > 2%) is at or above this (0 = escalate all, 1 = escalate none)")
+	fs.StringVar(&o.triageBudget, "triage-budget", "", "escalation budget: a count, a duration, or both comma-separated (e.g. 12,30s)")
+	fs.Int64Var(&o.triageSeed, "triage-seed", 1, "seed for the triage classifier's cross-validated training")
+	fs.StringVar(&o.traceCache, "trace-cache", "", "serve ground-truth-stamped traces from a content-addressed cache at this directory (created if missing; safe to share across processes and runs)")
+	fs.Int64Var(&o.traceCacheMax, "trace-cache-max-bytes", 0, "LRU-evict least-recently-used cache entries above this total size (0 = unbounded; requires -trace-cache)")
+	return o
+}
+
+// compileCampaign is the one way a campaign is configured. It starts
+// from the -spec file, or from the embedded paper-235 study without
+// one, writes the field of each campaign flag set on fs into that spec
+// (-workers, -schemes, -keep-going, -timeout, -max-events, -triage*),
+// and compiles it once. The compiled spec is then the campaign's whole
+// configuration, so its hash, which the checkpoint journal records,
+// describes what runs. The -triage-threshold, -triage-seed and
+// -triage-budget flags set fields of the spec's triage block, which
+// -triage adds when there is none; with no block at all they are an
+// error. Every error is a usage error.
+func compileCampaign(fs *flag.FlagSet, o *options) (*spec.Compiled, error) {
+	s, err := specs.Load(o.spec)
+	if err != nil {
+		return nil, err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["workers"] {
+		s.Workers = o.workers
+	}
+	if set["keep-going"] {
+		s.KeepGoing = o.keepGoing
+	}
+	if set["timeout"] {
+		s.Timeout = o.timeout
+	}
+	if set["max-events"] {
+		s.MaxEvents = o.maxEvents
+	}
+	if set["schemes"] {
+		sel, err := schemeSet(scheme.ParseList(o.schemes))
+		if err != nil {
+			return nil, err
+		}
+		// Rewriting an equal set in another order would change the hash
+		// but not the campaign.
+		if cur, err := schemeSet(s.Schemes); err != nil || !slices.Equal(sel, cur) {
+			s.Schemes = sel
+		}
+	}
+	if set["triage"] {
+		switch {
+		case !o.triage:
+			s.Triage = nil
+		case s.Triage == nil:
+			s.Triage = &triage.Policy{Threshold: o.triageThreshold, Seed: o.triageSeed}
+		}
+	}
+	if set["triage-threshold"] || set["triage-seed"] || set["triage-budget"] {
+		if s.Triage == nil {
+			return nil, errors.New("-triage-threshold, -triage-seed and -triage-budget set fields of a triage policy; add -triage, or use a spec with a triage block")
+		}
+		pol := *s.Triage
+		if set["triage-threshold"] {
+			pol.Threshold = o.triageThreshold
+		}
+		if set["triage-seed"] {
+			pol.Seed = o.triageSeed
+		}
+		if err := core.ParseTriageBudget(o.triageBudget, &pol); err != nil {
+			return nil, err
+		}
+		s.Triage = &pol
+	}
+	return spec.Compile(s)
+}
+
+// schemeSet returns the named schemes in table order, all of them for
+// an empty list: the selection as a set, whatever order it was given in.
+func schemeSet(names []string) ([]string, error) {
+	if _, err := scheme.Resolve(names); err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, n := range scheme.Names() {
+		if len(names) == 0 || slices.Contains(names, n) {
+			out = append(out, n)
+		}
+	}
+	return out, nil
+}
 
 // finishProfiles finalizes any active pprof outputs; exit routes all
 // early termination through it so profiles survive failed runs too.
@@ -187,37 +279,6 @@ func resumeInvocation(hadResume bool) string {
 	return strings.Join(args, " ")
 }
 
-// loadSpec loads and compiles -spec, then folds its config into the
-// flag-backed values: a flag the user set explicitly on the command
-// line wins; otherwise the spec's value lands in the flag variable, so
-// everything downstream reads one consistent configuration.
-func loadSpec(path string, explicit map[string]bool) (*spec.Compiled, error) {
-	s, err := spec.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	c, err := spec.Compile(s)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if !explicit["workers"] && c.Workers > 0 {
-		*workers = c.Workers
-	}
-	if !explicit["timeout"] {
-		*timeout = c.Timeout
-	}
-	if !explicit["max-events"] {
-		*maxEvents = c.MaxEvents
-	}
-	if !explicit["keep-going"] {
-		*keepGoing = c.KeepGoing
-	}
-	if !explicit["schemes"] && len(c.Schemes) > 0 {
-		*schemes = strings.Join(c.Schemes, ",")
-	}
-	return c, nil
-}
-
 // heapBallast is a heap floor: a live but never touched (so never
 // resident) allocation that the collector counts when it sets its next
 // goal, which lets real garbage grow by about its size before a cycle
@@ -243,46 +304,30 @@ func loadSpec(path string, explicit map[string]bool) (*spec.Compiled, error) {
 var heapBallast = make([]byte, 23<<19) // 11.5 MB
 
 func main() {
+	o := newFlags(flag.CommandLine)
 	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
-	var compiled *spec.Compiled
-	if *specPath != "" {
-		if *load != "" {
-			fmt.Fprintln(os.Stderr, "tradeoff: -spec is meaningless with -load (the results are already computed)")
-			os.Exit(2)
-		}
-		var err error
-		if compiled, err = loadSpec(*specPath, explicit); err != nil {
-			fmt.Fprintln(os.Stderr, "tradeoff:", err)
-			os.Exit(2)
-		}
+	if o.load != "" && o.spec != "" {
+		fmt.Fprintln(os.Stderr, "tradeoff: -spec is meaningless with -load (the results are already computed)")
+		os.Exit(2)
 	}
-
-	if *resume && *checkpoint == "" {
+	if o.resume && o.checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "tradeoff: -resume requires -checkpoint")
 		os.Exit(2)
 	}
-	var triagePolicy *triage.Policy
-	switch {
-	case *triageOn:
-		triagePolicy = &triage.Policy{Threshold: *triageThreshold, Seed: *triageSeed}
-		if err := core.ParseTriageBudget(*triageBudget, triagePolicy); err != nil {
-			fmt.Fprintln(os.Stderr, "tradeoff:", err)
-			os.Exit(2)
-		}
-	case *triageBudget != "":
-		fmt.Fprintln(os.Stderr, "tradeoff: -triage-budget requires -triage")
-		os.Exit(2)
-	case compiled != nil && compiled.Triage != nil:
-		triagePolicy = compiled.Triage
-	}
-	if *traceCacheMax != 0 && *traceCache == "" {
+	if o.traceCacheMax != 0 && o.traceCache == "" {
 		fmt.Fprintln(os.Stderr, "tradeoff: -trace-cache-max-bytes requires -trace-cache")
 		os.Exit(2)
 	}
-	if err := startProfiles(*cpuprofile, *memprofile); err != nil {
+	var compiled *spec.Compiled
+	if o.load == "" {
+		var err error
+		if compiled, err = compileCampaign(flag.CommandLine, o); err != nil {
+			fmt.Fprintln(os.Stderr, "tradeoff:", err)
+			os.Exit(2)
+		}
+	}
+	if err := startProfiles(o.cpuProfile, o.memProfile); err != nil {
 		fmt.Fprintln(os.Stderr, "tradeoff:", err)
 		exit(1)
 	}
@@ -290,29 +335,22 @@ func main() {
 
 	var rs []*core.TraceResult
 	var err error
-	if *load != "" {
-		rs, err = core.LoadResultsFile(*load)
+	if o.load != "" {
+		rs, err = core.LoadResultsFile(o.load)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tradeoff:", err)
 			exit(1)
 		}
 	} else {
-		var suite []workload.Params
-		var specHash string
-		if compiled != nil {
-			suite = workload.Filter(compiled.Manifest, *stride, *maxRanks)
-			specHash = compiled.Hash()
-			label := compiled.Name
-			if label == "" {
-				label = *specPath
-			}
-			fmt.Printf("campaign spec %s: %d traces compiled (%s)\n", label, len(compiled.Manifest), specHash)
-		} else {
-			suite = workload.SuiteSmall(*stride, *maxRanks)
+		suite := workload.Filter(compiled.Manifest, o.stride, o.maxRanks)
+		workers := compiled.Workers
+		if workers <= 0 {
+			workers = runtime.NumCPU()
 		}
-		fmt.Printf("running %d traces with %d workers...\n", len(suite), *workers)
+		fmt.Printf("campaign spec %s: %d traces compiled (%s)\n", cmp.Or(compiled.Name, o.spec), len(compiled.Manifest), compiled.Hash())
+		fmt.Printf("running %d traces with %d workers...\n", len(suite), workers)
 		progress := func(done, total int, r *core.TraceResult) {
-			if *quiet || r == nil {
+			if o.quiet || r == nil {
 				return
 			}
 			fmt.Printf("[%3d/%3d] %-36s measured=%-12v model=%v\n",
@@ -338,9 +376,9 @@ func main() {
 		// The cache directory outlives the process: a resume or any later
 		// run over the same manifest hits warm.
 		var cache *tracecache.Cache
-		if *traceCache != "" {
-			cache, err = tracecache.Open(*traceCache, tracecache.Options{
-				MaxBytes: *traceCacheMax,
+		if o.traceCache != "" {
+			cache, err = tracecache.Open(o.traceCache, tracecache.Options{
+				MaxBytes: o.traceCacheMax,
 				Warnf: func(format string, args ...any) {
 					fmt.Fprintf(os.Stderr, "tradeoff: "+format+"\n", args...)
 				},
@@ -353,17 +391,18 @@ func main() {
 
 		var rep *core.CampaignReport
 		rs, rep, err = core.RunCampaign(suite, core.CampaignConfig{
-			Workers:        *workers,
+			Workers:        compiled.Workers,
+			Schemes:        compiled.Schemes,
+			KeepGoing:      compiled.KeepGoing,
+			Timeout:        compiled.Timeout,
+			MaxEvents:      compiled.MaxEvents,
+			Triage:         compiled.Triage,
+			SpecHash:       compiled.Hash(),
 			Cache:          cache,
-			Policy:         core.FailurePolicy{KeepGoing: *keepGoing},
-			Run:            core.RunOptions{Timeout: *timeout, MaxEvents: *maxEvents},
-			Schemes:        scheme.ParseList(*schemes),
-			CheckpointPath: *checkpoint,
-			Resume:         *resume,
+			CheckpointPath: o.checkpoint,
+			Resume:         o.resume,
 			Progress:       progress,
 			Cancel:         cancel,
-			Triage:         triagePolicy,
-			SpecHash:       specHash,
 			Warnf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "tradeoff: "+format+"\n", args...)
 			},
@@ -373,11 +412,11 @@ func main() {
 			fmt.Printf("%s\n\n", rep.Summary())
 			if rep.Triage != nil {
 				fmt.Printf("%s\n\n", rep.Triage.Summary())
-				if *save != "" {
-					if err := core.SaveTriageReport(*save+".triage.json", rep.Triage); err != nil {
+				if o.save != "" {
+					if err := core.SaveTriageReport(o.save+".triage.json", rep.Triage); err != nil {
 						fmt.Fprintln(os.Stderr, "tradeoff:", err)
 					} else {
-						fmt.Printf("triage report saved to %s\n\n", *save+".triage.json")
+						fmt.Printf("triage report saved to %s\n\n", o.save+".triage.json")
 					}
 				}
 			}
@@ -388,8 +427,8 @@ func main() {
 		select {
 		case <-cancel:
 			fmt.Fprintln(os.Stderr, "tradeoff: interrupted; completed traces are journaled")
-			if *checkpoint != "" {
-				fmt.Fprintf(os.Stderr, "tradeoff: resume with:\n  %s\n", resumeInvocation(*resume))
+			if o.checkpoint != "" {
+				fmt.Fprintf(os.Stderr, "tradeoff: resume with:\n  %s\n", resumeInvocation(o.resume))
 			} else {
 				fmt.Fprintln(os.Stderr, "tradeoff: (no -checkpoint was set, so a rerun starts from scratch)")
 			}
@@ -406,7 +445,7 @@ func main() {
 		}
 	}
 
-	if *save != "" {
+	if o.save != "" {
 		// Persist only completed traces; failed entries are nil.
 		saved := make([]*core.TraceResult, 0, len(rs))
 		for _, r := range rs {
@@ -414,11 +453,11 @@ func main() {
 				saved = append(saved, r)
 			}
 		}
-		if err := core.SaveResultsFile(*save, saved); err != nil {
+		if err := core.SaveResultsFile(o.save, saved); err != nil {
 			fmt.Fprintln(os.Stderr, "tradeoff:", err)
 			exit(1)
 		}
-		fmt.Printf("results saved to %s\n\n", *save)
+		fmt.Printf("results saved to %s\n\n", o.save)
 	}
 
 	fmt.Println(core.BuildTable1(rs).Render())
@@ -430,7 +469,7 @@ func main() {
 		fmt.Println()
 	}
 
-	fmt.Println(core.BuildFigure1(rs, *minWall).Render())
+	fmt.Println(core.BuildFigure1(rs, o.minWall).Render())
 	fmt.Println()
 	fmt.Println(core.BuildFigure2(rs).Render())
 
@@ -448,12 +487,12 @@ func main() {
 		fmt.Println(core.RenderVariability(cells))
 	}
 
-	if *figDir != "" {
-		paths, err := core.WriteFigures(*figDir, rs, *minWall)
+	if o.figDir != "" {
+		paths, err := core.WriteFigures(o.figDir, rs, o.minWall)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tradeoff:", err)
 			exit(1)
 		}
-		fmt.Printf("\nwrote %d SVG figures to %s\n", len(paths), *figDir)
+		fmt.Printf("\nwrote %d SVG figures to %s\n", len(paths), o.figDir)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,15 +104,6 @@ func (e *TraceError) Error() string {
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *TraceError) Unwrap() error { return e.Err }
 
-// FailurePolicy decides how a campaign reacts to failing traces. The
-// failure ladder has two rungs: panic isolation (always on) → typed
-// per-trace failure.
-type FailurePolicy struct {
-	// KeepGoing collects per-trace errors and returns partial results
-	// instead of aborting the campaign on the first failure.
-	KeepGoing bool
-}
-
 // CampaignConfig configures RunCampaign. The zero value runs the
 // historical fail-fast suite on all cores with no limits.
 type CampaignConfig struct {
@@ -120,14 +111,18 @@ type CampaignConfig struct {
 	Workers int
 	// Schemes selects which built-in schemes run on each trace, in the
 	// given order; nil or empty runs every built-in scheme. With Runner
-	// set, it names the schemes the override runs. The selection is
-	// recorded in the checkpoint header, so a resumed campaign cannot
-	// silently mix results from different scheme sets.
+	// set, it names the schemes the override runs. The selection is part
+	// of the journal identity recorded in the checkpoint header.
 	Schemes []string
-	// Policy is the failure policy.
-	Policy FailurePolicy
-	// Run bounds each individual trace run.
-	Run RunOptions
+	// KeepGoing collects per-trace errors and returns partial results
+	// instead of aborting the campaign on the first failure. The failure
+	// ladder has two rungs: panic isolation (always on), then a typed
+	// per-trace failure.
+	KeepGoing bool
+	// Timeout is each trace's wall-clock budget and MaxEvents each
+	// simulation's event budget (0 = unlimited); see RunOptions.
+	Timeout   time.Duration
+	MaxEvents uint64
 	// CheckpointPath, when set, streams each completed TraceResult to
 	// an append-only JSONL journal at this path.
 	CheckpointPath string
@@ -143,8 +138,9 @@ type CampaignConfig struct {
 	Warnf func(format string, args ...any)
 	// Cancel, when non-nil and closed, cancels the campaign: no new
 	// traces are scheduled, in-flight replays stop through the DES
-	// engines' Stop() path (failing with KindCanceled), and RunCampaign
-	// returns with everything completed so far already journaled.
+	// engines' Stop() path, and RunCampaign returns with everything
+	// completed so far already journaled. Every trace left without a
+	// result, in flight or never dispatched, fails with KindCanceled.
 	Cancel <-chan struct{}
 	// Runner overrides how one trace executes (a test seam: a Runner
 	// over a scheme outside the built-in table, a runner that cancels
@@ -170,12 +166,9 @@ type CampaignConfig struct {
 	// the determinism/resume contract.
 	Triage *triage.Policy
 	// SpecHash identifies the compiled campaign spec driving this run
-	// (spec.Compiled.Hash); empty for flag-driven campaigns. It is
-	// recorded in the checkpoint header and gated symmetrically on
-	// resume: a journal written under one spec refuses to resume under
-	// a different spec, under no spec, or from a flag-driven journal —
-	// the spec is the campaign's identity the same way the scheme set
-	// and triage policy are.
+	// (spec.Compiled.Hash). With the scheme set and the normalized
+	// triage policy it makes up the journal identity: a checkpoint
+	// resumes only under the identity that wrote it.
 	SpecHash string
 }
 
@@ -253,9 +246,6 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 	if warnf == nil {
 		warnf = func(string, ...any) {}
 	}
-	if cfg.Cancel != nil && cfg.Run.Cancel == nil {
-		cfg.Run.Cancel = cfg.Cancel
-	}
 	var pol *triage.Policy
 	if cfg.Triage != nil {
 		// Normalized once here: the checkpoint header records the
@@ -263,7 +253,7 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 		// silently re-plan a resumed campaign.
 		p := cfg.Triage.Normalize(len(ps))
 		pol = &p
-		if !containsScheme(schemeNames, scheme.MFACT) {
+		if !slices.Contains(schemeNames, scheme.MFACT) {
 			return nil, nil, fmt.Errorf("core: triage requires the %s scheme in the campaign selection", scheme.MFACT)
 		}
 		if len(schemeNames) < 2 {
@@ -286,6 +276,7 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 		results:     make([]*TraceResult, len(ps)),
 		traceErrs:   make([]*TraceError, len(ps)),
 		triage:      pol,
+		ro:          RunOptions{Timeout: cfg.Timeout, MaxEvents: cfg.MaxEvents, Cancel: cfg.Cancel},
 	}
 
 	done := map[string]*TraceResult{}
@@ -295,43 +286,18 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 	}
 	if cfg.CheckpointPath != "" {
 		// Read the journal up front even when not resuming: an existing
-		// journal written for a different scheme set, triage policy, or
-		// schema version must be rejected, never silently appended to.
+		// journal of a different identity or schema version must be
+		// rejected, never silently appended to.
 		st, err := loadCheckpointState(cfg.CheckpointPath)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: resuming campaign: %w", err)
 		}
-		if st.schemes != nil && !sameSchemeSet(st.schemes, schemeNames) {
-			return nil, nil, fmt.Errorf("core: checkpoint %s was written for schemes [%s] but this campaign selects [%s]; use a fresh checkpoint path or a matching scheme selection",
-				cfg.CheckpointPath, strings.Join(st.schemes, ","), strings.Join(sortedSchemes(schemeNames), ","))
-		}
-		// The triage policy is part of the journal's identity: decisions
-		// journaled under one policy must never satisfy another, in
-		// either direction.
-		switch {
-		case st.schemes != nil && pol == nil && st.triage != nil:
-			return nil, nil, fmt.Errorf("core: checkpoint %s was written by a tiered campaign (triage %s) but this campaign runs without triage; use a fresh checkpoint path or the matching -triage policy",
-				cfg.CheckpointPath, st.triage)
-		case st.schemes != nil && pol != nil && st.triage == nil:
-			return nil, nil, fmt.Errorf("core: checkpoint %s was written without triage but this campaign sets triage %s; use a fresh checkpoint path or drop -triage",
-				cfg.CheckpointPath, pol)
-		case pol != nil && st.triage != nil && !pol.Equal(*st.triage):
-			return nil, nil, fmt.Errorf("core: checkpoint %s was written under triage policy [%s] but this campaign sets [%s]; use a fresh checkpoint path or the matching policy",
-				cfg.CheckpointPath, st.triage, pol)
-		}
-		// The spec hash is the third symmetric resume gate: spec-driven
-		// and flag-driven journals never satisfy each other, and two
-		// specs compiling to different campaigns never share a journal.
-		switch {
-		case st.schemes != nil && cfg.SpecHash == "" && st.spec != "":
-			return nil, nil, fmt.Errorf("core: checkpoint %s was written by a spec-driven campaign (spec %s) but this campaign runs without -spec; use a fresh checkpoint path or the matching spec",
-				cfg.CheckpointPath, st.spec)
-		case st.schemes != nil && cfg.SpecHash != "" && st.spec == "":
-			return nil, nil, fmt.Errorf("core: checkpoint %s was written without a spec but this campaign runs spec %s; use a fresh checkpoint path or drop -spec",
-				cfg.CheckpointPath, cfg.SpecHash)
-		case cfg.SpecHash != "" && st.spec != "" && st.spec != cfg.SpecHash:
-			return nil, nil, fmt.Errorf("core: checkpoint %s was written under spec %s but this campaign runs spec %s; use a fresh checkpoint path or the matching spec",
-				cfg.CheckpointPath, st.spec, cfg.SpecHash)
+		// One identity guards the journal: results journaled under one
+		// scheme set, triage policy or spec never satisfy another.
+		want := journalID{schemes: sortedSchemes(schemeNames), triage: pol, spec: cfg.SpecHash}
+		if st.id != nil && !st.id.equal(want) {
+			return nil, nil, fmt.Errorf("core: checkpoint %s was written by the campaign [%s] but this campaign is [%s]; use a fresh checkpoint path or the matching configuration",
+				cfg.CheckpointPath, st.id, want)
 		}
 		// Salvage before appending: a torn tail (crash mid-append) is
 		// cut back to the valid JSONL prefix — the records before it
@@ -380,6 +346,17 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 	} else {
 		c.runPool(poolOpts{indices: pending, schemes: schemeNames, record: true})
 	}
+	if c.canceled() {
+		// A cancel leaves the traces it kept from dispatch, and those of
+		// tiered phases that never came, with neither a result nor an
+		// error; they fail as canceled, so the report counts every trace.
+		for i, p := range ps {
+			if c.results[i] == nil && c.traceErrs[i] == nil {
+				c.traceErrs[i] = &TraceError{ID: CampaignKey(p), Kind: KindCanceled,
+					Err: fmt.Errorf("core: not dispatched: %w", des.ErrCanceled)}
+			}
+		}
+	}
 
 	if cfg.Cache != nil {
 		st := cfg.Cache.Stats().Sub(cacheStart)
@@ -405,7 +382,7 @@ func RunCampaign(ps []workload.Params, cfg CampaignConfig) ([]*TraceResult, *Cam
 	if c.infraErr != nil {
 		return c.results, rep, c.infraErr
 	}
-	if !cfg.Policy.KeepGoing {
+	if !cfg.KeepGoing {
 		if err := rep.Err(); err != nil {
 			return c.results, rep, err
 		}
@@ -427,6 +404,7 @@ type campaign struct {
 	results     []*TraceResult
 	traceErrs   []*TraceError
 	triage      *triage.Policy
+	ro          RunOptions // each trace's budgets and the campaign's Cancel
 	ckpt        *Checkpoint
 
 	stop atomic.Bool // stops scheduling new traces (fail-fast, infra errors)
@@ -439,17 +417,17 @@ type campaign struct {
 // halted reports whether the campaign must schedule no further work:
 // a fail-fast failure, an infrastructure error, or cancellation.
 func (c *campaign) halted() bool {
-	if c.stop.Load() {
+	return c.stop.Load() || c.canceled()
+}
+
+// canceled reports whether the campaign's Cancel is closed.
+func (c *campaign) canceled() bool {
+	select {
+	case <-c.cfg.Cancel:
 		return true
+	default:
+		return false
 	}
-	if c.cfg.Cancel != nil {
-		select {
-		case <-c.cfg.Cancel:
-			return true
-		default:
-		}
-	}
-	return false
 }
 
 // setInfraErr records the first infrastructure failure and halts the
@@ -473,7 +451,7 @@ func (c *campaign) finish(i int, r *TraceResult, terr *TraceError) {
 		c.cfg.Progress(c.completed, len(c.ps), r)
 	}
 	c.mu.Unlock()
-	if terr != nil && !c.cfg.Policy.KeepGoing {
+	if terr != nil && !c.cfg.KeepGoing {
 		c.stop.Store(true)
 	}
 }
@@ -548,7 +526,7 @@ func (c *campaign) runPool(o poolOpts) {
 					// single-worker campaign's schedule deterministic.
 					continue
 				}
-				r, terr := runIsolated(c.ps[i], c.cfg.Run, runner)
+				r, terr := runIsolated(c.ps[i], c.ro, runner)
 				if o.onResult != nil {
 					o.onResult(i, r, terr)
 				}
@@ -557,7 +535,7 @@ func (c *campaign) runPool(o poolOpts) {
 						c.journal(i, r)
 					}
 					c.finish(i, r, terr)
-				} else if terr != nil && !c.cfg.Policy.KeepGoing {
+				} else if terr != nil && !c.cfg.KeepGoing {
 					c.stop.Store(true)
 				}
 			}
@@ -572,28 +550,14 @@ produce:
 			o.demote(i)
 			continue
 		}
-		if c.cfg.Cancel != nil {
-			select {
-			case jobs <- i:
-			case <-c.cfg.Cancel:
-				break produce
-			}
-		} else {
-			jobs <- i
+		select {
+		case jobs <- i:
+		case <-c.cfg.Cancel: // never ready when Cancel is nil
+			break produce
 		}
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// containsScheme reports whether names includes name.
-func containsScheme(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // runIsolated invokes the runner with panic isolation: a panic

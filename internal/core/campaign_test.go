@@ -47,7 +47,7 @@ func TestCampaignKeepGoingAndResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "campaign.jsonl")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers:        2,
-		Policy:         FailurePolicy{KeepGoing: true},
+		KeepGoing:      true,
 		CheckpointPath: ckpt,
 		Runner:         faulty,
 	})
@@ -111,7 +111,7 @@ func TestCampaignKeepGoingAndResume(t *testing.T) {
 	}
 	rs2, rep2, err := RunCampaign(ps, CampaignConfig{
 		Workers:        2,
-		Policy:         FailurePolicy{KeepGoing: true},
+		KeepGoing:      true,
 		CheckpointPath: ckpt,
 		Resume:         true,
 		Runner:         counting,
@@ -174,9 +174,9 @@ func TestCampaignSurvivesCausalityBug(t *testing.T) {
 	}
 
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
-		Workers: 2,
-		Policy:  FailurePolicy{KeepGoing: true},
-		Runner:  runner,
+		Workers:   2,
+		KeepGoing: true,
+		Runner:    runner,
 	})
 	if err != nil {
 		t.Fatalf("keep-going campaign returned error: %v", err)
@@ -216,9 +216,9 @@ func TestCampaignSurvivorsMatchCleanRun(t *testing.T) {
 		return RunOneOpts(p, ro)
 	}
 	rs, _, err := RunCampaign([]workload.Params{good, bad}, CampaignConfig{
-		Workers: 2,
-		Policy:  FailurePolicy{KeepGoing: true},
-		Runner:  runner,
+		Workers:   2,
+		KeepGoing: true,
+		Runner:    runner,
 	})
 	if err != nil || rs[0] == nil {
 		t.Fatalf("campaign: err=%v rs[0]=%v", err, rs[0])
@@ -269,9 +269,9 @@ func TestCampaignRetriesTransientFailures(t *testing.T) {
 		return RunOneOpts(q, ro)
 	}
 	rs, rep, err := RunCampaign([]workload.Params{p1, p2}, CampaignConfig{
-		Workers: 1,
-		Policy:  FailurePolicy{KeepGoing: true},
-		Runner:  runner,
+		Workers:   1,
+		KeepGoing: true,
+		Runner:    runner,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,9 +298,9 @@ func TestCampaignDoesNotRetryDeterministicFailures(t *testing.T) {
 		return nil, fmt.Errorf("runaway: %w", des.ErrBudgetExceeded)
 	}
 	_, rep, err := RunCampaign([]workload.Params{p}, CampaignConfig{
-		Workers: 1,
-		Policy:  FailurePolicy{KeepGoing: true},
-		Runner:  runner,
+		Workers:   1,
+		KeepGoing: true,
+		Runner:    runner,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestCheckpointRoundTripAndTruncation(t *testing.T) {
 	}
 	f.Close()
 
-	got, err := LoadCheckpoint(path)
+	got, err := loadCheckpoint(path)
 	if err != nil {
 		t.Fatalf("truncated journal must load: %v", err)
 	}
@@ -411,7 +411,7 @@ func TestCheckpointRoundTripAndTruncation(t *testing.T) {
 	}
 
 	// A missing journal is an empty one.
-	empty, err := LoadCheckpoint(filepath.Join(dir, "absent.jsonl"))
+	empty, err := loadCheckpoint(filepath.Join(dir, "absent.jsonl"))
 	if err != nil || len(empty) != 0 {
 		t.Errorf("missing journal: got %v, %v", empty, err)
 	}
@@ -433,7 +433,7 @@ func TestCheckpointRejectsWrongVersion(t *testing.T) {
 		if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := LoadCheckpoint(path)
+		_, err := loadCheckpoint(path)
 		if !errors.Is(err, ErrCheckpointVersion) {
 			t.Errorf("%s: err = %v, want ErrCheckpointVersion", name, err)
 		}

@@ -304,7 +304,7 @@ func (c *campaign) demoteToModel(i int, dec map[int]triage.Decision, modelRes []
 			runner = rn.RunOne
 		}
 		var terr *TraceError
-		r, terr = runIsolated(c.ps[i], c.cfg.Run, runner)
+		r, terr = runIsolated(c.ps[i], c.ro, runner)
 		if terr != nil {
 			c.finish(i, nil, terr)
 			return

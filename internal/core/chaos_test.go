@@ -261,7 +261,7 @@ func (s *soak) faultRun(ckpt string, sched []fault) ([]*TraceResult, *CampaignRe
 	rs, rep, err := RunCampaign(s.ps, CampaignConfig{
 		Workers:        1,
 		Schemes:        s.names,
-		Policy:         FailurePolicy{KeepGoing: true},
+		KeepGoing:      true,
 		CheckpointPath: ckpt,
 		Cancel:         cancel,
 		Runner:         runnerOver(ss...),
@@ -311,6 +311,16 @@ func (s *soak) cutAtFaults(path string, sched []fault) error {
 	return nil
 }
 
+// accounted checks that a keep-going or canceled campaign's report
+// counts every trace once: succeeded, failed (canceled included) or
+// restored from the checkpoint.
+func accounted(rep *CampaignReport) error {
+	if n := rep.Succeeded + rep.Failed + rep.Skipped; n != rep.Total {
+		return fmt.Errorf("report accounts for %d of %d traces: %s", n, rep.Total, rep.Summary())
+	}
+	return nil
+}
+
 // soakOne runs the fault, kill and recovery protocol for one seed.
 // Returned errors are invariant violations.
 func (s *soak) soakOne(seed int64) error {
@@ -322,7 +332,12 @@ func (s *soak) soakOne(seed int64) error {
 	ckptA := filepath.Join(s.dir, fmt.Sprintf("seed%d-a.jsonl", seed))
 	ckptB := filepath.Join(s.dir, fmt.Sprintf("seed%d-b.jsonl", seed))
 	rsA, repA, logA := s.faultRun(ckptA, sched)
-	rsB, _, logB := s.faultRun(ckptB, sched)
+	rsB, repB, logB := s.faultRun(ckptB, sched)
+	for _, r := range []*CampaignReport{repA, repB} {
+		if err := accounted(r); err != nil {
+			return fmt.Errorf("faulted run: %w", err)
+		}
+	}
 	s.t.Logf("  struck: %s", strings.Join(logA, " "))
 	s.t.Logf("  faulted: %s", repA.Summary())
 	if a, b := strings.Join(logA, " "), strings.Join(logB, " "); a != b {
@@ -352,7 +367,7 @@ func (s *soak) soakOne(seed int64) error {
 			s.fired["panic isolation"]++
 		}
 	}
-	if repA.Succeeded+repA.Failed < repA.Total || repA.Canceled > 0 {
+	if repA.Canceled > 0 {
 		s.fired["cancel"]++
 	}
 
@@ -360,7 +375,7 @@ func (s *soak) soakOne(seed int64) error {
 	if err := s.cutAtFaults(ckptA, sched); err != nil {
 		return fmt.Errorf("cutting the journal: %w", err)
 	}
-	committed, err := LoadCheckpoint(ckptA)
+	committed, err := loadCheckpoint(ckptA)
 	if err != nil {
 		return fmt.Errorf("journal after fault run must load: %w", err)
 	}
@@ -369,7 +384,7 @@ func (s *soak) soakOne(seed int64) error {
 	final, rep, err := RunCampaign(s.ps, CampaignConfig{
 		Workers:        1,
 		Schemes:        s.names,
-		Policy:         FailurePolicy{KeepGoing: true},
+		KeepGoing:      true,
 		CheckpointPath: ckptA,
 		Resume:         true,
 		Warnf: func(format string, args ...any) {
@@ -382,9 +397,12 @@ func (s *soak) soakOne(seed int64) error {
 		return fmt.Errorf("recovery run failed: %w", err)
 	}
 	s.t.Logf("  recovery: %s", rep.Summary())
+	if err := accounted(rep); err != nil {
+		return fmt.Errorf("recovery run: %w", err)
+	}
 
 	// Durability: every committed result survives recovery unchanged.
-	after, err := LoadCheckpoint(ckptA)
+	after, err := loadCheckpoint(ckptA)
 	if err != nil {
 		return fmt.Errorf("journal after recovery must load: %w", err)
 	}
@@ -432,13 +450,16 @@ func (s *soak) soakTriage(seed int64) error {
 	pol := &triage.Policy{Threshold: 0.5, Calibration: 1 + rand.New(rand.NewSource(seed)).Intn(max(1, min(9, len(s.ps)-1))), Seed: seed}
 	s.t.Logf("  triage: calibration split of %d", pol.Calibration)
 	rs, rep, err := RunCampaign(s.ps, CampaignConfig{
-		Workers: 1,
-		Schemes: s.names,
-		Policy:  FailurePolicy{KeepGoing: true},
-		Triage:  pol,
+		Workers:   1,
+		Schemes:   s.names,
+		KeepGoing: true,
+		Triage:    pol,
 	})
 	if err != nil {
 		return fmt.Errorf("tiered campaign under classifier fault failed: %w", err)
+	}
+	if err := accounted(rep); err != nil {
+		return fmt.Errorf("tiered campaign: %w", err)
 	}
 	tr := rep.Triage
 	if tr == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +11,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"hpctradeoff/internal/triage"
@@ -18,18 +21,20 @@ import (
 )
 
 // The campaign checkpoint is an append-only JSONL journal: a header
-// line recording the schema version and the campaign's scheme set,
-// then one self-contained line per completed trace. Appending a line
-// is the only write, so a crash at any instant leaves at worst one
-// truncated final line, which the loader tolerates. The final results
-// JSON is still written separately (atomically) by SaveResultsFile;
-// the journal exists so a killed campaign restarts where it left off.
+// line recording the schema version and the campaign's identity, then
+// one self-contained line per completed trace (and, for a tiered
+// campaign, per triage decision). Appending a line is the only write,
+// so a crash at any instant leaves at worst one truncated final line,
+// which the loader tolerates. The final results JSON is still written
+// separately (atomically) by SaveResultsFile; the journal exists so a
+// killed campaign restarts where it left off.
 //
-// The header's scheme set is what makes resumption safe under scheme
-// selection: a journal written by `-schemes=mfact,packet` must
-// not silently satisfy a campaign running all four schemes, so
-// RunCampaign compares the header against its selection and rejects
-// mismatches.
+// The identity (journalID) is the sorted scheme set, the normalized
+// triage policy and the compiled spec's hash. It is what makes
+// resumption safe: a journal written by `-schemes mfact,packet`, under
+// another triage policy or another spec must not silently satisfy this
+// campaign, so RunCampaign compares the header's identity with its own
+// and refuses any difference.
 
 // checkpointEntry is one journal line: a header (Header true, Schemes
 // set, plus the triage policy for tiered campaigns), a trace record
@@ -59,9 +64,8 @@ var ErrCheckpointVersion = errors.New("core: checkpoint schema version mismatch"
 // covers every Params field that changes the generated trace, so a
 // resumed campaign never mistakes one configuration's result for
 // another's. (The key is computed from the manifest params, not the
-// result: a retried trace runs with a derived seed but is journaled
-// under its manifest identity. The scheme set is journal-global, in
-// the header, rather than per-key.)
+// result, so a trace whose generation failed still has a key. The
+// scheme set is journal-global, in the header, rather than per-key.)
 func CampaignKey(p workload.Params) string {
 	key := fmt.Sprintf("%s.%s.x%d.%s.n%d.s%d.i%d",
 		p.App, p.Class, p.Ranks, p.Machine, p.RanksPerNode, p.Seed, p.Iters)
@@ -83,19 +87,26 @@ func sortedSchemes(names []string) []string {
 	return out
 }
 
-// sameSchemeSet reports whether a and b name the same schemes,
-// ignoring order.
-func sameSchemeSet(a, b []string) bool {
-	sa, sb := sortedSchemes(a), sortedSchemes(b)
-	if len(sa) != len(sb) {
-		return false
+// journalID is the identity a journal's header records (see above); a
+// journal resumes only under an equal one.
+type journalID struct {
+	schemes []string
+	triage  *triage.Policy
+	spec    string
+}
+
+func (id journalID) equal(o journalID) bool {
+	return slices.Equal(id.schemes, o.schemes) && id.spec == o.spec &&
+		(id.triage == nil) == (o.triage == nil) &&
+		(id.triage == nil || id.triage.Equal(*o.triage))
+}
+
+func (id journalID) String() string {
+	pol := "none"
+	if id.triage != nil {
+		pol = id.triage.String()
 	}
-	for i := range sa {
-		if sa[i] != sb[i] {
-			return false
-		}
-	}
-	return true
+	return fmt.Sprintf("schemes %s; triage %s; spec %s", strings.Join(id.schemes, ","), pol, cmp.Or(id.spec, "none"))
 }
 
 // Checkpoint appends completed trace results to a JSONL journal. It is
@@ -112,14 +123,13 @@ type Checkpoint struct {
 
 // OpenCheckpointSpec opens (creating if needed) the journal at path
 // for appending. A fresh (empty) journal gets a header line recording
-// the schema version, the campaign's scheme set, the (normalized)
-// triage policy of a tiered campaign (nil for none) and the compiled
-// spec's hash ("" for none), and the containing directory is fsynced
-// so the file itself survives a crash. The policy and the hash are
-// resume gates: a journal written under one policy or spec refuses to
-// resume under a different (or no) one. The hash covers the compiled
-// manifest and campaign config, not the file's bytes, so reformatting
-// a spec does not orphan its journals but changing what it runs does.
+// the schema version and the journal identity — the campaign's scheme
+// set, the (normalized) triage policy of a tiered campaign (nil for
+// none) and the compiled spec's hash — and the containing directory is
+// fsynced so the file itself survives a crash. The hash covers the
+// compiled manifest and campaign config, not the file's bytes, so
+// reformatting a spec does not orphan its journals but changing what
+// it runs does.
 // An existing journal is appended to as-is (RunCampaign validates its
 // header before opening), except that a missing final newline — a
 // crash cut the last append short and no salvage ran — is repaired
@@ -257,43 +267,28 @@ type Salvage struct {
 	TornAt   int64 // byte offset of the torn fragment's first byte
 }
 
-// LoadCheckpoint reads a journal into a key→result map. A missing file
-// is an empty journal (a fresh campaign may pass -resume). Lines that
-// do not parse as JSON — the signature of a crash mid-append — are
-// skipped, not fatal: the campaign simply re-runs those traces. A line
-// that parses but carries a different schema version (including a
-// legacy pre-scheme-registry version-1 record) fails with an error
-// wrapping ErrCheckpointVersion: silently dropping it would re-run the
-// whole campaign while appending to a journal no old tool can read. A
-// key appearing twice keeps the latest entry.
-func LoadCheckpoint(path string) (map[string]*TraceResult, error) {
-	st, err := loadCheckpointState(path)
-	if err != nil {
-		return nil, err
-	}
-	return st.results, nil
-}
-
 // checkpointState is everything the loader recovers from a journal:
-// the completed results, the header's scheme set and triage policy,
-// the journaled triage decisions (latest record per key), and a
-// salvage report of any damage skipped over.
+// the completed results, the header's identity, the journaled triage
+// decisions (latest record per key), and a salvage report of any
+// damage skipped over.
 type checkpointState struct {
 	results map[string]*TraceResult
-	// schemes is the header's scheme set; nil when the journal has no
-	// header line (an empty or missing file).
-	schemes []string
-	// triage is the header's triage policy; nil when the journal was
-	// written by a non-tiered campaign.
-	triage *triage.Policy
-	// spec is the header's compiled-spec hash; empty when the journal
-	// was written by a flag-driven (non-spec) campaign.
-	spec      string
+	// id is the header's identity; nil when the journal has no header
+	// line (an empty or missing file).
+	id        *journalID
 	decisions map[string]triage.Decision
 	salvage   *Salvage
 }
 
-// loadCheckpointState reads a journal into a checkpointState.
+// loadCheckpointState reads a journal into a checkpointState. A
+// missing file is an empty journal (a fresh campaign may pass -resume).
+// Lines that do not parse as JSON — the signature of a crash
+// mid-append — are skipped, not fatal: the campaign simply re-runs
+// those traces. A line that parses but carries a different schema
+// version (including a legacy pre-scheme-registry version-1 record)
+// fails with an error wrapping ErrCheckpointVersion: silently dropping
+// it would re-run the whole campaign while appending to a journal no
+// old tool can read. A key appearing twice keeps the latest entry.
 func loadCheckpointState(path string) (*checkpointState, error) {
 	st := &checkpointState{
 		results:   map[string]*TraceResult{},
@@ -335,9 +330,7 @@ func loadCheckpointState(path string) (*checkpointState, error) {
 				}
 				switch {
 				case e.Header:
-					st.schemes = e.Schemes
-					st.triage = e.Triage
-					st.spec = e.Spec
+					st.id = &journalID{schemes: sortedSchemes(e.Schemes), triage: e.Triage, spec: e.Spec}
 				case e.Key != "" && e.Result != nil:
 					st.results[e.Key] = e.Result
 				case e.Decision != nil && e.Decision.Key != "":

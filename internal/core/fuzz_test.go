@@ -18,7 +18,7 @@ import (
 // as survivable damage, while refusing loudly (never silently) journals
 // from a different schema version:
 //
-//   - LoadCheckpoint never panics; it either returns a non-nil map or
+//   - loadCheckpoint never panics; it either returns a non-nil map or
 //     one of the two sanctioned errors (ErrCheckpointVersion for a
 //     parseable line of another schema version, or the scanner's
 //     token-too-long for lines beyond the 64 MB buffer);
@@ -78,17 +78,17 @@ func FuzzCheckpointLoader(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := LoadCheckpoint(path)
+		m, err := loadCheckpoint(path)
 		if err != nil {
 			if !acceptable(err) {
-				t.Fatalf("LoadCheckpoint(%q...): %v", truncateForLog(data), err)
+				t.Fatalf("loadCheckpoint(%q...): %v", truncateForLog(data), err)
 			}
 			// A journal that fails the version gate (or the scanner) keeps
 			// failing after appends; the recovery invariant does not apply.
 			return
 		}
 		if m == nil {
-			t.Fatal("LoadCheckpoint returned nil map without error")
+			t.Fatal("loadCheckpoint returned nil map without error")
 		}
 		for k, v := range m {
 			if k == "" {
@@ -112,7 +112,7 @@ func FuzzCheckpointLoader(f *testing.F) {
 			t.Fatal(err)
 		}
 		fh.Close()
-		m2, err := LoadCheckpoint(path)
+		m2, err := loadCheckpoint(path)
 		if err != nil {
 			if !acceptable(err) {
 				t.Fatalf("reload after append: %v", err)

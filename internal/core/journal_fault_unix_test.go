@@ -78,7 +78,7 @@ func fsizeChild(args []string) int {
 		_, _, err := RunCampaign(smallParams("EP", "IS"), CampaignConfig{
 			Workers:        1,
 			Schemes:        []string{"mfact"},
-			Policy:         FailurePolicy{KeepGoing: true},
+			KeepGoing:      true,
 			CheckpointPath: path,
 		})
 		fmt.Println(outcome(err))
@@ -180,7 +180,7 @@ func TestCheckpointSyncFailureStopsCampaign(t *testing.T) {
 	rs, rep, err := RunCampaign(smallParams("EP", "IS"), CampaignConfig{
 		Workers:        1,
 		Schemes:        []string{"mfact"},
-		Policy:         FailurePolicy{KeepGoing: true},
+		KeepGoing:      true,
 		CheckpointPath: path,
 		Resume:         true,
 		Warnf:          func(f string, a ...any) { warns = append(warns, fmt.Sprintf(f, a...)) },

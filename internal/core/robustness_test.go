@@ -15,6 +15,7 @@ import (
 	"hpctradeoff/internal/machine"
 	"hpctradeoff/internal/scheme"
 	"hpctradeoff/internal/trace"
+	"hpctradeoff/internal/triage"
 	"hpctradeoff/internal/workload"
 )
 
@@ -226,7 +227,7 @@ func TestCheckpointAppendAfterTornTailDoesNotMerge(t *testing.T) {
 	}
 	ck2.Close()
 
-	got, err := LoadCheckpoint(path)
+	got, err := loadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,10 +249,10 @@ func TestCampaignSchemeFailureStaysPerScheme(t *testing.T) {
 
 	ps := smallParams("EP", "IS", "DT", "EP", "IS")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
-		Workers: 1,
-		Schemes: []string{"mfact", "flaky"},
-		Policy:  FailurePolicy{KeepGoing: true},
-		Runner:  runnerOver(builtin(t, scheme.MFACT), flaky),
+		Workers:   1,
+		Schemes:   []string{"mfact", "flaky"},
+		KeepGoing: true,
+		Runner:    runnerOver(builtin(t, scheme.MFACT), flaky),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,11 +299,11 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 	ps := smallParams("EP", "IS", "DT")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
-		Workers: 1,
-		Schemes: schemes,
-		Policy:  FailurePolicy{KeepGoing: true},
-		Cancel:  cancel,
-		Runner:  runner,
+		Workers:   1,
+		Schemes:   schemes,
+		KeepGoing: true,
+		Cancel:    cancel,
+		Runner:    runner,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +324,49 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 	if !strings.Contains(rep.Summary(), "interrupted") {
 		t.Errorf("summary omits interruption: %s", rep.Summary())
+	}
+}
+
+// A cancel that closes between traces leaves the rest undispatched,
+// and each of them must still be counted: as canceled, so that
+// succeeded + failed + resumed is the total and the summary says the
+// campaign was interrupted. The runner closes Cancel on the first trace
+// and, like a replay, fails with des.ErrCanceled once it is closed.
+// Whether the producer dispatches the second trace before it sees the
+// cancel depends on select order, so the test asserts no count that
+// does; the tiered campaign stops after its calibration pass.
+func TestCancelAccountsUndispatched(t *testing.T) {
+	for name, pol := range map[string]*triage.Policy{
+		"plain":  nil,
+		"tiered": {Threshold: 0.5, Calibration: 1, Seed: 1},
+	} {
+		cancel := make(chan struct{})
+		runner := func(p workload.Params, ro RunOptions) (*TraceResult, error) {
+			select {
+			case <-ro.Cancel:
+				return nil, fmt.Errorf("replay stopped: %w", des.ErrCanceled)
+			default:
+			}
+			close(cancel)
+			return quickRunner(p, ro)
+		}
+		_, rep, err := RunCampaign(smallParams("EP", "IS", "DT", "CG", "MG", "FT"), CampaignConfig{
+			Workers:   1,
+			Schemes:   []string{"mfact", "packet"},
+			KeepGoing: true,
+			Cancel:    cancel,
+			Runner:    runner,
+			Triage:    pol,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := rep.Succeeded + rep.Failed + rep.Skipped; n != rep.Total {
+			t.Errorf("%s: report accounts for %d of %d traces: %s", name, n, rep.Total, rep.Summary())
+		}
+		if rep.Canceled < 1 || !strings.Contains(rep.Summary(), "[interrupted: ") {
+			t.Errorf("%s: summary does not report the cancel: %s", name, rep.Summary())
+		}
 	}
 }
 
@@ -379,10 +423,10 @@ func TestInjectedPanicIsIsolated(t *testing.T) {
 	}}
 	ps := smallParams("EP", "IS")
 	rs, rep, err := RunCampaign(ps, CampaignConfig{
-		Workers: 1,
-		Schemes: []string{"mfact", "panicky"},
-		Policy:  FailurePolicy{KeepGoing: true},
-		Runner:  runnerOver(builtin(t, scheme.MFACT), panicky),
+		Workers:   1,
+		Schemes:   []string{"mfact", "panicky"},
+		KeepGoing: true,
+		Runner:    runnerOver(builtin(t, scheme.MFACT), panicky),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +506,7 @@ func TestCrashResumeDifferentialAllApps(t *testing.T) {
 
 		// The cut journal holds every append committed before the kill,
 		// and the torn tail does not poison the loader.
-		committed, err := LoadCheckpoint(ckpt)
+		committed, err := loadCheckpoint(ckpt)
 		if err != nil {
 			t.Fatalf("cut at byte %d of record %d: journal must load: %v", at, k, err)
 		}
@@ -476,7 +520,7 @@ func TestCrashResumeDifferentialAllApps(t *testing.T) {
 		got, rep, err := RunCampaign(ps, CampaignConfig{
 			Workers:        1,
 			Schemes:        schemes,
-			Policy:         FailurePolicy{KeepGoing: true},
+			KeepGoing:      true,
 			CheckpointPath: ckpt,
 			Resume:         true,
 			Warnf:          func(f string, a ...any) { warns = append(warns, fmt.Sprintf(f, a...)) },
@@ -524,7 +568,16 @@ func TestCrashResumeDifferentialAllApps(t *testing.T) {
 	}
 }
 
-// loadCheckpointFull is LoadCheckpoint also returning the header's
+// loadCheckpoint reads a journal's completed results by key.
+func loadCheckpoint(path string) (map[string]*TraceResult, error) {
+	st, err := loadCheckpointState(path)
+	if err != nil {
+		return nil, err
+	}
+	return st.results, nil
+}
+
+// loadCheckpointFull is loadCheckpoint also returning the header's
 // scheme set (nil when the journal has no header line) and a salvage
 // report of any damage it skipped over.
 func loadCheckpointFull(path string) (map[string]*TraceResult, []string, *Salvage, error) {
@@ -532,5 +585,9 @@ func loadCheckpointFull(path string) (map[string]*TraceResult, []string, *Salvag
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return st.results, st.schemes, st.salvage, nil
+	var schemes []string
+	if st.id != nil {
+		schemes = st.id.schemes
+	}
+	return st.results, schemes, st.salvage, nil
 }

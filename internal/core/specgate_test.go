@@ -12,11 +12,12 @@ func quickRunner(p workload.Params, ro RunOptions) (*TraceResult, error) {
 	return &TraceResult{Params: p, ID: CampaignKey(p)}, nil
 }
 
-// TestSpecHashResumeGate holds the spec hash to the same symmetric
-// resume semantics as the scheme set and the triage policy: a journal
-// written under one spec resumes only under the identical spec — not
-// under a different one, not under none, and a flag-driven journal
-// never satisfies a spec-driven campaign.
+// TestSpecHashResumeGate holds the spec hash, a part of the journal
+// identity, to symmetric resume semantics: a journal written under one
+// spec resumes only under the identical spec — not under a different
+// one, not under none, and a journal written with no spec hash (a
+// library caller's; every cmd/tradeoff campaign has one) never
+// satisfies a campaign that has one.
 func TestSpecHashResumeGate(t *testing.T) {
 	ps := []workload.Params{
 		{App: "EP", Class: "S", Ranks: 16, Machine: "cielito", Seed: 1},
@@ -57,8 +58,8 @@ func TestSpecHashResumeGate(t *testing.T) {
 		t.Errorf("matching-spec resume skipped %d of %d completed traces", rep.Skipped, len(ps))
 	}
 
-	// The reverse direction: a flag-driven journal must refuse a
-	// spec-driven resume (and continue to accept a flag-driven one).
+	// The reverse direction: a journal with no spec hash must refuse a
+	// resume under one (and continue to accept a resume under none).
 	flat := filepath.Join(t.TempDir(), "flat.jsonl")
 	if _, err := run(flat, "", false); err != nil {
 		t.Fatalf("flag-driven campaign: %v", err)

@@ -37,7 +37,7 @@ func triageSuite(n int) []workload.Params {
 }
 
 // resultRecordCounts parses the raw journal and counts result records
-// per key — LoadCheckpoint dedups, so proving "no trace ran twice"
+// per key — loadCheckpoint dedups, so proving "no trace ran twice"
 // needs the raw line count.
 func resultRecordCounts(t *testing.T, path string) map[string]int {
 	t.Helper()
@@ -223,14 +223,14 @@ func TestTriageCrashResumeReplaysDecisions(t *testing.T) {
 	if len(st.decisions) != 3 {
 		t.Fatalf("journal holds %d decisions, want the 3 committed before the kill", len(st.decisions))
 	}
-	if st.triage == nil || !st.triage.Equal(pol.Normalize(len(ps))) {
-		t.Fatalf("journal header policy = %v, want %v", st.triage, pol)
+	if st.id == nil || st.id.triage == nil || !st.id.triage.Equal(pol.Normalize(len(ps))) {
+		t.Fatalf("journal header = %v, want triage %v", st.id, pol)
 	}
 
 	// Resume.
 	got, rep, err := RunCampaign(ps, CampaignConfig{
 		Workers: 1, Schemes: schemes, Triage: pol,
-		Policy:         FailurePolicy{KeepGoing: true},
+		KeepGoing:      true,
 		CheckpointPath: ckpt,
 		Resume:         true,
 	})

@@ -96,7 +96,7 @@ const programBytesFile = "testdata/program_bytes.txt"
 func TestProgramBytes(t *testing.T) {
 	var got bytes.Buffer
 	fmt.Fprintln(&got, "# app class ranks machine: ops chans templates template_ops image_bytes")
-	for _, p := range workload.SuiteSmall(8, 64)[:6] {
+	for _, p := range workload.Filter(workload.Suite(), 8, 64)[:6] {
 		cols, err := workload.GenerateColumns(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.App, err)

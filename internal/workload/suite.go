@@ -70,7 +70,10 @@ func SuiteIters(ranks int) int {
 	return 0
 }
 
-// Suite returns the 235 trace parameter sets of the study.
+// Suite returns the 235 trace parameter sets of the study, built in
+// code. No command runs it: campaigns start from specs/paper-235.yaml,
+// and Suite is the reference that TestPaper235SpecMatchesSuite holds
+// that spec to, field for field.
 func Suite() []Params {
 	var out []Params
 	add := func(app, class string, ranks int) {
@@ -149,17 +152,10 @@ func Suite() []Params {
 	return out
 }
 
-// SuiteSmall returns a reduced manifest (every nth trace, ranks capped)
-// for tests and quick studies.
-func SuiteSmall(stride, maxRanks int) []Params {
-	return Filter(Suite(), stride, maxRanks)
-}
-
-// Filter reduces any manifest the way SuiteSmall reduces the study
-// manifest: keep every stride-th entry (stride < 1 means every entry),
-// then drop traces above maxRanks (0 = no cap). Spec-driven campaigns
-// apply it after compilation, so -stride/-maxranks keep working as
-// manifest filters under -spec.
+// Filter reduces a manifest: keep every stride-th entry (stride < 1
+// means every entry), then drop traces above maxRanks (0 = no cap).
+// Campaigns apply it after compiling their spec, so -stride/-maxranks
+// filter any compiled manifest.
 func Filter(ps []Params, stride, maxRanks int) []Params {
 	if stride < 1 {
 		stride = 1
